@@ -29,6 +29,7 @@ from .dataset import (
 )
 from .errors import (
     ConfigError,
+    DataError,
     EmptyDatasetError,
     MalformedDocumentError,
     SchemaMismatchError,
@@ -220,146 +221,175 @@ def assign_leaf(counts: tuple[int, int]) -> tuple[int, float]:
 # brute-force enumeration using the same arithmetic (p = c/n as plain
 # division, impurity = 1 - p*p - q*q, weighted = (nl*gl + nr*gr)/n,
 # decrease = parent - weighted) reproduces the chosen decrease bit for
-# bit.  Keep products spelled as multiplication, not **.
+# bit.  Keep products spelled as multiplication, not **.  Sums of real
+# targets must also keep their order: prefix sums run in stable sorted
+# order, per-code sums are np.sum over the code's rows in row order, and
+# a subset sums its codes in ascending order starting from 0.0.
+
+#: Code subsets are scored 2**_BLOCK_BITS masks per column at a time,
+#: which bounds memory; the time stays exponential in the level count.
+_BLOCK_BITS = 12
+_NO_KEY = np.iinfo(np.int64).max
 
 
-def _gini_counts(c1: float, c0: float, n: float) -> float:
-    p1 = c1 / n
-    p0 = c0 / n
-    return 1.0 - p1 * p1 - p0 * p0
+def _impurity(n, s, s2=None):
+    """Gini of n rows of which s are class 1 when s2 is None, else the
+    population variance of n values with sum s and sum of squares s2."""
+    if s2 is None:
+        p1 = s / n
+        p0 = (n - s) / n
+        return 1.0 - p1 * p1 - p0 * p0
+    mean = s / n
+    return s2 / n - mean * mean
 
 
-@dataclass
-class _Candidate:
-    decrease: float
-    feature: str
-    feature_index: int
-    threshold: float | None = None
-    subset: tuple[int, ...] | None = None
-    complement: tuple[int, ...] | None = None
-
-
-def _numeric_candidate(values, y1, parent_impurity, mode):
-    """Best cut of one numeric column; y1 is the 0/1 class indicator
-    for classification or the raw target for regression."""
-    order = np.argsort(values, kind="mergesort")
-    sv = values[order]
-    sy = y1[order]
-    bounds = np.nonzero(sv[1:] > sv[:-1])[0]
-    if bounds.size == 0:
-        return None
-    n = sv.shape[0]
-    nl = (bounds + 1).astype(float)
+def _decrease(parent, n, nl, left, total):
+    """Impurity decrease of sending nl of n rows left, where left and
+    total hold the left side's and the node's target sums."""
     nr = n - nl
-    if mode == CLASSIFICATION:
-        ones = np.cumsum(sy)
-        cl1 = ones[bounds].astype(float)
-        cl0 = nl - cl1
-        c1 = float(ones[-1])
-        c0 = n - c1
-        cr1 = c1 - cl1
-        cr0 = c0 - cl0
-        pl1 = cl1 / nl
-        pl0 = cl0 / nl
-        gl = 1.0 - pl1 * pl1 - pl0 * pl0
-        pr1 = cr1 / nr
-        pr0 = cr0 / nr
-        gr = 1.0 - pr1 * pr1 - pr0 * pr0
-    else:
-        s = np.cumsum(sy)
-        s2 = np.cumsum(sy * sy)
-        ml = s[bounds] / nl
-        gl = s2[bounds] / nl - ml * ml
-        mr = (s[-1] - s[bounds]) / nr
-        gr = (s2[-1] - s2[bounds]) / nr - mr * mr
-    weighted = (nl * gl + nr * gr) / n
-    decrease = parent_impurity - weighted
-    best = int(np.argmax(decrease))
-    b = bounds[best]
-    threshold = (sv[b] + sv[b + 1]) / 2.0
-    return float(decrease[best]), float(threshold)
+    right = [t - s for t, s in zip(total, left)]
+    return parent - (nl * _impurity(nl, *left) + nr * _impurity(nr, *right)) / n
 
 
-def _categorical_candidate(values, y1, parent_impurity, mode):
-    """Best code-subset cut of one categorical column.
+def _lattice(start, v):
+    """Subset sums of the q codes in each row of v: entry R of a row is
+    start plus v[c] for every code c whose bit q-1-c is set in R, added
+    in ascending code order."""
+    k, q = v.shape
+    out = np.empty((k, 1 << q))
+    out[:, 0] = start
+    for c in range(q):
+        view = out.reshape(k, 1 << c, 2, 1 << (q - 1 - c))
+        view[:, :, 1, 0] = view[:, :, 0, 0] + v[:, c, None]
+    return out
 
-    Enumerates every bipartition of the codes present, canonicalised so
-    the left subset always contains the smallest code; ties prefer the
-    lexicographically smallest sorted subset.
+
+class _NodeEvaluator:
+    """Best split of any set of rows over a fixed set of feature columns.
+
+    Built once per tree.  Numeric columns form one matrix and are scored
+    together from one stable sort per node.  Categorical codes become
+    dense ranks, which keep their order, offset per column so that one
+    bincount counts every column's codes.  Code subsets are masks over
+    the ranks with rank c at bit levels-1-c; in that layout
+    popcount - mask - lowest set bit orders masks as their sorted code
+    tuples order lexicographically.
     """
-    codes = np.unique(values)
-    m = codes.shape[0]
-    if m < 2:
-        return None
-    n = float(values.shape[0])
-    if mode == CLASSIFICATION:
-        per_c1 = np.array([float(np.sum(y1[values == c])) for c in codes])
-        per_n = np.array([float(np.sum(values == c)) for c in codes])
-        per_c0 = per_n - per_c1
-        total1 = float(per_c1.sum())
-        total0 = float(per_c0.sum())
-    else:
-        per_n = np.array([float(np.sum(values == c)) for c in codes])
-        per_s = np.array([float(np.sum(y1[values == c])) for c in codes])
-        per_s2 = np.array(
-            [float(np.sum(y1[values == c] * y1[values == c])) for c in codes])
 
-    code_ints = [int(c) for c in codes]
-    best = None
-    for mask in range(1, (1 << m) - 1, 2):
-        members = [i for i in range(m) if mask >> i & 1]
-        nl = float(sum(per_n[i] for i in members))
-        nr = n - nl
-        if nl < 1 or nr < 1:
-            continue
-        if mode == CLASSIFICATION:
-            cl1 = float(sum(per_c1[i] for i in members))
-            cl0 = nl - cl1
-            gl = _gini_counts(cl1, cl0, nl)
-            gr = _gini_counts(total1 - cl1, total0 - cl0, nr)
-        else:
-            sl = float(sum(per_s[i] for i in members))
-            sl2 = float(sum(per_s2[i] for i in members))
-            ml = sl / nl
-            gl = sl2 / nl - ml * ml
-            mr = (per_s.sum() - sl) / nr
-            gr = (per_s2.sum() - sl2) / nr - mr * mr
-        weighted = (nl * gl + nr * gr) / n
-        decrease = parent_impurity - weighted
-        subset = tuple(code_ints[i] for i in members)
-        if (best is None or decrease > best[0]
-                or (decrease == best[0] and subset < best[1])):
-            best = (decrease, subset)
-    if best is None:
-        return None
-    decrease, subset = best
-    complement = tuple(c for c in code_ints if c not in subset)
-    return float(decrease), subset, complement
+    def __init__(self, data: Dataset, variables, mode: str):
+        names = list(variables) if variables is not None else data.schema.names
+        self.specs = sorted((data.schema[n] for n in names),
+                            key=lambda s: s.index)
+        self.classification = mode == CLASSIFICATION
+        self.y = (data.binary_target().astype(float) if self.classification
+                  else data.target_array())
+        matrix = data.feature_array([s.name for s in self.specs])
+        numeric = np.array([s.kind == NUMERIC for s in self.specs], dtype=bool)
+        self.num = np.flatnonzero(numeric)
+        self.cat = np.flatnonzero(~numeric)
+        self.values = matrix[:, self.num]
+        found = [np.unique(matrix[:, j], return_inverse=True) for j in self.cat]
+        self.codes = [codes.astype(int) for codes, _ in found]
+        self.levels = max((len(codes) for codes in self.codes), default=1)
+        self.ranks = np.empty((data.n, len(found)), dtype=np.intp)
+        for c, (_, inverse) in enumerate(found):
+            self.ranks[:, c] = inverse.ravel() + c * self.levels
+        self.bits = 1 << (self.levels - 1 - np.arange(self.levels))
+        self.block = min(self.levels, _BLOCK_BITS)
+        self.low = np.arange(1 << self.block)
+        self.low_popcount = _lattice(0.0, np.ones((1, self.block)))[0].astype(int)
 
-
-def _search_split(columns, specs, y, parent_impurity, mode):
-    """Best candidate over the given features, applying the tie-break
-    ordering; columns maps feature name -> value vector at this node."""
-    best: _Candidate | None = None
-    for spec in sorted(specs, key=lambda s: s.index):
-        values = columns[spec.name]
+    def split(self, idx):
+        """(decrease, rule, mask of the rows sent left) for the best split
+        of the rows idx, or None when they are homogeneous or no column
+        separates them.  Ties go to the lowest feature index, then the
+        lowest threshold, then the smallest sorted code subset."""
+        n = idx.shape[0]
+        if n < 2:
+            return None
+        y = self.y[idx]
+        stats = [y] if self.classification else [y, y * y]
+        parent = _impurity(n, *[s.sum() for s in stats])
+        if parent <= 0.0:
+            return None
+        best = np.full(len(self.specs), -np.inf)
+        if self.num.size:
+            v = self.values[idx]
+            order = np.argsort(v, axis=0, kind="mergesort")
+            v = np.take_along_axis(v, order, axis=0)
+            sums = [np.cumsum(s[order], axis=0) for s in stats]
+            dec = _decrease(parent, n, np.arange(1.0, n)[:, None],
+                            [s[:-1] for s in sums], [s[-1] for s in sums])
+            dec = np.where(v[1:] > v[:-1], dec, -np.inf)
+            cut = dec.argmax(axis=0)
+            best[self.num] = dec[cut, np.arange(self.num.size)]
+        if self.cat.size:
+            ranks = self.ranks[idx]
+            best[self.cat], masks, present = self._subsets(
+                ranks, stats, n, parent)
+        f = int(best.argmax())
+        if best[f] == -np.inf:
+            return None
+        spec = self.specs[f]
         if spec.kind == NUMERIC:
-            found = _numeric_candidate(values, y, parent_impurity, mode)
-            if found is None:
-                continue
-            decrease, threshold = found
-            cand = _Candidate(decrease, spec.name, spec.index,
-                              threshold=threshold)
+            j = int(np.searchsorted(self.num, f))
+            threshold = float((v[cut[j], j] + v[cut[j] + 1, j]) / 2.0)
+            rule = SplitRule(spec.name, spec.index, threshold=threshold)
+            return float(best[f]), rule, self.values[idx, j] <= threshold
+        j = int(np.searchsorted(self.cat, f))
+        side = (masks[j] & self.bits) != 0
+        codes = self.codes[j]
+        here = present[j, :codes.shape[0]]
+        lside = side[:codes.shape[0]]
+        rule = SplitRule(spec.name, spec.index,
+                         subset=frozenset(codes[here & lside].tolist()),
+                         complement=frozenset(codes[here & ~lside].tolist()))
+        return float(best[f]), rule, side[ranks[:, j] - j * self.levels]
+
+    def _subsets(self, ranks, stats, n, parent):
+        """Best decrease and mask of each categorical column, and which
+        codes of each are present, from the node's offset ranks."""
+        k, levels = self.cat.size, self.levels
+        flat = ranks.ravel()
+        counts = np.bincount(flat, minlength=k * levels).reshape(k, levels)
+        present = counts > 0
+        if self.classification:
+            sums = [np.bincount(flat, np.repeat(stats[0], k),
+                                k * levels).reshape(k, levels)]
+            totals = [stats[0].sum()]
         else:
-            found = _categorical_candidate(values, y, parent_impurity, mode)
-            if found is None:
-                continue
-            decrease, subset, complement = found
-            cand = _Candidate(decrease, spec.name, spec.index,
-                              subset=subset, complement=complement)
-        if best is None or cand.decrease > best.decrease:
-            best = cand
-    return best
+            sums = [np.zeros((k, levels)), np.zeros((k, levels))]
+            for c, r in zip(*np.nonzero(present)):
+                rows = stats[0][ranks[:, c] == c * levels + r]
+                sums[0][c, r], sums[1][c, r] = np.sum(rows), np.sum(rows * rows)
+            totals = [np.array([s[c, present[c]].sum() for c in range(k)])[:, None]
+                      for s in sums]
+        table = np.concatenate([counts.astype(float)] + sums)
+        q = self.block
+        heads = _lattice(0.0, table[:, :levels - q])
+        have = present @ self.bits
+        absent = ((1 << levels) - 1) ^ have
+        first = self.bits[present.argmax(axis=1)]
+        best = np.full(k, -np.inf)
+        best_key = np.full(k, _NO_KEY)
+        best_mask = np.zeros(k, dtype=np.int64)
+        for h in range(heads.shape[1]):
+            masks = (h << q) + self.low
+            nl, *left = _lattice(heads[:, h], table[:, levels - q:]).reshape(
+                len(sums) + 1, k, -1)
+            valid = ((masks & absent[:, None] == 0)
+                     & (masks & first[:, None] != 0) & (masks != have[:, None]))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dec = np.where(valid, _decrease(parent, n, nl, left, totals),
+                               -np.inf)
+            key = self.low_popcount + h.bit_count() - masks - (masks & -masks)
+            top = dec.max(axis=1)
+            pick = np.where(dec == top[:, None], key, _NO_KEY).argmin(axis=1)
+            better = (top > best) | ((top == best) & (key[pick] < best_key))
+            best = np.where(better, top, best)
+            best_key = np.where(better, key[pick], best_key)
+            best_mask = np.where(better, masks[pick], best_mask)
+        return best, best_mask, present
 
 
 def best_split(
@@ -373,38 +403,11 @@ def best_split(
     None means no candidate exists (too few rows, pure node, constant
     columns) or the best decrease falls short of min_gini_decrease.
     """
-    names = list(variables) if variables is not None else data.schema.names
-    specs = [data.schema[n] for n in names]
     idx = np.arange(data.n) if indices is None else np.asarray(indices)
-    if idx.shape[0] < 2:
+    found = _NodeEvaluator(data, variables, config.mode).split(idx)
+    if found is None or found[0] < config.min_gini_decrease:
         return None
-    if config.mode == CLASSIFICATION:
-        y = data.binary_target()[idx].astype(float)
-        c1 = float(y.sum())
-        c0 = float(y.shape[0]) - c1
-        if c1 == 0.0 or c0 == 0.0:
-            return None
-        parent = _gini_counts(c1, c0, float(y.shape[0]))
-    else:
-        y = data.target_array()[idx]
-        mean = y.sum() / y.shape[0]
-        parent = float((y * y).sum() / y.shape[0] - mean * mean)
-        if parent <= 0.0:
-            return None
-    columns = {s.name: data.feature_array([s.name])[idx, 0] for s in specs}
-    cand = _search_split(columns, specs, y, parent, config.mode)
-    if cand is None or cand.decrease < config.min_gini_decrease:
-        return None
-    return _candidate_rule(cand), cand.decrease
-
-
-def _candidate_rule(cand: _Candidate) -> SplitRule:
-    if cand.threshold is not None:
-        return SplitRule(cand.feature, cand.feature_index,
-                         threshold=cand.threshold)
-    return SplitRule(cand.feature, cand.feature_index,
-                     subset=frozenset(cand.subset),
-                     complement=frozenset(cand.complement))
+    return found[1], found[0]
 
 
 def grow(
@@ -420,58 +423,31 @@ def grow(
     """
     if data.n == 0:
         raise EmptyDatasetError("cannot grow a tree on 0 rows")
-    names = list(variables) if variables is not None else data.schema.names
-    specs = [data.schema[n] for n in names]
-    classification = config.mode == CLASSIFICATION
-    y = (data.binary_target().astype(float) if classification
-         else data.target_array())
-    full_columns = {s.name: data.feature_array([s.name])[:, 0] for s in specs}
-
-    def leaf(idx) -> TreeNode:
-        sub = y[idx]
-        if classification:
-            c1 = int(sub.sum())
-            counts = (idx.shape[0] - c1, c1)
-            predicted, p1 = assign_leaf(counts)
-            return TreeNode(n=idx.shape[0], counts=counts,
-                            predicted_class=predicted,
-                            positive_proportion=p1)
-        return TreeNode(n=idx.shape[0], mean=float(sub.mean()))
+    search = _NodeEvaluator(data, variables, config.mode)
+    y = search.y
 
     def build(idx, depth) -> TreeNode:
-        sub = y[idx]
         n = idx.shape[0]
-        if classification:
-            c1 = float(sub.sum())
-            c0 = float(n) - c1
-            counts = (int(c0), int(c1))
-            homogeneous = c1 == 0.0 or c0 == 0.0
-            parent = None if homogeneous else _gini_counts(c1, c0, float(n))
-        else:
-            counts = None
-            mean = sub.sum() / n
-            parent = float((sub * sub).sum() / n - mean * mean)
-            homogeneous = parent <= 0.0
-        if homogeneous or n < config.min_node_size or depth >= config.max_depth:
-            return leaf(idx)
-        columns = {name: col[idx] for name, col in full_columns.items()}
-        cand = _search_split(columns, specs, sub, parent, config.mode)
-        if cand is None or cand.decrease < config.min_gini_decrease:
-            return leaf(idx)
-        rule = _candidate_rule(cand)
-        values = columns[cand.feature]
-        if rule.is_numeric:
-            mask = values <= rule.threshold
-        else:
-            mask = np.isin(values.astype(int), sorted(rule.subset))
+        counts = None
+        if search.classification:
+            c1 = int(y[idx].sum())
+            counts = (n - c1, c1)
+        found = None
+        if n >= config.min_node_size and depth < config.max_depth:
+            found = search.split(idx)
         # A midpoint that rounds onto its upper boundary value would
         # sweep every row to one side; refuse rather than recurse.
-        if not 0 < int(mask.sum()) < n:
-            return leaf(idx)
-        node = TreeNode(n=n, counts=counts, rule=rule,
-                        left=build(idx[mask], depth + 1),
-                        right=build(idx[~mask], depth + 1))
-        return node
+        if (found is not None and found[0] >= config.min_gini_decrease
+                and 0 < int(found[2].sum()) < n):
+            _, rule, left = found
+            return TreeNode(n=n, counts=counts, rule=rule,
+                            left=build(idx[left], depth + 1),
+                            right=build(idx[~left], depth + 1))
+        if counts is None:
+            return TreeNode(n=n, mean=float(y[idx].mean()))
+        predicted, p1 = assign_leaf(counts)
+        return TreeNode(n=n, counts=counts, predicted_class=predicted,
+                        positive_proportion=p1)
 
     root = build(np.arange(data.n), 0)
     return CartTree(root=root, fingerprint=data.schema.fingerprint(),
@@ -482,17 +458,54 @@ def predict_dataset(tree: CartTree, data: Dataset):
     """Apply the tree to every row; returns (classes, scores) arrays.
 
     Scores are leaf positive proportions.  The dataset schema must
-    match the training schema exactly.
+    match the training schema exactly.  Rows are routed together, one
+    index partition per node.  A row that reaches a rule on a feature
+    it has no value for raises DataError naming the row and feature;
+    a missing value in a feature its path never tests is harmless.
     """
     if data.schema.fingerprint() != tree.fingerprint:
         raise SchemaMismatchError(
             "dataset schema differs from the tree's training schema")
+    if tree.config.mode != CLASSIFICATION:
+        raise ValueError("predict() needs a classification tree")
     classes = np.empty(data.n, dtype=int)
     scores = np.empty(data.n, dtype=float)
-    for i, row in enumerate(data.rows):
-        cls, score = tree.predict(row[:-1])
-        classes[i] = cls
-        scores[i] = score
+    columns: dict[int, np.ndarray] = {}
+    unseen: dict[str, tuple[int, int]] = {}
+    stack = [(tree.root, np.arange(data.n), 0)]
+    while stack:
+        node, idx, depth = stack.pop()
+        if node.is_leaf:
+            classes[idx] = node.predicted_class
+            scores[idx] = node.positive_proportion
+            continue
+        rule = node.rule
+        j = rule.feature_index
+        if j not in columns:
+            columns[j] = np.array([np.nan if row[j] is None else row[j]
+                                   for row in data.rows], dtype=float)
+        values = columns[j][idx]
+        missing = np.isnan(values)
+        if missing.any():
+            raise DataError(
+                f"row {idx[missing.argmax()]} has no value for feature "
+                f"{rule.feature!r}, which the tree routes on")
+        if rule.is_numeric:
+            left = values <= rule.threshold
+        else:
+            values = np.trunc(values)
+            left = np.isin(values, list(rule.subset))
+            never_seen = ~left & ~np.isin(values, list(rule.complement))
+            for code in np.unique(values[never_seen]):
+                msg = (f"code {int(code)} of {rule.feature!r} never seen in "
+                       "training; routing right")
+                first = (int(idx[never_seen & (values == code)][0]), depth)
+                unseen[msg] = min(unseen.get(msg, first), first)
+        stack.append((node.right, idx[~left], depth + 1))
+        stack.append((node.left, idx[left], depth + 1))
+    # warn in the order a row-by-row walk would first meet each code
+    for msg in sorted(unseen, key=unseen.get):
+        warnings.warn(msg, UnseenCategoryWarning)
     return classes, scores
 
 
@@ -656,8 +669,26 @@ def deserialize(text: str) -> CartTree:
             nodes[i].right = nodes[right]
     if referenced != set(range(1, len(records))):
         raise MalformedDocumentError("node list is not a single tree")
+    features = fingerprint[:-1]
+    for i, node in enumerate(nodes):
+        if node.rule is not None:
+            _check_rule(node.rule, features, i)
     return CartTree(root=nodes[0], fingerprint=fingerprint, config=config,
                     n_training_rows=int(doc["n_training_rows"]))
+
+
+def _check_rule(rule: SplitRule, features: tuple, i: int) -> None:
+    """Refuse a rule whose feature, index or kind the schema contradicts."""
+    j = rule.feature_index
+    if not 0 <= j < len(features) or features[j][0] != rule.feature:
+        raise MalformedDocumentError(
+            f"node {i} routes on feature {rule.feature!r} at index {j}, "
+            "which the schema does not hold")
+    kind = NUMERIC if rule.is_numeric else CATEGORICAL
+    if features[j][1] != kind:
+        raise MalformedDocumentError(
+            f"node {i} has a {kind} rule on {features[j][1]} feature "
+            f"{rule.feature!r}")
 
 
 def _record_to_node(rec, i: int) -> TreeNode:
@@ -695,16 +726,18 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _node_label(node: TreeNode) -> str:
+def _node_label(node: TreeNode) -> tuple[str, str]:
+    """(body, stats) of a node: its rule or leaf prediction, then its
+    row count and class counts."""
     stats = f"n={node.n}"
     if node.counts is not None:
         stats += f" counts={node.counts}"
-    if node.is_leaf:
-        if node.mean is not None:
-            return f"leaf mean={node.mean!r}\\n{stats}"
-        return (f"leaf class={node.predicted_class} "
-                f"p1={node.positive_proportion!r}\\n{stats}")
-    return f"{_dot_escape(node.rule.describe())}\\n{stats}"
+    if not node.is_leaf:
+        return node.rule.describe(), stats
+    if node.mean is not None:
+        return f"leaf mean={node.mean!r}", stats
+    return (f"leaf class={node.predicted_class} "
+            f"p1={node.positive_proportion!r}"), stats
 
 
 def export_dot(tree: CartTree) -> str:
@@ -713,7 +746,8 @@ def export_dot(tree: CartTree) -> str:
     nodes = list(tree.root.walk())
     index = {id(node): i for i, node in enumerate(nodes)}
     for i, node in enumerate(nodes):
-        lines.append(f'  n{i} [label="{_node_label(node)}"];')
+        body, stats = _node_label(node)
+        lines.append(f'  n{i} [label="{_dot_escape(body)}\\n{stats}"];')
     for i, node in enumerate(nodes):
         if not node.is_leaf:
             lines.append(
@@ -729,17 +763,7 @@ def export_text(tree: CartTree) -> str:
     lines: list[str] = []
 
     def emit(node: TreeNode, prefix: str, tag: str):
-        stats = f"n={node.n}"
-        if node.counts is not None:
-            stats += f" counts={node.counts}"
-        if node.is_leaf:
-            if node.mean is not None:
-                body = f"leaf mean={node.mean!r}"
-            else:
-                body = (f"leaf class={node.predicted_class} "
-                        f"p1={node.positive_proportion!r}")
-        else:
-            body = node.rule.describe()
+        body, stats = _node_label(node)
         lines.append(f"{prefix}{tag}{body} [{stats}]")
         if not node.is_leaf:
             emit(node.left, prefix + "  ", "True: ")

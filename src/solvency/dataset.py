@@ -18,6 +18,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .errors import (
+    CodeBookError,
     DataError,
     EmptyDatasetError,
     EmptyDistributionError,
@@ -157,8 +158,14 @@ class CodeBook:
                     f"codebook header must be {sorted(expected)}, "
                     f"found {reader.fieldnames}")
             for record in reader:
-                mappings.setdefault(record["feature"], {})[record["label"]] = (
-                    int(record["code"]))
+                feature, code = record["feature"], record["code"]
+                try:
+                    code = int(code)
+                except (TypeError, ValueError):
+                    raise CodeBookError(
+                        f"{path} line {reader.line_num}: code {code!r} of "
+                        f"feature {feature!r} is not an integer") from None
+                mappings.setdefault(feature, {})[record["label"]] = code
         return cls(mappings)
 
     @classmethod

@@ -38,6 +38,10 @@ class RaggedRowError(DataError):
     pass
 
 
+class CodeBookError(DataError):
+    """A codebook file holds an entry that cannot be used."""
+
+
 class UnknownLabelError(DataError):
     """A categorical cell holds a label the codebook does not define."""
 

@@ -1,6 +1,7 @@
 """Tree growing: impurity arithmetic, split search, stopping rules,
 serialization, and prediction."""
 
+import hashlib
 import json
 import warnings
 from fractions import Fraction
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset
 from oracles import brute_force_best_split
+from solvency import cart
 from solvency.cart import (
     CLASSIFICATION,
     FORMAT_VERSION,
@@ -33,6 +35,7 @@ from solvency.cart import (
 from solvency.dataset import CATEGORICAL, ClassDistribution
 from solvency.errors import (
     ConfigError,
+    DataError,
     MalformedDocumentError,
     SchemaMismatchError,
     VersionMismatchError,
@@ -180,6 +183,23 @@ class TestTieBreaking:
         rule, _ = best_split(data)
         assert rule.subset == frozenset({1})
 
+    # each case ties a subset with one whose mask comes first in the
+    # evaluator's enumeration; blocks of 2 masks split them apart
+    @pytest.mark.parametrize("block_bits", [12, 1])
+    @pytest.mark.parametrize("codes, target, subset", [
+        ([1, 2, 3, 3, 1, 2, 4, 5], [0, 1, 0, 0, 1, 1, 1, 0], {1, 2, 4}),
+        ([2, 1, 2, 4, 3, 1], [1, 1, 0, 0, 1, 0], {1, 2, 3}),
+        ([2, 3, 1, 3, 2, 4], [0, 1, 0, 1, 1, 0], {1, 2, 4}),
+    ])
+    def test_tied_subsets_order_by_code_tuple(self, monkeypatch, block_bits,
+                                              codes, target, subset):
+        monkeypatch.setattr(cart, "_BLOCK_BITS", block_bits)
+        data = make_dataset({"c": codes}, target,
+                            kinds={"c": CATEGORICAL}, levels={"c": 5})
+        rule, _ = best_split(data)
+        assert rule.subset == frozenset(subset)
+        assert_agrees_with_oracle(data)
+
     def test_numeric_beats_categorical_only_by_position(self):
         columns_numeric_first = {
             "x": [0.0, 0.0, 1.0, 1.0],
@@ -200,24 +220,61 @@ class TestTieBreaking:
         assert rule.feature == "c"
 
 
+def assert_agrees_with_oracle(data):
+    """best_split picks the oracle's decrease (bit for bit), feature,
+    and threshold or code subset."""
+    found = best_split(data)
+    expected = brute_force_best_split(data)
+    if expected is None:
+        assert found is None
+        return
+    dec, feature, detail = expected
+    rule, decrease = found
+    assert decrease == dec  # bit-for-bit
+    assert rule.feature == feature
+    if rule.threshold is not None:
+        assert rule.threshold == detail
+    else:
+        assert rule.subset == detail
+        codes = {int(c) for c in data.column(feature)}
+        assert rule.complement == frozenset(codes) - detail
+
+
+def random_wide_categorical_dataset(rng, max_levels=12, max_rows=80):
+    """Two categorical columns whose codes are sparse and partly
+    negative, the wider with up to max_levels levels, plus a coarse
+    numeric column."""
+    n = int(rng.integers(5, max_rows + 1))
+    m = int(rng.integers(2, max_levels + 1))
+    wide = np.sort(rng.choice(np.arange(-60, 140), m, replace=False))
+    narrow = np.array([-7, 0, 93])
+    columns = {
+        "w": rng.choice(wide, n).tolist(),
+        "x": rng.integers(0, 3, n).astype(float).tolist(),
+        "v": rng.choice(narrow, n).tolist(),
+    }
+    return make_dataset(columns, rng.integers(0, 2, n).tolist(),
+                        kinds={"w": CATEGORICAL, "v": CATEGORICAL},
+                        levels={"w": m, "v": 3})
+
+
 class TestBruteForceAgreement:
     def test_exact_agreement_on_random_datasets(self):
         rng = np.random.default_rng(22)
         for _ in range(80):
-            data = random_mixed_dataset(rng)
-            found = best_split(data)
-            expected = brute_force_best_split(data)
-            if expected is None:
-                assert found is None
-                continue
-            dec, feature, detail = expected
-            rule, decrease = found
-            assert decrease == dec  # bit-for-bit
-            assert rule.feature == feature
-            if rule.threshold is not None:
-                assert rule.threshold == detail
-            else:
-                assert rule.subset == detail
+            assert_agrees_with_oracle(random_mixed_dataset(rng))
+
+    def test_wide_sparse_and_negative_codes(self):
+        rng = np.random.default_rng(28)
+        for _ in range(30):
+            assert_agrees_with_oracle(random_wide_categorical_dataset(rng))
+
+    def test_subsets_scored_across_several_blocks(self, monkeypatch):
+        # blocks of 2**2 masks: a 12-level column spans 1024 blocks
+        monkeypatch.setattr(cart, "_BLOCK_BITS", 2)
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            assert_agrees_with_oracle(random_wide_categorical_dataset(rng))
 
 
 class TestCartConfig:
@@ -370,6 +427,34 @@ class TestSerialization:
         with pytest.raises(MalformedDocumentError):
             deserialize(json.dumps(doc))
 
+    @pytest.mark.parametrize("field, value", [
+        ("feature_index", 99),
+        ("feature_index", -1),
+        ("feature", "nonexistent"),
+    ])
+    def test_rule_outside_schema_rejected(self, field, value):
+        tree, _ = self.grown_tree()
+        doc = json.loads(serialize(tree))
+        doc["nodes"][0][field] = value
+        with pytest.raises(MalformedDocumentError, match="node 0"):
+            deserialize(json.dumps(doc))
+
+    def test_rule_kind_must_match_feature_kind(self):
+        data = make_dataset(
+            {"x": [1.0, 2.0, 3.0, 4.0], "c": [1, 1, 2, 2]}, [0, 0, 1, 1],
+            kinds={"c": CATEGORICAL}, levels={"c": 2})
+        doc = json.loads(serialize(
+            grow(data, config=CartConfig(min_node_size=1))))
+        root = doc["nodes"][0]
+        assert root["feature"] == "x"
+        root.update(feature="c", feature_index=1)  # threshold on a code
+        with pytest.raises(MalformedDocumentError, match="numeric rule on categorical"):
+            deserialize(json.dumps(doc))
+        root.update(feature="x", feature_index=0, threshold=None,
+                    subset=[1], complement=[2])
+        with pytest.raises(MalformedDocumentError, match="categorical rule on numeric"):
+            deserialize(json.dumps(doc))
+
     def test_orphan_node_rejected(self):
         tree, _ = self.grown_tree()
         doc = json.loads(serialize(tree))
@@ -412,6 +497,50 @@ class TestPredict:
         _, scores = predict_dataset(tree, data)
         for score in scores:
             assert 0.0 <= score <= 1.0
+
+    def test_bulk_routing_matches_row_routing(self):
+        rng = np.random.default_rng(30)
+        for _ in range(10):
+            data = random_mixed_dataset(rng)
+            tree = grow(data, config=CartConfig(min_node_size=1))
+            classes, scores = predict_dataset(tree, data)
+            expected = [tree.predict(row[:-1]) for row in data.rows]
+            assert classes.tolist() == [c for c, _ in expected]
+            assert scores.tolist() == [p for _, p in expected]
+
+    def test_unseen_category_warns_once_per_code(self):
+        data = make_dataset(
+            {"c": [1, 1, 2, 2]}, [1, 1, 0, 0],
+            kinds={"c": CATEGORICAL}, levels={"c": 4})
+        tree = grow(data, config=CartConfig(min_node_size=1))
+        fresh = make_dataset({"c": [4, 3, 1, 3]}, [0, 0, 0, 0],
+                             kinds={"c": CATEGORICAL}, levels={"c": 4})
+        with pytest.warns(UnseenCategoryWarning) as caught:
+            classes, _ = predict_dataset(tree, fresh)
+        assert [str(w.message) for w in caught] == [
+            "code 4 of 'c' never seen in training; routing right",
+            "code 3 of 'c' never seen in training; routing right",
+        ]
+        right = tree.root.right.predicted_class
+        assert classes.tolist() == [right, right, 1, right]
+
+    def test_missing_cell_on_routed_feature_names_row(self):
+        data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0], "z": [0.0] * 4},
+                            [0, 0, 1, 1])
+        tree = grow(data, config=CartConfig(min_node_size=1))
+        holey = make_dataset({"x": [1.0, 2.0, None, 4.0], "z": [0.0] * 4},
+                             [0, 0, 1, 1])
+        with pytest.raises(DataError, match="row 2 .*'x'"):
+            predict_dataset(tree, holey)
+
+    def test_missing_cell_on_unused_feature_still_scores(self):
+        data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0], "z": [0.0] * 4},
+                            [0, 0, 1, 1])
+        tree = grow(data, config=CartConfig(min_node_size=1))
+        holey = make_dataset({"x": [1.0, 2.0, 3.0, 4.0],
+                              "z": [None, 0.0, None, 0.0]}, [0, 0, 1, 1])
+        classes, _ = predict_dataset(tree, holey)
+        assert classes.tolist() == [0, 0, 1, 1]
 
     def test_wrong_row_width_rejected(self):
         data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
@@ -467,15 +596,8 @@ def test_split_agreement_property(seed):
     """best_split matches the exhaustive oracle on arbitrary small
     mixed datasets."""
     rng = np.random.default_rng(seed)
-    data = random_mixed_dataset(rng, max_rows=25, max_features=3)
-    found = best_split(data)
-    expected = brute_force_best_split(data)
-    if expected is None:
-        assert found is None
-        return
-    rule, decrease = found
-    assert decrease == expected[0]
-    assert rule.feature == expected[1]
+    assert_agrees_with_oracle(
+        random_mixed_dataset(rng, max_rows=25, max_features=3))
 
 
 def test_grow_then_serialize_is_deterministic():
@@ -495,3 +617,62 @@ def test_no_warning_for_seen_codes():
         warnings.simplefilter("error")
         tree.predict([1])
         tree.predict([2])
+
+
+def noisy_classification_dataset(n=300, seed=31):
+    """Planted rule over mixed columns with a fifth of the labels flipped."""
+    rng = np.random.default_rng(seed)
+    x = np.round(rng.uniform(0, 10, n), 1)
+    k = rng.integers(0, 10, n).astype(float)
+    c = rng.integers(1, 5, n)
+    b = rng.integers(0, 2, n)
+    h = rng.integers(1, 7, n)
+    clean = ((x > 4.0) & np.isin(c, [2, 3])) | ((k < 3) & (h >= 4))
+    y = np.where(rng.random(n) < 0.2, ~clean, clean).astype(int)
+    return make_dataset(
+        {"x": x.tolist(), "c": c.tolist(), "k": k.tolist(), "b": b.tolist(),
+         "h": h.tolist()}, y.tolist(),
+        kinds={"c": CATEGORICAL, "b": CATEGORICAL, "h": CATEGORICAL},
+        levels={"c": 4, "b": 2, "h": 6})
+
+
+def real_target_dataset(n=200, seed=32):
+    """Real-valued target driven by sparse, partly negative codes."""
+    rng = np.random.default_rng(seed)
+    g = rng.choice([-5, 2, 7, 11, 100], n)
+    s = rng.integers(0, 2, n)
+    x = rng.normal(0.0, 1.0, n)
+    effect = {-5: -1.5, 2: 0.25, 7: 0.3, 11: 2.0, 100: -0.1}
+    y = (np.array([effect[v] for v in g.tolist()]) + 0.7 * s + 0.5 * x
+         + rng.normal(0.0, 0.3, n))
+    return make_dataset(
+        {"g": g.tolist(), "x": x.tolist(), "s": s.tolist()}, y.tolist(),
+        kinds={"g": CATEGORICAL, "s": CATEGORICAL}, levels={"g": 5, "s": 2})
+
+
+# SHA-256 of serialize, export_dot and export_text, recorded before the
+# split search was vectorised; regression trees depend on the order in
+# which real-valued targets are summed.
+GOLDEN = {
+    "noisy-classification": (
+        noisy_classification_dataset,
+        CartConfig(min_node_size=1, max_depth=30),
+        ("e670e85da30118e5f2b63dd8d2d5cb31578e97d188f1c7d6112e772b9c5e4d0c",
+         "f392af522980d8934c266ea9a5f2720008802beda775e25ba9c81617ff5e2624",
+         "bc93f56b757552129026b73d2599375af2fd1f3648bfcda79bd47afa5d32bc8e")),
+    "real-target-regression": (
+        real_target_dataset,
+        CartConfig(min_node_size=3, max_depth=12, mode=REGRESSION),
+        ("e8ba803c536a10ca6cc7a4a9ec0811e6d8ff414378b4104141938a4384b7d88a",
+         "bed4b55c8e8f3662f3c73d47833b9a554f5c5325b254af56d3bbe088cb8a6249",
+         "d1dd5e5bdd7a1baf79547fc5f2eb3a95c11b1eb05b6bfddd84c9a7554f6ba84b")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_outputs_match_golden_digests(name):
+    make, config, digests = GOLDEN[name]
+    tree = grow(make(), config=config)
+    found = tuple(hashlib.sha256(render(tree).encode()).hexdigest()
+                  for render in (serialize, export_dot, export_text))
+    assert found == digests

@@ -116,6 +116,17 @@ class TestEncodeCommand:
         err = capsys.readouterr().err
         assert "color" in err and "purple" in err
 
+    def test_non_integer_code_exits_3(self, workdir, capsys):
+        self.setup_inputs(workdir)
+        (workdir / "book.csv").write_text(
+            CODEBOOK_CSV.replace("color,green,2", "color,green,two"))
+        rc = main(["encode", "--input", str(workdir / "raw.csv"),
+                   "--codebook", str(workdir / "book.csv"),
+                   "--target", "y", "--out", str(workdir)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "line 3" in err and "'two'" in err and "'color'" in err
+
     def test_skip_codebook_passthrough(self, workdir):
         source = make_synthetic(workdir, rows=60, seed=4)
         out = workdir / "enc"
@@ -363,6 +374,40 @@ class TestPredictCommand:
         assert rc == 0
         lines = (workdir / "predictions.csv").read_text().splitlines()
         assert len(lines) == 1
+
+    def blank_cell(self, workdir, source, feature, row):
+        """Copy of source with one feature cell of one data row blank."""
+        lines = source.read_text().splitlines()
+        j = lines[0].split(",").index(feature)
+        cells = lines[row + 1].split(",")
+        cells[j] = ""
+        lines[row + 1] = ",".join(cells)
+        holey = workdir / "holey.csv"
+        holey.write_text("\n".join(lines) + "\n")
+        return holey
+
+    def test_missing_routed_cell_exits_3(self, workdir, capsys):
+        source = TestEvalCommand().trained(workdir)
+        model = json.loads((workdir / "model.json").read_text())
+        feature = model["nodes"][0]["feature"]
+        holey = self.blank_cell(workdir, source, feature, row=7)
+        rc = main(["predict", "--input", str(holey), "--out", str(workdir)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "row 7" in err and repr(feature) in err
+
+    def test_missing_unrouted_cell_still_scores(self, workdir):
+        source = TestEvalCommand().trained(workdir)
+        model = json.loads((workdir / "model.json").read_text())
+        routed = {node["feature"] for node in model["nodes"]
+                  if node["left"] is not None}
+        unused = next(f["name"] for f in model["schema"]["features"]
+                      if f["name"] not in routed)
+        holey = self.blank_cell(workdir, source, unused, row=7)
+        rc = main(["predict", "--input", str(holey), "--out", str(workdir)])
+        assert rc == 0
+        lines = (workdir / "predictions.csv").read_text().splitlines()
+        assert len(lines) == 201
 
     def test_schema_mismatch_exits_3(self, workdir):
         TestEvalCommand().trained(workdir)
