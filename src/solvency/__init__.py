@@ -1,10 +1,10 @@
 """Credit solvency scoring: encode, screen, grow a CART tree, evaluate.
 
-The public surface is re-exported here; the CLI entry point lives in
-solvency.cli.
+The public surface is re-exported here.  The CLI entry point lives in
+solvency.cli, not imported here so ``python -m solvency.cli`` loads it once.
 """
 
-from . import cart, cli, dataset, evaluation, screening, synth
+from . import cart, dataset, evaluation, screening, synth
 from .cart import (
     CartConfig,
     CartTree,
@@ -87,5 +87,5 @@ __all__ = [
     "chi_square_sf_1df", "fit_logistic", "pearson_matrix",
     "per_variable_wald", "screen", "wald_table",
     "SynthSpec", "default_spec", "generate",
-    "cart", "cli", "dataset", "evaluation", "screening", "synth",
+    "cart", "dataset", "evaluation", "screening", "synth",
 ]

@@ -282,7 +282,7 @@ class _NodeEvaluator:
                             key=lambda s: s.index)
         self.classification = mode == CLASSIFICATION
         self.y = (data.binary_target().astype(float) if self.classification
-                  else data.target_array())
+                  else data.y)
         matrix = data.feature_array([s.name for s in self.specs])
         numeric = np.array([s.kind == NUMERIC for s in self.specs], dtype=bool)
         self.num = np.flatnonzero(numeric)
@@ -470,7 +470,6 @@ def predict_dataset(tree: CartTree, data: Dataset):
         raise ValueError("predict() needs a classification tree")
     classes = np.empty(data.n, dtype=int)
     scores = np.empty(data.n, dtype=float)
-    columns: dict[int, np.ndarray] = {}
     unseen: dict[str, tuple[int, int]] = {}
     stack = [(tree.root, np.arange(data.n), 0)]
     while stack:
@@ -480,11 +479,7 @@ def predict_dataset(tree: CartTree, data: Dataset):
             scores[idx] = node.positive_proportion
             continue
         rule = node.rule
-        j = rule.feature_index
-        if j not in columns:
-            columns[j] = np.array([np.nan if row[j] is None else row[j]
-                                   for row in data.rows], dtype=float)
-        values = columns[j][idx]
+        values = data.X[idx, rule.feature_index]
         missing = np.isnan(values)
         if missing.any():
             raise DataError(

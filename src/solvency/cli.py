@@ -19,6 +19,8 @@ import sys
 import time
 from dataclasses import dataclass, field, fields, replace
 
+import numpy as np
+
 from . import cart, evaluation, screening, synth
 from .dataset import (
     DEFAULT_MISSING_TOKENS,
@@ -33,6 +35,7 @@ from .dataset import (
     load_csv,
     read_header,
     schema_from_header,
+    text_rows,
     write_csv,
 )
 from .errors import (
@@ -178,16 +181,14 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
 # -- shared stage helpers ---------------------------------------------------
 
 
-def _load_codebook(cfg: PipelineConfig) -> CodeBook | None:
-    return CodeBook.load(cfg.codebook) if cfg.codebook else None
-
-
-def _load_encoded(cfg: PipelineConfig, path: str) -> Dataset:
-    """Read a dataset whose categorical cells already hold codes."""
-    book = _load_codebook(cfg)
+def _load(cfg: PipelineConfig, path: str, encoded: bool = True) -> Dataset:
+    """Read a dataset whose categorical cells hold codes when encoded,
+    else labels, which the codebook (if any) turns into codes."""
+    book = CodeBook.load(cfg.codebook) if cfg.codebook else None
     schema = schema_from_header(read_header(path), cfg.target, book)
-    return load_csv(path, schema, missing_tokens=cfg.missing_tokens,
-                    encoded=True)
+    data = load_csv(path, schema, missing_tokens=cfg.missing_tokens,
+                    encoded=encoded)
+    return data if encoded or book is None else apply_codebook(data, book)
 
 
 def _write(path: str, text: str) -> None:
@@ -201,12 +202,7 @@ def _write(path: str, text: str) -> None:
 def stage_encode(cfg: PipelineConfig) -> list[str]:
     if not cfg.input:
         raise ConfigError("encode needs an input CSV (--input)")
-    book = _load_codebook(cfg)
-    schema = schema_from_header(read_header(cfg.input), cfg.target, book)
-    data = load_csv(cfg.input, schema, missing_tokens=cfg.missing_tokens,
-                    encoded=cfg.skip_codebook)
-    if book is not None and not cfg.skip_codebook:
-        data = apply_codebook(data, book)
+    data = _load(cfg, cfg.input, encoded=cfg.skip_codebook)
     cleaned, log = clean(data, cfg.outlier_rule())
     write_csv(cleaned, cfg.path(ENCODED_CSV))
     _write(cfg.path(CLEANING_LOG), log.to_text())
@@ -218,7 +214,7 @@ def stage_encode(cfg: PipelineConfig) -> list[str]:
 
 def stage_screen(cfg: PipelineConfig) -> list[str]:
     path = cfg.input if cfg.input else cfg.path(ENCODED_CSV)
-    data = _load_encoded(cfg, path)
+    data = _load(cfg, path)
     names = data.schema.names
     if cfg.per_variable:
         rows = screening.per_variable_wald(
@@ -268,7 +264,7 @@ def _screened_variables(cfg: PipelineConfig, data: Dataset) -> list[str]:
 
 def stage_train(cfg: PipelineConfig) -> list[str]:
     path = cfg.input if cfg.input else cfg.path(ENCODED_CSV)
-    data = _load_encoded(cfg, path)
+    data = _load(cfg, path)
     variables = _screened_variables(cfg, data)
     if cfg.holdout is not None:
         data, _ = data.split(cfg.holdout, cfg.seed)
@@ -286,12 +282,17 @@ def _load_model(cfg: PipelineConfig) -> cart.CartTree:
     if not os.path.exists(path):
         raise ConfigError(f"model file not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        return cart.deserialize(fh.read())
+        tree = cart.deserialize(fh.read())
+    if tree.config.mode != cart.CLASSIFICATION:
+        raise ConfigError(
+            f"model {path} is a {tree.config.mode} tree; eval and predict "
+            f"need a {cart.CLASSIFICATION} tree")
+    return tree
 
 
 def stage_eval(cfg: PipelineConfig) -> list[str]:
     path = cfg.input if cfg.input else cfg.path(ENCODED_CSV)
-    data = _load_encoded(cfg, path)
+    data = _load(cfg, path)
     if cfg.holdout is not None:
         _, data = data.split(cfg.holdout, cfg.seed)
     tree = _load_model(cfg)
@@ -328,30 +329,22 @@ def stage_predict(cfg: PipelineConfig) -> list[str]:
                 for name, kind, levels in tree.fingerprint[:-1]]
     target = tree.fingerprint[-1]
     schema = Schema(features, target)
-    header = read_header(cfg.input)
-    has_target = target in header
+    has_target = target in read_header(cfg.input)
     data = load_csv(cfg.input, schema, missing_tokens=cfg.missing_tokens,
                     encoded=True, target_optional=True)
     classes, scores = cart.predict_dataset(tree, data)
-    lines = []
     names = schema.names + ([target] if has_target else [])
-    lines.append(",".join(names + ["predicted_class", "score"]))
-    for i, row in enumerate(data.rows):
-        cells = row[:-1] + ([row[-1]] if has_target else [])
-        rendered = ["" if v is None else _render_cell(v) for v in cells]
-        rendered.append(str(int(classes[i])))
-        rendered.append(repr(float(scores[i])))
-        lines.append(",".join(rendered))
-    _write(cfg.path(PREDICTIONS_CSV), "\n".join(lines) + "\n")
+    # scores keep repr's decimal part even when whole, so they go in as
+    # text, which the cell formatter passes through
+    columns = [data.column(name) for name in names] + [
+        classes, np.fromiter(map(repr, scores.tolist()), object)]
+    with open(cfg.path(PREDICTIONS_CSV), "w", encoding="utf-8",
+              newline="") as fh:
+        fh.write(",".join(names + ["predicted_class", "score"]) + "\n")
+        for rows in text_rows(columns):
+            fh.write("\n".join(map(",".join, rows)) + "\n")
     print(f"predict: wrote {data.n} predictions")
     return [PREDICTIONS_CSV]
-
-
-def _render_cell(value) -> str:
-    if isinstance(value, (int,)) or (
-            isinstance(value, float) and float(value).is_integer()):
-        return str(int(value))
-    return repr(float(value))
 
 
 def stage_synth(cfg: PipelineConfig) -> list[str]:
@@ -416,19 +409,76 @@ def exit_code_for(exc: SolvencyError) -> int:
 # -- argument parsing --------------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="JSON config file")
-    parser.add_argument("--out", help="output directory (default .)")
-    parser.add_argument("--seed", type=int, help="64-bit RNG seed")
+#: Flag groups, each declared once: (flag, add_argument keywords).
+FLAG_GROUPS = {
+    "common": [
+        ("--config", dict(help="JSON config file")),
+        ("--out", dict(help="output directory (default .)")),
+        ("--seed", dict(type=int, help="64-bit RNG seed")),
+    ],
+    "data": [
+        ("--input", dict(help="input CSV path")),
+        ("--codebook", dict(help="codebook CSV path")),
+        ("--target", dict(help="target column name")),
+        ("--missing-token", dict(dest="missing_tokens", action="append",
+                                 help="missing-value token (repeatable)")),
+    ],
+    "encode": [
+        ("--skip-codebook", dict(
+            action="store_true", default=None,
+            help="input categorical cells already hold codes")),
+        ("--outlier-method", dict(choices=["iqr", "zscore", "off"])),
+        ("--iqr-multiplier", dict(type=float)),
+        ("--z-threshold", dict(type=float)),
+    ],
+    "screen": [
+        ("--alpha", dict(type=float)),
+        ("--r-threshold", dict(type=float)),
+        ("--max-iter", dict(type=int)),
+        ("--tol", dict(type=float)),
+        ("--per-variable", dict(action="store_true", default=None,
+                                help="one single-variable fit per candidate")),
+    ],
+    "variables": [
+        ("--screening", dict(help="screening.json from the screen step")),
+        ("--variables", dict(type=lambda s: tuple(s.split(",")),
+                             help="comma-separated variable names "
+                                  "(overrides --screening)")),
+        ("--mode", dict(choices=[cart.CLASSIFICATION, cart.REGRESSION])),
+    ],
+    "tree": [
+        ("--min-node-size", dict(type=int)),
+        ("--max-depth", dict(type=int)),
+        ("--min-gini-decrease", dict(type=float)),
+        ("--allow-large-min-node", dict(action="store_true", default=None,
+                                        help="permit min-node-size above 5")),
+    ],
+    "holdout": [("--holdout", dict(
+        type=float, help="seeded held-out row fraction (off by default)"))],
+    "model": [("--model", dict(help="model.json path"))],
+    "roc": [("--roc-scores", dict(choices=["proportion", "hard"]))],
+    "synth": [
+        ("--rows", dict(type=int, help="row count")),
+        ("--noise", dict(type=float, help="label flip rate in [0, 0.5)")),
+    ],
+}
 
-
-def _add_data_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--input", help="input CSV path")
-    parser.add_argument("--codebook", help="codebook CSV path")
-    parser.add_argument("--target", help="target column name")
-    parser.add_argument("--missing-token", dest="missing_tokens",
-                        action="append",
-                        help="missing-value token (repeatable)")
+#: subcommand -> (help, flag groups)
+SUBCOMMANDS = {
+    "encode": ("encode labels and clean rows", ("common", "data", "encode")),
+    "screen": ("significance and correlation screen",
+               ("common", "data", "screen")),
+    "train": ("grow the decision tree",
+              ("common", "data", "variables", "tree", "holdout")),
+    "eval": ("confusion, rates, and ROC report",
+             ("common", "data", "model", "holdout", "roc")),
+    "predict": ("append predictions to feature rows",
+                ("common", "data", "model")),
+    "synth": ("generate seeded synthetic data", ("common", "synth")),
+    "pipeline": ("encode, screen, train, eval",
+                 ("common", "data", "encode", "screen", "tree", "holdout",
+                  "roc")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -436,82 +486,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="solvency",
         description="Credit solvency scoring with screened CART trees.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("encode", help="encode labels and clean rows")
-    _add_common(p)
-    _add_data_flags(p)
-    p.add_argument("--skip-codebook", action="store_true", default=None,
-                   help="input categorical cells already hold codes")
-    p.add_argument("--outlier-method", choices=["iqr", "zscore", "off"])
-    p.add_argument("--iqr-multiplier", type=float)
-    p.add_argument("--z-threshold", type=float)
-
-    p = sub.add_parser("screen", help="significance and correlation screen")
-    _add_common(p)
-    _add_data_flags(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--r-threshold", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--per-variable", action="store_true", default=None,
-                   help="one single-variable fit per candidate")
-
-    p = sub.add_parser("train", help="grow the decision tree")
-    _add_common(p)
-    _add_data_flags(p)
-    p.add_argument("--screening", help="screening.json from the screen step")
-    p.add_argument("--variables",
-                   type=lambda s: tuple(s.split(",")),
-                   help="comma-separated variable names (overrides "
-                        "--screening)")
-    p.add_argument("--min-node-size", type=int)
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--min-gini-decrease", type=float)
-    p.add_argument("--allow-large-min-node", action="store_true",
-                   default=None,
-                   help="permit min-node-size above 5")
-    p.add_argument("--mode", choices=[cart.CLASSIFICATION, cart.REGRESSION])
-    p.add_argument("--holdout", type=float,
-                   help="train on 1-f of rows (seeded; off by default)")
-
-    p = sub.add_parser("eval", help="confusion, rates, and ROC report")
-    _add_common(p)
-    _add_data_flags(p)
-    p.add_argument("--model", help="model.json path")
-    p.add_argument("--holdout", type=float,
-                   help="evaluate the held f fraction (seeded)")
-    p.add_argument("--roc-scores", choices=["proportion", "hard"])
-
-    p = sub.add_parser("predict", help="append predictions to feature rows")
-    _add_common(p)
-    _add_data_flags(p)
-    p.add_argument("--model", help="model.json path")
-
-    p = sub.add_parser("synth", help="generate seeded synthetic data")
-    _add_common(p)
-    p.add_argument("--rows", type=int, help="row count")
-    p.add_argument("--noise", type=float, help="label flip rate in [0, 0.5)")
-
-    p = sub.add_parser("pipeline", help="encode, screen, train, eval")
-    _add_common(p)
-    _add_data_flags(p)
-    p.add_argument("--skip-codebook", action="store_true", default=None)
-    p.add_argument("--outlier-method", choices=["iqr", "zscore", "off"])
-    p.add_argument("--iqr-multiplier", type=float)
-    p.add_argument("--z-threshold", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--r-threshold", type=float)
-    p.add_argument("--max-iter", type=int)
-    p.add_argument("--tol", type=float)
-    p.add_argument("--per-variable", action="store_true", default=None)
-    p.add_argument("--min-node-size", type=int)
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--min-gini-decrease", type=float)
-    p.add_argument("--allow-large-min-node", action="store_true",
-                   default=None)
-    p.add_argument("--holdout", type=float)
-    p.add_argument("--roc-scores", choices=["proportion", "hard"])
-
+    for name, (text, groups) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        for group in groups:
+            for flag, options in FLAG_GROUPS[group]:
+                p.add_argument(flag, **options)
     return parser
 
 

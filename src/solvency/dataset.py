@@ -1,19 +1,19 @@
 """Tabular credit data: schema, label encoding, and row cleaning.
 
-The flow is load_csv -> apply_codebook -> clean.  A freshly loaded
-dataset may hold missing markers (None) and, in categorical columns,
-raw text labels.  apply_codebook turns labels into integer codes and
-clean drops rows carrying missing markers or numeric outliers, so the
-modelling stages downstream only ever see dense numeric rows.
+The flow is load_csv -> apply_codebook -> clean.  A dataset holds
+float64 columns with NaN for a missing value, plus the raw text labels
+of categorical columns not yet encoded.  apply_codebook turns labels
+into integer codes and clean drops rows carrying missing values or
+numeric outliers, so the modelling stages only see dense columns.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 import os
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from itertools import islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +34,10 @@ CATEGORICAL = "categorical"
 
 #: Cell contents treated as a missing marker (after whitespace strip).
 DEFAULT_MISSING_TOKENS = ("", "NA", "N/A")
+
+#: Rows converted per block while reading a CSV, which bounds the cell
+#: text held at once.
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,10 @@ class CodeBook:
                 raise ValueError(f"duplicate codes for feature {feature!r}")
             if len(table) < 2:
                 raise ValueError(f"feature {feature!r} has fewer than 2 labels")
+            # float64 columns hold integers exactly up to 2**53
+            if any(abs(code) > 2 ** 53 for code in table.values()):
+                raise ValueError(
+                    f"feature {feature!r} has a code outside [-2**53, 2**53]")
         self._inverse = {
             feature: {code: label for label, code in table.items()}
             for feature, table in self.mappings.items()
@@ -166,32 +174,30 @@ class CodeBook:
                         f"{path} line {reader.line_num}: code {code!r} of "
                         f"feature {feature!r} is not an integer") from None
                 mappings.setdefault(feature, {})[record["label"]] = code
-        return cls(mappings)
+        try:
+            return cls(mappings)
+        except ValueError as exc:
+            raise CodeBookError(f"{path}: {exc}") from None
 
     @classmethod
     def infer(cls, data: "Dataset") -> "CodeBook":
-        """Assign codes by first appearance in the raw data.
+        """Assign codes by first appearance in the raw labels.
 
         Two-level features follow the boolean convention (first label
         seen -> 1, second -> 0); wider features count up from 1.
+        Features are listed in the order their first label appears.
         """
-        order: dict[str, list[str]] = {}
-        cat = [f for f in data.schema.features if f.kind == CATEGORICAL]
-        for row in data.rows:
-            for f in cat:
-                label = row[f.index]
-                if label is None:
-                    continue
-                seen = order.setdefault(f.name, [])
-                if label not in seen:
-                    seen.append(label)
-        mappings = {}
-        for name, labels in order.items():
-            if len(labels) == 2:
-                mappings[name] = {labels[0]: 1, labels[1]: 0}
-            else:
-                mappings[name] = {lab: i + 1 for i, lab in enumerate(labels)}
-        return cls(mappings)
+        mappings, first = {}, {}
+        for name, column in data.labels.items():
+            present = ~np.equal(column, None)
+            labels = list(dict.fromkeys(column[present].tolist()))
+            if labels:
+                first[name] = (int(present.argmax()), data.schema[name].index)
+                mappings[name] = (
+                    {labels[0]: 1, labels[1]: 0} if len(labels) == 2
+                    else {lab: i + 1 for i, lab in enumerate(labels)})
+        return cls({name: mappings[name]
+                    for name in sorted(mappings, key=first.get)})
 
 
 #: Codes for the seven nominal variables of the bundled credit schema.
@@ -250,57 +256,63 @@ class ClassDistribution:
         return tuple(c / self.total for c in self.counts)
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Rows of feature values plus a trailing target value.
+    """Feature columns plus a target column.
 
-    Cell conventions: numeric columns hold floats, categorical columns
-    hold str labels before encoding and int codes after, and None marks
-    a missing value.  The target is always the last element of a row.
+    X holds one float64 column per schema feature, in schema order, and
+    y the target; NaN marks a missing value in both.  A categorical
+    column that has not been through the codebook keeps its raw text
+    labels in labels[name], an object array with None for a missing
+    cell, and holds NaN in X.
     """
 
     schema: Schema
-    rows: list[list]
+    X: np.ndarray
+    y: np.ndarray
+    labels: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
-        width = len(self.schema) + 1
-        for i, row in enumerate(self.rows):
-            if len(row) != width:
-                raise RaggedRowError(
-                    f"row {i} has {len(row)} values, expected {width}")
+        self.X = np.asarray(self.X, dtype=float)
+        self.y = np.asarray(self.y, dtype=float)
+        shape = (self.y.shape[0], len(self.schema))
+        if (self.X.shape != shape or self.y.ndim != 1 or any(
+                col.shape != shape[:1] for col in self.labels.values())):
+            raise RaggedRowError(
+                f"columns do not form {shape[0]} rows of {shape[1]} "
+                "features plus a target")
 
     @property
     def n(self) -> int:
-        return len(self.rows)
+        return self.y.shape[0]
 
-    def column(self, name: str) -> list:
+    def column(self, name: str) -> np.ndarray:
+        """The named column: target, raw labels, or feature values."""
         if name == self.schema.target:
-            return [row[-1] for row in self.rows]
-        i = self.schema[name].index
-        return [row[i] for row in self.rows]
+            return self.y
+        if name in self.labels:
+            return self.labels[name]
+        return self.X[:, self.schema[name].index]
 
     def feature_array(self, names: Sequence[str] | None = None) -> np.ndarray:
-        """Dense float matrix of the requested feature columns."""
+        """Dense row-major copy of the requested feature columns; the
+        layout fixes the order in which reductions add values up."""
         specs = (self.schema.features if names is None
                  else [self.schema[n] for n in names])
-        out = np.empty((self.n, len(specs)), dtype=float)
-        for j, spec in enumerate(specs):
-            out[:, j] = [row[spec.index] for row in self.rows]
-        return out
-
-    def target_array(self) -> np.ndarray:
-        return np.asarray([row[-1] for row in self.rows], dtype=float)
+        return self.X.take([spec.index for spec in specs], axis=1)
 
     def binary_target(self) -> np.ndarray:
         """Target as an int array, insisting every value is 0 or 1."""
-        y = self.target_array()
+        y = self.y
         if not np.all((y == 0.0) | (y == 1.0)):
             bad = y[(y != 0.0) & (y != 1.0)][0]
             raise DataError(f"target value {bad!r} is not 0 or 1")
         return y.astype(int)
 
     def select(self, indices: Iterable[int]) -> "Dataset":
-        return Dataset(self.schema, [self.rows[i] for i in indices])
+        idx = np.asarray(indices, dtype=np.intp)
+        return Dataset(self.schema, self.X[idx], self.y[idx],
+                       {name: col[idx] for name, col in self.labels.items()})
 
     def split(self, fraction: float, seed: int) -> tuple["Dataset", "Dataset"]:
         """Seeded (train, holdout) partition; both keep original row order."""
@@ -309,9 +321,7 @@ class Dataset:
         rng = np.random.default_rng(seed)
         perm = rng.permutation(self.n)
         k = int(round(fraction * self.n))
-        held = sorted(perm[:k].tolist())
-        kept = sorted(perm[k:].tolist())
-        return self.select(kept), self.select(held)
+        return self.select(np.sort(perm[k:])), self.select(np.sort(perm[:k]))
 
 
 @dataclass
@@ -369,23 +379,22 @@ def load_csv(
     """Read a comma-separated file into a Dataset.
 
     The header must contain exactly the schema's feature names plus the
-    target name, in any order; columns are matched by name.  Numeric
-    cells that fail to parse (or parse to a non-finite value) become
-    missing markers.  With encoded=True categorical cells are read as
-    integer codes instead of labels.  With target_optional=True the
-    target column may be absent, in which case every row gets a missing
-    target (useful for scoring unlabeled rows).
+    target name, in any order; columns are matched by name.  Cells are
+    stripped of whitespace; a cell equal to a missing token is missing.
+    Numeric cells are read with Python's float(), and a cell it refuses
+    or reads as non-finite is missing too.  With encoded=True
+    categorical cells are read as numeric codes; otherwise they are
+    kept as text labels.  With target_optional=True the target column
+    may be absent, in which case every row gets a missing target
+    (useful for scoring unlabeled rows).
     """
-    if not os.path.exists(path):
-        raise MissingFileError(f"input file not found: {path}")
+    found = read_header(path)
     missing = {tok.strip() for tok in missing_tokens}
+    labelled = [f.name for f in schema.features
+                if f.kind == CATEGORICAL and not encoded]
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise HeaderMismatchError(f"{path} is empty, no header row")
-        found = [h.strip() for h in header]
+        next(reader)
         has_target = not (target_optional and schema.target not in found)
         expected = set(schema.names) | ({schema.target} if has_target
                                         else set())
@@ -393,138 +402,168 @@ def load_csv(
             raise HeaderMismatchError(
                 f"header mismatch: expected columns {sorted(expected)}, "
                 f"found {found}")
-        positions = {name: found.index(name) for name in expected}
-        rows = []
-        for lineno, record in enumerate(reader):
-            if len(record) != len(found):
+        names = schema.names + ([schema.target] if has_target else [])
+        parts = {name: [np.empty(0, object if name in labelled else float)]
+                 for name in names}
+        start = 0
+        while block := list(islice(reader, _BLOCK_ROWS)):
+            widths = np.fromiter(map(len, block), np.intp, len(block))
+            ragged = np.flatnonzero(widths != len(found))
+            if ragged.size:
+                i = ragged[0]
                 raise RaggedRowError(
-                    f"row {lineno} has {len(record)} cells, "
+                    f"row {start + i} has {widths[i]} cells, "
                     f"expected {len(found)}")
-            row = []
-            for spec in schema.features:
-                cell = record[positions[spec.name]].strip()
-                if cell in missing:
-                    row.append(None)
-                elif spec.kind == NUMERIC or encoded:
-                    row.append(_parse_number(cell, integer=spec.kind == CATEGORICAL))
-                else:
-                    row.append(cell)
-            if has_target:
-                target_cell = record[positions[schema.target]].strip()
-                row.append(None if target_cell in missing
-                           else _parse_number(target_cell))
-            else:
-                row.append(None)
-            rows.append(row)
-    return Dataset(schema, rows)
+            cells = list(zip(*block))
+            for name, part in parts.items():
+                part.append(_parse_cells(cells[found.index(name)], missing,
+                                         text=name in labelled))
+            start += len(block)
+    columns = {name: np.concatenate(part) for name, part in parts.items()}
+    labels = {name: columns.pop(name) for name in labelled}
+    X = np.full((start, len(schema)), np.nan)
+    for spec in schema.features:
+        if spec.name in columns:
+            X[:, spec.index] = columns[spec.name]
+    y = columns.get(schema.target, np.full(start, np.nan))
+    return Dataset(schema, X, y, labels)
 
 
-def _parse_number(cell: str, integer: bool = False):
+def _parse_cells(cells: tuple[str, ...], missing: set[str],
+                 text: bool) -> np.ndarray:
+    """One column of a block: the stripped labels with None where
+    missing when text is set, else float() of each cell with NaN where
+    a cell is missing, not a number, or not finite."""
+    stripped = np.array(list(map(str.strip, cells)), dtype=object)
+    absent = np.fromiter(map(missing.__contains__, stripped), bool,
+                         len(stripped))
+    if text:
+        stripped[absent] = None
+        return stripped
+    values = np.full(len(stripped), np.nan)
+    values[~absent] = _to_float(stripped[~absent])
+    values[~np.isfinite(values)] = np.nan
+    return values
+
+
+def _to_float(cells: np.ndarray) -> np.ndarray:
+    """float() of every cell, NaN where float() refuses one."""
     try:
-        value = float(cell)
+        return np.fromiter(map(float, cells), float, len(cells))
     except ValueError:
-        return None
-    if not math.isfinite(value):
-        return None
-    return int(value) if integer and value == int(value) else value
+        # halve the distinct cells until the ones float() refuses stand
+        # alone; a column of text has few distinct cells
+        distinct, inverse = np.unique(cells, return_inverse=True)
+        if len(distinct) == 1:
+            return np.full(len(cells), np.nan)
+        half = len(distinct) // 2
+        return np.concatenate([_to_float(distinct[:half]),
+                               _to_float(distinct[half:])])[inverse]
 
 
 def write_csv(data: Dataset, path: str) -> None:
-    """Write header plus rows; integer cells print without a decimal part."""
+    """Write header plus rows, each cell as text_rows renders it."""
+    names = data.schema.names + [data.schema.target]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(data.schema.names + [data.schema.target])
-        for row in data.rows:
-            writer.writerow(["" if v is None else _format_cell(v)
-                             for v in row])
+        writer.writerow(names)
+        for rows in text_rows([data.column(name) for name in names]):
+            writer.writerows(rows)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    f = float(value)
-    return str(int(f)) if f.is_integer() else repr(f)
+def text_rows(columns: Sequence[np.ndarray]) -> Iterator:
+    """Rows of cell text of equally long columns, one iterator of row
+    tuples per block of rows, so a table's text is never held whole."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        stop = start + _BLOCK_ROWS
+        yield zip(*(_format_cells(column[start:stop]) for column in columns))
+
+
+def _format_cells(values: np.ndarray) -> list[str]:
+    """Text of one column's cells: labels as they are, "" for a missing
+    value, whole numbers without a decimal part, and other numbers at
+    repr precision."""
+    if values.dtype == object:
+        return np.where(np.equal(values, None), "", values).tolist()
+    text = np.full(values.shape, "", dtype=object)
+    whole = np.isfinite(values) & (values == np.trunc(values))
+    text[whole] = np.fromiter(map(str, map(int, values[whole].tolist())),
+                              object)
+    rest = ~whole & ~np.isnan(values)
+    text[rest] = np.fromiter(map(repr, values[rest].tolist()), object)
+    return text.tolist()
 
 
 def apply_codebook(data: Dataset, book: CodeBook) -> Dataset:
     """Replace categorical labels with their integer codes.
 
-    Missing markers pass through untouched; a label absent from the
-    codebook aborts with the offending feature, label, and row index.
+    Missing values pass through untouched; a label absent from the
+    codebook aborts with the offending feature, label, and row index
+    (the first such row, then the first such feature in it).
     """
-    cat = [f for f in data.schema.features if f.kind == CATEGORICAL]
-    for f in cat:
-        if f.name not in book:
+    for f in data.schema.features:
+        if f.kind == CATEGORICAL and f.name not in book:
             raise UnknownLabelError(f.name, "<no mapping>", -1)
-    rows = []
-    for i, row in enumerate(data.rows):
-        new = list(row)
-        for f in cat:
-            label = row[f.index]
-            if label is None or isinstance(label, (int, np.integer)):
-                continue
-            try:
-                new[f.index] = book.encode(f.name, label)
-            except KeyError:
-                raise UnknownLabelError(f.name, label, i) from None
-        rows.append(new)
-    return Dataset(data.schema, rows)
+    X = data.X.copy()
+    unknown = []
+    for name, labels in data.labels.items():
+        j = data.schema[name].index
+        # codes are finite, so inf marks a label the book lacks
+        codes = {None: np.nan, **book.mappings[name]}
+        X[:, j] = np.fromiter(map(codes.get, labels, repeat(np.inf)), float,
+                              data.n)
+        if np.isinf(X[:, j]).any():
+            row = int(np.isinf(X[:, j]).argmax())
+            unknown.append((row, j, name, labels[row]))
+    if unknown:
+        row, _, name, label = min(unknown)
+        raise UnknownLabelError(name, label, row)
+    return Dataset(data.schema, X, data.y)
 
 
 def clean(
     data: Dataset,
     rule: OutlierRule = OutlierRule(),
 ) -> tuple[Dataset, CleaningLog]:
-    """Drop rows with missing markers, then rows with numeric outliers.
+    """Drop rows with missing values, then rows with numeric outliers.
 
     Outlier fences are recomputed and reapplied until no row is
     dropped, which makes cleaning idempotent: running clean on its own
-    output removes nothing.  The log records each dropped row's
-    original position and the first offending column.  Surviving rows
-    keep their relative order.
+    output removes nothing.  Each round's fences come from the kept
+    rows in their original order.  The log records each dropped row's
+    original position and the first offending column in schema order
+    (the target comes last).  Surviving rows keep their relative order.
     """
-    log = CleaningLog()
+    names = data.schema.names + [data.schema.target]
+    holes = np.isnan(np.column_stack([data.X, data.y]))
+    for name, column in data.labels.items():
+        holes[:, data.schema[name].index] = np.equal(column, None)
+    dropped = holes.any(axis=1)
+    rows = [np.flatnonzero(dropped)]
+    reasons = [np.array([f"missing:{name}" for name in names],
+                        dtype=object)[holes[dropped].argmax(axis=1)]]
+    kept = np.flatnonzero(~dropped)
+
     numeric = [f for f in data.schema.features if f.kind == NUMERIC]
+    outlier = np.array([f"outlier:{f.name}" for f in numeric], dtype=object)
+    while rule.method != "off" and numeric and kept.size:
+        outside = np.empty((kept.size, len(numeric)), dtype=bool)
+        for j, f in enumerate(numeric):
+            values = data.X[kept, f.index]
+            low, high = rule.fences(values)
+            outside[:, j] = ~((low <= values) & (values <= high))
+        bad = outside.any(axis=1)
+        if not bad.any():
+            break
+        rows.append(kept[bad])
+        reasons.append(outlier[outside[bad].argmax(axis=1)])
+        kept = kept[~bad]
 
-    kept: list[int] = []
-    for i, row in enumerate(data.rows):
-        offender = next(
-            (f.name for f in data.schema.features if row[f.index] is None),
-            None)
-        if offender is None and row[-1] is None:
-            offender = data.schema.target
-        if offender is None:
-            kept.append(i)
-        else:
-            log.entries.append((i, f"missing:{offender}"))
-
-    if rule.method != "off" and numeric:
-        while kept:
-            fences = {}
-            for f in numeric:
-                col = np.asarray([data.rows[i][f.index] for i in kept],
-                                 dtype=float)
-                fences[f.name] = rule.fences(col)
-            survivors = []
-            for i in kept:
-                offender = None
-                for f in numeric:
-                    low, high = fences[f.name]
-                    if not low <= data.rows[i][f.index] <= high:
-                        offender = f.name
-                        break
-                if offender is None:
-                    survivors.append(i)
-                else:
-                    log.entries.append((i, f"outlier:{offender}"))
-            if len(survivors) == len(kept):
-                break
-            kept = survivors
-
-    log.entries.sort(key=lambda e: e[0])
-    if not kept:
+    rows, reasons = np.concatenate(rows), np.concatenate(reasons)
+    order = np.argsort(rows)
+    log = CleaningLog(list(zip(rows[order].tolist(),
+                               reasons[order].tolist())))
+    if not kept.size:
         raise EmptyResultError("cleaning removed every row")
     return data.select(kept), log
 
@@ -550,16 +589,10 @@ def schema_from_header(
     if target not in header:
         raise HeaderMismatchError(
             f"target column {target!r} not in header {list(header)}")
-    features = []
-    for name in header:
-        if name == target:
-            continue
-        if book is not None and name in book:
-            features.append(
-                FeatureSpec(name, CATEGORICAL, levels=book.levels(name)))
-        else:
-            features.append(FeatureSpec(name, NUMERIC))
-    return Schema(features, target)
+    return Schema([FeatureSpec(name, CATEGORICAL, levels=book.levels(name))
+                   if book is not None and name in book
+                   else FeatureSpec(name, NUMERIC)
+                   for name in header if name != target], target)
 
 
 def read_header(path: str) -> list[str]:

@@ -117,26 +117,18 @@ def generate(spec: SynthSpec) -> Dataset:
     """Draw the dataset described by spec."""
     rng = np.random.default_rng(spec.seed)
     n = spec.n_rows
-    columns: dict[str, np.ndarray] = {}
+    X = np.empty((n, len(spec.schema)))
     for f in spec.schema.features:
         if f.kind == NUMERIC:
             low, high = spec.ranges.get(f.name, (0.0, 1.0))
-            columns[f.name] = rng.uniform(low, high, n)
+            X[:, f.index] = rng.uniform(low, high, n)
         else:
             codes = _codes_for(f)
-            columns[f.name] = rng.integers(codes.start, codes.stop, n)
-    base = spec.rule.evaluate(columns)
+            X[:, f.index] = rng.integers(codes.start, codes.stop, n)
+    base = spec.rule.evaluate({f.name: X[:, f.index]
+                               for f in spec.schema.features})
     flips = rng.random(n) < spec.noise
-    y = np.where(flips, 1 - base, base)
-    rows = []
-    for i in range(n):
-        row = []
-        for f in spec.schema.features:
-            v = columns[f.name][i]
-            row.append(int(v) if f.kind == CATEGORICAL else float(v))
-        row.append(int(y[i]))
-        rows.append(row)
-    return Dataset(spec.schema, rows)
+    return Dataset(spec.schema, X, np.where(flips, 1 - base, base))
 
 
 #: Numeric value ranges for the bundled credit-shaped schema.

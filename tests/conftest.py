@@ -1,6 +1,8 @@
 """Shared fixtures: small hand-built datasets and the published-style
 significance table used by the screening and acceptance suites."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,8 @@ from solvency.evaluation import ConfusionMatrix
 def make_dataset(columns, target, kinds=None, levels=None):
     """Build a Dataset from parallel column lists.
 
-    columns maps name -> list of cell values; kinds maps name -> kind
+    columns maps name -> list of cell values, None for a missing one; a
+    column holding text becomes raw labels.  kinds maps name -> kind
     (default numeric); levels maps name -> modality count for the
     categorical ones (default max code, at least 2).
     """
@@ -39,12 +42,30 @@ def make_dataset(columns, target, kinds=None, levels=None):
         else:
             features.append(FeatureSpec(name, NUMERIC))
     schema = Schema(features, "TARGET")
-    names = list(columns)
-    rows = [
-        [columns[name][i] for name in names] + [target[i]]
-        for i in range(len(target))
-    ]
-    return Dataset(schema, rows)
+    X = np.full((len(target), len(features)), np.nan)
+    labels = {}
+    for spec in schema.features:
+        cells = columns[spec.name]
+        if any(isinstance(c, str) for c in cells):
+            labels[spec.name] = np.array(cells, dtype=object)
+        else:
+            X[:, spec.index] = [np.nan if c is None else c for c in cells]
+    y = [np.nan if t is None else t for t in target]
+    return Dataset(schema, X, y, labels)
+
+
+def cells(values):
+    """A column as a list, None where a value is missing."""
+    return [None if isinstance(v, float) and math.isnan(v) else v
+            for v in np.asarray(values).tolist()]
+
+
+def rows(data):
+    """A dataset as lists of feature cells plus the target, None where a
+    value is missing."""
+    names = data.schema.names + [data.schema.target]
+    return [list(row) for row in zip(*(cells(data.column(n))
+                                       for n in names))]
 
 
 @pytest.fixture

@@ -272,7 +272,7 @@ def test_09_planted_rule_recovered_across_seeds():
         data = _grid_rule_dataset(seed)
         tree = grow(data, config=CartConfig(min_node_size=1))
         classes, _ = predict_dataset(tree, data)
-        actual = np.array([row[-1] for row in data.rows])
+        actual = data.y
         assert np.array_equal(classes, actual), seed
         assert tree.node_count() <= 7, (seed, tree.node_count())
 

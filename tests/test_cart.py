@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import make_dataset, rows
 from oracles import brute_force_best_split
 from solvency import cart
 from solvency.cart import (
@@ -504,7 +504,7 @@ class TestPredict:
             data = random_mixed_dataset(rng)
             tree = grow(data, config=CartConfig(min_node_size=1))
             classes, scores = predict_dataset(tree, data)
-            expected = [tree.predict(row[:-1]) for row in data.rows]
+            expected = [tree.predict(row[:-1]) for row in rows(data)]
             assert classes.tolist() == [c for c, _ in expected]
             assert scores.tolist() == [p for _, p in expected]
 

@@ -5,11 +5,15 @@ Everything runs main() in-process with --out pointed at tmp_path, so
 these tests double as integration coverage of the whole package.
 """
 
+import argparse
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from solvency.cli import main
+from solvency.cli import build_parser, main
 
 PLANTED = {"AMT_INCOME_TOTAL", "AMT_CREDIT"}
 
@@ -126,6 +130,34 @@ class TestEncodeCommand:
         assert rc == 3
         err = capsys.readouterr().err
         assert "line 3" in err and "'two'" in err and "'color'" in err
+
+    @pytest.mark.parametrize("book, feature", [
+        (CODEBOOK_CSV.replace("color,green,2", "color,green,1"), "color"),
+        ("feature,label,code\ncolor,red,1\nflag,N,0\nflag,Y,1\n", "color"),
+        (CODEBOOK_CSV.replace("flag,Y,1", f"flag,Y,{2 ** 53 + 1}"), "flag"),
+        (CODEBOOK_CSV.replace("flag,Y,1", f"flag,Y,{-2 ** 60}"), "flag"),
+    ], ids=["duplicate-code", "one-label", "code-above-2**53",
+            "code-below--2**53"])
+    def test_invalid_codebook_exits_3(self, workdir, capsys, book, feature):
+        self.setup_inputs(workdir)
+        (workdir / "book.csv").write_text(book)
+        rc = main(["encode", "--input", str(workdir / "raw.csv"),
+                   "--codebook", str(workdir / "book.csv"),
+                   "--target", "y", "--out", str(workdir)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(workdir / "book.csv") in err and repr(feature) in err
+
+    def test_code_at_2_to_the_53_is_kept(self, workdir):
+        self.setup_inputs(workdir)
+        (workdir / "book.csv").write_text(
+            CODEBOOK_CSV.replace("color,blue,3", f"color,blue,{2 ** 53}"))
+        rc = main(["encode", "--input", str(workdir / "raw.csv"),
+                   "--codebook", str(workdir / "book.csv"),
+                   "--target", "y", "--out", str(workdir)])
+        assert rc == 0
+        lines = (workdir / "encoded.csv").read_text().splitlines()
+        assert lines[3].split(",")[0] == str(2 ** 53)  # blue
 
     def test_skip_codebook_passthrough(self, workdir):
         source = make_synthetic(workdir, rows=60, seed=4)
@@ -323,6 +355,14 @@ class TestEvalCommand:
         rc = main(["eval", "--input", str(source), "--out", str(workdir)])
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    def test_regression_model_exits_2(self, workdir, capsys, command):
+        source = self.trained(workdir, extra=("--mode", "regression"))
+        rc = main([command, "--input", str(source), "--out", str(workdir)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "regression" in err and "model.json" in err
+
 
 class TestPredictCommand:
     def test_with_target_column(self, workdir):
@@ -492,6 +532,67 @@ class TestPipelineCommand:
                      "roc.tsv"):
             assert (auto / name).read_bytes() == \
                 (manual / name).read_bytes(), name
+
+
+#: Option strings of every subcommand; pipeline takes the encode,
+#: screen, tree and eval settings but never --mode, --variables,
+#: --screening or --model.
+COMMON = {"-h", "--help", "--config", "--out", "--seed"}
+DATA = {"--input", "--codebook", "--target", "--missing-token"}
+ENCODE = {"--skip-codebook", "--outlier-method", "--iqr-multiplier",
+          "--z-threshold"}
+SCREEN = {"--alpha", "--r-threshold", "--max-iter", "--tol",
+          "--per-variable"}
+TREE = {"--min-node-size", "--max-depth", "--min-gini-decrease",
+        "--allow-large-min-node"}
+OPTIONS = {
+    "encode": COMMON | DATA | ENCODE,
+    "screen": COMMON | DATA | SCREEN,
+    "train": COMMON | DATA | TREE | {"--screening", "--variables", "--mode",
+                                     "--holdout"},
+    "eval": COMMON | DATA | {"--model", "--holdout", "--roc-scores"},
+    "predict": COMMON | DATA | {"--model"},
+    "synth": COMMON | {"--rows", "--noise"},
+    "pipeline": COMMON | DATA | ENCODE | SCREEN | TREE | {"--holdout",
+                                                          "--roc-scores"},
+}
+
+
+class TestParser:
+    def test_option_strings_of_every_subcommand(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        found = {name: {opt for action in parser._actions
+                        for opt in action.option_strings}
+                 for name, parser in sub.choices.items()}
+        assert found == OPTIONS
+
+    def test_pipeline_flags_parse_as_the_stage_flags_do(self):
+        sub = next(a for a in build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+
+        def spec(action):
+            return (type(action), action.dest, action.type, action.choices,
+                    action.default, action.const)
+
+        stages = {opt: spec(action)
+                  for name in ("encode", "screen", "train", "eval")
+                  for action in sub.choices[name]._actions
+                  for opt in action.option_strings}
+        for action in sub.choices["pipeline"]._actions:
+            for opt in action.option_strings:
+                assert spec(action) == stages[opt], opt
+
+    def test_module_entry_point_runs_without_warnings(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "solvency.cli", "--help"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestConfigResolution:

@@ -1,11 +1,13 @@
 """Loading, encoding, and cleaning behavior."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset
+from conftest import cells, make_dataset, rows
 from solvency.dataset import (
     CATEGORICAL,
     DEFAULT_CODEBOOK,
@@ -14,6 +16,7 @@ from solvency.dataset import (
     CodeBook,
     Dataset,
     FeatureSpec,
+    _BLOCK_ROWS,
     OutlierRule,
     Schema,
     apply_codebook,
@@ -126,7 +129,7 @@ class TestLoadCsv:
         schema = Schema([FeatureSpec("a", NUMERIC),
                          FeatureSpec("b", NUMERIC)], "TARGET")
         data = load_csv(str(p), schema)
-        assert data.rows == [[3.0, 2.0, 1.0], [5.0, 4.0, 0.0]]
+        assert rows(data) == [[3.0, 2.0, 1.0], [5.0, 4.0, 0.0]]
 
     def test_header_mismatch(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -148,29 +151,91 @@ class TestLoadCsv:
         write_lines(p, ["a,TARGET", ",1", "NA,0", "N/A,1", "7.5,0"])
         schema = Schema([FeatureSpec("a", NUMERIC)], "TARGET")
         data = load_csv(str(p), schema)
-        assert [r[0] for r in data.rows] == [None, None, None, 7.5]
+        assert cells(data.X[:, 0]) == [None, None, None, 7.5]
 
     def test_unparseable_and_nonfinite_numerics_become_none(self, tmp_path):
         p = tmp_path / "d.csv"
         write_lines(p, ["a,TARGET", "oops,1", "inf,0", "nan,1", "2,0"])
         schema = Schema([FeatureSpec("a", NUMERIC)], "TARGET")
         data = load_csv(str(p), schema)
-        assert [r[0] for r in data.rows] == [None, None, None, 2.0]
+        assert cells(data.X[:, 0]) == [None, None, None, 2.0]
 
     def test_encoded_categorical_cells_read_as_codes(self, tmp_path):
         p = tmp_path / "d.csv"
         write_lines(p, ["c,TARGET", "2,1", "1,0"])
         schema = Schema([FeatureSpec("c", CATEGORICAL, levels=3)], "TARGET")
         data = load_csv(str(p), schema, encoded=True)
-        assert [r[0] for r in data.rows] == [2, 1]
-        assert all(isinstance(r[0], int) for r in data.rows)
+        assert cells(data.X[:, 0]) == [2, 1]
+        assert data.labels == {}
+
+    def test_fractional_code_and_python_float_syntax(self, tmp_path):
+        # cells read with float(): padding, underscores and exponents
+        # parse, a fractional code stays fractional
+        p = tmp_path / "d.csv"
+        write_lines(p, ["c,a,TARGET", "2.5, 1_000 ,1", " 3 ,1e3,0",
+                        "-0,-inf,1"])
+        schema = Schema([FeatureSpec("c", CATEGORICAL, levels=3),
+                         FeatureSpec("a", NUMERIC)], "TARGET")
+        data = load_csv(str(p), schema, encoded=True)
+        assert rows(data) == [[2.5, 1000.0, 1.0], [3.0, 1000.0, 0.0],
+                              [0.0, None, 1.0]]
+
+    def test_unparsable_cells_scattered_through_a_column(self, tmp_path):
+        texts = ["1", "x", "2.5", "x", "y", " 3 ", "1_0", "nan", "z", "4e1",
+                 "1e400", "--1", "0x10", "+7", ".5", "5."] * 3
+
+        def reference(text):
+            try:
+                value = float(text)
+            except ValueError:
+                return None
+            return value if math.isfinite(value) else None
+
+        p = tmp_path / "d.csv"
+        write_lines(p, ["a,TARGET"] + [f"{t},1" for t in texts])
+        schema = Schema([FeatureSpec("a", NUMERIC)], "TARGET")
+        data = load_csv(str(p), schema)
+        assert cells(data.X[:, 0]) == [reference(t) for t in texts]
+
+    def test_custom_token_that_parses_as_a_number(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_lines(p, ["a,TARGET", "-999,1", "NA,0", "4,-999"])
+        schema = Schema([FeatureSpec("a", NUMERIC)], "TARGET")
+        data = load_csv(str(p), schema, missing_tokens=["-999"])
+        assert rows(data) == [[None, 1.0], [None, 0.0], [4.0, None]]
+
+    def test_raw_labels_kept_as_text(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_lines(p, ["c,TARGET", " red ,1", "NA,0", "blue,1"])
+        schema = Schema([FeatureSpec("c", CATEGORICAL, levels=2)], "TARGET")
+        data = load_csv(str(p), schema)
+        assert rows(data) == [["red", 1.0], [None, 0.0], ["blue", 1.0]]
+        assert np.isnan(data.X).all()
+
+    def test_rows_beyond_one_block(self, tmp_path):
+        p = tmp_path / "d.csv"
+        n = 2 * _BLOCK_ROWS + 3
+        write_lines(p, ["a,TARGET"] + [f"{i},{i % 2}" for i in range(n)])
+        schema = Schema([FeatureSpec("a", NUMERIC)], "TARGET")
+        data = load_csv(str(p), schema)
+        assert cells(data.X[:, 0]) == [float(i) for i in range(n)]
+        assert cells(data.y) == [float(i % 2) for i in range(n)]
+
+    def test_ragged_row_in_a_later_block_is_named(self, tmp_path):
+        p = tmp_path / "d.csv"
+        lines = ["a,TARGET"] + ["1,0"] * (_BLOCK_ROWS + 5)
+        lines[_BLOCK_ROWS + 3] = "1,0,9"
+        write_lines(p, lines)
+        schema = Schema([FeatureSpec("a", NUMERIC)], "TARGET")
+        with pytest.raises(RaggedRowError, match=f"row {_BLOCK_ROWS + 2} "):
+            load_csv(str(p), schema)
 
     def test_target_optional_mode(self, tmp_path):
         p = tmp_path / "d.csv"
         write_lines(p, ["a", "1.5", "2.5"])
         schema = Schema([FeatureSpec("a", NUMERIC)], "TARGET")
         data = load_csv(str(p), schema, target_optional=True)
-        assert [r[-1] for r in data.rows] == [None, None]
+        assert cells(data.y) == [None, None]
 
     def test_missing_file(self):
         schema = Schema([FeatureSpec("a", NUMERIC)], "TARGET")
@@ -186,7 +251,7 @@ class TestLoadCsv:
         p = tmp_path / "out.csv"
         write_csv(data, str(p))
         again = load_csv(str(p), data.schema, encoded=True)
-        assert again.rows == data.rows
+        assert rows(again) == rows(data)
 
 
 class TestApplyCodebook:
@@ -205,8 +270,9 @@ class TestApplyCodebook:
                     "NAME_EDUCATION_TYPE": 4},
         )
         encoded = apply_codebook(data, DEFAULT_CODEBOOK)
-        assert encoded.rows[0][:3] == [1, 1, 1]
-        assert encoded.rows[1][:3] == [0, 0, 3]
+        assert rows(encoded)[0][:3] == [1, 1, 1]
+        assert rows(encoded)[1][:3] == [0, 0, 3]
+        assert encoded.labels == {}
 
     def test_unknown_label_names_feature_and_row(self):
         data = make_dataset(
@@ -227,7 +293,7 @@ class TestApplyCodebook:
             kinds={"CODE_GENDER": CATEGORICAL},
         )
         encoded = apply_codebook(data, DEFAULT_CODEBOOK)
-        assert encoded.rows[1][0] is None
+        assert rows(encoded)[1][0] is None
 
 
 class TestClean:
@@ -263,7 +329,7 @@ class TestClean:
         once, log1 = clean(data)
         twice, log2 = clean(once)
         assert len(log2) == 0
-        assert twice.rows == once.rows
+        assert rows(twice) == rows(once)
 
     def test_fences_reapplied_until_stable(self):
         # dropping the extreme value tightens the fences enough to
@@ -294,7 +360,7 @@ class TestClean:
         assert q1 == 2.25 and q3 == 4.75
         data = make_dataset({"a": values}, [0, 1, 0, 1, 0, 1])
         cleaned, _ = clean(data)
-        assert [r[0] for r in cleaned.rows] == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert cells(cleaned.X[:, 0]) == [1.0, 2.0, 3.0, 4.0, 5.0]
 
 
 class TestSplitAndDistribution:
@@ -303,9 +369,9 @@ class TestSplitAndDistribution:
                             [i % 2 for i in range(20)])
         train1, hold1 = data.split(0.25, seed=3)
         train2, hold2 = data.split(0.25, seed=3)
-        assert train1.rows == train2.rows and hold1.rows == hold2.rows
+        assert rows(train1) == rows(train2) and rows(hold1) == rows(hold2)
         assert hold1.n == 5 and train1.n == 15
-        together = sorted(r[0] for r in train1.rows + hold1.rows)
+        together = sorted(r[0] for r in rows(train1) + rows(hold1))
         assert together == [float(i) for i in range(20)]
 
     def test_split_changes_with_seed(self):
@@ -313,14 +379,14 @@ class TestSplitAndDistribution:
                             [i % 2 for i in range(40)])
         _, hold_a = data.split(0.5, seed=1)
         _, hold_b = data.split(0.5, seed=2)
-        assert hold_a.rows != hold_b.rows
+        assert rows(hold_a) != rows(hold_b)
 
     def test_split_keeps_row_order(self):
         data = make_dataset({"a": [float(i) for i in range(10)]},
                             [0] * 10)
         train, hold = data.split(0.3, seed=0)
-        assert [r[0] for r in train.rows] == sorted(r[0] for r in train.rows)
-        assert [r[0] for r in hold.rows] == sorted(r[0] for r in hold.rows)
+        assert cells(train.X[:, 0]) == sorted(cells(train.X[:, 0]))
+        assert cells(hold.X[:, 0]) == sorted(cells(hold.X[:, 0]))
 
     def test_class_distribution_counts(self):
         data = make_dataset({"a": [1.0, 2.0, 3.0]}, [0, 1, 1])
@@ -369,4 +435,4 @@ def test_clean_idempotence_property(values, seed):
         return
     twice, log = clean(once)
     assert len(log) == 0
-    assert twice.rows == once.rows
+    assert rows(twice) == rows(once)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import rows
 from solvency.dataset import CATEGORICAL, NUMERIC, FeatureSpec, Schema, write_csv
 from solvency.errors import ConfigError
 from solvency.synth import (
@@ -47,30 +48,28 @@ class TestDeterminism:
     def test_different_seeds_differ(self):
         a = generate(default_spec(n_rows=100, seed=1))
         b = generate(default_spec(n_rows=100, seed=2))
-        assert a.rows != b.rows
+        assert rows(a) != rows(b)
 
     def test_noise_seeded_too(self):
         a = generate(default_spec(n_rows=300, seed=5, noise=0.3))
         b = generate(default_spec(n_rows=300, seed=5, noise=0.3))
-        assert a.rows == b.rows
+        assert rows(a) == rows(b)
 
 
 class TestLabels:
     def test_noise_free_labels_follow_rule_exactly(self):
         spec = default_spec(n_rows=1000, seed=3)
         data = generate(spec)
-        columns = {
-            f.name: np.array([row[i] for row in data.rows], dtype=float)
-            for i, f in enumerate(spec.schema.features)
-        }
+        columns = {f.name: data.X[:, f.index].copy()
+                   for f in spec.schema.features}
         expected = spec.rule.evaluate(columns)
-        actual = np.array([row[-1] for row in data.rows])
+        actual = data.y
         assert np.array_equal(actual, expected)
 
     def test_flip_rate_tracks_noise(self):
         noisy = generate(default_spec(n_rows=10_000, seed=4, noise=0.2))
         clean = generate(default_spec(n_rows=10_000, seed=4, noise=0.0))
-        flips = sum(a[-1] != b[-1] for a, b in zip(noisy.rows, clean.rows))
+        flips = int(np.sum(noisy.y != clean.y))
         assert abs(flips / 10_000 - 0.2) < 0.01
 
     def test_rows_outside_rule_are_zero(self):
@@ -79,7 +78,7 @@ class TestLabels:
         schema = spec.schema
         income = schema["AMT_INCOME_TOTAL"].index
         credit = schema["AMT_CREDIT"].index
-        for row in data.rows:
+        for row in rows(data):
             inside = row[income] <= 137_500.0 and row[credit] <= 522_500.0
             assert row[-1] == (1 if inside else 0)
 
@@ -90,17 +89,17 @@ class TestDrawnValues:
         schema = data.schema
         for name, (low, high) in DEFAULT_RANGES.items():
             i = schema[name].index
-            values = [row[i] for row in data.rows]
+            values = data.X[:, i].tolist()
             assert low <= min(values) and max(values) < high
 
     def test_categorical_codes_match_convention(self):
         data = generate(default_spec(n_rows=500, seed=8))
         schema = data.schema
-        binary = [row[schema["CODE_GENDER"].index] for row in data.rows]
+        binary = data.column("CODE_GENDER").tolist()
         assert set(binary) <= {0, 1}
-        wide = [row[schema["NAME_HOUSING_TYPE"].index] for row in data.rows]
+        wide = data.column("NAME_HOUSING_TYPE").tolist()
         assert set(wide) <= set(range(1, 7))
-        assert all(isinstance(v, int) for v in wide)
+        assert all(v.is_integer() for v in wide)
 
     def test_default_schema_shape(self):
         schema = default_schema()
@@ -214,9 +213,9 @@ class TestDocs:
         })
         data = generate(spec)
         assert data.schema.target == "label"
-        assert all(2.0 <= row[0] < 4.0 for row in data.rows)
+        assert all(2.0 <= row[0] < 4.0 for row in rows(data))
         assert all(row[-1] == (1 if row[0] <= 3.0 else 0)
-                   for row in data.rows)
+                   for row in rows(data))
 
     def test_spec_doc_validation(self):
         with pytest.raises(ConfigError):
