@@ -17,6 +17,7 @@ from .cart import (
     gini,
     grow,
     predict_dataset,
+    predict_values,
     serialize,
     split_gini,
 )
@@ -74,7 +75,7 @@ __version__ = "0.1.0"
 __all__ = [
     "CartConfig", "CartTree", "SplitRule", "TreeNode", "best_split",
     "deserialize", "export_dot", "export_text", "gini", "grow",
-    "predict_dataset", "serialize", "split_gini",
+    "predict_dataset", "predict_values", "serialize", "split_gini",
     "DEFAULT_CODEBOOK", "ClassDistribution", "CleaningLog", "CodeBook",
     "Dataset", "FeatureSpec", "OutlierRule", "Schema", "apply_codebook",
     "class_distribution", "clean", "load_csv", "schema_from_header",

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from .dataset import (
     NUMERIC,
     ClassDistribution,
     Dataset,
-    Schema,
 )
 from .errors import (
     ConfigError,
@@ -91,11 +90,6 @@ class SplitRule:
     def is_numeric(self) -> bool:
         return self.threshold is not None
 
-    def goes_left(self, value) -> bool:
-        if self.is_numeric:
-            return float(value) <= self.threshold
-        return int(value) in self.subset
-
     def describe(self) -> str:
         if self.is_numeric:
             return f"{self.feature} <= {self.threshold!r}"
@@ -105,13 +99,14 @@ class SplitRule:
 
 @dataclass
 class TreeNode:
-    """Internal node (rule plus two children) or leaf (prediction)."""
+    """Internal node (rule plus the table indices of its two children)
+    or leaf (prediction)."""
 
     n: int
     counts: tuple[int, int] | None = None
     rule: SplitRule | None = None
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
+    left: int | None = None
+    right: int | None = None
     predicted_class: int | None = None
     positive_proportion: float | None = None
     mean: float | None = None
@@ -119,13 +114,6 @@ class TreeNode:
     @property
     def is_leaf(self) -> bool:
         return self.rule is None
-
-    def walk(self):
-        """Preorder traversal."""
-        yield self
-        if not self.is_leaf:
-            yield from self.left.walk()
-            yield from self.right.walk()
 
 
 @dataclass(frozen=True)
@@ -161,51 +149,32 @@ class CartConfig:
 
 @dataclass
 class CartTree:
-    """Grown tree plus everything needed to apply or rebuild it."""
+    """Grown tree plus everything needed to apply or rebuild it.
 
-    root: TreeNode
+    nodes is the preorder node table of the cart-model/1 format: the
+    root comes first, and every node comes before its children, its
+    whole left subtree before its right child.
+    """
+
+    nodes: list[TreeNode]
     fingerprint: tuple
     config: CartConfig
     n_training_rows: int
 
     def node_count(self) -> int:
-        return sum(1 for _ in self.root.walk())
+        return len(self.nodes)
 
     def depth(self) -> int:
-        def d(node):
-            return 0 if node.is_leaf else 1 + max(d(node.left), d(node.right))
-        return d(self.root)
+        return max(_depths(self.nodes))
 
-    def predict(self, row) -> tuple[int, float]:
-        """Route one feature row; returns (class, positive proportion)."""
-        if self.config.mode != CLASSIFICATION:
-            raise ValueError("predict() needs a classification tree")
-        leaf = self._route(row)
-        return leaf.predicted_class, leaf.positive_proportion
 
-    def predict_value(self, row) -> float:
-        """Regression counterpart of predict: the leaf mean."""
-        if self.config.mode != REGRESSION:
-            raise ValueError("predict_value() needs a regression tree")
-        return self._route(row).mean
-
-    def _route(self, row) -> TreeNode:
-        expected = len(self.fingerprint) - 1
-        if len(row) != expected:
-            raise SchemaMismatchError(
-                f"row has {len(row)} values, tree expects {expected}")
-        node = self.root
-        while not node.is_leaf:
-            rule = node.rule
-            value = row[rule.feature_index]
-            if not rule.is_numeric:
-                code = int(value)
-                if code not in rule.subset and code not in rule.complement:
-                    warnings.warn(
-                        f"code {code} of {rule.feature!r} never seen in "
-                        "training; routing right", UnseenCategoryWarning)
-            node = node.left if rule.goes_left(value) else node.right
-        return node
+def _depths(nodes: list[TreeNode]) -> list[int]:
+    """Depth of every node of a preorder table, in one forward pass."""
+    depths = [0] * len(nodes)
+    for i, node in enumerate(nodes):
+        if not node.is_leaf:
+            depths[node.left] = depths[node.right] = depths[i] + 1
+    return depths
 
 
 def assign_leaf(counts: tuple[int, int]) -> tuple[int, float]:
@@ -415,7 +384,8 @@ def grow(
     variables: list[str] | None = None,
     config: CartConfig = CartConfig(),
 ) -> CartTree:
-    """Grow a tree by recursive partitioning.
+    """Grow a tree by recursive partitioning, one node at a time from an
+    explicit stack, so that depth is not bounded by the call stack.
 
     A node becomes a leaf when it is homogeneous, no admissible split
     remains, it holds fewer than min_node_size rows, or it sits at
@@ -425,8 +395,15 @@ def grow(
         raise EmptyDatasetError("cannot grow a tree on 0 rows")
     search = _NodeEvaluator(data, variables, config.mode)
     y = search.y
-
-    def build(idx, depth) -> TreeNode:
+    nodes: list[TreeNode] = []
+    # (rows, depth, index of the node whose right child this is).  The
+    # left child is pushed last and so comes out next: the table fills
+    # in preorder, with every left child right after its parent.
+    stack = [(np.arange(data.n), 0, None)]
+    while stack:
+        idx, depth, parent = stack.pop()
+        if parent is not None:
+            nodes[parent].right = len(nodes)
         n = idx.shape[0]
         counts = None
         if search.classification:
@@ -436,47 +413,71 @@ def grow(
         if n >= config.min_node_size and depth < config.max_depth:
             found = search.split(idx)
         # A midpoint that rounds onto its upper boundary value would
-        # sweep every row to one side; refuse rather than recurse.
+        # sweep every row to one side; refuse rather than split.
         if (found is not None and found[0] >= config.min_gini_decrease
                 and 0 < int(found[2].sum()) < n):
             _, rule, left = found
-            return TreeNode(n=n, counts=counts, rule=rule,
-                            left=build(idx[left], depth + 1),
-                            right=build(idx[~left], depth + 1))
-        if counts is None:
-            return TreeNode(n=n, mean=float(y[idx].mean()))
-        predicted, p1 = assign_leaf(counts)
-        return TreeNode(n=n, counts=counts, predicted_class=predicted,
-                        positive_proportion=p1)
-
-    root = build(np.arange(data.n), 0)
-    return CartTree(root=root, fingerprint=data.schema.fingerprint(),
+            nodes.append(TreeNode(n=n, counts=counts, rule=rule,
+                                  left=len(nodes) + 1))
+            stack.append((idx[~left], depth + 1, len(nodes) - 1))
+            stack.append((idx[left], depth + 1, None))
+        elif counts is None:
+            nodes.append(TreeNode(n=n, mean=float(y[idx].mean())))
+        else:
+            predicted, p1 = assign_leaf(counts)
+            nodes.append(TreeNode(n=n, counts=counts, predicted_class=predicted,
+                                  positive_proportion=p1))
+    return CartTree(nodes=nodes, fingerprint=data.schema.fingerprint(),
                     config=config, n_training_rows=data.n)
 
 
 def predict_dataset(tree: CartTree, data: Dataset):
-    """Apply the tree to every row; returns (classes, scores) arrays.
+    """Apply a classification tree to every row; returns (classes,
+    scores) arrays, the scores being leaf positive proportions."""
+    leaf = _leaf_index(tree, data, CLASSIFICATION)
+    return (_leaf_values(tree, "predicted_class", int)[leaf],
+            _leaf_values(tree, "positive_proportion")[leaf])
 
-    Scores are leaf positive proportions.  The dataset schema must
-    match the training schema exactly.  Rows are routed together, one
+
+def predict_values(tree: CartTree, data: Dataset) -> np.ndarray:
+    """Apply a regression tree to every row; returns the leaf means."""
+    leaf = _leaf_index(tree, data, REGRESSION)
+    return _leaf_values(tree, "mean")[leaf]
+
+
+def _leaf_values(tree: CartTree, attr: str, dtype=float) -> np.ndarray:
+    """One attribute of every leaf, by table index; 0 at internal nodes."""
+    values = np.zeros(len(tree.nodes), dtype=dtype)
+    for i, node in enumerate(tree.nodes):
+        if node.is_leaf:
+            values[i] = getattr(node, attr)
+    return values
+
+
+def _leaf_index(tree: CartTree, data: Dataset, mode: str) -> np.ndarray:
+    """Table index of the leaf each row reaches.
+
+    The dataset schema must match the training schema exactly, and the
+    tree must be of the given mode.  Rows are routed together, one
     index partition per node.  A row that reaches a rule on a feature
     it has no value for raises DataError naming the row and feature;
     a missing value in a feature its path never tests is harmless.
+    A categorical code absent from training routes right with one
+    UnseenCategoryWarning per code.
     """
     if data.schema.fingerprint() != tree.fingerprint:
         raise SchemaMismatchError(
             "dataset schema differs from the tree's training schema")
-    if tree.config.mode != CLASSIFICATION:
-        raise ValueError("predict() needs a classification tree")
-    classes = np.empty(data.n, dtype=int)
-    scores = np.empty(data.n, dtype=float)
+    if tree.config.mode != mode:
+        raise ValueError(f"needs a {mode} tree, not a {tree.config.mode} one")
+    leaf = np.empty(data.n, dtype=np.intp)
     unseen: dict[str, tuple[int, int]] = {}
-    stack = [(tree.root, np.arange(data.n), 0)]
+    stack = [(0, np.arange(data.n))]
     while stack:
-        node, idx, depth = stack.pop()
+        i, idx = stack.pop()
+        node = tree.nodes[i]
         if node.is_leaf:
-            classes[idx] = node.predicted_class
-            scores[idx] = node.positive_proportion
+            leaf[idx] = i
             continue
         rule = node.rule
         values = data.X[idx, rule.feature_index]
@@ -494,14 +495,15 @@ def predict_dataset(tree: CartTree, data: Dataset):
             for code in np.unique(values[never_seen]):
                 msg = (f"code {int(code)} of {rule.feature!r} never seen in "
                        "training; routing right")
-                first = (int(idx[never_seen & (values == code)][0]), depth)
+                first = (int(idx[never_seen & (values == code)][0]), i)
                 unseen[msg] = min(unseen.get(msg, first), first)
-        stack.append((node.right, idx[~left], depth + 1))
-        stack.append((node.left, idx[left], depth + 1))
-    # warn in the order a row-by-row walk would first meet each code
+        stack.append((node.right, idx[~left]))
+        stack.append((node.left, idx[left]))
+    # Warn in the order a row-by-row walk would first meet each code;
+    # along one row's path the table index grows with depth.
     for msg in sorted(unseen, key=unseen.get):
         warnings.warn(msg, UnseenCategoryWarning)
-    return classes, scores
+    return leaf
 
 
 # -- serialization ---------------------------------------------------------
@@ -548,16 +550,11 @@ def dumps_document(doc: dict) -> str:
 
 def serialize(tree: CartTree) -> str:
     """Tree as a one-document JSON string, preorder node records."""
-    nodes = list(tree.root.walk())
-    index = {id(node): i for i, node in enumerate(nodes)}
     records = []
-    for node in nodes:
-        rec = {
-            "n": node.n,
-            "counts": list(node.counts) if node.counts is not None else None,
-            "left": index[id(node.left)] if node.left is not None else None,
-            "right": index[id(node.right)] if node.right is not None else None,
-        }
+    for node in tree.nodes:
+        rec = {"n": node.n,
+               "counts": list(node.counts) if node.counts is not None else None,
+               "left": node.left, "right": node.right}
         if node.rule is not None:
             rec["feature"] = node.rule.feature
             rec["feature_index"] = node.rule.feature_index
@@ -645,8 +642,14 @@ def deserialize(text: str) -> CartTree:
         raise MalformedDocumentError("nodes must be a nonempty list")
 
     nodes = [_record_to_node(rec, i) for i, rec in enumerate(records)]
-    referenced = set()
+    # A depth-first walk, left child first, must meet every node once
+    # and in table order: the table is then one tree, in preorder.
+    pending = [0]
     for i, rec in enumerate(records):
+        if not pending:
+            raise MalformedDocumentError("node list is not a single tree")
+        if pending.pop() != i:
+            raise MalformedDocumentError(f"node {i} is out of preorder")
         left, right = rec.get("left"), rec.get("right")
         if (left is None) != (right is None):
             raise MalformedDocumentError(
@@ -656,19 +659,14 @@ def deserialize(text: str) -> CartTree:
                 if not isinstance(child, int) or not i < child < len(records):
                     raise MalformedDocumentError(
                         f"node {i} child index {child!r} out of range")
-                if child in referenced:
-                    raise MalformedDocumentError(
-                        f"node {child} referenced twice")
-                referenced.add(child)
-            nodes[i].left = nodes[left]
-            nodes[i].right = nodes[right]
-    if referenced != set(range(1, len(records))):
-        raise MalformedDocumentError("node list is not a single tree")
+            pending += [right, left]
+    if pending:
+        raise MalformedDocumentError(f"node {pending[-1]} referenced twice")
     features = fingerprint[:-1]
     for i, node in enumerate(nodes):
         if node.rule is not None:
             _check_rule(node.rule, features, i)
-    return CartTree(root=nodes[0], fingerprint=fingerprint, config=config,
+    return CartTree(nodes=nodes, fingerprint=fingerprint, config=config,
                     n_training_rows=int(doc["n_training_rows"]))
 
 
@@ -701,7 +699,8 @@ def _record_to_node(rec, i: int) -> TreeNode:
                 rule = SplitRule(rec["feature"], int(rec["feature_index"]),
                                  subset=frozenset(rec["subset"]),
                                  complement=frozenset(rec["complement"]))
-            return TreeNode(n=int(rec["n"]), counts=counts, rule=rule)
+            return TreeNode(n=int(rec["n"]), counts=counts, rule=rule,
+                            left=rec["left"], right=rec["right"])
         cls = rec.get("class")
         p1 = rec.get("p1")
         mean = rec.get("mean")
@@ -738,31 +737,25 @@ def _node_label(node: TreeNode) -> tuple[str, str]:
 def export_dot(tree: CartTree) -> str:
     """Graphviz digraph; edges carry True (left) and False (right)."""
     lines = ["digraph cart {", "  node [shape=box];"]
-    nodes = list(tree.root.walk())
-    index = {id(node): i for i, node in enumerate(nodes)}
-    for i, node in enumerate(nodes):
+    for i, node in enumerate(tree.nodes):
         body, stats = _node_label(node)
         lines.append(f'  n{i} [label="{_dot_escape(body)}\\n{stats}"];')
-    for i, node in enumerate(nodes):
+    for i, node in enumerate(tree.nodes):
         if not node.is_leaf:
-            lines.append(
-                f'  n{i} -> n{index[id(node.left)]} [label="True"];')
-            lines.append(
-                f'  n{i} -> n{index[id(node.right)]} [label="False"];')
+            lines.append(f'  n{i} -> n{node.left} [label="True"];')
+            lines.append(f'  n{i} -> n{node.right} [label="False"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def export_text(tree: CartTree) -> str:
-    """Indented plain-text outline of the tree."""
-    lines: list[str] = []
-
-    def emit(node: TreeNode, prefix: str, tag: str):
+    """Indented plain-text outline of the tree, two spaces per level."""
+    depths = _depths(tree.nodes)
+    tags = [""] * len(tree.nodes)
+    lines = []
+    for i, node in enumerate(tree.nodes):
         body, stats = _node_label(node)
-        lines.append(f"{prefix}{tag}{body} [{stats}]")
+        lines.append(f"{'  ' * depths[i]}{tags[i]}{body} [{stats}]")
         if not node.is_leaf:
-            emit(node.left, prefix + "  ", "True: ")
-            emit(node.right, prefix + "  ", "False: ")
-
-    emit(tree.root, "", "")
+            tags[node.left], tags[node.right] = "True: ", "False: "
     return "\n".join(lines) + "\n"

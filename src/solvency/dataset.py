@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import islice, repeat
 from typing import Iterable, Iterator, Sequence
@@ -158,8 +159,7 @@ class CodeBook:
         if not os.path.exists(path):
             raise MissingFileError(f"codebook file not found: {path}")
         mappings: dict[str, dict[str, int]] = {}
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
+        with _csv_reader(path, csv.DictReader) as reader:
             expected = {"feature", "label", "code"}
             if reader.fieldnames is None or set(reader.fieldnames) != expected:
                 raise HeaderMismatchError(
@@ -392,8 +392,7 @@ def load_csv(
     missing = {tok.strip() for tok in missing_tokens}
     labelled = [f.name for f in schema.features
                 if f.kind == CATEGORICAL and not encoded]
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         next(reader)
         has_target = not (target_optional and schema.target not in found)
         expected = set(schema.names) | ({schema.target} if has_target
@@ -598,8 +597,27 @@ def schema_from_header(
 def read_header(path: str) -> list[str]:
     if not os.path.exists(path):
         raise MissingFileError(f"input file not found: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _csv_reader(path) as reader:
         try:
-            return [h.strip() for h in next(csv.reader(fh))]
+            return [h.strip() for h in next(reader)]
         except StopIteration:
             raise HeaderMismatchError(f"{path} is empty, no header row")
+
+
+@contextmanager
+def _csv_reader(path: str, kind=csv.reader):
+    """A csv reader of the given kind over the UTF-8 text of path.  A
+    byte that is not UTF-8, or a line the csv module rejects, raises
+    DataError naming the file."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = kind(fh)
+        try:
+            yield reader
+        except UnicodeDecodeError as exc:
+            raise DataError(
+                f"{path} is not UTF-8 text: byte "
+                f"0x{exc.object[exc.start]:02x} cannot be decoded") from None
+        except csv.Error as exc:
+            # a DictReader counts a line only once it has parsed it
+            line = getattr(reader, "reader", reader).line_num
+            raise DataError(f"{path} line {line}: {exc}") from None

@@ -96,6 +96,29 @@ def _decrease(y, left_mask, parent, c1, c0, n):
     return parent - weighted
 
 
+def route_rows(records, X):
+    """Leaf record each row of X reaches, one row at a time.
+
+    records are the node records of a serialized tree,
+    json.loads(serialize(tree))["nodes"]: a rule record names its
+    feature index and a threshold (left iff value <= threshold) or a
+    code subset (left iff the truncated code is in it), and the indices
+    of its two children.
+    """
+    found = []
+    for row in X:
+        rec = records[0]
+        while rec["left"] is not None:
+            value = row[rec["feature_index"]]
+            if rec["threshold"] is not None:
+                left = value <= rec["threshold"]
+            else:
+                left = int(value) in rec["subset"]
+            rec = records[rec["left"] if left else rec["right"]]
+        found.append(rec)
+    return found
+
+
 def mann_whitney_auc(actual, scores) -> float:
     """Pairwise rank AUC: P(score_pos > score_neg) + half-credit ties."""
     actual = np.asarray(actual)

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_dataset, rows
-from oracles import brute_force_best_split
+from conftest import make_dataset
+from oracles import brute_force_best_split, route_rows
 from solvency import cart
 from solvency.cart import (
     CLASSIFICATION,
@@ -29,6 +29,7 @@ from solvency.cart import (
     gini,
     grow,
     predict_dataset,
+    predict_values,
     serialize,
     split_gini,
 )
@@ -299,7 +300,7 @@ class TestCartConfig:
     def test_zero_depth_means_root_leaf(self):
         data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
         tree = grow(data, config=CartConfig(max_depth=0))
-        assert tree.root.is_leaf
+        assert tree.nodes[0].is_leaf
 
 
 class TestGrow:
@@ -308,21 +309,21 @@ class TestGrow:
             {"x": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}, [0, 0, 0, 1, 1, 1])
         tree = grow(data, config=CartConfig(min_node_size=1))
         assert tree.node_count() == 3
-        assert tree.root.rule.threshold == 3.5
+        assert tree.nodes[0].rule.threshold == 3.5
         classes, _ = predict_dataset(tree, data)
         assert classes.tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_homogeneous_root_stays_leaf(self):
         data = make_dataset({"x": [1.0, 2.0, 3.0]}, [1, 1, 1])
         tree = grow(data)
-        assert tree.root.is_leaf
-        assert tree.root.predicted_class == 1
+        assert tree.nodes[0].is_leaf
+        assert tree.nodes[0].predicted_class == 1
 
     def test_min_node_size_stops_growth(self):
         data = make_dataset(
             {"x": [1.0, 2.0, 3.0, 4.0]}, [0, 1, 0, 1])
         tree = grow(data, config=CartConfig(min_node_size=5))
-        assert tree.root.is_leaf
+        assert tree.nodes[0].is_leaf
 
     def test_max_depth_stops_growth(self):
         rng = np.random.default_rng(23)
@@ -335,8 +336,8 @@ class TestGrow:
         data = make_dataset(
             {"x": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}, [0, 0, 0, 1, 0, 1])
         tree = grow(data, config=CartConfig(min_node_size=1))
-        assert tree.root.counts == (4, 2)
-        for node in tree.root.walk():
+        assert tree.nodes[0].counts == (4, 2)
+        for node in tree.nodes:
             if node.is_leaf:
                 assert node.positive_proportion == (
                     node.counts[1] / node.n)
@@ -353,7 +354,7 @@ class TestGrow:
     def test_leaf_tie_predicts_zero(self):
         data = make_dataset({"x": [1.0, 1.0]}, [0, 1])
         tree = grow(data)
-        assert tree.root.predicted_class == 0
+        assert tree.nodes[0].predicted_class == 0
 
 
 class TestRegressionMode:
@@ -362,15 +363,15 @@ class TestRegressionMode:
             {"x": [1.0, 2.0, 3.0, 4.0]}, [10.0, 10.0, 20.0, 20.0])
         tree = grow(data, config=CartConfig(mode=REGRESSION,
                                             min_node_size=1))
-        assert tree.root.rule.threshold == 2.5
-        assert tree.predict_value([1.5]) == 10.0
-        assert tree.predict_value([3.7]) == 20.0
+        assert tree.nodes[0].rule.threshold == 2.5
+        fresh = make_dataset({"x": [1.5, 3.7]}, [None, None])
+        assert predict_values(tree, fresh).tolist() == [10.0, 20.0]
 
     def test_constant_target_is_leaf(self):
         data = make_dataset({"x": [1.0, 2.0, 3.0]}, [4.0, 4.0, 4.0])
         tree = grow(data, config=CartConfig(mode=REGRESSION))
-        assert tree.root.is_leaf
-        assert tree.root.mean == 4.0
+        assert tree.nodes[0].is_leaf
+        assert tree.nodes[0].mean == 4.0
 
 
 class TestSerialization:
@@ -394,7 +395,7 @@ class TestSerialization:
                             [0, 0, 1, 1])
         tree = grow(data, config=CartConfig(min_node_size=1))
         again = deserialize(serialize(tree))
-        assert again.root.rule.threshold == tree.root.rule.threshold
+        assert again.nodes[0].rule.threshold == tree.nodes[0].rule.threshold
 
     def test_format_tag_present(self):
         tree, _ = self.grown_tree()
@@ -464,6 +465,29 @@ class TestSerialization:
         with pytest.raises(MalformedDocumentError):
             deserialize(json.dumps(doc))
 
+    def test_table_out_of_preorder_rejected(self):
+        tree, _ = self.grown_tree()
+        doc = json.loads(serialize(tree))
+        order = [0]  # breadth first: one tree, every child after its parent
+        for i in order:
+            if doc["nodes"][i]["left"] is not None:
+                order += [doc["nodes"][i]["left"], doc["nodes"][i]["right"]]
+        assert order != sorted(order)
+        slot = {old: new for new, old in enumerate(order)}
+        doc["nodes"] = [dict(doc["nodes"][old]) for old in order]
+        for rec in doc["nodes"]:
+            if rec["left"] is not None:
+                rec["left"], rec["right"] = slot[rec["left"]], slot[rec["right"]]
+        with pytest.raises(MalformedDocumentError, match="out of preorder"):
+            deserialize(json.dumps(doc))
+
+    def test_shared_child_rejected(self):
+        tree, _ = self.grown_tree()
+        doc = json.loads(serialize(tree))
+        doc["nodes"][0]["right"] = doc["nodes"][0]["left"]
+        with pytest.raises(MalformedDocumentError):
+            deserialize(json.dumps(doc))
+
     def test_deserialize_accepts_wide_min_node_size(self):
         tree, _ = self.grown_tree()
         doc = json.loads(serialize(tree))
@@ -485,10 +509,12 @@ class TestPredict:
             {"c": [1, 1, 2, 2]}, [1, 1, 0, 0],
             kinds={"c": CATEGORICAL}, levels={"c": 3})
         tree = grow(data, config=CartConfig(min_node_size=1))
+        fresh = make_dataset({"c": [3]}, [None],
+                             kinds={"c": CATEGORICAL}, levels={"c": 3})
         with pytest.warns(UnseenCategoryWarning):
-            predicted, _ = tree.predict([3])
-        right_leaf = tree.root.right
-        assert predicted == right_leaf.predicted_class
+            predicted, _ = predict_dataset(tree, fresh)
+        right_leaf = tree.nodes[tree.nodes[0].right]
+        assert predicted.tolist() == [right_leaf.predicted_class]
 
     def test_scores_are_leaf_proportions(self):
         data = make_dataset(
@@ -504,9 +530,14 @@ class TestPredict:
             data = random_mixed_dataset(rng)
             tree = grow(data, config=CartConfig(min_node_size=1))
             classes, scores = predict_dataset(tree, data)
-            expected = [tree.predict(row[:-1]) for row in rows(data)]
-            assert classes.tolist() == [c for c, _ in expected]
-            assert scores.tolist() == [p for _, p in expected]
+            leaves = route_rows(json.loads(serialize(tree))["nodes"], data.X)
+            assert classes.tolist() == [leaf["class"] for leaf in leaves]
+            assert scores.tolist() == [leaf["p1"] for leaf in leaves]
+        data = real_target_dataset()
+        tree = grow(data, config=CartConfig(min_node_size=3, mode=REGRESSION))
+        leaves = route_rows(json.loads(serialize(tree))["nodes"], data.X)
+        assert predict_values(tree, data).tolist() == [
+            leaf["mean"] for leaf in leaves]
 
     def test_unseen_category_warns_once_per_code(self):
         data = make_dataset(
@@ -521,7 +552,7 @@ class TestPredict:
             "code 4 of 'c' never seen in training; routing right",
             "code 3 of 'c' never seen in training; routing right",
         ]
-        right = tree.root.right.predicted_class
+        right = tree.nodes[tree.nodes[0].right].predicted_class
         assert classes.tolist() == [right, right, 1, right]
 
     def test_missing_cell_on_routed_feature_names_row(self):
@@ -545,8 +576,17 @@ class TestPredict:
     def test_wrong_row_width_rejected(self):
         data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
         tree = grow(data)
+        wide = make_dataset({"x": [1.0], "z": [2.0]}, [None])
         with pytest.raises(SchemaMismatchError):
-            tree.predict([1.0, 2.0])
+            predict_dataset(tree, wide)
+
+    def test_mode_must_match(self):
+        data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
+        with pytest.raises(ValueError, match="regression tree"):
+            predict_values(grow(data), data)
+        tree = grow(data, config=CartConfig(mode=REGRESSION))
+        with pytest.raises(ValueError, match="classification tree"):
+            predict_dataset(tree, data)
 
 
 class TestRendering:
@@ -613,10 +653,30 @@ def test_no_warning_for_seen_codes():
         {"c": [1, 1, 2, 2]}, [1, 1, 0, 0],
         kinds={"c": CATEGORICAL}, levels={"c": 3})
     tree = grow(data, config=CartConfig(min_node_size=1))
+    fresh = make_dataset({"c": [1, 2]}, [None, None],
+                         kinds={"c": CATEGORICAL}, levels={"c": 3})
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        tree.predict([1])
-        tree.predict([2])
+        predict_dataset(tree, fresh)
+
+
+def test_chain_deeper_than_the_recursion_limit():
+    """Alternating labels on one numeric column peel one row off per
+    split, so the tree is a chain of 1,199 rules."""
+    n = 1200
+    data = make_dataset({"x": [float(i) for i in range(n)]},
+                        [i % 2 for i in range(n)])
+    tree = grow(data, config=CartConfig(min_node_size=1, max_depth=2000))
+    assert tree.node_count() == 2 * n - 1
+    assert tree.depth() == n - 1
+    text = serialize(tree)
+    assert serialize(deserialize(text)) == text
+    assert export_dot(tree).count("->") == 2 * (n - 1)
+    lines = export_text(tree).splitlines()
+    assert len(lines) == 2 * n - 1
+    assert max(len(line) - len(line.lstrip()) for line in lines) == 2 * (n - 1)
+    classes, _ = predict_dataset(tree, data)
+    assert classes.tolist() == [i % 2 for i in range(n)]
 
 
 def noisy_classification_dataset(n=300, seed=31):

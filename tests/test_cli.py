@@ -14,6 +14,7 @@ import sys
 import pytest
 
 from solvency.cli import build_parser, main
+from solvency.dataset import read_header
 
 PLANTED = {"AMT_INCOME_TOTAL", "AMT_CREDIT"}
 
@@ -261,6 +262,17 @@ class TestTrainCommand:
         assert len(model["nodes"]) == 1
         assert model["nodes"][0]["class"] == 1
 
+    def test_chain_deeper_than_the_recursion_limit(self, workdir):
+        chain = workdir / "chain.csv"
+        chain.write_text("x,y\n" + "".join(
+            f"{float(i)},{i % 2}\n" for i in range(1200)))
+        rc = main(["train", "--input", str(chain), "--target", "y",
+                   "--min-node-size", "1", "--max-depth", "2000",
+                   "--out", str(workdir)])
+        assert rc == 0
+        model = json.loads((workdir / "model.json").read_text())
+        assert len(model["nodes"]) == 2399
+
     def test_min_node_size_guard(self, workdir):
         source = self.encoded(workdir)
         rc = main(["train", "--input", str(source),
@@ -456,6 +468,52 @@ class TestPredictCommand:
         rc = main(["predict", "--input", str(other),
                    "--out", str(workdir)])
         assert rc == 3
+
+
+#: Longer than the csv module's field limit of 131,072 characters.
+LONG_FIELD = "9" * 200_000
+
+LATIN_CODEBOOK = CODEBOOK_CSV.replace("red", "r\xe9d").encode("latin-1")
+
+
+class TestUnreadableFiles:
+    """A byte that is not UTF-8, or a line the csv module rejects,
+    exits 3 naming the file, whichever reader meets it."""
+
+    @pytest.mark.parametrize("data, book, bad, found", [
+        (b"x,\xffy\n1.0,0\n", None, "in.csv", "byte 0xff"),
+        (b"x,y\n" + b"1.0,0\n2.0,1\n" * 2000 + b"\xff,1\n", None,
+         "in.csv", "byte 0xff"),
+        (LABELED_CSV.encode(), LATIN_CODEBOOK, "book.csv", "byte 0xe9"),
+        (b"x," + LONG_FIELD.encode() + b"\n1.0,0\n", None,
+         "in.csv", "line 1: field larger than field limit"),
+        (b"x,y\n1.0,0\n" + LONG_FIELD.encode() + b",1\n", None,
+         "in.csv", "line 3: field larger than field limit"),
+        (LABELED_CSV.encode(), CODEBOOK_CSV.replace("red", LONG_FIELD).encode(),
+         "book.csv", "line 2: field larger than field limit"),
+    ], ids=["header-byte", "cell-byte", "codebook-byte",
+            "header-field", "cell-field", "codebook-field"])
+    def test_exits_3_naming_the_file(self, workdir, capsys, data, book, bad,
+                                     found):
+        (workdir / "in.csv").write_bytes(data)
+        args = ["encode", "--input", str(workdir / "in.csv"), "--target", "y",
+                "--out", str(workdir / "out")]
+        if book is None:
+            args.append("--skip-codebook")
+        else:
+            (workdir / "book.csv").write_bytes(book)
+            args += ["--codebook", str(workdir / "book.csv")]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert str(workdir / bad) in err and found in err
+
+    def test_cell_cases_pass_the_header_reader(self, workdir):
+        """The cell cases above fail in load_csv, not in read_header."""
+        source = workdir / "in.csv"
+        source.write_bytes(b"x,y\n" + b"1.0,0\n2.0,1\n" * 2000 + b"\xff,1\n")
+        assert read_header(str(source)) == ["x", "y"]
+        source.write_bytes(b"x,y\n1.0,0\n" + LONG_FIELD.encode() + b",1\n")
+        assert read_header(str(source)) == ["x", "y"]
 
 
 def run_pipeline_into(out, source, extra=()):
