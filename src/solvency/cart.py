@@ -15,6 +15,7 @@ the population variance of the target instead and predicts leaf means.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -641,7 +642,8 @@ def deserialize(text: str) -> CartTree:
     if not isinstance(records, list) or not records:
         raise MalformedDocumentError("nodes must be a nonempty list")
 
-    nodes = [_record_to_node(rec, i) for i, rec in enumerate(records)]
+    nodes = [_record_to_node(rec, i, config.mode)
+             for i, rec in enumerate(records)]
     # A depth-first walk, left child first, must meet every node once
     # and in table order: the table is then one tree, in preorder.
     pending = [0]
@@ -684,7 +686,11 @@ def _check_rule(rule: SplitRule, features: tuple, i: int) -> None:
             f"{rule.feature!r}")
 
 
-def _record_to_node(rec, i: int) -> TreeNode:
+#: Fields a leaf record of each mode must hold as a finite number.
+_LEAF_FIELDS = {CLASSIFICATION: ("class", "p1"), REGRESSION: ("mean",)}
+
+
+def _record_to_node(rec, i: int, mode: str) -> TreeNode:
     if not isinstance(rec, dict):
         raise MalformedDocumentError(f"node {i} is not an object")
     try:
@@ -701,6 +707,13 @@ def _record_to_node(rec, i: int) -> TreeNode:
                                  complement=frozenset(rec["complement"]))
             return TreeNode(n=int(rec["n"]), counts=counts, rule=rule,
                             left=rec["left"], right=rec["right"])
+        for key in _LEAF_FIELDS[mode]:
+            value = rec.get(key)
+            if not (type(value) is int or (type(value) is float
+                                           and math.isfinite(value))):
+                raise MalformedDocumentError(
+                    f"node {i} is a {mode} leaf whose {key!r} is "
+                    f"{value!r}, not a finite number")
         cls = rec.get("class")
         p1 = rec.get("p1")
         mean = rec.get("mean")

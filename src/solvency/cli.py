@@ -33,6 +33,7 @@ from .dataset import (
     class_distribution,
     clean,
     load_csv,
+    read_back,
     read_header,
     schema_from_header,
     text_rows,
@@ -191,6 +192,14 @@ def _load(cfg: PipelineConfig, path: str, encoded: bool = True) -> Dataset:
     return data if encoded or book is None else apply_codebook(data, book)
 
 
+def _stage_data(cfg: PipelineConfig, data: Dataset | None) -> Dataset:
+    """The dataset pipeline hands a stage, else the --input file, else
+    the out directory's encoded.csv."""
+    if data is not None:
+        return data
+    return _load(cfg, cfg.input if cfg.input else cfg.path(ENCODED_CSV))
+
+
 def _write(path: str, text: str) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -199,7 +208,9 @@ def _write(path: str, text: str) -> None:
 # -- stages ------------------------------------------------------------------
 
 
-def stage_encode(cfg: PipelineConfig) -> list[str]:
+def stage_encode(cfg: PipelineConfig) -> tuple[list[str], Dataset]:
+    """Write encoded.csv and cleaning.log; also return the dataset that
+    the later stages would read back from encoded.csv."""
     if not cfg.input:
         raise ConfigError("encode needs an input CSV (--input)")
     data = _load(cfg, cfg.input, encoded=cfg.skip_codebook)
@@ -209,12 +220,14 @@ def stage_encode(cfg: PipelineConfig) -> list[str]:
     dist = class_distribution(cleaned)
     print(f"encode: kept {cleaned.n} of {data.n} rows, "
           f"class counts {dist.counts}")
-    return [ENCODED_CSV, CLEANING_LOG]
+    return [ENCODED_CSV, CLEANING_LOG], read_back(cleaned, cfg.missing_tokens)
 
 
-def stage_screen(cfg: PipelineConfig) -> list[str]:
-    path = cfg.input if cfg.input else cfg.path(ENCODED_CSV)
-    data = _load(cfg, path)
+def stage_screen(cfg: PipelineConfig, data: Dataset | None = None
+                 ) -> list[str]:
+    data = _stage_data(cfg, data)
+    if cfg.holdout is not None:
+        data, _ = data.split(cfg.holdout, cfg.seed)
     names = data.schema.names
     if cfg.per_variable:
         rows = screening.per_variable_wald(
@@ -262,9 +275,9 @@ def _screened_variables(cfg: PipelineConfig, data: Dataset) -> list[str]:
     return data.schema.names
 
 
-def stage_train(cfg: PipelineConfig) -> list[str]:
-    path = cfg.input if cfg.input else cfg.path(ENCODED_CSV)
-    data = _load(cfg, path)
+def stage_train(cfg: PipelineConfig, data: Dataset | None = None
+                ) -> list[str]:
+    data = _stage_data(cfg, data)
     variables = _screened_variables(cfg, data)
     if cfg.holdout is not None:
         data, _ = data.split(cfg.holdout, cfg.seed)
@@ -290,9 +303,9 @@ def _load_model(cfg: PipelineConfig) -> cart.CartTree:
     return tree
 
 
-def stage_eval(cfg: PipelineConfig) -> list[str]:
-    path = cfg.input if cfg.input else cfg.path(ENCODED_CSV)
-    data = _load(cfg, path)
+def stage_eval(cfg: PipelineConfig, data: Dataset | None = None
+               ) -> list[str]:
+    data = _stage_data(cfg, data)
     if cfg.holdout is not None:
         _, data = data.split(cfg.holdout, cfg.seed)
     tree = _load_model(cfg)
@@ -371,9 +384,10 @@ def run_pipeline(cfg: PipelineConfig) -> int:
     manifest = {"stages": [], "config": cfg.to_doc()}
     exit_code = 0
     failed = False
-    # Stage outputs feed the next stage through the out directory, so
-    # the explicit input only applies to encode.
-    stage_cfg = cfg
+    # Encode reads the input and hands the later stages, in memory, the
+    # dataset they would read back from encoded.csv, so every artifact
+    # is the one a manual run of the four commands writes.
+    data = None
     for name, func in PIPELINE_STAGES:
         entry = {"name": name, "status": "skipped", "artifacts": [],
                  "seconds": 0.0}
@@ -382,7 +396,10 @@ def run_pipeline(cfg: PipelineConfig) -> int:
             continue
         started = time.perf_counter()
         try:
-            entry["artifacts"] = func(stage_cfg)
+            if name == "encode":
+                entry["artifacts"], data = func(cfg)
+            else:
+                entry["artifacts"] = func(cfg, data)
             entry["status"] = "completed"
         except SolvencyError as exc:
             entry["status"] = "failed"
@@ -392,8 +409,6 @@ def run_pipeline(cfg: PipelineConfig) -> int:
             failed = True
         finally:
             entry["seconds"] = round(time.perf_counter() - started, 6)
-        if name == "encode":
-            stage_cfg = replace(cfg, input=None)
     _write(cfg.path(MANIFEST_JSON), json.dumps(manifest, indent=2) + "\n")
     return exit_code
 
@@ -467,7 +482,7 @@ FLAG_GROUPS = {
 SUBCOMMANDS = {
     "encode": ("encode labels and clean rows", ("common", "data", "encode")),
     "screen": ("significance and correlation screen",
-               ("common", "data", "screen")),
+               ("common", "data", "screen", "holdout")),
     "train": ("grow the decision tree",
               ("common", "data", "variables", "tree", "holdout")),
     "eval": ("confusion, rates, and ROC report",

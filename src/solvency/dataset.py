@@ -470,6 +470,31 @@ def write_csv(data: Dataset, path: str) -> None:
             writer.writerows(rows)
 
 
+def read_back(data: Dataset,
+              missing_tokens: Sequence[str] = DEFAULT_MISSING_TOKENS
+              ) -> Dataset:
+    """The dataset load_csv(..., encoded=True) reads from the file
+    write_csv makes of data, without the file.  Rendering and float()
+    round-trip every finite value except -0.0, which is written as 0,
+    and a cell whose text equals a missing token reads back missing, as
+    does a non-finite one."""
+    if data.labels:
+        raise ValueError("read_back needs coded columns, not raw labels")
+    written_as_token = []
+    for token in {tok.strip() for tok in missing_tokens}:
+        try:
+            value = float(token)
+        except ValueError:
+            continue
+        if np.isfinite(value) and _format_cells(np.array([value])) == [token]:
+            written_as_token.append(value)
+    X, y = np.add(data.X, 0.0, order="C"), data.y + 0.0
+    for values in (X, y):
+        values[~np.isfinite(values) | np.isin(values, written_as_token)] = \
+            np.nan
+    return Dataset(data.schema, X, y)
+
+
 def text_rows(columns: Sequence[np.ndarray]) -> Iterator:
     """Rows of cell text of equally long columns, one iterator of row
     tuples per block of rows, so a table's text is never held whole."""

@@ -456,6 +456,24 @@ class TestSerialization:
         with pytest.raises(MalformedDocumentError, match="categorical rule on numeric"):
             deserialize(json.dumps(doc))
 
+    @pytest.mark.parametrize("mode, field, value", [
+        ("classification", "class", None),
+        ("classification", "p1", None),
+        ("classification", "p1", "0.5"),
+        ("regression", "mean", None),
+        ("regression", "mean", float("nan")),
+    ])
+    def test_leaf_without_its_number_rejected(self, mode, field, value):
+        data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
+        doc = json.loads(serialize(grow(data, config=CartConfig(
+            min_node_size=1, mode=mode))))
+        leaf = doc["nodes"][-1]
+        assert leaf["left"] is None and leaf[field] is not None
+        leaf[field] = value
+        with pytest.raises(MalformedDocumentError,
+                           match=f"node {len(doc['nodes']) - 1} .*{field}"):
+            deserialize(json.dumps(doc))
+
     def test_orphan_node_rejected(self):
         tree, _ = self.grown_tree()
         doc = json.loads(serialize(tree))

@@ -13,8 +13,9 @@ import sys
 
 import pytest
 
+from solvency import cli, screening
 from solvency.cli import build_parser, main
-from solvency.dataset import read_header
+from solvency.dataset import load_csv, read_header, schema_from_header
 
 PLANTED = {"AMT_INCOME_TOTAL", "AMT_CREDIT"}
 
@@ -216,6 +217,23 @@ class TestScreenCommand:
                    "--out", str(workdir)])
         assert rc == 3
 
+    def test_holdout_screens_the_training_rows_only(self, workdir):
+        source = make_synthetic(workdir, rows=400, seed=3, noise=0.1)
+        rc = main(["screen", "--input", str(source), "--holdout", "0.3",
+                   "--seed", "7", "--out", str(workdir)])
+        assert rc == 0
+        schema = schema_from_header(read_header(str(source)), "TARGET")
+        data = load_csv(str(source), schema, encoded=True)
+        train, _ = data.split(0.3, 7)
+
+        def table(rows):
+            return screening.wald_rows_to_text(
+                screening.wald_table(screening.fit_logistic(rows)))
+
+        wald = (workdir / "wald.csv").read_text()
+        assert wald == table(train)
+        assert wald != table(data)
+
     def test_per_variable_screen_drops_duplicated_column(self, workdir):
         # the same data that makes the joint fit singular screens fine
         # one variable at a time; the copy goes as a correlated drop
@@ -377,6 +395,19 @@ class TestEvalCommand:
 
 
 class TestPredictCommand:
+    def test_leaf_without_class_exits_3(self, workdir, capsys):
+        source = TestEvalCommand().trained(workdir)
+        model = workdir / "model.json"
+        doc = json.loads(model.read_text())
+        leaf = next(i for i, node in enumerate(doc["nodes"])
+                    if node["left"] is None)
+        doc["nodes"][leaf]["class"] = None
+        model.write_text(json.dumps(doc))
+        rc = main(["predict", "--input", str(source), "--out", str(workdir)])
+        assert rc == 3
+        assert f"node {leaf} is a classification leaf" in \
+            capsys.readouterr().err
+
     def test_with_target_column(self, workdir):
         source = TestEvalCommand().trained(workdir)
         rc = main(["predict", "--input", str(source),
@@ -573,23 +604,82 @@ class TestPipelineCommand:
             assert (outs[0] / name).read_bytes() == \
                 (outs[1] / name).read_bytes(), name
 
-    def test_matches_manual_stages(self, workdir):
+    def test_matches_manual_stages(self, workdir, capsys):
         source = make_synthetic(workdir, rows=200, seed=3)
-        auto = workdir / "auto"
-        assert run_pipeline_into(auto, source) == 0
-        manual = workdir / "manual"
-        common = ["--out", str(manual)]
-        assert main(["encode", "--input", str(source),
-                     "--skip-codebook", *common]) == 0
-        assert main(["screen", *common]) == 0
-        assert main(["train", *common]) == 0
-        assert main(["eval", *common]) == 0
-        for name in ("encoded.csv", "cleaning.log", "wald.csv",
-                     "correlation.csv", "screening.json", "model.json",
-                     "tree.dot", "tree.txt", "eval.json", "eval.txt",
-                     "roc.tsv"):
-            assert (auto / name).read_bytes() == \
-                (manual / name).read_bytes(), name
+        assert_pipeline_matches_manual(workdir, capsys, source,
+                                       ["--skip-codebook"])
+
+    @pytest.mark.parametrize("case", ["negative-zero", "code-read-missing",
+                                      "holdout", "zscore"])
+    def test_matches_manual_stages_on(self, workdir, capsys, case):
+        source = make_synthetic(workdir, rows=400, seed=3, noise=0.1)
+        encode, data, split = ["--skip-codebook"], [], []
+        if case == "negative-zero":
+            # -0.0 is written as 0 and read back as +0.0
+            text = source.read_text().replace("\n0,", "\n-0.0,")
+            assert text.count("\n-0.0,") > 100
+            source.write_text(text)
+        elif case == "code-read-missing":
+            # code 0 of flag survives encode, whose token check sees the
+            # label N, then reads back missing in screen
+            (workdir / "book.csv").write_text(CODEBOOK_CSV)
+            source = workdir / "raw.csv"
+            source.write_text(LABELED_CSV + "".join(
+                f"{('red', 'green', 'blue')[i % 3]},{'NY'[i % 2]},"
+                f"{10 + i % 7}.5,{i // 2 % 2}\n" for i in range(60)))
+            encode = []
+            data = ["--codebook", str(workdir / "book.csv"), "--target", "y",
+                    "--missing-token", "0"]
+        elif case == "holdout":
+            split = ["--holdout", "0.3", "--seed", "7"]
+        else:
+            encode = ["--skip-codebook", "--outlier-method", "zscore"]
+        assert_pipeline_matches_manual(workdir, capsys, source, encode,
+                                       data, split)
+
+    def test_parses_one_csv(self, workdir, monkeypatch):
+        source = make_synthetic(workdir, rows=200, seed=3)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return load_csv(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "load_csv", counted)
+        assert run_pipeline_into(workdir / "run", source) == 0
+        assert calls == [str(source)]
+
+
+def assert_pipeline_matches_manual(workdir, capsys, source, encode_flags,
+                                   data_flags=(), split_flags=()):
+    """pipeline and encode, screen, train, eval run by hand with the
+    same flags give the same exit code, stage outcomes and files."""
+    auto, manual = workdir / "auto", workdir / "manual"
+    code = main(["pipeline", "--input", str(source), "--out", str(auto),
+                 *encode_flags, *data_flags, *split_flags])
+    stages = [{k: v for k, v in stage.items() if k in ("name", "status",
+                                                       "error")}
+              for stage in read_manifest(auto)["stages"]]
+    by_hand, manual_code = [], 0
+    for name, flags in (("encode", ["--input", str(source), *encode_flags]),
+                        ("screen", split_flags), ("train", split_flags),
+                        ("eval", split_flags)):
+        if manual_code:
+            by_hand.append({"name": name, "status": "skipped"})
+            continue
+        capsys.readouterr()
+        manual_code = main([name, "--out", str(manual), *data_flags, *flags])
+        by_hand.append({"name": name, "status": "completed"})
+        if manual_code:
+            err = capsys.readouterr().err.strip()
+            by_hand[-1] = {"name": name, "status": "failed",
+                           "error": err.removeprefix(f"solvency {name}: ")}
+    assert (code, stages) == (manual_code, by_hand)
+    names = sorted(os.listdir(manual))
+    assert sorted(os.listdir(auto)) == sorted(names + ["manifest.json"])
+    for name in names:
+        assert (auto / name).read_bytes() == (manual / name).read_bytes(), \
+            name
 
 
 #: Option strings of every subcommand; pipeline takes the encode,
@@ -605,7 +695,7 @@ TREE = {"--min-node-size", "--max-depth", "--min-gini-decrease",
         "--allow-large-min-node"}
 OPTIONS = {
     "encode": COMMON | DATA | ENCODE,
-    "screen": COMMON | DATA | SCREEN,
+    "screen": COMMON | DATA | SCREEN | {"--holdout"},
     "train": COMMON | DATA | TREE | {"--screening", "--variables", "--mode",
                                      "--holdout"},
     "eval": COMMON | DATA | {"--model", "--holdout", "--roc-scores"},

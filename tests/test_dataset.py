@@ -1,6 +1,8 @@
 """Loading, encoding, and cleaning behavior."""
 
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from solvency.dataset import (
     apply_codebook,
     class_distribution,
     clean,
+    _format_cells,
     load_csv,
+    read_back,
     read_header,
     schema_from_header,
     write_csv,
@@ -436,3 +440,75 @@ def test_clean_idempotence_property(values, seed):
     twice, log = clean(once)
     assert len(log) == 0
     assert rows(twice) == rows(once)
+
+
+#: Cells whose text is awkward to write and read back: signed zeros,
+#: subnormals, the float64 extremes, whole numbers past 2**53 (which
+#: float64 holds only at even or coarser steps) and non-finite values.
+AWKWARD = [-0.0, 0.0, 5e-324, -5e-324, 1.5e-310, 1e308, -1e308,
+           2.0 ** 53 + 2, 2.0 ** 60, -(2.0 ** 63), 1e22, 0.1, 0.5, 1.0,
+           -3.0, 1000.0, math.nan, math.inf, -math.inf]
+CELLS = st.one_of(st.sampled_from(AWKWARD), st.floats(),
+                  st.integers(-2 ** 70, 2 ** 70).map(float))
+#: Tokens that are near misses of a rendered cell, or no number at all
+NEAR_MISSES = ["0", "-0", "0.0", " 1 ", "1e3", "NA", "", "inf", "1_000"]
+
+
+def assert_bit_equal(a, b):
+    assert a.shape == b.shape
+    holes = np.isnan(a)
+    assert np.array_equal(holes, np.isnan(b))
+    assert (np.where(holes, 0.0, a).tobytes()
+            == np.where(holes, 0.0, b).tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=8),
+       st.integers(min_value=1, max_value=3))
+def test_read_back_matches_a_written_and_reloaded_file(data, n, width):
+    """read_back(d) is what load_csv reads from write_csv's file of d,
+    bit for bit, whatever the cells and missing tokens."""
+    X = np.array(data.draw(st.lists(CELLS, min_size=n * width,
+                                    max_size=n * width)),
+                 dtype=float).reshape(n, width)
+    y = np.array(data.draw(st.lists(CELLS, min_size=n, max_size=n)),
+                 dtype=float)
+    schema = Schema([FeatureSpec(f"f{j}", NUMERIC) for j in range(width)],
+                    "TARGET")
+    written = Dataset(schema, X, y)
+    rendered = _format_cells(np.concatenate([X.ravel(), y]))
+    text = st.sampled_from(NEAR_MISSES + rendered)
+    tokens = data.draw(st.lists(
+        st.one_of(text, text.map(lambda t: f" {t} ")), max_size=4))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "d.csv")
+        write_csv(written, path)
+        loaded = load_csv(path, schema_from_header(read_header(path),
+                                                   "TARGET"),
+                          missing_tokens=tokens, encoded=True)
+    back = read_back(written, tokens)
+    assert back.schema == loaded.schema
+    assert_bit_equal(back.X, loaded.X)
+    assert_bit_equal(back.y, loaded.y)
+    assert back.X.flags.c_contiguous and not back.labels
+
+
+def test_read_back_refuses_raw_labels():
+    schema = Schema([FeatureSpec("color", CATEGORICAL, levels=2)], "TARGET")
+    labelled = Dataset(schema, [[math.nan]], [1.0],
+                       {"color": np.array(["red"], dtype=object)})
+    with pytest.raises(ValueError, match="raw labels"):
+        read_back(labelled)
+
+
+def test_read_back_turns_a_token_matching_cell_missing():
+    """A code 0 written as "0" reads back missing under token "0", and
+    -0.0 reads back as +0.0; near misses of the text leave cells be."""
+    data = make_dataset({"a": [0.0, -0.0, 1.0, 2.0]}, [0, 1, 0, 1])
+    back = read_back(data, ["0"])
+    assert cells(back.column("a")) == [None, None, 1.0, 2.0]
+    assert cells(back.y) == [None, 1.0, None, 1.0]
+    for token in ("-0", "0.0", "1e0", "1_0"):
+        back = read_back(data, [token])
+        assert not np.isnan(back.X).any() and not np.isnan(back.y).any()
+    assert math.copysign(1.0, read_back(data).X[1, 0]) == 1.0
