@@ -10,6 +10,12 @@ lexicographically smallest sorted code subset.
 
 Classification impurity is Gini, 1 - sum(p_i^2); regression mode uses
 the population variance of the target instead and predicts leaf means.
+
+Trees grow level by level, as in SLIQ and SPRINT: each numeric column
+is sorted once, stably, at the root, and every node of one depth is
+scored in a fixed number of array passes over the rows still splitting.
+Each node's choice is the one a node-at-a-time search would make, and
+the finished table is numbered in preorder.
 """
 
 from __future__ import annotations
@@ -191,8 +197,10 @@ def assign_leaf(counts: tuple[int, int]) -> tuple[int, float]:
 # brute-force enumeration using the same arithmetic (p = c/n as plain
 # division, impurity = 1 - p*p - q*q, weighted = (nl*gl + nr*gr)/n,
 # decrease = parent - weighted) reproduces the chosen decrease bit for
-# bit.  Keep products spelled as multiplication, not **.  Sums of real
-# targets must also keep their order: prefix sums run in stable sorted
+# bit.  Keep products spelled as multiplication, not **.  Class counts
+# are integer-valued floats below 2**53, so they may be summed in any
+# order and across nodes.  Sums of real targets must keep their order:
+# prefix sums start from 0.0 at each node and run in stable sorted
 # order, per-code sums are np.sum over the code's rows in row order, and
 # a subset sums its codes in ascending order starting from 0.0.
 
@@ -234,14 +242,24 @@ def _lattice(start, v):
     return out
 
 
-class _NodeEvaluator:
-    """Best split of any set of rows over a fixed set of feature columns.
+def _segments(sizes):
+    """First position of each node's segment and the node of every
+    position, for nodes of the given row counts laid end to end."""
+    return np.cumsum(sizes) - sizes, np.repeat(np.arange(sizes.shape[0]), sizes)
 
-    Built once per tree.  Numeric columns form one matrix and are scored
-    together from one stable sort per node.  Categorical codes become
-    dense ranks, which keep their order, offset per column so that one
-    bincount counts every column's codes.  Code subsets are masks over
-    the ranks with rank c at bit levels-1-c; in that layout
+
+class _LevelScorer:
+    """Best split of every node of one tree level, over a fixed set of
+    feature columns.
+
+    Built once per tree.  A level is held as attribute lists, as in
+    SLIQ and SPRINT: lists[0] holds each node's rows in row order and
+    lists[1 + j] the same rows sorted stably by numeric column j, the
+    nodes' segments laid end to end in the same order in every list.
+    Each numeric column is scored for all nodes at once with segmented
+    prefix sums and a segmented argmax.  Categorical codes become dense
+    ranks, which keep their order; code subsets are masks over the ranks
+    with rank c at bit levels-1-c, and in that layout
     popcount - mask - lowest set bit orders masks as their sorted code
     tuples order lexicographically.
     """
@@ -253,100 +271,170 @@ class _NodeEvaluator:
         self.classification = mode == CLASSIFICATION
         self.y = (data.binary_target().astype(float) if self.classification
                   else data.y)
-        matrix = data.feature_array([s.name for s in self.specs])
-        numeric = np.array([s.kind == NUMERIC for s in self.specs], dtype=bool)
-        self.num = np.flatnonzero(numeric)
-        self.cat = np.flatnonzero(~numeric)
-        self.values = matrix[:, self.num]
-        found = [np.unique(matrix[:, j], return_inverse=True) for j in self.cat]
-        self.codes = [codes.astype(int) for codes, _ in found]
+        self.numeric = np.array([s.kind == NUMERIC for s in self.specs],
+                                dtype=bool)
+        self.num = np.flatnonzero(self.numeric)
+        self.cat = np.flatnonzero(~self.numeric)
+        # feature position -> row of values or of ranks
+        self.slot = np.empty(len(self.specs), dtype=np.intp)
+        self.slot[self.num] = np.arange(self.num.size)
+        self.slot[self.cat] = np.arange(self.cat.size)
+        self.values = np.empty((self.num.size, data.n))
+        for j, f in enumerate(self.num):
+            self.values[j] = data.X[:, self.specs[f].index]
+        self.ranks = np.empty((self.cat.size, data.n), dtype=np.intp)
+        self.codes = []
+        for j, f in enumerate(self.cat):
+            codes, self.ranks[j] = np.unique(data.X[:, self.specs[f].index],
+                                             return_inverse=True)
+            self.codes.append(codes.astype(int))
         self.levels = max((len(codes) for codes in self.codes), default=1)
-        self.ranks = np.empty((data.n, len(found)), dtype=np.intp)
-        for c, (_, inverse) in enumerate(found):
-            self.ranks[:, c] = inverse.ravel() + c * self.levels
         self.bits = 1 << (self.levels - 1 - np.arange(self.levels))
         self.block = min(self.levels, _BLOCK_BITS)
+        # nodes whose subsets are scored together: a block holds no more
+        # masks per column than 2**_BLOCK_BITS
+        self.chunk = 1 << (_BLOCK_BITS - self.block)
         self.low = np.arange(1 << self.block)
         self.low_popcount = _lattice(0.0, np.ones((1, self.block)))[0].astype(int)
 
-    def split(self, idx):
-        """(decrease, rule, mask of the rows sent left) for the best split
-        of the rows idx, or None when they are homogeneous or no column
-        separates them.  Ties go to the lowest feature index, then the
-        lowest threshold, then the smallest sorted code subset."""
-        n = idx.shape[0]
-        if n < 2:
-            return None
-        y = self.y[idx]
-        stats = [y] if self.classification else [y, y * y]
-        parent = _impurity(n, *[s.sum() for s in stats])
-        if parent <= 0.0:
-            return None
-        best = np.full(len(self.specs), -np.inf)
-        if self.num.size:
-            v = self.values[idx]
-            order = np.argsort(v, axis=0, kind="mergesort")
-            v = np.take_along_axis(v, order, axis=0)
-            sums = [np.cumsum(s[order], axis=0) for s in stats]
-            dec = _decrease(parent, n, np.arange(1.0, n)[:, None],
-                            [s[:-1] for s in sums], [s[-1] for s in sums])
-            dec = np.where(v[1:] > v[:-1], dec, -np.inf)
-            cut = dec.argmax(axis=0)
-            best[self.num] = dec[cut, np.arange(self.num.size)]
-        if self.cat.size:
-            ranks = self.ranks[idx]
-            best[self.cat], masks, present = self._subsets(
-                ranks, stats, n, parent)
-        f = int(best.argmax())
-        if best[f] == -np.inf:
-            return None
-        spec = self.specs[f]
-        if spec.kind == NUMERIC:
-            j = int(np.searchsorted(self.num, f))
-            threshold = float((v[cut[j], j] + v[cut[j] + 1, j]) / 2.0)
-            rule = SplitRule(spec.name, spec.index, threshold=threshold)
-            return float(best[f]), rule, self.values[idx, j] <= threshold
-        j = int(np.searchsorted(self.cat, f))
-        side = (masks[j] & self.bits) != 0
-        codes = self.codes[j]
-        here = present[j, :codes.shape[0]]
-        lside = side[:codes.shape[0]]
-        rule = SplitRule(spec.name, spec.index,
-                         subset=frozenset(codes[here & lside].tolist()),
-                         complement=frozenset(codes[here & ~lside].tolist()))
-        return float(best[f]), rule, side[ranks[:, j] - j * self.levels]
+    def presort(self, rows):
+        """Attribute lists of the rows as one node: the rows as given,
+        then sorted stably by each numeric column."""
+        return [rows] + [rows[np.argsort(v[rows], kind="stable")]
+                         for v in self.values]
 
-    def _subsets(self, ranks, stats, n, parent):
-        """Best decrease and mask of each categorical column, and which
-        codes of each are present, from the node's offset ranks."""
-        k, levels = self.cat.size, self.levels
-        flat = ranks.ravel()
-        counts = np.bincount(flat, minlength=k * levels).reshape(k, levels)
-        present = counts > 0
+    def split(self, lists, sizes):
+        """Best split of each node of a level whose attribute lists and
+        row counts (each at least 2) are given.
+
+        Returns per node the decrease (-inf when the node is homogeneous
+        or no column separates it), the feature position, and the
+        threshold, mask and present codes that make the rule.  Ties go to
+        the lowest feature index, then the lowest threshold, then the
+        smallest sorted code subset.
+        """
+        rows = lists[0]
+        a, m = sizes.shape[0], rows.shape[0]
+        starts, seg = _segments(sizes)
+        n = sizes.astype(float)
+        ones = None
         if self.classification:
-            sums = [np.bincount(flat, np.repeat(stats[0], k),
-                                k * levels).reshape(k, levels)]
-            totals = [stats[0].sum()]
+            ones = np.add.reduceat(self.y[rows], starts)
+            parent = _impurity(n, ones)
         else:
-            sums = [np.zeros((k, levels)), np.zeros((k, levels))]
-            for c, r in zip(*np.nonzero(present)):
-                rows = stats[0][ranks[:, c] == c * levels + r]
-                sums[0][c, r], sums[1][c, r] = np.sum(rows), np.sum(rows * rows)
-            totals = [np.array([s[c, present[c]].sum() for c in range(k)])[:, None]
-                      for s in sums]
-        table = np.concatenate([counts.astype(float)] + sums)
-        q = self.block
-        heads = _lattice(0.0, table[:, :levels - q])
+            parent = np.empty(a)
+            for i, (s, e) in enumerate(zip(starts, starts + sizes)):
+                y = self.y[rows[s:e]]
+                parent[i] = _impurity(e - s, y.sum(), (y * y).sum())
+        best = np.full((a, len(self.specs)), -np.inf)
+        threshold = np.full((a, len(self.specs)), np.nan)
+        mask = np.zeros((a, len(self.specs)), dtype=np.int64)
+        present = np.zeros((a, 0, self.levels), dtype=bool)
+        if self.num.size:
+            self._thresholds(lists, starts, seg, n, parent, ones, best,
+                             threshold)
+        if self.cat.size:
+            present = self._subsets(rows, starts, sizes, seg, parent,
+                                    best, mask)
+        best[parent <= 0.0] = -np.inf
+        f = best.argmax(axis=1)
+        at = np.arange(a)
+        return best[at, f], f, threshold[at, f], mask[at, f], present
+
+    def _thresholds(self, lists, starts, seg, n, parent, ones, best,
+                    threshold):
+        """Fill best and threshold for the numeric columns; ones holds
+        each node's class-1 count in classification."""
+        m = seg.shape[0]
+        position = np.arange(m)
+        last = starts + n.astype(np.intp) - 1
+        nl = (position - starts[seg] + 1).astype(float)
+        n, parent = n[seg], parent[seg]
+        if self.classification:
+            before = (np.cumsum(ones) - ones)[seg]
+            total = [ones[seg]]
+        for j, rows in enumerate(lists[1:]):
+            y = self.y[rows]
+            if self.classification:
+                left = [np.cumsum(y) - before]
+            else:
+                left = [np.empty(m), np.empty(m)]
+                for s, e in zip(starts, last + 1):
+                    np.cumsum(y[s:e], out=left[0][s:e])
+                    np.cumsum(y[s:e] * y[s:e], out=left[1][s:e])
+                total = [t[last][seg] for t in left]
+            v = self.values[j, rows]
+            cut = np.empty(m, dtype=bool)
+            cut[:-1] = v[1:] > v[:-1]
+            cut[last] = False
+            with np.errstate(divide="ignore", invalid="ignore"):
+                dec = np.where(cut, _decrease(parent, n, nl, left, total),
+                               -np.inf)
+            top = np.maximum.reduceat(dec, starts)
+            pick = np.minimum.reduceat(
+                np.where(dec == top[seg], position, m), starts)
+            f = self.num[j]
+            best[:, f] = top
+            threshold[:, f] = (v[pick] + v[pick + 1]) / 2.0
+
+    def _subsets(self, rows, starts, sizes, seg, parent, best, mask):
+        """Fill best and mask for the categorical columns from one
+        bincount per column; returns which codes each node holds."""
+        a, k, levels = sizes.shape[0], self.cat.size, self.levels
+        stats = 1 if self.classification else 2
+        table = np.zeros((stats + 1, a, k, levels))
+        cell = seg * levels
+        for c in range(k):
+            index = cell + self.ranks[c, rows]
+            table[0, :, c] = np.bincount(
+                index, minlength=a * levels).reshape(a, levels)
+            if self.classification:
+                table[1, :, c] = np.bincount(
+                    index, self.y[rows], a * levels).reshape(a, levels)
+        present = table[0] > 0
+        if self.classification:
+            totals = [table[1].sum(axis=2)]
+        else:
+            for i, (s, e) in enumerate(zip(starts, starts + sizes)):
+                y = self.y[rows[s:e]]
+                for c in range(k):
+                    ranks = self.ranks[c, rows[s:e]]
+                    for r in np.flatnonzero(present[i, c]):
+                        v = y[ranks == r]
+                        table[1:, i, c, r] = np.sum(v), np.sum(v * v)
+            totals = [np.array([[t[i, c, present[i, c]].sum()
+                                 for c in range(k)] for i in range(a)])
+                      for t in table[1:]]
+        n = np.repeat(sizes.astype(float), k)[:, None]
+        parent = np.repeat(parent, k)[:, None]
+        for lo in range(0, a, self.chunk):
+            part = slice(lo * k, min(a, lo + self.chunk) * k)
+            top, masks = self._lattice_search(
+                table[:, lo:lo + self.chunk].reshape(stats + 1, -1, levels),
+                present[lo:lo + self.chunk].reshape(-1, levels),
+                n[part], parent[part],
+                [t[lo:lo + self.chunk].reshape(-1, 1) for t in totals])
+            best[lo:lo + self.chunk, self.cat] = top.reshape(-1, k)
+            mask[lo:lo + self.chunk, self.cat] = masks.reshape(-1, k)
+        return present
+
+    def _lattice_search(self, table, present, n, parent, totals):
+        """Best decrease and mask of each row of (node, column) pairs,
+        from its per-code counts and target sums."""
+        levels, q = self.levels, self.block
+        rows = present.shape[0]
+        flat = table.reshape(-1, levels)
+        heads = _lattice(0.0, flat[:, :levels - q])
         have = present @ self.bits
         absent = ((1 << levels) - 1) ^ have
         first = self.bits[present.argmax(axis=1)]
-        best = np.full(k, -np.inf)
-        best_key = np.full(k, _NO_KEY)
-        best_mask = np.zeros(k, dtype=np.int64)
+        best = np.full(rows, -np.inf)
+        best_key = np.full(rows, _NO_KEY)
+        best_mask = np.zeros(rows, dtype=np.int64)
         for h in range(heads.shape[1]):
             masks = (h << q) + self.low
-            nl, *left = _lattice(heads[:, h], table[:, levels - q:]).reshape(
-                len(sums) + 1, k, -1)
+            nl, *left = _lattice(heads[:, h], flat[:, levels - q:]).reshape(
+                table.shape[0], rows, -1)
             valid = ((masks & absent[:, None] == 0)
                      & (masks & first[:, None] != 0) & (masks != have[:, None]))
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -359,7 +447,33 @@ class _NodeEvaluator:
             best = np.where(better, top, best)
             best_key = np.where(better, key[pick], best_key)
             best_mask = np.where(better, masks[pick], best_mask)
-        return best, best_mask, present
+        return best, best_mask
+
+    def goes_left(self, rows, seg, f, threshold, mask):
+        """Whether each row goes left under its node's rule, for rows in
+        nodes seg that split on feature positions f."""
+        feature = f[seg]
+        j = self.slot[feature]
+        left = np.empty(rows.shape[0], dtype=bool)
+        p = np.flatnonzero(self.numeric[feature])
+        left[p] = self.values[j[p], rows[p]] <= threshold[seg[p]]
+        p = np.flatnonzero(~self.numeric[feature])
+        left[p] = (mask[seg[p]] & self.bits[self.ranks[j[p], rows[p]]]) != 0
+        return left
+
+    def rule(self, f, threshold, mask, present) -> SplitRule:
+        """The rule on feature position f; present holds which codes of
+        each categorical column the node has."""
+        spec = self.specs[f]
+        if spec.kind == NUMERIC:
+            return SplitRule(spec.name, spec.index, threshold=float(threshold))
+        j = self.slot[f]
+        codes = self.codes[j]
+        here = present[j, :codes.shape[0]]
+        side = ((mask & self.bits) != 0)[:codes.shape[0]]
+        return SplitRule(spec.name, spec.index,
+                         subset=frozenset(codes[here & side].tolist()),
+                         complement=frozenset(codes[here & ~side].tolist()))
 
 
 def best_split(
@@ -373,11 +487,16 @@ def best_split(
     None means no candidate exists (too few rows, pure node, constant
     columns) or the best decrease falls short of min_gini_decrease.
     """
-    idx = np.arange(data.n) if indices is None else np.asarray(indices)
-    found = _NodeEvaluator(data, variables, config.mode).split(idx)
-    if found is None or found[0] < config.min_gini_decrease:
+    idx = (np.arange(data.n) if indices is None
+           else np.asarray(indices, dtype=np.intp))
+    if idx.shape[0] < 2:
         return None
-    return found[1], found[0]
+    scorer = _LevelScorer(data, variables, config.mode)
+    dec, f, threshold, mask, present = scorer.split(
+        scorer.presort(idx), np.array([idx.shape[0]]))
+    if dec[0] < config.min_gini_decrease:  # -inf when nothing splits
+        return None
+    return scorer.rule(f[0], threshold[0], mask[0], present[0]), float(dec[0])
 
 
 def grow(
@@ -385,51 +504,124 @@ def grow(
     variables: list[str] | None = None,
     config: CartConfig = CartConfig(),
 ) -> CartTree:
-    """Grow a tree by recursive partitioning, one node at a time from an
-    explicit stack, so that depth is not bounded by the call stack.
+    """Grow a tree level by level from one presort of the rows.
 
-    A node becomes a leaf when it is homogeneous, no admissible split
-    remains, it holds fewer than min_node_size rows, or it sits at
-    max_depth.
+    All nodes of one depth that may split are scored in one pass over
+    the level's attribute lists; each list is then partitioned stably by
+    child, so a node's rows keep the order a stable sort of that node
+    alone would give them.  A node becomes a leaf when it is
+    homogeneous, no admissible split remains, it holds fewer than
+    min_node_size rows, or it sits at max_depth.  Once growth ends the
+    nodes are numbered in preorder, left child first.
     """
     if data.n == 0:
         raise EmptyDatasetError("cannot grow a tree on 0 rows")
-    search = _NodeEvaluator(data, variables, config.mode)
-    y = search.y
-    nodes: list[TreeNode] = []
-    # (rows, depth, index of the node whose right child this is).  The
-    # left child is pushed last and so comes out next: the table fills
-    # in preorder, with every left child right after its parent.
-    stack = [(np.arange(data.n), 0, None)]
-    while stack:
-        idx, depth, parent = stack.pop()
-        if parent is not None:
-            nodes[parent].right = len(nodes)
-        n = idx.shape[0]
-        counts = None
-        if search.classification:
-            c1 = int(y[idx].sum())
-            counts = (n - c1, c1)
-        found = None
-        if n >= config.min_node_size and depth < config.max_depth:
-            found = search.split(idx)
+    scorer = _LevelScorer(data, variables, config.mode)
+    y = scorer.y
+    classification = scorer.classification
+    smallest = max(config.min_node_size, 2)
+    # Nodes are made level by level, a split node's two children side by
+    # side: sizes[i] is node i's row count, ones[i] its class-1 count
+    # (classification only), rules[i] its rule and first[i] its left child.
+    sizes = [data.n]
+    ones = [float(y.sum())] if classification else []
+    rules: dict[int, SplitRule] = {}
+    first: dict[int, int] = {}
+    leaf_of_row = np.zeros(data.n, dtype=np.intp)  # regression leaf means
+    goes = np.empty(data.n, dtype=bool)  # each row's side at this level
+    # The nodes of one depth that may split: ids, row and class-1 counts.
+    level, level_n = np.array([0]), np.array([data.n])
+    level_ones = np.array(ones)
+    mixed = 0 < ones[0] < data.n if classification else True
+    if data.n < smallest or config.max_depth == 0 or not mixed:
+        level = level[:0]
+    lists = scorer.presort(np.arange(data.n)) if level.shape[0] else []
+    depth = 0
+    while level.shape[0]:
+        dec, f, threshold, mask, present = scorer.split(lists, level_n)
+        starts, seg = _segments(level_n)
+        left = scorer.goes_left(lists[0], seg, f, threshold, mask)
+        nl = np.add.reduceat(left, starts, dtype=np.intp)
         # A midpoint that rounds onto its upper boundary value would
         # sweep every row to one side; refuse rather than split.
-        if (found is not None and found[0] >= config.min_gini_decrease
-                and 0 < int(found[2].sum()) < n):
-            _, rule, left = found
-            nodes.append(TreeNode(n=n, counts=counts, rule=rule,
-                                  left=len(nodes) + 1))
-            stack.append((idx[~left], depth + 1, len(nodes) - 1))
-            stack.append((idx[left], depth + 1, None))
+        split = (dec >= config.min_gini_decrease) & (nl > 0) & (nl < level_n)
+        child = len(sizes) + 2 * (np.cumsum(split) - 1)
+        for i in np.flatnonzero(split):
+            rules[int(level[i])] = scorer.rule(f[i], threshold[i], mask[i],
+                                               present[i])
+            first[int(level[i])] = int(child[i])
+        group_n = np.stack([nl, level_n - nl], axis=1)
+        sizes += group_n[split].ravel().tolist()
+        if classification:
+            ones_left = np.add.reduceat(y[lists[0]] * left, starts)
+            group_ones = np.stack([ones_left, level_ones - ones_left], axis=1)
+            ones += group_ones[split].ravel().tolist()
+            mixed = (group_ones > 0) & (group_ones < group_n)
+        else:
+            moving = split[seg]
+            leaf_of_row[lists[0][moving]] = (child[seg] + ~left)[moving]
+        depth += 1
+        opened = (split[:, None] & mixed & (group_n >= smallest)
+                  & (depth < config.max_depth)).ravel()
+        # Partition every list stably by child.  Each (node, side) group
+        # gets a region, those of children that may split first, in child
+        # order, and the rest after, where they drop out.  A row's place
+        # is its group's start plus the rows of its group before it,
+        # counted from the running total of rows sent left.
+        group_n = group_n.ravel()
+        order = np.argsort(~opened, kind="stable")
+        region = np.empty(group_n.shape[0], dtype=np.intp)
+        region[order] = np.cumsum(group_n[order]) - group_n[order]
+        lefts_before = np.cumsum(nl) - nl
+        to_left = (region[0::2] - lefts_before)[seg]
+        to_right = ((region[1::2] - starts + lefts_before)[seg]
+                    + np.arange(seg.shape[0]))
+        goes[lists[0]] = left
+        kept = int(group_n[opened].sum())
+        for j, rows in enumerate(lists):
+            flag = goes[rows]
+            before = np.cumsum(flag) - flag
+            out = np.empty_like(rows)
+            out[np.where(flag, to_left + before, to_right - before)] = rows
+            lists[j] = out[:kept]
+        level = np.stack([child, child + 1], axis=1).ravel()[opened]
+        level_n = group_n[opened]
+        if classification:
+            level_ones = group_ones.ravel()[opened]
+    return CartTree(nodes=_preorder(sizes, ones, rules, first, y, leaf_of_row),
+                    fingerprint=data.schema.fingerprint(), config=config,
+                    n_training_rows=data.n)
+
+
+def _preorder(sizes, ones, rules, first, y, leaf_of_row) -> list[TreeNode]:
+    """The node table, in preorder, of nodes given in making order.  A
+    regression tree has no ones; its leaf means come from the rows
+    leaf_of_row sends to each leaf, summed in row order."""
+    order, stack = [], [0]
+    while stack:
+        i = stack.pop()
+        order.append(i)
+        if i in first:
+            stack += [first[i] + 1, first[i]]
+    index = {made: i for i, made in enumerate(order)}
+    by_leaf = np.argsort(leaf_of_row, kind="stable")
+    ends = np.cumsum(np.bincount(leaf_of_row, minlength=len(sizes))).tolist()
+    nodes = []
+    for i in order:
+        n = sizes[i]
+        counts = (n - int(ones[i]), int(ones[i])) if ones else None
+        if i in rules:
+            nodes.append(TreeNode(n=n, counts=counts, rule=rules[i],
+                                  left=index[first[i]],
+                                  right=index[first[i] + 1]))
         elif counts is None:
-            nodes.append(TreeNode(n=n, mean=float(y[idx].mean())))
+            rows = by_leaf[ends[i] - n:ends[i]]
+            nodes.append(TreeNode(n=n, mean=float(y[rows].mean())))
         else:
             predicted, p1 = assign_leaf(counts)
             nodes.append(TreeNode(n=n, counts=counts, predicted_class=predicted,
                                   positive_proportion=p1))
-    return CartTree(nodes=nodes, fingerprint=data.schema.fingerprint(),
-                    config=config, n_training_rows=data.n)
+    return nodes
 
 
 def predict_dataset(tree: CartTree, data: Dataset):

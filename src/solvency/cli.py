@@ -186,7 +186,7 @@ def _load(cfg: PipelineConfig, path: str, encoded: bool = True) -> Dataset:
     """Read a dataset whose categorical cells hold codes when encoded,
     else labels, which the codebook (if any) turns into codes."""
     book = CodeBook.load(cfg.codebook) if cfg.codebook else None
-    schema = schema_from_header(read_header(path), cfg.target, book)
+    schema = schema_from_header(read_header(path), cfg.target, book, path)
     data = load_csv(path, schema, missing_tokens=cfg.missing_tokens,
                     encoded=encoded)
     return data if encoded or book is None else apply_codebook(data, book)

@@ -604,12 +604,19 @@ def schema_from_header(
     header: Sequence[str],
     target: str,
     book: CodeBook | None = None,
+    path: str = "header",
 ) -> Schema:
     """Build a schema from CSV column names.
 
     Columns present in the codebook become categorical with the book's
-    modality count; everything else is numeric.
+    modality count; everything else is numeric.  A column named twice
+    raises HeaderMismatchError naming path, the file the header is from.
     """
+    header = list(header)
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise HeaderMismatchError(
+                f"{path} names column {name!r} more than once")
     if target not in header:
         raise HeaderMismatchError(
             f"target column {target!r} not in header {list(header)}")

@@ -37,6 +37,10 @@ class SeparationWarning(UserWarning):
     """A logistic coefficient ran away; the data are likely separable."""
 
 
+class ConvergenceWarning(UserWarning):
+    """IRLS used up its iterations before the coefficients settled."""
+
+
 @dataclass
 class LogisticFit:
     """Result of an IRLS logistic regression.
@@ -135,6 +139,10 @@ def fit_logistic_xy(
         if float(np.max(np.abs(step))) < tol:
             converged = True
             break
+    if not converged and not separated:
+        warnings.warn(
+            f"IRLS did not converge in {iterations} iterations; the "
+            "coefficients are not final", ConvergenceWarning)
 
     p = _expit(design @ beta)
     w = p * (1.0 - p)

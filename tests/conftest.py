@@ -2,9 +2,11 @@
 significance table used by the screening and acceptance suites."""
 
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from solvency.dataset import (
     CATEGORICAL,
@@ -14,6 +16,12 @@ from solvency.dataset import (
     Schema,
 )
 from solvency.evaluation import ConfusionMatrix
+
+# Properties that leave max_examples unset run the profile's count:
+# "default" locally, ten times as many under HYPOTHESIS_PROFILE=ci.
+settings.register_profile("default", max_examples=40, deadline=None)
+settings.register_profile("ci", max_examples=400, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_dataset(columns, target, kinds=None, levels=None):

@@ -96,6 +96,53 @@ def _decrease(y, left_mask, parent, c1, c0, n):
     return parent - weighted
 
 
+def reference_grow(data, config, variables=None):
+    """Node records of a classification tree grown one node at a time.
+
+    A preorder recursion, left child first, over brute_force_best_split
+    on data.select(rows).  It stops where the library stops: fewer than
+    config.min_node_size rows, depth config.max_depth, no split, or a
+    decrease below config.min_gini_decrease; and a split whose threshold
+    (a midpoint that rounded onto its upper value) sends every row one
+    way makes a leaf.  Records have the shape of
+    json.loads(serialize(tree))["nodes"].
+    """
+    y = data.binary_target()
+    records = []
+
+    def visit(rows, depth):
+        n = len(rows)
+        c1 = int(y[rows].sum())
+        record = {"n": n, "counts": [n - c1, c1], "left": None, "right": None}
+        records.append(record)
+        found = None
+        if n >= config.min_node_size and depth < config.max_depth:
+            found = brute_force_best_split(data.select(rows), variables)
+        if found is not None and found[0] >= config.min_gini_decrease:
+            _, name, detail = found
+            j = data.schema[name].index
+            values = data.X[rows, j]
+            if isinstance(detail, frozenset):
+                go_left = np.isin(values, list(detail))
+                rule = {"threshold": None, "subset": sorted(detail),
+                        "complement": sorted({int(v) for v in values} - detail)}
+            else:
+                go_left = values <= detail
+                rule = {"threshold": detail, "subset": None, "complement": None}
+            if 0 < go_left.sum() < n:
+                record.update(rule, feature=name, feature_index=j)
+                record["left"] = len(records)
+                visit(rows[go_left], depth + 1)
+                record["right"] = len(records)
+                visit(rows[~go_left], depth + 1)
+                return
+        record.update({"class": 1 if c1 > n - c1 else 0, "p1": c1 / n,
+                       "mean": None})
+
+    visit(np.arange(data.n), 0)
+    return records
+
+
 def route_rows(records, X):
     """Leaf record each row of X reaches, one row at a time.
 

@@ -3,6 +3,7 @@ serialization, and prediction."""
 
 import hashlib
 import json
+import time
 import warnings
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from oracles import brute_force_best_split, route_rows
+from oracles import brute_force_best_split, reference_grow, route_rows
 from solvency import cart
 from solvency.cart import (
     CLASSIFICATION,
@@ -43,7 +44,7 @@ from solvency.errors import (
 )
 
 
-def random_mixed_dataset(rng, max_rows=60, max_features=4):
+def random_mixed_dataset(rng, max_rows=60, max_features=4, max_levels=5):
     """Small random dataset mixing numeric and categorical columns,
     with heavy value ties so tie-breaking actually fires."""
     n = int(rng.integers(5, max_rows + 1))
@@ -55,7 +56,7 @@ def random_mixed_dataset(rng, max_rows=60, max_features=4):
             span = int(rng.integers(2, 7))
             columns[name] = rng.integers(0, span, n).astype(float).tolist()
         else:
-            m = int(rng.integers(2, 6))
+            m = int(rng.integers(2, max_levels + 1))
             kinds[name] = CATEGORICAL
             levels[name] = m
             low = 0 if m == 2 else 1
@@ -350,6 +351,18 @@ class TestGrow:
         a = serialize(grow(data, config=CartConfig(min_node_size=1)))
         b = serialize(grow(shuffled, config=CartConfig(min_node_size=1)))
         assert a == b
+
+    def test_midpoint_on_the_upper_value_makes_a_leaf(self):
+        # the midpoint of these adjacent floats rounds onto the upper one,
+        # which would send both rows left
+        low = float(np.nextafter(1.0, 2.0))
+        data = make_dataset({"x": [low, float(np.nextafter(low, 2.0))]},
+                            [0, 1])
+        config = CartConfig(min_node_size=1)
+        tree = grow(data, config=config)
+        assert tree.nodes[0].is_leaf
+        assert json.loads(serialize(tree))["nodes"] == reference_grow(
+            data, config)
 
     def test_leaf_tie_predicts_zero(self):
         data = make_dataset({"x": [1.0, 1.0]}, [0, 1])
@@ -648,7 +661,6 @@ class TestRuleDescribe:
                       complement=frozenset({2}))
 
 
-@settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 32 - 1))
 def test_split_agreement_property(seed):
     """best_split matches the exhaustive oracle on arbitrary small
@@ -656,6 +668,20 @@ def test_split_agreement_property(seed):
     rng = np.random.default_rng(seed)
     assert_agrees_with_oracle(
         random_mixed_dataset(rng, max_rows=25, max_features=3))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5), st.integers(0, 8),
+       st.sampled_from([0.0, 0.0, 0.01, 0.05]))
+def test_tree_agreement_property(seed, min_node_size, max_depth, min_decrease):
+    """Every node record of a grown tree matches a node-at-a-time
+    recursion over the exhaustive split oracle."""
+    rng = np.random.default_rng(seed)
+    data = random_mixed_dataset(rng, max_rows=60, max_features=4,
+                                max_levels=6)
+    config = CartConfig(min_node_size=min_node_size, max_depth=max_depth,
+                        min_gini_decrease=min_decrease)
+    records = json.loads(serialize(grow(data, config=config)))["nodes"]
+    assert records == reference_grow(data, config)
 
 
 def test_grow_then_serialize_is_deterministic():
@@ -684,7 +710,9 @@ def test_chain_deeper_than_the_recursion_limit():
     n = 1200
     data = make_dataset({"x": [float(i) for i in range(n)]},
                         [i % 2 for i in range(n)])
+    start = time.perf_counter()
     tree = grow(data, config=CartConfig(min_node_size=1, max_depth=2000))
+    assert time.perf_counter() - start < 2.0  # 1,199 levels of one node
     assert tree.node_count() == 2 * n - 1
     assert tree.depth() == n - 1
     text = serialize(tree)

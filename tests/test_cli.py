@@ -210,6 +210,18 @@ class TestScreenCommand:
         assert rc == 4
         assert "singular" in capsys.readouterr().err
 
+    def test_unconverged_fit_warns_and_exits_0(self, workdir):
+        source = make_synthetic(workdir, rows=4000, seed=3, noise=0.2)
+        args = ["screen", "--input", str(source), "--max-iter", "2",
+                "--out", str(workdir)]
+        with pytest.warns(screening.ConvergenceWarning,
+                          match="did not converge in 2 iterations"):
+            assert main(args) == 0
+        proc = run_module(*args, warnings="default")
+        assert proc.returncode == 0
+        assert ("ConvergenceWarning: IRLS did not converge in 2 iterations"
+                in proc.stderr)
+
     def test_tiny_input_exits_3(self, workdir):
         bad = workdir / "tiny.csv"
         bad.write_text("x,y\n1.0,0\n2.0,1\n")
@@ -547,6 +559,30 @@ class TestUnreadableFiles:
         assert read_header(str(source)) == ["x", "y"]
 
 
+@pytest.mark.parametrize("command", ["encode", "screen", "train", "eval",
+                                     "pipeline"])
+def test_repeated_header_column_exits_3(workdir, capsys, command):
+    source = workdir / "dup.csv"
+    source.write_text("a,a,TARGET\n" + "1.0,2.0,0\n3.0,4.0,1\n" * 10)
+    assert main([command, "--input", str(source),
+                 "--out", str(workdir / "out")]) == 3
+    err = capsys.readouterr().err
+    assert f"{source} names column 'a' more than once" in err
+
+
+def run_module(*args, warnings="error"):
+    """python -W <warnings> -m solvency.cli with the given arguments, run
+    on this checkout's package."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    return subprocess.run(
+        [sys.executable, "-W", warnings, "-m", "solvency.cli", *args],
+        capture_output=True, text=True, env=env, timeout=60)
+
+
 def run_pipeline_into(out, source, extra=()):
     return main(["pipeline", "--input", str(source), "--skip-codebook",
                  "--out", str(out), *extra])
@@ -732,14 +768,7 @@ class TestParser:
                 assert spec(action) == stages[opt], opt
 
     def test_module_entry_point_runs_without_warnings(self):
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-        proc = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "solvency.cli", "--help"],
-            capture_output=True, text=True, env=env, timeout=60)
+        proc = run_module("--help")
         assert proc.returncode == 0, proc.stderr
 
 

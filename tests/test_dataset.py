@@ -416,6 +416,11 @@ class TestSchemaFromHeader:
         with pytest.raises(HeaderMismatchError):
             schema_from_header(["a", "b"], "TARGET")
 
+    def test_repeated_column_rejected_naming_the_file(self):
+        with pytest.raises(HeaderMismatchError, match="in.csv .*'a'"):
+            schema_from_header(["a", "b", "a", "TARGET"], "TARGET",
+                               path="in.csv")
+
     def test_read_header(self, tmp_path):
         p = tmp_path / "d.csv"
         write_lines(p, ["a, b ,TARGET", "1,2,0"])
