@@ -2,11 +2,11 @@
 
 Splits are binary.  Numeric features are cut at midpoints between
 consecutive distinct values (left means value <= threshold); categorical
-features are cut by code subsets (left means code in subset), with every
-nontrivial bipartition of the codes present at the node enumerated.
-Candidates are ranked by impurity decrease with a deterministic
-tie-break: lowest feature index first, then lowest threshold, then
-lexicographically smallest sorted code subset.
+features are cut by code subsets (left means code in subset), the one
+an exhaustive search over the node's codes would pick, found by
+Breiman's ordered scan.  Candidates are ranked by impurity decrease with
+a deterministic tie-break: lowest feature index first, then lowest
+threshold, then lexicographically smallest sorted code subset.
 
 Classification impurity is Gini, 1 - sum(p_i^2); regression mode uses
 the population variance of the target instead and predicts leaf means.
@@ -204,12 +204,6 @@ def assign_leaf(counts: tuple[int, int]) -> tuple[int, float]:
 # order, per-code sums are np.sum over the code's rows in row order, and
 # a subset sums its codes in ascending order starting from 0.0.
 
-#: Code subsets are scored 2**_BLOCK_BITS masks per column at a time,
-#: which bounds memory; the time stays exponential in the level count.
-_BLOCK_BITS = 12
-_NO_KEY = np.iinfo(np.int64).max
-
-
 def _impurity(n, s, s2=None):
     """Gini of n rows of which s are class 1 when s2 is None, else the
     population variance of n values with sum s and sum of squares s2."""
@@ -229,23 +223,16 @@ def _decrease(parent, n, nl, left, total):
     return parent - (nl * _impurity(nl, *left) + nr * _impurity(nr, *right)) / n
 
 
-def _lattice(start, v):
-    """Subset sums of the q codes in each row of v: entry R of a row is
-    start plus v[c] for every code c whose bit q-1-c is set in R, added
-    in ascending code order."""
-    k, q = v.shape
-    out = np.empty((k, 1 << q))
-    out[:, 0] = start
-    for c in range(q):
-        view = out.reshape(k, 1 << c, 2, 1 << (q - 1 - c))
-        view[:, :, 1, 0] = view[:, :, 0, 0] + v[:, c, None]
-    return out
-
-
 def _segments(sizes):
     """First position of each node's segment and the node of every
     position, for nodes of the given row counts laid end to end."""
     return np.cumsum(sizes) - sizes, np.repeat(np.arange(sizes.shape[0]), sizes)
+
+
+def _ascending_sums(sums, left):
+    """Each row count and target sum of the ranks marked in left, added
+    in ascending rank order, as a node-at-a-time search adds them."""
+    return [np.cumsum(np.where(left, t, 0.0), -1)[..., -1] for t in sums]
 
 
 class _LevelScorer:
@@ -258,10 +245,8 @@ class _LevelScorer:
     nodes' segments laid end to end in the same order in every list.
     Each numeric column is scored for all nodes at once with segmented
     prefix sums and a segmented argmax.  Categorical codes become dense
-    ranks, which keep their order; code subsets are masks over the ranks
-    with rank c at bit levels-1-c, and in that layout
-    popcount - mask - lowest set bit orders masks as their sorted code
-    tuples order lexicographically.
+    ranks, which keep their order, and every (node, column) pair is
+    scored at once by the ordered scan (see _subsets).
     """
 
     def __init__(self, data: Dataset, variables, mode: str):
@@ -285,17 +270,11 @@ class _LevelScorer:
         self.ranks = np.empty((self.cat.size, data.n), dtype=np.intp)
         self.codes = []
         for j, f in enumerate(self.cat):
-            codes, self.ranks[j] = np.unique(data.X[:, self.specs[f].index],
+            codes, self.ranks[j] = np.unique(data.codes(self.specs[f].name),
                                              return_inverse=True)
-            self.codes.append(codes.astype(int))
-        self.levels = max((len(codes) for codes in self.codes), default=1)
-        self.bits = 1 << (self.levels - 1 - np.arange(self.levels))
-        self.block = min(self.levels, _BLOCK_BITS)
-        # nodes whose subsets are scored together: a block holds no more
-        # masks per column than 2**_BLOCK_BITS
-        self.chunk = 1 << (_BLOCK_BITS - self.block)
-        self.low = np.arange(1 << self.block)
-        self.low_popcount = _lattice(0.0, np.ones((1, self.block)))[0].astype(int)
+            self.codes.append(codes)
+        # at least two, so every pair has a cut position to score
+        self.levels = max([2] + [len(codes) for codes in self.codes])
 
     def presort(self, rows):
         """Attribute lists of the rows as one node: the rows as given,
@@ -308,13 +287,13 @@ class _LevelScorer:
         row counts (each at least 2) are given.
 
         Returns per node the decrease (-inf when the node is homogeneous
-        or no column separates it), the feature position, and the
-        threshold, mask and present codes that make the rule.  Ties go to
-        the lowest feature index, then the lowest threshold, then the
-        smallest sorted code subset.
+        or no column separates it), the feature position and threshold,
+        and per node and categorical column the ranks the best subset
+        sends left and right.  Ties go to the lowest feature index, then
+        the lowest threshold, then the smallest sorted code subset.
         """
         rows = lists[0]
-        a, m = sizes.shape[0], rows.shape[0]
+        a = sizes.shape[0]
         starts, seg = _segments(sizes)
         n = sizes.astype(float)
         ones = None
@@ -328,18 +307,16 @@ class _LevelScorer:
                 parent[i] = _impurity(e - s, y.sum(), (y * y).sum())
         best = np.full((a, len(self.specs)), -np.inf)
         threshold = np.full((a, len(self.specs)), np.nan)
-        mask = np.zeros((a, len(self.specs)), dtype=np.int64)
-        present = np.zeros((a, 0, self.levels), dtype=bool)
+        subsets = np.zeros((2, a, 0, self.levels), dtype=bool)
         if self.num.size:
             self._thresholds(lists, starts, seg, n, parent, ones, best,
                              threshold)
         if self.cat.size:
-            present = self._subsets(rows, starts, sizes, seg, parent,
-                                    best, mask)
+            subsets = self._subsets(rows, starts, sizes, seg, parent, best)
         best[parent <= 0.0] = -np.inf
         f = best.argmax(axis=1)
         at = np.arange(a)
-        return best[at, f], f, threshold[at, f], mask[at, f], present
+        return best[at, f], f, threshold[at, f], subsets
 
     def _thresholds(self, lists, starts, seg, n, parent, ones, best,
                     threshold):
@@ -377,12 +354,20 @@ class _LevelScorer:
             best[:, f] = top
             threshold[:, f] = (v[pick] + v[pick + 1]) / 2.0
 
-    def _subsets(self, rows, starts, sizes, seg, parent, best, mask):
-        """Fill best and mask for the categorical columns from one
-        bincount per column; returns which codes each node holds."""
+    def _subsets(self, rows, starts, sizes, seg, parent, best):
+        """Fill best for the categorical columns; returns, per node and
+        column, the ranks the best subset sends left and right.
+
+        For two-class Gini and for variance an optimal subset is a prefix
+        of the codes sorted by class-1 proportion (by mean), and one that
+        splits a group of equal proportions scores strictly less (Breiman
+        et al. 1984, Thm 4.5; Fisher 1958).  So a (node, column) pair is
+        cut only between distinct proportions in that order, ties by rank,
+        a cut's left side holding the first present rank.  _tied solves a
+        pair whose codes all share one proportion.
+        """
         a, k, levels = sizes.shape[0], self.cat.size, self.levels
-        stats = 1 if self.classification else 2
-        table = np.zeros((stats + 1, a, k, levels))
+        table = np.zeros((2 if self.classification else 3, a, k, levels))
         cell = seg * levels
         for c in range(k):
             index = cell + self.ranks[c, rows]
@@ -393,7 +378,7 @@ class _LevelScorer:
                     index, self.y[rows], a * levels).reshape(a, levels)
         present = table[0] > 0
         if self.classification:
-            totals = [table[1].sum(axis=2)]
+            totals = table[1:].sum(axis=3)
         else:
             for i, (s, e) in enumerate(zip(starts, starts + sizes)):
                 y = self.y[rows[s:e]]
@@ -402,54 +387,70 @@ class _LevelScorer:
                     for r in np.flatnonzero(present[i, c]):
                         v = y[ranks == r]
                         table[1:, i, c, r] = np.sum(v), np.sum(v * v)
-            totals = [np.array([[t[i, c, present[i, c]].sum()
-                                 for c in range(k)] for i in range(a)])
-                      for t in table[1:]]
-        n = np.repeat(sizes.astype(float), k)[:, None]
-        parent = np.repeat(parent, k)[:, None]
-        for lo in range(0, a, self.chunk):
-            part = slice(lo * k, min(a, lo + self.chunk) * k)
-            top, masks = self._lattice_search(
-                table[:, lo:lo + self.chunk].reshape(stats + 1, -1, levels),
-                present[lo:lo + self.chunk].reshape(-1, levels),
-                n[part], parent[part],
-                [t[lo:lo + self.chunk].reshape(-1, 1) for t in totals])
-            best[lo:lo + self.chunk, self.cat] = top.reshape(-1, k)
-            mask[lo:lo + self.chunk, self.cat] = masks.reshape(-1, k)
-        return present
+            totals = np.array([[[t[i, c, present[i, c]].sum()
+                                 for c in range(k)] for i in range(a)]
+                               for t in table[1:]])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            key = table[1] / table[0]  # nan at absent ranks, which sort last
+            order = np.argsort(key, axis=2, kind="stable")
+            cut = np.diff(np.take_along_axis(key, order, axis=2), axis=2) > 0
+            # sides[i, c, j]: left ranks of the pair cut after position j
+            head = (np.argsort(order, axis=2)[:, :, None]
+                    <= np.arange(levels - 1)[:, None])
+            sides = present[:, :, None] & (head == np.take_along_axis(
+                head, present.argmax(axis=2)[..., None, None], axis=3))
+            nl, *left = _ascending_sums(table[:, :, :, None], sides)
+            dec = np.where(cut, _decrease(
+                parent[:, None, None], sizes[:, None, None], nl, left,
+                totals[..., None]), -np.inf)
+        top, pick = dec.max(axis=2), dec.argmax(axis=2)
+        for i, c in np.argwhere(((dec == top[..., None]).sum(axis=2) > 1)
+                                & (top > -np.inf)):
+            pick[i, c] = min(np.flatnonzero(dec[i, c] == top[i, c]), key=(
+                lambda j: tuple(np.flatnonzero(sides[i, c, j]))))
+        left = sides[np.arange(a)[:, None], np.arange(k), pick]
+        # pairs without a cut; those of a homogeneous node are never used
+        for i, c in np.argwhere((present.sum(axis=2) > 1) & ~cut.any(axis=2)
+                                & (parent > 0.0)[:, None]):
+            top[i, c], left[i, c] = self._tied(
+                table[:, i, c], parent[i], sizes[i], totals[:, i, c])
+        best[:, self.cat] = top
+        return np.stack([left, present & ~left])
 
-    def _lattice_search(self, table, present, n, parent, totals):
-        """Best decrease and mask of each row of (node, column) pairs,
-        from its per-code counts and target sums."""
-        levels, q = self.levels, self.block
-        rows = present.shape[0]
-        flat = table.reshape(-1, levels)
-        heads = _lattice(0.0, flat[:, :levels - q])
-        have = present @ self.bits
-        absent = ((1 << levels) - 1) ^ have
-        first = self.bits[present.argmax(axis=1)]
-        best = np.full(rows, -np.inf)
-        best_key = np.full(rows, _NO_KEY)
-        best_mask = np.zeros(rows, dtype=np.int64)
-        for h in range(heads.shape[1]):
-            masks = (h << q) + self.low
-            nl, *left = _lattice(heads[:, h], flat[:, levels - q:]).reshape(
-                table.shape[0], rows, -1)
-            valid = ((masks & absent[:, None] == 0)
-                     & (masks & first[:, None] != 0) & (masks != have[:, None]))
-            with np.errstate(divide="ignore", invalid="ignore"):
-                dec = np.where(valid, _decrease(parent, n, nl, left, totals),
-                               -np.inf)
-            key = self.low_popcount + h.bit_count() - masks - (masks & -masks)
-            top = dec.max(axis=1)
-            pick = np.where(dec == top[:, None], key, _NO_KEY).argmin(axis=1)
-            better = (top > best) | ((top == best) & (key[pick] < best_key))
-            best = np.where(better, top, best)
-            best_key = np.where(better, key[pick], best_key)
-            best_mask = np.where(better, masks[pick], best_mask)
-        return best, best_mask
+    def _tied(self, table, parent, n, totals):
+        """Best decrease and left ranks of a pair of n rows whose codes
+        share one proportion: every subset's exact decrease is 0, and
+        rounding picks the winner.  Regression scores every subset; in
+        classification the decrease follows from the left row count, and
+        the smallest code tuple reaching a best count is built greedily."""
+        ranks, m = np.flatnonzero(table[0]), np.count_nonzero(table[0])
+        if not self.classification:
+            # odd numbers below 2**m - 1: the subsets with the first code
+            subsets = np.zeros((2 ** (m - 1) - 1, table.shape[1]), dtype=bool)
+            subsets[:, ranks] = (np.arange(1, 2 ** m - 1, 2)[:, None]
+                                 >> np.arange(m)) & 1
+            nl, *left = _ascending_sums(table[:, None], subsets)
+            dec = _decrease(parent, n, nl, left, totals)
+            return dec.max(), min(subsets[dec == dec.max()],
+                                  key=lambda s: tuple(np.flatnonzero(s)))
+        sizes = table[0, ranks].astype(int)
+        # reach[j, x]: a subset of the codes from j on holds x rows; no
+        # count passes n, so np.roll never wraps a reachable one round
+        reach = np.tile(np.arange(n + 1) == 0, (m + 1, 1))
+        for j in range(m - 1, -1, -1):
+            reach[j] = reach[j + 1] | np.roll(reach[j + 1], sizes[j])
+        # left counts holding the first code, short of the whole node
+        nl = np.flatnonzero(reach[1, :n - sizes[0]]) + sizes[0]
+        dec = _decrease(parent, n, nl, [nl * totals[0] / n], totals)
+        goal = np.bincount(nl[dec == dec.max()], minlength=n + 1) > 0
+        left, held = np.arange(table.shape[1]) == ranks[0], sizes[0]
+        for j in range(1, m):
+            if not goal[held] and (np.roll(reach[j + 1], held + sizes[j])
+                                   & goal).any():
+                left[ranks[j]], held = True, held + sizes[j]
+        return dec.max(), left
 
-    def goes_left(self, rows, seg, f, threshold, mask):
+    def goes_left(self, rows, seg, f, threshold, sent_left):
         """Whether each row goes left under its node's rule, for rows in
         nodes seg that split on feature positions f."""
         feature = f[seg]
@@ -458,22 +459,20 @@ class _LevelScorer:
         p = np.flatnonzero(self.numeric[feature])
         left[p] = self.values[j[p], rows[p]] <= threshold[seg[p]]
         p = np.flatnonzero(~self.numeric[feature])
-        left[p] = (mask[seg[p]] & self.bits[self.ranks[j[p], rows[p]]]) != 0
+        left[p] = sent_left[seg[p], j[p], self.ranks[j[p], rows[p]]]
         return left
 
-    def rule(self, f, threshold, mask, present) -> SplitRule:
-        """The rule on feature position f; present holds which codes of
-        each categorical column the node has."""
+    def rule(self, f, threshold, subsets) -> SplitRule:
+        """The rule on feature position f; subsets holds the ranks each
+        categorical column's best subset sends left and right."""
         spec = self.specs[f]
         if spec.kind == NUMERIC:
             return SplitRule(spec.name, spec.index, threshold=float(threshold))
-        j = self.slot[f]
-        codes = self.codes[j]
-        here = present[j, :codes.shape[0]]
-        side = ((mask & self.bits) != 0)[:codes.shape[0]]
+        codes = self.codes[self.slot[f]]
+        left, right = subsets[:, self.slot[f], :codes.shape[0]]
         return SplitRule(spec.name, spec.index,
-                         subset=frozenset(codes[here & side].tolist()),
-                         complement=frozenset(codes[here & ~side].tolist()))
+                         subset=frozenset(codes[left].tolist()),
+                         complement=frozenset(codes[right].tolist()))
 
 
 def best_split(
@@ -492,11 +491,11 @@ def best_split(
     if idx.shape[0] < 2:
         return None
     scorer = _LevelScorer(data, variables, config.mode)
-    dec, f, threshold, mask, present = scorer.split(
+    dec, f, threshold, subsets = scorer.split(
         scorer.presort(idx), np.array([idx.shape[0]]))
     if dec[0] < config.min_gini_decrease:  # -inf when nothing splits
         return None
-    return scorer.rule(f[0], threshold[0], mask[0], present[0]), float(dec[0])
+    return scorer.rule(f[0], threshold[0], subsets[:, 0]), float(dec[0])
 
 
 def grow(
@@ -538,17 +537,17 @@ def grow(
     lists = scorer.presort(np.arange(data.n)) if level.shape[0] else []
     depth = 0
     while level.shape[0]:
-        dec, f, threshold, mask, present = scorer.split(lists, level_n)
+        dec, f, threshold, subsets = scorer.split(lists, level_n)
         starts, seg = _segments(level_n)
-        left = scorer.goes_left(lists[0], seg, f, threshold, mask)
+        left = scorer.goes_left(lists[0], seg, f, threshold, subsets[0])
         nl = np.add.reduceat(left, starts, dtype=np.intp)
         # A midpoint that rounds onto its upper boundary value would
         # sweep every row to one side; refuse rather than split.
         split = (dec >= config.min_gini_decrease) & (nl > 0) & (nl < level_n)
         child = len(sizes) + 2 * (np.cumsum(split) - 1)
         for i in np.flatnonzero(split):
-            rules[int(level[i])] = scorer.rule(f[i], threshold[i], mask[i],
-                                               present[i])
+            rules[int(level[i])] = scorer.rule(f[i], threshold[i],
+                                               subsets[:, i])
             first[int(level[i])] = int(child[i])
         group_n = np.stack([nl, level_n - nl], axis=1)
         sizes += group_n[split].ravel().tolist()

@@ -154,22 +154,51 @@ def load_config_file(path: str) -> dict:
     return doc
 
 
+#: The JSON values a config file may give a field of each annotated
+#: type, and how to name them.
+CONFIG_TYPES = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": (bool, "true or false"),
+    "dict": (dict, "an object"),
+    "tuple[str, ...]": (list, "a list of strings"),
+}
+
+
+def _config_value(key: str, value, annotation: str):
+    """A config file's value for a field of the given annotated type, as
+    the field holds it; ConfigError naming the key if it has the wrong
+    JSON type."""
+    kind, _, other = annotation.partition(" | ")
+    if value is None and other == "None":
+        return None
+    types, words = CONFIG_TYPES[kind]
+    fits = isinstance(value, types) and (kind == "bool"
+                                         or not isinstance(value, bool))
+    if fits and kind == "tuple[str, ...]":
+        fits = all(isinstance(item, str) for item in value)
+        value = tuple(value)
+    if not fits:
+        raise ConfigError(f"config key {key!r} must be {words}, "
+                          f"not {value!r}")
+    return value
+
+
 def resolve_config(args: argparse.Namespace) -> PipelineConfig:
     """Merge defaults, the config file, and command line flags."""
     cfg = PipelineConfig()
-    known = {f.name for f in fields(PipelineConfig)}
+    annotations = {f.name: f.type for f in fields(PipelineConfig)}
     if getattr(args, "config", None):
         doc = load_config_file(args.config)
         updates = {}
         for key, value in doc.items():
             name = key.replace("-", "_")
-            if name not in known:
+            if name not in annotations:
                 raise ConfigError(f"unknown config key {key!r}")
-            if name in ("missing_tokens", "variables") and value is not None:
-                value = tuple(value)
-            updates[name] = value
+            updates[name] = _config_value(key, value, annotations[name])
         cfg = replace(cfg, **updates)
-    for name in known:
+    for name in annotations:
         if hasattr(args, name) and getattr(args, name) is not None:
             value = getattr(args, name)
             if name in ("missing_tokens", "variables"):
@@ -260,19 +289,29 @@ def stage_screen(cfg: PipelineConfig, data: Dataset | None = None
 
 def _screened_variables(cfg: PipelineConfig, data: Dataset) -> list[str]:
     if cfg.variables is not None:
-        missing = [v for v in cfg.variables if v not in data.schema.names]
-        if missing:
-            raise ConfigError(f"unknown variables requested: {missing}")
-        return list(cfg.variables)
-    # the screen stage's kept list feeds training; fall back to the one
-    # in the output directory so pipeline and manual runs match
-    path = cfg.screening if cfg.screening else cfg.path(SCREENING_JSON)
-    if cfg.screening and not os.path.exists(path):
-        raise ConfigError(f"screening file not found: {path}")
-    if os.path.exists(path):
+        names, source = list(cfg.variables), "requested"
+    else:
+        # the screen stage's kept list feeds training; fall back to the
+        # one in the output directory so pipeline and manual runs match
+        path = cfg.screening if cfg.screening else cfg.path(SCREENING_JSON)
+        if cfg.screening and not os.path.exists(path):
+            raise ConfigError(f"screening file not found: {path}")
+        if not os.path.exists(path):
+            return data.schema.names
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)["kept"]
-    return data.schema.names
+            try:
+                names = json.load(fh)["kept"]
+            except (ValueError, TypeError, KeyError):
+                names = None
+        if not (isinstance(names, list)
+                and all(isinstance(name, str) for name in names)):
+            raise ConfigError(f"screening file {path} holds no JSON object "
+                              "with a 'kept' list of variable names")
+        source = f"in screening file {path}"
+    unknown = [name for name in names if name not in data.schema.names]
+    if unknown:
+        raise ConfigError(f"unknown variables {source}: {unknown}")
+    return names
 
 
 def stage_train(cfg: PipelineConfig, data: Dataset | None = None

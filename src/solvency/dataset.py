@@ -309,6 +309,17 @@ class Dataset:
             raise DataError(f"target value {bad!r} is not 0 or 1")
         return y.astype(int)
 
+    def codes(self, name: str) -> np.ndarray:
+        """A categorical column as an int array, insisting every cell is
+        a whole number within 2**53."""
+        x = self.X[:, self.schema[name].index]
+        bad = np.flatnonzero((x != np.trunc(x)) | ~(np.abs(x) <= 2.0 ** 53))
+        if bad.size:
+            raise DataError(
+                f"row {bad[0]} holds {float(x[bad[0]])!r} in categorical "
+                f"feature {name!r}, which is not a whole number within 2**53")
+        return x.astype(np.int64)
+
     def select(self, indices: Iterable[int]) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
         return Dataset(self.schema, self.X[idx], self.y[idx],

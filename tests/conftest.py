@@ -17,6 +17,8 @@ from solvency.dataset import (
 )
 from solvency.evaluation import ConfusionMatrix
 
+pytest_plugins = ["pytester"]
+
 # Properties that leave max_examples unset run the profile's count:
 # "default" locally, ten times as many under HYPOTHESIS_PROFILE=ci.
 settings.register_profile("default", max_examples=40, deadline=None)

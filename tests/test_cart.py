@@ -13,8 +13,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
-from oracles import brute_force_best_split, reference_grow, route_rows
-from solvency import cart
+from oracles import (
+    _decrease,
+    brute_force_best_split,
+    brute_force_best_variance_split,
+    gini_two_counts,
+    reference_grow,
+    route_rows,
+)
 from solvency.cart import (
     CLASSIFICATION,
     FORMAT_VERSION,
@@ -34,7 +40,7 @@ from solvency.cart import (
     serialize,
     split_gini,
 )
-from solvency.dataset import CATEGORICAL, ClassDistribution
+from solvency.dataset import CATEGORICAL, ClassDistribution, Dataset
 from solvency.errors import (
     ConfigError,
     DataError,
@@ -185,17 +191,13 @@ class TestTieBreaking:
         rule, _ = best_split(data)
         assert rule.subset == frozenset({1})
 
-    # each case ties a subset with one whose mask comes first in the
-    # evaluator's enumeration; blocks of 2 masks split them apart
-    @pytest.mark.parametrize("block_bits", [12, 1])
+    # each case has two subsets of bit-equal decrease
     @pytest.mark.parametrize("codes, target, subset", [
         ([1, 2, 3, 3, 1, 2, 4, 5], [0, 1, 0, 0, 1, 1, 1, 0], {1, 2, 4}),
         ([2, 1, 2, 4, 3, 1], [1, 1, 0, 0, 1, 0], {1, 2, 3}),
         ([2, 3, 1, 3, 2, 4], [0, 1, 0, 1, 1, 0], {1, 2, 4}),
     ])
-    def test_tied_subsets_order_by_code_tuple(self, monkeypatch, block_bits,
-                                              codes, target, subset):
-        monkeypatch.setattr(cart, "_BLOCK_BITS", block_bits)
+    def test_tied_subsets_order_by_code_tuple(self, codes, target, subset):
         data = make_dataset({"c": codes}, target,
                             kinds={"c": CATEGORICAL}, levels={"c": 5})
         rule, _ = best_split(data)
@@ -222,11 +224,13 @@ class TestTieBreaking:
         assert rule.feature == "c"
 
 
-def assert_agrees_with_oracle(data):
+def assert_agrees_with_oracle(data, mode=CLASSIFICATION):
     """best_split picks the oracle's decrease (bit for bit), feature,
     and threshold or code subset."""
-    found = best_split(data)
-    expected = brute_force_best_split(data)
+    found = best_split(data, config=CartConfig(mode=mode))
+    oracle = (brute_force_best_split if mode == CLASSIFICATION
+              else brute_force_best_variance_split)
+    expected = oracle(data)
     if expected is None:
         assert found is None
         return
@@ -267,16 +271,75 @@ class TestBruteForceAgreement:
             assert_agrees_with_oracle(random_mixed_dataset(rng))
 
     def test_wide_sparse_and_negative_codes(self):
-        rng = np.random.default_rng(28)
-        for _ in range(30):
-            assert_agrees_with_oracle(random_wide_categorical_dataset(rng))
+        for seed, count in ((28, 30), (29, 20)):
+            rng = np.random.default_rng(seed)
+            for _ in range(count):
+                assert_agrees_with_oracle(random_wide_categorical_dataset(rng))
 
-    def test_subsets_scored_across_several_blocks(self, monkeypatch):
-        # blocks of 2**2 masks: a 12-level column spans 1024 blocks
-        monkeypatch.setattr(cart, "_BLOCK_BITS", 2)
-        rng = np.random.default_rng(29)
-        for _ in range(20):
-            assert_agrees_with_oracle(random_wide_categorical_dataset(rng))
+
+def planted_subset_dataset(levels, n=2000, seed=33):
+    """n rows over every code 1..levels of one categorical column, whose
+    target is 1 exactly for the codes of a random half; returns the
+    dataset and the side of that split holding code 1."""
+    rng = np.random.default_rng(seed)
+    codes = np.arange(1, levels + 1)
+    column = rng.permutation(np.resize(codes, n))
+    ones = rng.choice(codes, levels // 2, replace=False)
+    side = set(ones.tolist()) if 1 in ones else set(codes.tolist()) - set(
+        ones.tolist())
+    data = make_dataset({"c": column.tolist()},
+                        np.isin(column, ones).astype(int).tolist(),
+                        kinds={"c": CATEGORICAL}, levels={"c": levels})
+    return data, side
+
+
+def third_positive_dataset(sizes):
+    """One categorical column whose code c + 1 holds 3 * sizes[c] rows,
+    a third of them class 1: every code has the node's proportion."""
+    codes, target = [], []
+    for code, k in enumerate(sizes, start=1):
+        codes += [code] * (3 * k)
+        target += [1, 0, 0] * k
+    return make_dataset({"c": codes}, target, kinds={"c": CATEGORICAL},
+                        levels={"c": len(sizes)})
+
+
+class TestOrderedScan:
+    @pytest.mark.parametrize("levels", [30, 64])
+    def test_wide_column_splits_in_bounded_time(self, levels):
+        data, side = planted_subset_dataset(levels)
+        start = time.perf_counter()
+        rule, decrease = best_split(data)
+        assert time.perf_counter() - start < 1.0
+        assert rule.subset == frozenset(side)
+        assert rule.complement == frozenset(range(1, levels + 1)) - rule.subset
+        c1 = float(data.y.sum())
+        assert decrease == gini_two_counts(c1, data.n - c1, float(data.n))
+
+    # every subset's exact decrease is 0, so the winner is decided by
+    # rounding and then by the code tuple
+    @pytest.mark.parametrize("sizes", [
+        (1, 1, 1), (1, 2, 3), (2, 1, 1, 2), (3, 1, 4, 1, 5), (1,) * 7,
+        (5, 1, 1), (1, 1, 5), (4, 4, 4, 4), (7, 2, 9, 1, 3),
+        (2, 3, 1, 1, 2, 3, 1, 2, 3, 1),
+    ])
+    def test_codes_sharing_one_proportion_match_the_oracle(self, sizes):
+        assert_agrees_with_oracle(third_positive_dataset(sizes))
+
+    def test_forty_codes_sharing_one_proportion_in_bounded_time(self):
+        sizes = np.random.default_rng(34).integers(1, 4, 40).tolist()
+        data = third_positive_dataset(sizes)
+        start = time.perf_counter()
+        rule, decrease = best_split(data)
+        assert time.perf_counter() - start < 1.0
+        assert 1 in rule.subset
+        assert rule.subset | rule.complement == frozenset(range(1, 41))
+        y = data.binary_target().astype(float)
+        c1 = float(y.sum())
+        n = float(data.n)
+        left = np.isin(data.X[:, 0], list(rule.subset))
+        assert decrease == _decrease(y, left, gini_two_counts(c1, n - c1, n),
+                                     c1, n - c1, n)
 
 
 class TestCartConfig:
@@ -682,6 +745,56 @@ def test_tree_agreement_property(seed, min_node_size, max_depth, min_decrease):
                         min_gini_decrease=min_decrease)
     records = json.loads(serialize(grow(data, config=config)))["nodes"]
     assert records == reference_grow(data, config)
+
+
+#: Class-1 and class-0 rows of the blocks tied codes are built from.
+RATIOS = [(1, 1), (1, 2), (2, 1), (0, 1), (1, 0), (1, 3)]
+
+
+def random_tied_dataset(rng, max_levels=10):
+    """A categorical column of up to max_levels sparse, partly negative
+    codes that share one to three class-1 proportions, beside a narrow
+    categorical and a coarse numeric column."""
+    m = int(rng.integers(2, max_levels + 1))
+    codes = np.sort(rng.choice(np.arange(-30, 70), m, replace=False))
+    ratios = rng.choice(len(RATIOS), int(rng.integers(1, 4)), replace=False)
+    column, target = [], []
+    for code in codes.tolist():
+        ones, zeros = RATIOS[rng.choice(ratios)]
+        k = int(rng.integers(1, 4))
+        column += [code] * (k * (ones + zeros))
+        target += [1] * (k * ones) + [0] * (k * zeros)
+    n = len(target)
+    order = rng.permutation(n)
+    columns = {
+        "t": np.array(column)[order].tolist(),
+        "v": rng.choice([-7, 0, 93], n).tolist(),
+        "x": rng.integers(0, 3, n).astype(float).tolist(),
+    }
+    return make_dataset(columns, np.array(target)[order].tolist(),
+                        kinds={"t": CATEGORICAL, "v": CATEGORICAL},
+                        levels={"t": m, "v": 3})
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_tied_categorical_agreement_property(seed):
+    """best_split matches the exhaustive oracle on wide categorical
+    columns whose codes share proportions, all of them or in groups."""
+    assert_agrees_with_oracle(
+        random_tied_dataset(np.random.default_rng(seed)))
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_regression_split_agreement_property(seed):
+    """best_split in regression mode matches the exhaustive variance
+    oracle, bit for bit, on real and on discrete targets."""
+    rng = np.random.default_rng(seed)
+    data = random_mixed_dataset(rng, max_rows=25, max_features=3,
+                                max_levels=6)
+    targets = (rng.normal(size=data.n), np.round(rng.normal(size=data.n), 1),
+               rng.integers(0, 3, data.n))
+    data = Dataset(data.schema, data.X, targets[int(rng.integers(3))])
+    assert_agrees_with_oracle(data, REGRESSION)
 
 
 def test_grow_then_serialize_is_deterministic():

@@ -337,6 +337,33 @@ class TestTrainCommand:
                    "--out", str(workdir)])
         assert rc == 2
 
+    @pytest.mark.parametrize("text", [
+        "kept: [AMT_CREDIT]",
+        '{"dropped": []}',
+        '{"kept": ["AMT_CREDIT", "NO_SUCH_COLUMN"]}',
+    ], ids=["not-json", "no-kept-list", "unknown-variable"])
+    def test_malformed_screening_file_exits_2(self, workdir, capsys, text):
+        source = self.encoded(workdir)
+        path = workdir / "screen.json"
+        path.write_text(text)
+        rc = main(["train", "--input", str(source), "--screening", str(path),
+                   "--out", str(workdir)])
+        assert rc == 2
+        assert str(path) in capsys.readouterr().err
+
+    def test_non_integer_categorical_code_exits_3(self, workdir, capsys):
+        book = workdir / "book.csv"
+        book.write_text(CODEBOOK_CSV)
+        coded = workdir / "coded.csv"
+        coded.write_text("color,flag,amount,y\n1,0,10.0,0\n2,1,11.0,1\n"
+                         "1.5,0,12.0,0\n2,1,13.0,1\n1,0,14.0,1\n")
+        rc = main(["train", "--input", str(coded), "--codebook", str(book),
+                   "--target", "y", "--min-node-size", "1",
+                   "--out", str(workdir)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "row 2" in err and "'color'" in err
+
     def test_screening_json_in_out_dir_feeds_training(self, workdir):
         source = self.encoded(workdir, rows=200, seed=3)
         assert main(["screen", "--input", str(source),
@@ -790,6 +817,19 @@ class TestConfigResolution:
         rc = main(["synth", "--config", str(cfg), "--out", str(workdir)])
         assert rc == 2
         assert "alhpa" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"missing-tokens": 5}, {"alpha": "x"}, {"max-depth": "deep"},
+    ], ids=["missing-tokens", "alpha", "max-depth"])
+    def test_wrongly_typed_config_value_exits_2(self, workdir, capsys, doc):
+        source = make_synthetic(workdir)
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        rc = main(["train", "--config", str(cfg), "--input", str(source),
+                   "--out", str(workdir)])
+        assert rc == 2
+        (key,) = doc
+        assert repr(key) in capsys.readouterr().err
 
     def test_config_must_be_object(self, workdir):
         cfg = workdir / "cfg.json"

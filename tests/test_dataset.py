@@ -32,6 +32,7 @@ from solvency.dataset import (
     write_csv,
 )
 from solvency.errors import (
+    DataError,
     EmptyDistributionError,
     EmptyResultError,
     HeaderMismatchError,
@@ -402,6 +403,18 @@ class TestSplitAndDistribution:
     def test_empty_distribution_raises(self):
         with pytest.raises(EmptyDistributionError):
             ClassDistribution((0, 0))
+
+    def test_codes_are_whole_numbers(self):
+        data = make_dataset({"c": [3, -2 ** 53, 2 ** 53]}, [0, 1, 0],
+                            kinds={"c": CATEGORICAL}, levels={"c": 3})
+        assert data.codes("c").tolist() == [3, -2 ** 53, 2 ** 53]
+
+    @pytest.mark.parametrize("bad", [1.5, None, 2.0 ** 53 + 2, -math.inf])
+    def test_codes_refuse_a_cell_that_is_not_a_whole_number(self, bad):
+        data = make_dataset({"c": [1, 2, bad, 1.5]}, [0, 1, 0, 1],
+                            kinds={"c": CATEGORICAL}, levels={"c": 2})
+        with pytest.raises(DataError, match="row 2 .*'c'"):
+            data.codes("c")
 
 
 class TestSchemaFromHeader:
