@@ -191,14 +191,19 @@ class TestTieBreaking:
         rule, _ = best_split(data)
         assert rule.subset == frozenset({1})
 
-    # each case has two subsets of bit-equal decrease
+    # each case has two subsets of bit-equal decrease; the winner must
+    # not depend on the order the rows arrive in
+    @pytest.mark.parametrize("row_seed", [12, 1])
     @pytest.mark.parametrize("codes, target, subset", [
         ([1, 2, 3, 3, 1, 2, 4, 5], [0, 1, 0, 0, 1, 1, 1, 0], {1, 2, 4}),
         ([2, 1, 2, 4, 3, 1], [1, 1, 0, 0, 1, 0], {1, 2, 3}),
         ([2, 3, 1, 3, 2, 4], [0, 1, 0, 1, 1, 0], {1, 2, 4}),
     ])
-    def test_tied_subsets_order_by_code_tuple(self, codes, target, subset):
-        data = make_dataset({"c": codes}, target,
+    def test_tied_subsets_order_by_code_tuple(self, row_seed, codes, target,
+                                              subset):
+        order = np.random.default_rng(row_seed).permutation(len(codes))
+        data = make_dataset({"c": [codes[i] for i in order]},
+                            [target[i] for i in order],
                             kinds={"c": CATEGORICAL}, levels={"c": 5})
         rule, _ = best_split(data)
         assert rule.subset == frozenset(subset)
@@ -271,10 +276,19 @@ class TestBruteForceAgreement:
             assert_agrees_with_oracle(random_mixed_dataset(rng))
 
     def test_wide_sparse_and_negative_codes(self):
-        for seed, count in ((28, 30), (29, 20)):
-            rng = np.random.default_rng(seed)
-            for _ in range(count):
-                assert_agrees_with_oracle(random_wide_categorical_dataset(rng))
+        rng = np.random.default_rng(28)
+        for _ in range(30):
+            assert_agrees_with_oracle(random_wide_categorical_dataset(rng))
+
+    def test_subsets_scored_across_several_blocks(self):
+        # a block is a run of codes sharing one class-1 proportion; the
+        # scan cuts only between blocks, never inside one
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            assert_agrees_with_oracle(random_wide_categorical_dataset(rng))
+        rng = np.random.default_rng(35)
+        for _ in range(20):
+            assert_agrees_with_oracle(random_tied_dataset(rng))
 
 
 def planted_subset_dataset(levels, n=2000, seed=33):
