@@ -483,14 +483,15 @@ def best_split(
 ) -> tuple[SplitRule, float] | None:
     """Best admissible rule for the given rows, or None.
 
-    None means no candidate exists (too few rows, pure node, constant
-    columns) or the best decrease falls short of min_gini_decrease.
+    None means no candidate exists (too few rows, no variables, pure
+    node, constant columns) or the best decrease falls short of
+    min_gini_decrease.
     """
     idx = (np.arange(data.n) if indices is None
            else np.asarray(indices, dtype=np.intp))
-    if idx.shape[0] < 2:
-        return None
     scorer = _LevelScorer(data, variables, config.mode)
+    if idx.shape[0] < 2 or not scorer.specs:
+        return None
     dec, f, threshold, subsets = scorer.split(
         scorer.presort(idx), np.array([idx.shape[0]]))
     if dec[0] < config.min_gini_decrease:  # -inf when nothing splits
@@ -509,9 +510,10 @@ def grow(
     the level's attribute lists; each list is then partitioned stably by
     child, so a node's rows keep the order a stable sort of that node
     alone would give them.  A node becomes a leaf when it is
-    homogeneous, no admissible split remains, it holds fewer than
-    min_node_size rows, or it sits at max_depth.  Once growth ends the
-    nodes are numbered in preorder, left child first.
+    homogeneous, no admissible split remains (none when no variable is
+    given), it holds fewer than min_node_size rows, or it sits at
+    max_depth.  Once growth ends the nodes are numbered in preorder,
+    left child first.
     """
     if data.n == 0:
         raise EmptyDatasetError("cannot grow a tree on 0 rows")
@@ -532,7 +534,8 @@ def grow(
     level, level_n = np.array([0]), np.array([data.n])
     level_ones = np.array(ones)
     mixed = 0 < ones[0] < data.n if classification else True
-    if data.n < smallest or config.max_depth == 0 or not mixed:
+    if (data.n < smallest or config.max_depth == 0 or not mixed
+            or not scorer.specs):
         level = level[:0]
     lists = scorer.presort(np.arange(data.n)) if level.shape[0] else []
     depth = 0
@@ -652,8 +655,9 @@ def _leaf_index(tree: CartTree, data: Dataset, mode: str) -> np.ndarray:
     The dataset schema must match the training schema exactly, and the
     tree must be of the given mode.  Rows are routed together, one
     index partition per node.  A row that reaches a rule on a feature
-    it has no value for raises DataError naming the row and feature;
-    a missing value in a feature its path never tests is harmless.
+    it has no value for, or a categorical rule with a value that is not
+    a whole number within 2**53, raises DataError naming the row and
+    feature; such a value in a feature its path never tests is harmless.
     A categorical code absent from training routes right with one
     UnseenCategoryWarning per code.
     """
@@ -681,7 +685,14 @@ def _leaf_index(tree: CartTree, data: Dataset, mode: str) -> np.ndarray:
         if rule.is_numeric:
             left = values <= rule.threshold
         else:
-            values = np.trunc(values)
+            bad = ((values != np.trunc(values))
+                   | ~(np.abs(values) <= 2.0 ** 53))
+            if bad.any():
+                row = bad.argmax()
+                raise DataError(
+                    f"row {idx[row]} holds {float(values[row])!r} in "
+                    f"categorical feature {rule.feature!r}, which the tree "
+                    "routes on and which is not a whole number within 2**53")
             left = np.isin(values, list(rule.subset))
             never_seen = ~left & ~np.isin(values, list(rule.complement))
             for code in np.unique(values[never_seen]):

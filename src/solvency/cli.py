@@ -32,11 +32,11 @@ from .dataset import (
     apply_codebook,
     class_distribution,
     clean,
+    csv_text,
     load_csv,
     read_back,
     read_header,
     schema_from_header,
-    text_rows,
     write_csv,
 )
 from .errors import (
@@ -386,15 +386,18 @@ def stage_predict(cfg: PipelineConfig) -> list[str]:
                     encoded=True, target_optional=True)
     classes, scores = cart.predict_dataset(tree, data)
     names = schema.names + ([target] if has_target else [])
-    # scores keep repr's decimal part even when whole, so they go in as
-    # text, which the cell formatter passes through
-    columns = [data.column(name) for name in names] + [
-        classes, np.fromiter(map(repr, scores.tolist()), object)]
+    # A score keeps repr's decimal part even when whole, so it goes in
+    # as text.  Every score is a leaf's proportion: repr each distinct
+    # one once, told apart by its bits so -0.0 keeps its sign, and
+    # gather the text by row.
+    bits, which = np.unique(scores.view(np.int64), return_inverse=True)
+    score_text = np.array(list(map(repr, bits.view(float).tolist())),
+                          dtype=object)[which]
+    columns = [data.column(name) for name in names] + [classes, score_text]
     with open(cfg.path(PREDICTIONS_CSV), "w", encoding="utf-8",
               newline="") as fh:
-        fh.write(",".join(names + ["predicted_class", "score"]) + "\n")
-        for rows in text_rows(columns):
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+        fh.writelines(csv_text(names + ["predicted_class", "score"], columns,
+                               "\n"))
     print(f"predict: wrote {data.n} predictions")
     return [PREDICTIONS_CSV]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import islice, repeat
@@ -36,9 +37,17 @@ CATEGORICAL = "categorical"
 #: Cell contents treated as a missing marker (after whitespace strip).
 DEFAULT_MISSING_TOKENS = ("", "NA", "N/A")
 
-#: Rows converted per block while reading a CSV, which bounds the cell
-#: text held at once.
+#: Rows converted per block while reading or writing a CSV, which
+#: bounds the cell text held at once.
 _BLOCK_ROWS = 4096
+
+#: Text of the whole numbers below 1024, which most coded and 0/1 cells
+#: are: one gather renders a column of them.
+_CODE_TEXT = np.array([str(i) for i in range(1024)], dtype=object)
+
+#: A text cell holding one of these goes in quotes, as csv.writer's
+#: minimal quoting puts it.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 @dataclass(frozen=True)
@@ -399,12 +408,17 @@ def load_csv(
     may be absent, in which case every row gets a missing target
     (useful for scoring unlabeled rows).
     """
-    found = read_header(path)
-    missing = {tok.strip() for tok in missing_tokens}
+    if not os.path.exists(path):
+        raise MissingFileError(f"input file not found: {path}")
+    # a cell that is exactly a token reads as "nan"; float() would read
+    # a token that is a finite number as a value, so such a token turns
+    # the fast path off
+    missing = dict.fromkeys((tok.strip() for tok in missing_tokens), "nan")
+    fast = not any(map(_finite_number, missing))
     labelled = [f.name for f in schema.features
                 if f.kind == CATEGORICAL and not encoded]
     with _csv_reader(path) as reader:
-        next(reader)
+        found = _header(reader, path)
         has_target = not (target_optional and schema.target not in found)
         expected = set(schema.names) | ({schema.target} if has_target
                                         else set())
@@ -427,7 +441,7 @@ def load_csv(
             cells = list(zip(*block))
             for name, part in parts.items():
                 part.append(_parse_cells(cells[found.index(name)], missing,
-                                         text=name in labelled))
+                                         name in labelled, fast))
             start += len(block)
     columns = {name: np.concatenate(part) for name, part in parts.items()}
     labels = {name: columns.pop(name) for name in labelled}
@@ -439,11 +453,34 @@ def load_csv(
     return Dataset(schema, X, y, labels)
 
 
-def _parse_cells(cells: tuple[str, ...], missing: set[str],
-                 text: bool) -> np.ndarray:
+def _finite_number(text: str) -> bool:
+    try:
+        return bool(np.isfinite(float(text)))
+    except ValueError:
+        return False
+
+
+def _parse_cells(cells: tuple[str, ...], missing: dict[str, str],
+                 text: bool, fast: bool) -> np.ndarray:
     """One column of a block: the stripped labels with None where
-    missing when text is set, else float() of each cell with NaN where
-    a cell is missing, not a number, or not finite."""
+    missing when text is set, else float() of each stripped cell with
+    NaN where a cell is missing, not a number, or not finite.
+
+    For numbers, fast, which needs that no missing token is a finite
+    number, first tries one float() per cell, then, if float() refuses
+    a cell, once more with each cell that is exactly a token read as
+    "nan".  A cell float() accepts reads as its stripped text would.
+    If float() still refuses one (a padded token, text), the exact path
+    reads the column.
+    """
+    if fast and not text:
+        for texts in (cells, map(missing.get, cells, cells)):
+            try:
+                values = np.fromiter(map(float, texts), float, len(cells))
+            except ValueError:
+                continue
+            values[~np.isfinite(values)] = np.nan
+            return values
     stripped = np.array(list(map(str.strip, cells)), dtype=object)
     absent = np.fromiter(map(missing.__contains__, stripped), bool,
                          len(stripped))
@@ -472,13 +509,12 @@ def _to_float(cells: np.ndarray) -> np.ndarray:
 
 
 def write_csv(data: Dataset, path: str) -> None:
-    """Write header plus rows, each cell as text_rows renders it."""
+    """Write header plus rows as csv.writer would, each cell as
+    csv_text renders it."""
     names = data.schema.names + [data.schema.target]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(names)
-        for rows in text_rows([data.column(name) for name in names]):
-            writer.writerows(rows)
+        fh.writelines(csv_text(names, [data.column(name) for name in names],
+                               "\r\n"))
 
 
 def read_back(data: Dataset,
@@ -506,25 +542,59 @@ def read_back(data: Dataset,
     return Dataset(data.schema, X, y)
 
 
-def text_rows(columns: Sequence[np.ndarray]) -> Iterator:
-    """Rows of cell text of equally long columns, one iterator of row
-    tuples per block of rows, so a table's text is never held whole."""
+def csv_text(header: Sequence[str], columns: Sequence[np.ndarray],
+             newline: str) -> Iterator[str]:
+    """The text of a CSV file of a header and equally long columns: the
+    header line, then one string per block of rows, so a table's text
+    is never held whole.  Every line ends with newline.  Cells render
+    as _format_cells renders them, and names are quoted as labels are."""
+    yield _csv_lines([[name] for name in _quoted(list(header))], newline)
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
-        yield zip(*(_format_cells(column[start:stop]) for column in columns))
+        yield _csv_lines([_format_cells(column[start:stop])
+                          for column in columns], newline)
+
+
+def _csv_lines(cells: list[list[str]], newline: str) -> str:
+    """Lines of the rows whose cell text is given column by column,
+    joined as csv.writer joins them, which writes a row of one empty
+    cell as a pair of quotes."""
+    if len(cells) == 1:
+        rows = ['""' if cell == "" else cell for cell in cells[0]]
+    else:
+        rows = map(",".join, zip(*cells))
+    return newline.join(rows) + newline
+
+
+def _quoted(cells: list[str]) -> list[str]:
+    """Text cells as csv.writer's minimal quoting writes them: one
+    holding a comma, a quote, CR or LF goes in quotes, its quotes
+    doubled."""
+    if not _NEEDS_QUOTES.search("".join(cells)):
+        return cells
+    return ['"' + cell.replace('"', '""') + '"'
+            if _NEEDS_QUOTES.search(cell) else cell for cell in cells]
 
 
 def _format_cells(values: np.ndarray) -> list[str]:
-    """Text of one column's cells: labels as they are, "" for a missing
-    value, whole numbers without a decimal part, and other numbers at
-    repr precision."""
+    """Text of one column's cells: labels quoted as csv.writer quotes
+    them, "" for a missing value, whole numbers without a decimal part
+    (those below 1024 from a table), and other numbers at repr
+    precision."""
     if values.dtype == object:
-        return np.where(np.equal(values, None), "", values).tolist()
-    text = np.full(values.shape, "", dtype=object)
+        return _quoted(np.where(np.equal(values, None), "", values).tolist())
     whole = np.isfinite(values) & (values == np.trunc(values))
+    code = whole & (values >= 0) & (values < len(_CODE_TEXT))
+    if code.all():
+        return _CODE_TEXT[values.astype(np.intp)].tolist()
+    rest = ~whole & ~np.isnan(values)
+    if rest.all():
+        return list(map(repr, values.tolist()))
+    text = np.full(values.shape, "", dtype=object)
+    text[code] = _CODE_TEXT[values[code].astype(np.intp)]
+    whole &= ~code
     text[whole] = np.fromiter(map(str, map(int, values[whole].tolist())),
                               object)
-    rest = ~whole & ~np.isnan(values)
     text[rest] = np.fromiter(map(repr, values[rest].tolist()), object)
     return text.tolist()
 
@@ -641,10 +711,15 @@ def read_header(path: str) -> list[str]:
     if not os.path.exists(path):
         raise MissingFileError(f"input file not found: {path}")
     with _csv_reader(path) as reader:
-        try:
-            return [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise HeaderMismatchError(f"{path} is empty, no header row")
+        return _header(reader, path)
+
+
+def _header(reader, path: str) -> list[str]:
+    """The stripped column names of the first row of a csv reader."""
+    try:
+        return [h.strip() for h in next(reader)]
+    except StopIteration:
+        raise HeaderMismatchError(f"{path} is empty, no header row")
 
 
 @contextmanager

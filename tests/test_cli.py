@@ -364,6 +364,18 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert "row 2" in err and "'color'" in err
 
+    def test_screening_that_keeps_nothing_gives_the_root_leaf(self,
+                                                               workdir):
+        source = self.encoded(workdir)
+        path = workdir / "screen.json"
+        path.write_text('{"kept": []}')
+        rc = main(["train", "--input", str(source), "--screening", str(path),
+                   "--min-node-size", "1", "--out", str(workdir)])
+        assert rc == 0
+        root = json.loads((workdir / "model.json").read_text())["nodes"]
+        assert len(root) == 1 and root[0]["left"] is None
+        assert root[0]["n"] == 200
+
     def test_screening_json_in_out_dir_feeds_training(self, workdir):
         source = self.encoded(workdir, rows=200, seed=3)
         assert main(["screen", "--input", str(source),
@@ -530,6 +542,26 @@ class TestPredictCommand:
         assert rc == 0
         lines = (workdir / "predictions.csv").read_text().splitlines()
         assert len(lines) == 201
+
+    def test_non_integer_categorical_cell_exits_3(self, workdir, capsys):
+        book = workdir / "book.csv"
+        book.write_text(CODEBOOK_CSV)
+        coded = workdir / "coded.csv"
+        coded.write_text("color,flag,amount,y\n" + "".join(
+            f"{code},{i % 2},{10.0 + i},{int(code == 2)}\n"
+            for i, code in enumerate([1, 2, 3] * 4)))
+        assert main(["train", "--input", str(coded), "--codebook", str(book),
+                     "--target", "y", "--variables", "color",
+                     "--min-node-size", "1", "--out", str(workdir)]) == 0
+        model = json.loads((workdir / "model.json").read_text())
+        assert model["nodes"][0]["feature"] == "color"
+        fresh = workdir / "fresh.csv"
+        fresh.write_text("color,flag,amount\n3,1,12.0\n2.9,0,10.0\n")
+        rc = main(["predict", "--input", str(fresh), "--out", str(workdir)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "row 1" in err and "2.9" in err and "'color'" in err
+        assert not (workdir / "predictions.csv").exists()
 
     def test_schema_mismatch_exits_3(self, workdir):
         TestEvalCommand().trained(workdir)

@@ -1,8 +1,11 @@
 """Loading, encoding, and cleaning behavior."""
 
+import csv
+import io
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -530,3 +533,115 @@ def test_read_back_turns_a_token_matching_cell_missing():
         back = read_back(data, [token])
         assert not np.isnan(back.X).any() and not np.isnan(back.y).any()
     assert math.copysign(1.0, read_back(data).X[1, 0]) == 1.0
+
+
+#: Pieces of reader cells: numbers in several spellings, tokens, and
+#: text or numbers that float() refuses ("--1", "0x10").
+READ_PIECES = ["0", "-0", "1", "2.5", "-3", "1e3", "1_000", "1e400", "inf",
+               "-nan", "NA", "N/A", "", "--1", "x", "-999", "0x10"]
+#: Padding that both float() and strip() remove, and "\x1c", which
+#: only strip() removes.
+PADS = ["", " ", "\t", "\u3000", "\x1c"]
+READ_CELLS = st.builds(
+    lambda pre, body, post: pre + body + post, st.sampled_from(PADS),
+    st.one_of(st.sampled_from(READ_PIECES), st.floats().map(repr),
+              st.integers(-10 ** 20, 10 ** 20).map(str)),
+    st.sampled_from(PADS))
+#: Missing tokens, among them finite numbers ("-999", " 2.5 ") that
+#: float() reads like any other cell.
+READ_TOKENS = st.lists(st.one_of(
+    st.sampled_from(["NA", "N/A", "", "-999", " 2.5 ", "0", "inf", "x"]),
+    READ_CELLS), max_size=4)
+
+
+def reference_read(cell, tokens):
+    """The reader's rule for one numeric cell."""
+    text = cell.strip()
+    if text in {token.strip() for token in tokens}:
+        return math.nan
+    try:
+        value = float(text)
+    except ValueError:
+        return math.nan
+    return value if math.isfinite(value) else math.nan
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=12),
+       st.integers(min_value=1, max_value=4), READ_TOKENS)
+def test_load_csv_reads_each_cell_by_the_reference_rule(data, n, block,
+                                                        tokens):
+    """load_csv is bit-equal to float() of the stripped cell, missing
+    on a token and NaN when not finite, over blocks of a few rows
+    (which a patched block size makes many)."""
+    columns = [data.draw(st.lists(READ_CELLS, min_size=n, max_size=n))
+               for _ in range(2)]
+    schema = Schema([FeatureSpec("a", NUMERIC)], "TARGET")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "d.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([["a", "TARGET"], *zip(*columns)])
+        with mock.patch("solvency.dataset._BLOCK_ROWS", block):
+            loaded = load_csv(path, schema, missing_tokens=tokens)
+    expected = [np.array([reference_read(cell, tokens) for cell in column],
+                         dtype=float) for column in columns]
+    assert_bit_equal(loaded.X[:, 0], expected[0])
+    assert_bit_equal(loaded.y, expected[1])
+
+
+#: Labels that csv.writer must quote or treat specially, and None.
+LABELS = st.one_of(st.none(), st.text(max_size=6), st.sampled_from(
+    ["", ",", '"', "a,b", 'say "hi"', "\r", "\n", "x\r\ny", " x "]))
+NUMBERS = st.one_of(
+    st.sampled_from([-0.0, 0.0, 1.0, 1023.0, 1024.0, -1.0, -1024.0,
+                     2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 60, -(2.0 ** 63),
+                     1e22, 0.5, math.nan, math.inf, -math.inf]),
+    st.floats(), st.integers(-2 ** 70, 2 ** 70).map(float))
+
+
+def reference_text(cell):
+    """The writer's rule for one cell, before csv quoting."""
+    if cell is None or isinstance(cell, str):
+        return cell or ""
+    if math.isnan(cell):
+        return ""
+    if math.isfinite(cell) and cell == math.trunc(cell):
+        return str(int(cell))
+    return repr(cell)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=8),
+       st.lists(st.booleans(), max_size=3),
+       st.integers(min_value=1, max_value=4))
+def test_write_csv_matches_csv_writer(data, n, text_columns, block):
+    """write_csv's file is byte-equal to csv.writer's of the same cells,
+    whatever the names and labels, for zero or more features, over
+    blocks of a few rows."""
+    names = data.draw(st.lists(st.text(max_size=4), unique=True,
+                               min_size=len(text_columns) + 1,
+                               max_size=len(text_columns) + 1))
+    features = [FeatureSpec(name, CATEGORICAL, levels=2) if text
+                else FeatureSpec(name, NUMERIC)
+                for name, text in zip(names, text_columns)]
+    schema = Schema(features, names[-1])
+    cells = [data.draw(st.lists(LABELS if text else NUMBERS,
+                                min_size=n, max_size=n))
+             for text in text_columns + [False]]
+    X = np.full((n, len(features)), np.nan)
+    labels = {}
+    for j, (spec, column) in enumerate(zip(features, cells)):
+        if spec.kind == CATEGORICAL:
+            labels[spec.name] = np.array(column, dtype=object)
+        else:
+            X[:, j] = column
+    written = Dataset(schema, X, np.array(cells[-1], dtype=float), labels)
+    expected = io.StringIO(newline="")
+    csv.writer(expected).writerows(
+        [names] + [[reference_text(cell) for cell in row]
+                   for row in zip(*cells)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "d.csv"
+        with mock.patch("solvency.dataset._BLOCK_ROWS", block):
+            write_csv(written, str(path))
+        assert path.read_bytes() == expected.getvalue().encode("utf-8")
