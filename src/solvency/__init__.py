@@ -9,7 +9,6 @@ from .cart import (
     CartConfig,
     CartTree,
     SplitRule,
-    TreeNode,
     best_split,
     deserialize,
     export_dot,
@@ -73,9 +72,9 @@ from .synth import SynthSpec, default_spec, generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "CartConfig", "CartTree", "SplitRule", "TreeNode", "best_split",
-    "deserialize", "export_dot", "export_text", "gini", "grow",
-    "predict_dataset", "predict_values", "serialize", "split_gini",
+    "CartConfig", "CartTree", "SplitRule", "best_split", "deserialize",
+    "export_dot", "export_text", "gini", "grow", "predict_dataset",
+    "predict_values", "serialize", "split_gini",
     "DEFAULT_CODEBOOK", "ClassDistribution", "CleaningLog", "CodeBook",
     "Dataset", "FeatureSpec", "OutlierRule", "Schema", "apply_codebook",
     "class_distribution", "clean", "load_csv", "schema_from_header",

@@ -21,9 +21,10 @@ the finished table is numbered in preorder.
 from __future__ import annotations
 
 import json
-import math
+import sys
 import warnings
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -32,6 +33,7 @@ from .dataset import (
     NUMERIC,
     ClassDistribution,
     Dataset,
+    whole_codes,
 )
 from .errors import (
     ConfigError,
@@ -49,7 +51,8 @@ REGRESSION = "regression"
 
 
 class UnseenCategoryWarning(UserWarning):
-    """Prediction met a categorical code absent from training."""
+    """Prediction met a categorical code that no training row of the
+    node testing it held; such a row goes right."""
 
 
 def gini(dist: ClassDistribution) -> float:
@@ -74,8 +77,9 @@ class SplitRule:
 
     Exactly one of threshold (numeric: left iff value <= threshold) and
     subset (categorical: left iff code in subset) is set.  complement
-    holds the training codes routed right, so prediction can tell a
-    genuinely unseen code from one that belongs right.
+    holds the codes of the node's training rows routed right, so
+    prediction can tell a code none of them held from one that belongs
+    right.
     """
 
     feature: str
@@ -102,25 +106,6 @@ class SplitRule:
             return f"{self.feature} <= {self.threshold!r}"
         codes = ", ".join(str(c) for c in sorted(self.subset))
         return f"{self.feature} in {{{codes}}}"
-
-
-@dataclass
-class TreeNode:
-    """Internal node (rule plus the table indices of its two children)
-    or leaf (prediction)."""
-
-    n: int
-    counts: tuple[int, int] | None = None
-    rule: SplitRule | None = None
-    left: int | None = None
-    right: int | None = None
-    predicted_class: int | None = None
-    positive_proportion: float | None = None
-    mean: float | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.rule is None
 
 
 @dataclass(frozen=True)
@@ -154,33 +139,44 @@ class CartConfig:
             raise ConfigError(f"unknown mode {self.mode!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class CartTree:
     """Grown tree plus everything needed to apply or rebuild it.
 
-    nodes is the preorder node table of the cart-model/1 format: the
-    root comes first, and every node comes before its children, its
-    whole left subtree before its right child.
+    The preorder node table of the cart-model/1 format, as columns with
+    one entry per node: a node comes before its children, its whole
+    left subtree before its right child, so internal node i has its
+    left child at i + 1.  rules[i] and right[i] are its rule and right
+    child, None and -1 at a leaf; n[i] and counts[i] its row and class
+    counts (None in regression).  The leaf predictions, 0 at internal
+    nodes, are arrays: predicted_class and positive_proportion in
+    classification, mean in regression, and None in the other mode.
     """
 
-    nodes: list[TreeNode]
+    rules: list[SplitRule | None]
+    right: list[int]
+    n: list[int]
+    counts: list[tuple[int, int] | None]
     fingerprint: tuple
     config: CartConfig
     n_training_rows: int
+    predicted_class: np.ndarray | None = None
+    positive_proportion: np.ndarray | None = None
+    mean: np.ndarray | None = None
 
     def node_count(self) -> int:
-        return len(self.nodes)
+        return len(self.rules)
 
     def depth(self) -> int:
-        return max(_depths(self.nodes))
+        return max(_depths(self.right))
 
 
-def _depths(nodes: list[TreeNode]) -> list[int]:
+def _depths(right: list[int]) -> list[int]:
     """Depth of every node of a preorder table, in one forward pass."""
-    depths = [0] * len(nodes)
-    for i, node in enumerate(nodes):
-        if not node.is_leaf:
-            depths[node.left] = depths[node.right] = depths[i] + 1
+    depths = [0] * len(right)
+    for i, r in enumerate(right):
+        if r >= 0:
+            depths[i + 1] = depths[r] = depths[i] + 1
     return depths
 
 
@@ -590,15 +586,15 @@ def grow(
         level_n = group_n[opened]
         if classification:
             level_ones = group_ones.ravel()[opened]
-    return CartTree(nodes=_preorder(sizes, ones, rules, first, y, leaf_of_row),
+    return CartTree(**_preorder(sizes, ones, rules, first, y, leaf_of_row),
                     fingerprint=data.schema.fingerprint(), config=config,
                     n_training_rows=data.n)
 
 
-def _preorder(sizes, ones, rules, first, y, leaf_of_row) -> list[TreeNode]:
-    """The node table, in preorder, of nodes given in making order.  A
-    regression tree has no ones; its leaf means come from the rows
-    leaf_of_row sends to each leaf, summed in row order."""
+def _preorder(sizes, ones, rules, first, y, leaf_of_row) -> dict:
+    """The node table's columns, in preorder, of nodes given in making
+    order.  A regression tree has no ones; its leaf means come from the
+    rows leaf_of_row sends to each leaf, summed in row order."""
     order, stack = [], [0]
     while stack:
         i = stack.pop()
@@ -606,47 +602,36 @@ def _preorder(sizes, ones, rules, first, y, leaf_of_row) -> list[TreeNode]:
         if i in first:
             stack += [first[i] + 1, first[i]]
     index = {made: i for i, made in enumerate(order)}
+    right = [index[first[i] + 1] if i in first else -1 for i in order]
+    table = dict(rules=[rules.get(i) for i in order], right=right,
+                 n=[sizes[i] for i in order])
+    leaves = [j for j, r in enumerate(right) if r < 0]
+    if ones:
+        counts = [(sizes[i] - int(ones[i]), int(ones[i])) for i in order]
+        predicted, p1 = np.zeros(len(order), dtype=int), np.zeros(len(order))
+        for j in leaves:
+            predicted[j], p1[j] = assign_leaf(counts[j])
+        return dict(table, counts=counts, predicted_class=predicted,
+                    positive_proportion=p1)
     by_leaf = np.argsort(leaf_of_row, kind="stable")
     ends = np.cumsum(np.bincount(leaf_of_row, minlength=len(sizes))).tolist()
-    nodes = []
-    for i in order:
-        n = sizes[i]
-        counts = (n - int(ones[i]), int(ones[i])) if ones else None
-        if i in rules:
-            nodes.append(TreeNode(n=n, counts=counts, rule=rules[i],
-                                  left=index[first[i]],
-                                  right=index[first[i] + 1]))
-        elif counts is None:
-            rows = by_leaf[ends[i] - n:ends[i]]
-            nodes.append(TreeNode(n=n, mean=float(y[rows].mean())))
-        else:
-            predicted, p1 = assign_leaf(counts)
-            nodes.append(TreeNode(n=n, counts=counts, predicted_class=predicted,
-                                  positive_proportion=p1))
-    return nodes
+    mean = np.zeros(len(order))
+    for j in leaves:
+        i = order[j]
+        mean[j] = y[by_leaf[ends[i] - sizes[i]:ends[i]]].mean()
+    return dict(table, counts=[None] * len(order), mean=mean)
 
 
 def predict_dataset(tree: CartTree, data: Dataset):
     """Apply a classification tree to every row; returns (classes,
     scores) arrays, the scores being leaf positive proportions."""
     leaf = _leaf_index(tree, data, CLASSIFICATION)
-    return (_leaf_values(tree, "predicted_class", int)[leaf],
-            _leaf_values(tree, "positive_proportion")[leaf])
+    return tree.predicted_class[leaf], tree.positive_proportion[leaf]
 
 
 def predict_values(tree: CartTree, data: Dataset) -> np.ndarray:
     """Apply a regression tree to every row; returns the leaf means."""
-    leaf = _leaf_index(tree, data, REGRESSION)
-    return _leaf_values(tree, "mean")[leaf]
-
-
-def _leaf_values(tree: CartTree, attr: str, dtype=float) -> np.ndarray:
-    """One attribute of every leaf, by table index; 0 at internal nodes."""
-    values = np.zeros(len(tree.nodes), dtype=dtype)
-    for i, node in enumerate(tree.nodes):
-        if node.is_leaf:
-            values[i] = getattr(node, attr)
-    return values
+    return tree.mean[_leaf_index(tree, data, REGRESSION)]
 
 
 def _leaf_index(tree: CartTree, data: Dataset, mode: str) -> np.ndarray:
@@ -658,8 +643,8 @@ def _leaf_index(tree: CartTree, data: Dataset, mode: str) -> np.ndarray:
     it has no value for, or a categorical rule with a value that is not
     a whole number within 2**53, raises DataError naming the row and
     feature; such a value in a feature its path never tests is harmless.
-    A categorical code absent from training routes right with one
-    UnseenCategoryWarning per code.
+    A categorical code that no training row of the node testing it held
+    routes right, with one UnseenCategoryWarning per feature and code.
     """
     if data.schema.fingerprint() != tree.fingerprint:
         raise SchemaMismatchError(
@@ -667,15 +652,14 @@ def _leaf_index(tree: CartTree, data: Dataset, mode: str) -> np.ndarray:
     if tree.config.mode != mode:
         raise ValueError(f"needs a {mode} tree, not a {tree.config.mode} one")
     leaf = np.empty(data.n, dtype=np.intp)
-    unseen: dict[str, tuple[int, int]] = {}
+    unseen: dict[tuple[str, int], tuple[int, int]] = {}
     stack = [(0, np.arange(data.n))]
     while stack:
         i, idx = stack.pop()
-        node = tree.nodes[i]
-        if node.is_leaf:
+        rule = tree.rules[i]
+        if rule is None:
             leaf[idx] = i
             continue
-        rule = node.rule
         values = data.X[idx, rule.feature_index]
         missing = np.isnan(values)
         if missing.any():
@@ -685,27 +669,22 @@ def _leaf_index(tree: CartTree, data: Dataset, mode: str) -> np.ndarray:
         if rule.is_numeric:
             left = values <= rule.threshold
         else:
-            bad = ((values != np.trunc(values))
-                   | ~(np.abs(values) <= 2.0 ** 53))
-            if bad.any():
-                row = bad.argmax()
-                raise DataError(
-                    f"row {idx[row]} holds {float(values[row])!r} in "
-                    f"categorical feature {rule.feature!r}, which the tree "
-                    "routes on and which is not a whole number within 2**53")
+            whole_codes(values, rule.feature, idx)
             left = np.isin(values, list(rule.subset))
-            never_seen = ~left & ~np.isin(values, list(rule.complement))
-            for code in np.unique(values[never_seen]):
-                msg = (f"code {int(code)} of {rule.feature!r} never seen in "
-                       "training; routing right")
-                first = (int(idx[never_seen & (values == code)][0]), i)
-                unseen[msg] = min(unseen.get(msg, first), first)
-        stack.append((node.right, idx[~left]))
-        stack.append((node.left, idx[left]))
+            absent = ~left & ~np.isin(values, list(rule.complement))
+            for code in np.unique(values[absent]):
+                first = (int(idx[absent & (values == code)][0]), i)
+                key = (rule.feature, int(code))
+                unseen[key] = min(unseen.get(key, first), first)
+        stack.append((tree.right[i], idx[~left]))
+        stack.append((i + 1, idx[left]))
     # Warn in the order a row-by-row walk would first meet each code;
     # along one row's path the table index grows with depth.
-    for msg in sorted(unseen, key=unseen.get):
-        warnings.warn(msg, UnseenCategoryWarning)
+    for (feature, code), (_, i) in sorted(unseen.items(),
+                                          key=lambda item: item[1]):
+        warnings.warn(f"code {code} of {feature!r} is absent from the "
+                      f"training rows of node {i}; routing right",
+                      UnseenCategoryWarning)
     return leaf
 
 
@@ -721,7 +700,7 @@ def _emit_json(value, parts: list[str]) -> None:
     elif value is False:
         parts.append("false")
     elif isinstance(value, str):
-        parts.append(json.dumps(value))
+        parts.append(encode_basestring_ascii(value))
     elif isinstance(value, (int, np.integer)):
         parts.append(str(int(value)))
     elif isinstance(value, float):
@@ -738,39 +717,36 @@ def _emit_json(value, parts: list[str]) -> None:
         for i, (key, item) in enumerate(value.items()):
             if i:
                 parts.append(", ")
-            parts.append(json.dumps(key) + ": ")
+            parts.append(encode_basestring_ascii(key) + ": ")
             _emit_json(item, parts)
         parts.append("}")
     else:
         raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def dumps_document(doc: dict) -> str:
-    parts: list[str] = []
-    _emit_json(doc, parts)
-    return "".join(parts) + "\n"
-
-
 def serialize(tree: CartTree) -> str:
     """Tree as a one-document JSON string, preorder node records."""
+    # Python numbers, which print as JSON should; None in the other mode
+    cls, p1, mean = ([None] * len(tree.rules) if column is None
+                     else column.tolist() for column in (
+                         tree.predicted_class, tree.positive_proportion,
+                         tree.mean))
     records = []
-    for node in tree.nodes:
-        rec = {"n": node.n,
-               "counts": list(node.counts) if node.counts is not None else None,
-               "left": node.left, "right": node.right}
-        if node.rule is not None:
-            rec["feature"] = node.rule.feature
-            rec["feature_index"] = node.rule.feature_index
-            rec["threshold"] = node.rule.threshold
-            rec["subset"] = (sorted(node.rule.subset)
-                             if node.rule.subset is not None else None)
-            rec["complement"] = (sorted(node.rule.complement)
-                                 if node.rule.complement is not None else None)
+    for i, (rule, n, counts, right) in enumerate(zip(
+            tree.rules, tree.n, tree.counts, tree.right)):
+        counts = list(counts) if counts is not None else None
+        if rule is None:
+            records.append({"n": n, "counts": counts, "left": None,
+                            "right": None, "class": cls[i], "p1": p1[i],
+                            "mean": mean[i]})
         else:
-            rec["class"] = node.predicted_class
-            rec["p1"] = node.positive_proportion
-            rec["mean"] = node.mean
-        records.append(rec)
+            numeric = rule.is_numeric
+            records.append({
+                "n": n, "counts": counts, "left": i + 1, "right": right,
+                "feature": rule.feature, "feature_index": rule.feature_index,
+                "threshold": rule.threshold,
+                "subset": None if numeric else sorted(rule.subset),
+                "complement": None if numeric else sorted(rule.complement)})
     doc = {
         "format": FORMAT_VERSION,
         "config": {
@@ -779,21 +755,17 @@ def serialize(tree: CartTree) -> str:
             "min_gini_decrease": tree.config.min_gini_decrease,
             "mode": tree.config.mode,
         },
-        "schema": _fingerprint_to_doc(tree.fingerprint),
+        "schema": {
+            "features": [{"name": name, "kind": kind, "levels": levels}
+                         for name, kind, levels in tree.fingerprint[:-1]],
+            "target": tree.fingerprint[-1],
+        },
         "n_training_rows": tree.n_training_rows,
         "nodes": records,
     }
-    return dumps_document(doc)
-
-
-def _fingerprint_to_doc(fp: tuple) -> dict:
-    return {
-        "features": [
-            {"name": name, "kind": kind, "levels": levels}
-            for name, kind, levels in fp[:-1]
-        ],
-        "target": fp[-1],
-    }
+    parts: list[str] = []
+    _emit_json(doc, parts)
+    return "".join(parts) + "\n"
 
 
 def _fingerprint_from_doc(doc) -> tuple:
@@ -844,88 +816,109 @@ def deserialize(text: str) -> CartTree:
     if not isinstance(records, list) or not records:
         raise MalformedDocumentError("nodes must be a nonempty list")
 
-    nodes = [_record_to_node(rec, i, config.mode)
-             for i, rec in enumerate(records)]
+    rules, right, n, counts = [], [], [], []
+    columns = _LEAF_COLUMNS[config.mode]
+    leaf = {column: [0] * len(records) for column in columns.values()}
+    kind = f"{config.mode} leaf"
     # A depth-first walk, left child first, must meet every node once
-    # and in table order: the table is then one tree, in preorder.
+    # and in table order: the table is then one tree, in preorder, and
+    # each internal node's left child is the next node.
     pending = [0]
     for i, rec in enumerate(records):
         if not pending:
             raise MalformedDocumentError("node list is not a single tree")
         if pending.pop() != i:
             raise MalformedDocumentError(f"node {i} is out of preorder")
-        left, right = rec.get("left"), rec.get("right")
-        if (left is None) != (right is None):
+        if not isinstance(rec, dict):
+            raise MalformedDocumentError(f"node {i} is not an object")
+        left, r = rec.get("left"), rec.get("right")
+        if (left is None) != (r is None):
             raise MalformedDocumentError(
                 f"node {i} has only one child index")
-        if left is not None:
-            for child in (left, right):
-                if not isinstance(child, int) or not i < child < len(records):
-                    raise MalformedDocumentError(
-                        f"node {i} child index {child!r} out of range")
-            pending += [right, left]
+        try:
+            n.append(int(rec["n"]))
+            c = rec["counts"]
+            counts.append(tuple(map(int, c)) if c is not None else None)
+            if left is None:
+                rules.append(None)
+                for key, column in columns.items():
+                    leaf[column][i] = _value(rec, key, i, kind)
+            else:
+                for child in (left, r):
+                    if not (isinstance(child, int)
+                            and i < child < len(records)):
+                        raise MalformedDocumentError(
+                            f"node {i} child index {child!r} out of range")
+                pending += [r, left]
+                rules.append(_record_rule(rec, i, fingerprint[:-1]))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise MalformedDocumentError(f"node {i}: {exc}") from None
+        right.append(-1 if r is None else r)
     if pending:
         raise MalformedDocumentError(f"node {pending[-1]} referenced twice")
-    features = fingerprint[:-1]
-    for i, node in enumerate(nodes):
-        if node.rule is not None:
-            _check_rule(node.rule, features, i)
-    return CartTree(nodes=nodes, fingerprint=fingerprint, config=config,
-                    n_training_rows=int(doc["n_training_rows"]))
+    for column, values in leaf.items():
+        leaf[column] = np.array(values, int if column == "predicted_class"
+                                else float)
+    return CartTree(rules=rules, right=right, n=n, counts=counts,
+                    fingerprint=fingerprint, config=config,
+                    n_training_rows=int(doc["n_training_rows"]), **leaf)
 
 
-def _check_rule(rule: SplitRule, features: tuple, i: int) -> None:
-    """Refuse a rule whose feature, index or kind the schema contradicts."""
-    j = rule.feature_index
-    if not 0 <= j < len(features) or features[j][0] != rule.feature:
+def _number(value) -> bool:
+    """Whether a parsed JSON value is a number that a float holds; int
+    and float compare exactly, and NaN compares false."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
+#: What each value field of a node record must hold, and its test.
+_VALUES = {
+    "class": ("0 or 1", lambda v: type(v) is int and v in (0, 1)),
+    "p1": ("a finite number in [0, 1]", lambda v: _number(v) and 0 <= v <= 1),
+    "mean": ("a finite number", _number),
+    "threshold": ("a finite number", _number),
+    "subset": ("a list of whole numbers",
+               lambda v: type(v) is list and all(type(c) is int for c in v)),
+}
+_VALUES["complement"] = _VALUES["subset"]
+
+#: The leaf fields of each mode's records, each to its CartTree column.
+_LEAF_COLUMNS = {CLASSIFICATION: {"class": "predicted_class",
+                                  "p1": "positive_proportion"},
+                 REGRESSION: {"mean": "mean"}}
+
+
+def _value(rec: dict, key: str, i: int, node: str):
+    """Field key of node i's record, refused unless it holds what
+    _VALUES asks; node names what node i is, a rule or a mode's leaf."""
+    value = rec.get(key)
+    what, valid = _VALUES[key]
+    if not valid(value):
         raise MalformedDocumentError(
-            f"node {i} routes on feature {rule.feature!r} at index {j}, "
+            f"node {i} is a {node} whose {key!r} is {value!r}, not {what}")
+    return value
+
+
+def _record_rule(rec: dict, i: int, features: tuple) -> SplitRule:
+    """The rule of internal node i's record, refused when a value breaks
+    the format or the schema contradicts its feature, index or kind."""
+    name, j = rec["feature"], int(rec["feature_index"])
+    if not 0 <= j < len(features) or features[j][0] != name:
+        raise MalformedDocumentError(
+            f"node {i} routes on feature {name!r} at index {j}, "
             "which the schema does not hold")
+    if rec["threshold"] is not None:
+        threshold = _value(rec, "threshold", i, "rule")
+        rule = SplitRule(name, j, threshold=float(threshold))
+    else:
+        rule = SplitRule(
+            name, j, subset=frozenset(_value(rec, "subset", i, "rule")),
+            complement=frozenset(_value(rec, "complement", i, "rule")))
     kind = NUMERIC if rule.is_numeric else CATEGORICAL
     if features[j][1] != kind:
         raise MalformedDocumentError(
             f"node {i} has a {kind} rule on {features[j][1]} feature "
-            f"{rule.feature!r}")
-
-
-#: Fields a leaf record of each mode must hold as a finite number.
-_LEAF_FIELDS = {CLASSIFICATION: ("class", "p1"), REGRESSION: ("mean",)}
-
-
-def _record_to_node(rec, i: int, mode: str) -> TreeNode:
-    if not isinstance(rec, dict):
-        raise MalformedDocumentError(f"node {i} is not an object")
-    try:
-        counts = rec["counts"]
-        counts = tuple(int(c) for c in counts) if counts is not None else None
-        if rec.get("left") is not None:
-            threshold = rec["threshold"]
-            if threshold is not None:
-                rule = SplitRule(rec["feature"], int(rec["feature_index"]),
-                                 threshold=float(threshold))
-            else:
-                rule = SplitRule(rec["feature"], int(rec["feature_index"]),
-                                 subset=frozenset(rec["subset"]),
-                                 complement=frozenset(rec["complement"]))
-            return TreeNode(n=int(rec["n"]), counts=counts, rule=rule,
-                            left=rec["left"], right=rec["right"])
-        for key in _LEAF_FIELDS[mode]:
-            value = rec.get(key)
-            if not (type(value) is int or (type(value) is float
-                                           and math.isfinite(value))):
-                raise MalformedDocumentError(
-                    f"node {i} is a {mode} leaf whose {key!r} is "
-                    f"{value!r}, not a finite number")
-        cls = rec.get("class")
-        p1 = rec.get("p1")
-        mean = rec.get("mean")
-        return TreeNode(
-            n=int(rec["n"]), counts=counts,
-            predicted_class=int(cls) if cls is not None else None,
-            positive_proportion=float(p1) if p1 is not None else None,
-            mean=float(mean) if mean is not None else None)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedDocumentError(f"node {i}: {exc}") from None
+            f"{name!r}")
+    return rule
 
 
 # -- rendering -------------------------------------------------------------
@@ -935,42 +928,41 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _node_label(node: TreeNode) -> tuple[str, str]:
-    """(body, stats) of a node: its rule or leaf prediction, then its
-    row count and class counts."""
-    stats = f"n={node.n}"
-    if node.counts is not None:
-        stats += f" counts={node.counts}"
-    if not node.is_leaf:
-        return node.rule.describe(), stats
-    if node.mean is not None:
-        return f"leaf mean={node.mean!r}", stats
-    return (f"leaf class={node.predicted_class} "
-            f"p1={node.positive_proportion!r}"), stats
+def _labels(tree: CartTree) -> list[tuple[str, str]]:
+    """(body, stats) of every node: its rule or leaf prediction, then its
+    row count and class counts.  tolist() gives Python floats, whose
+    repr is the bare number."""
+    if tree.mean is not None:
+        leaves = [f"leaf mean={m!r}" for m in tree.mean.tolist()]
+    else:
+        leaves = [f"leaf class={c} p1={p!r}" for c, p in zip(
+            tree.predicted_class.tolist(), tree.positive_proportion.tolist())]
+    return [(leaf if rule is None else rule.describe(),
+             f"n={n}" if counts is None else f"n={n} counts={counts}")
+            for rule, leaf, n, counts in zip(tree.rules, leaves, tree.n,
+                                             tree.counts)]
 
 
 def export_dot(tree: CartTree) -> str:
     """Graphviz digraph; edges carry True (left) and False (right)."""
     lines = ["digraph cart {", "  node [shape=box];"]
-    for i, node in enumerate(tree.nodes):
-        body, stats = _node_label(node)
+    for i, (body, stats) in enumerate(_labels(tree)):
         lines.append(f'  n{i} [label="{_dot_escape(body)}\\n{stats}"];')
-    for i, node in enumerate(tree.nodes):
-        if not node.is_leaf:
-            lines.append(f'  n{i} -> n{node.left} [label="True"];')
-            lines.append(f'  n{i} -> n{node.right} [label="False"];')
+    for i, r in enumerate(tree.right):
+        if r >= 0:
+            lines.append(f'  n{i} -> n{i + 1} [label="True"];')
+            lines.append(f'  n{i} -> n{r} [label="False"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
 
 def export_text(tree: CartTree) -> str:
     """Indented plain-text outline of the tree, two spaces per level."""
-    depths = _depths(tree.nodes)
-    tags = [""] * len(tree.nodes)
+    depths = _depths(tree.right)
+    tags = [""] * len(depths)
     lines = []
-    for i, node in enumerate(tree.nodes):
-        body, stats = _node_label(node)
+    for i, ((body, stats), r) in enumerate(zip(_labels(tree), tree.right)):
         lines.append(f"{'  ' * depths[i]}{tags[i]}{body} [{stats}]")
-        if not node.is_leaf:
-            tags[node.left], tags[node.right] = "True: ", "False: "
+        if r >= 0:
+            tags[i + 1], tags[r] = "True: ", "False: "
     return "\n".join(lines) + "\n"

@@ -265,6 +265,19 @@ class ClassDistribution:
         return tuple(c / self.total for c in self.counts)
 
 
+def whole_codes(values: np.ndarray, feature: str, rows) -> np.ndarray:
+    """Cells of a categorical feature as an int array; one that is not a
+    whole number within 2**53 raises DataError naming it by rows."""
+    bad = np.flatnonzero((values != np.trunc(values))
+                         | ~(np.abs(values) <= 2.0 ** 53))
+    if bad.size:
+        raise DataError(
+            f"row {rows[bad[0]]} holds {float(values[bad[0]])!r} in "
+            f"categorical feature {feature!r}, which is not a whole number "
+            "within 2**53")
+    return values.astype(np.int64)
+
+
 @dataclass(eq=False)
 class Dataset:
     """Feature columns plus a target column.
@@ -321,13 +334,8 @@ class Dataset:
     def codes(self, name: str) -> np.ndarray:
         """A categorical column as an int array, insisting every cell is
         a whole number within 2**53."""
-        x = self.X[:, self.schema[name].index]
-        bad = np.flatnonzero((x != np.trunc(x)) | ~(np.abs(x) <= 2.0 ** 53))
-        if bad.size:
-            raise DataError(
-                f"row {bad[0]} holds {float(x[bad[0]])!r} in categorical "
-                f"feature {name!r}, which is not a whole number within 2**53")
-        return x.astype(np.int64)
+        return whole_codes(self.X[:, self.schema[name].index], name,
+                           range(self.n))
 
     def select(self, indices: Iterable[int]) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)

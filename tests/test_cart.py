@@ -378,7 +378,7 @@ class TestCartConfig:
     def test_zero_depth_means_root_leaf(self):
         data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
         tree = grow(data, config=CartConfig(max_depth=0))
-        assert tree.nodes[0].is_leaf
+        assert tree.rules[0] is None
 
 
 class TestGrow:
@@ -387,21 +387,21 @@ class TestGrow:
             {"x": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}, [0, 0, 0, 1, 1, 1])
         tree = grow(data, config=CartConfig(min_node_size=1))
         assert tree.node_count() == 3
-        assert tree.nodes[0].rule.threshold == 3.5
+        assert tree.rules[0].threshold == 3.5
         classes, _ = predict_dataset(tree, data)
         assert classes.tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_homogeneous_root_stays_leaf(self):
         data = make_dataset({"x": [1.0, 2.0, 3.0]}, [1, 1, 1])
         tree = grow(data)
-        assert tree.nodes[0].is_leaf
-        assert tree.nodes[0].predicted_class == 1
+        assert tree.rules[0] is None
+        assert tree.predicted_class[0] == 1
 
     def test_min_node_size_stops_growth(self):
         data = make_dataset(
             {"x": [1.0, 2.0, 3.0, 4.0]}, [0, 1, 0, 1])
         tree = grow(data, config=CartConfig(min_node_size=5))
-        assert tree.nodes[0].is_leaf
+        assert tree.rules[0] is None
 
     def test_max_depth_stops_growth(self):
         rng = np.random.default_rng(23)
@@ -414,11 +414,11 @@ class TestGrow:
         data = make_dataset(
             {"x": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}, [0, 0, 0, 1, 0, 1])
         tree = grow(data, config=CartConfig(min_node_size=1))
-        assert tree.nodes[0].counts == (4, 2)
-        for node in tree.nodes:
-            if node.is_leaf:
-                assert node.positive_proportion == (
-                    node.counts[1] / node.n)
+        assert tree.counts[0] == (4, 2)
+        for i, rule in enumerate(tree.rules):
+            if rule is None:
+                assert tree.positive_proportion[i] == (
+                    tree.counts[i][1] / tree.n[i])
 
     def test_row_order_invariance(self):
         rng = np.random.default_rng(24)
@@ -437,14 +437,14 @@ class TestGrow:
                             [0, 1])
         config = CartConfig(min_node_size=1)
         tree = grow(data, config=config)
-        assert tree.nodes[0].is_leaf
+        assert tree.rules[0] is None
         assert json.loads(serialize(tree))["nodes"] == reference_grow(
             data, config)
 
     def test_leaf_tie_predicts_zero(self):
         data = make_dataset({"x": [1.0, 1.0]}, [0, 1])
         tree = grow(data)
-        assert tree.nodes[0].predicted_class == 0
+        assert tree.predicted_class[0] == 0
 
 
 class TestRegressionMode:
@@ -453,15 +453,24 @@ class TestRegressionMode:
             {"x": [1.0, 2.0, 3.0, 4.0]}, [10.0, 10.0, 20.0, 20.0])
         tree = grow(data, config=CartConfig(mode=REGRESSION,
                                             min_node_size=1))
-        assert tree.nodes[0].rule.threshold == 2.5
+        assert tree.rules[0].threshold == 2.5
         fresh = make_dataset({"x": [1.5, 3.7]}, [None, None])
         assert predict_values(tree, fresh).tolist() == [10.0, 20.0]
 
     def test_constant_target_is_leaf(self):
         data = make_dataset({"x": [1.0, 2.0, 3.0]}, [4.0, 4.0, 4.0])
         tree = grow(data, config=CartConfig(mode=REGRESSION))
-        assert tree.nodes[0].is_leaf
-        assert tree.nodes[0].mean == 4.0
+        assert tree.rules[0] is None
+        assert tree.mean[0] == 4.0
+
+
+def deeper_code_dataset():
+    """The root splits on x; its left child splits on c and holds codes
+    1 and 2 only, while code 3 is in training on the right."""
+    return make_dataset(
+        {"x": [1.0] * 6 + [9.0] * 18, "c": [1, 1, 1, 2, 2, 2] + [1, 2, 3] * 6},
+        [1, 1, 1, 0, 0, 0] + [1] * 18, kinds={"c": CATEGORICAL},
+        levels={"c": 3})
 
 
 class TestSerialization:
@@ -485,7 +494,7 @@ class TestSerialization:
                             [0, 0, 1, 1])
         tree = grow(data, config=CartConfig(min_node_size=1))
         again = deserialize(serialize(tree))
-        assert again.nodes[0].rule.threshold == tree.nodes[0].rule.threshold
+        assert again.rules[0].threshold == tree.rules[0].threshold
 
     def test_format_tag_present(self):
         tree, _ = self.grown_tree()
@@ -550,6 +559,11 @@ class TestSerialization:
         ("classification", "class", None),
         ("classification", "p1", None),
         ("classification", "p1", "0.5"),
+        ("classification", "class", 0.5),
+        ("classification", "class", 7),
+        ("classification", "class", True),
+        ("classification", "p1", 1.5),
+        ("classification", "p1", float("nan")),
         ("regression", "mean", None),
         ("regression", "mean", float("nan")),
     ])
@@ -563,6 +577,45 @@ class TestSerialization:
         with pytest.raises(MalformedDocumentError,
                            match=f"node {len(doc['nodes']) - 1} .*{field}"):
             deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("node, field, value", [
+        (0, "threshold", float("nan")),
+        (0, "threshold", float("inf")),
+        (0, "threshold", "2e5"),
+        (1, "subset", "12"),
+        (1, "subset", [1.0]),
+        (1, "complement", [3.5]),
+        (1, "complement", 2),
+    ])
+    def test_rule_values_outside_the_format_rejected(self, node, field,
+                                                     value):
+        doc = json.loads(serialize(grow(deeper_code_dataset(),
+                                        config=CartConfig(min_node_size=1))))
+        doc["nodes"][node][field] = value
+        with pytest.raises(MalformedDocumentError,
+                           match=f"node {node} .*{field}"):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("node, field, value", [
+        (0, "n", float("inf")),
+        (0, "threshold", 10 ** 400),
+        (2, "mean", 10 ** 400),
+    ], ids=["n-inf", "threshold-1e400", "mean-1e400"])
+    def test_numbers_past_float_range_rejected(self, node, field, value):
+        data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
+        doc = json.loads(serialize(grow(data, config=CartConfig(
+            min_node_size=1, mode=REGRESSION))))
+        doc["nodes"][node][field] = value
+        with pytest.raises(MalformedDocumentError, match=f"node {node}"):
+            deserialize(json.dumps(doc))
+
+    def test_whole_floats_written_as_ints_load(self):
+        tree = grow(deeper_code_dataset(), config=CartConfig(min_node_size=1))
+        text = serialize(tree)
+        nodes = json.loads(text)["nodes"]
+        assert nodes[0]["threshold"] == 5 and nodes[2]["p1"] == 1
+        assert type(nodes[0]["threshold"]) is type(nodes[2]["p1"]) is int
+        assert serialize(deserialize(text)) == text
 
     def test_orphan_node_rejected(self):
         tree, _ = self.grown_tree()
@@ -621,8 +674,7 @@ class TestPredict:
                              kinds={"c": CATEGORICAL}, levels={"c": 3})
         with pytest.warns(UnseenCategoryWarning):
             predicted, _ = predict_dataset(tree, fresh)
-        right_leaf = tree.nodes[tree.nodes[0].right]
-        assert predicted.tolist() == [right_leaf.predicted_class]
+        assert predicted.tolist() == [tree.predicted_class[tree.right[0]]]
 
     def test_scores_are_leaf_proportions(self):
         data = make_dataset(
@@ -657,11 +709,27 @@ class TestPredict:
         with pytest.warns(UnseenCategoryWarning) as caught:
             classes, _ = predict_dataset(tree, fresh)
         assert [str(w.message) for w in caught] == [
-            "code 4 of 'c' never seen in training; routing right",
-            "code 3 of 'c' never seen in training; routing right",
+            "code 4 of 'c' is absent from the training rows of node 0; "
+            "routing right",
+            "code 3 of 'c' is absent from the training rows of node 0; "
+            "routing right",
         ]
-        right = tree.nodes[tree.nodes[0].right].predicted_class
+        right = tree.predicted_class[tree.right[0]]
         assert classes.tolist() == [right, right, 1, right]
+
+    def test_code_absent_from_a_deeper_node_names_that_node(self):
+        tree = grow(deeper_code_dataset(), config=CartConfig(min_node_size=1))
+        assert tree.rules[0].feature == "x" and tree.rules[1].feature == "c"
+        assert 3 not in tree.rules[1].subset | tree.rules[1].complement
+        fresh = make_dataset({"x": [9.0, 1.0, 1.0], "c": [3, 3, 3]},
+                             [None] * 3, kinds={"c": CATEGORICAL},
+                             levels={"c": 3})
+        with pytest.warns(UnseenCategoryWarning) as caught:
+            classes, _ = predict_dataset(tree, fresh)
+        assert [str(w.message) for w in caught] == [
+            "code 3 of 'c' is absent from the training rows of node 1; "
+            "routing right"]
+        assert classes.tolist() == [1, 0, 0]
 
     def test_missing_cell_on_routed_feature_names_row(self):
         data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0], "z": [0.0] * 4},
@@ -759,6 +827,29 @@ def test_tree_agreement_property(seed, min_node_size, max_depth, min_decrease):
                         min_gini_decrease=min_decrease)
     records = json.loads(serialize(grow(data, config=config)))["nodes"]
     assert records == reference_grow(data, config)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5),
+       st.sampled_from([CLASSIFICATION, REGRESSION]))
+def test_loaded_tree_renders_and_predicts_as_grown(seed, min_node_size, mode):
+    """deserialize(serialize(t)) holds t's node table: it renders the
+    same bytes and predicts the same arrays."""
+    rng = np.random.default_rng(seed)
+    data = random_mixed_dataset(rng, max_rows=40)
+    if mode == REGRESSION:
+        data = Dataset(data.schema, data.X, rng.normal(size=data.n))
+    tree = grow(data, config=CartConfig(min_node_size=min_node_size,
+                                        mode=mode))
+    loaded = deserialize(serialize(tree))
+    for render in (serialize, export_dot, export_text):
+        assert render(loaded) == render(tree)
+    if mode == CLASSIFICATION:
+        pairs = zip(predict_dataset(tree, data), predict_dataset(loaded, data))
+    else:
+        pairs = [(predict_values(tree, data), predict_values(loaded, data))]
+    for grown, again in pairs:
+        assert grown.dtype == again.dtype
+        assert grown.tolist() == again.tolist()
 
 
 #: Class-1 and class-0 rows of the blocks tied codes are built from.

@@ -436,6 +436,19 @@ class TestEvalCommand:
         rc = main(["eval", "--input", str(source), "--out", str(workdir)])
         assert rc == 2
 
+    def test_leaf_class_outside_0_1_exits_3(self, workdir, capsys):
+        source = self.trained(workdir)
+        model = workdir / "model.json"
+        doc = json.loads(model.read_text())
+        leaf = next(i for i, node in enumerate(doc["nodes"])
+                    if node["left"] is None)
+        doc["nodes"][leaf]["class"] = 7
+        model.write_text(json.dumps(doc))
+        rc = main(["eval", "--input", str(source), "--out", str(workdir)])
+        assert rc == 3
+        assert f"node {leaf} is a classification leaf whose 'class' is 7" in \
+            capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["eval", "predict"])
     def test_regression_model_exits_2(self, workdir, capsys, command):
         source = self.trained(workdir, extra=("--mode", "regression"))
