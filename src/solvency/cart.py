@@ -33,6 +33,8 @@ from .dataset import (
     NUMERIC,
     ClassDistribution,
     Dataset,
+    FeatureSpec,
+    Schema,
     whole_codes,
 )
 from .errors import (
@@ -691,90 +693,83 @@ def _leaf_index(tree: CartTree, data: Dataset, mode: str) -> np.ndarray:
 # -- serialization ---------------------------------------------------------
 
 
-def _emit_json(value, parts: list[str]) -> None:
-    """Minimal JSON writer printing floats at 17 significant digits."""
-    if value is None:
-        parts.append("null")
-    elif value is True:
-        parts.append("true")
-    elif value is False:
-        parts.append("false")
-    elif isinstance(value, str):
-        parts.append(encode_basestring_ascii(value))
-    elif isinstance(value, (int, np.integer)):
-        parts.append(str(int(value)))
-    elif isinstance(value, float):
-        parts.append(format(value, ".17g"))
-    elif isinstance(value, (list, tuple)):
-        parts.append("[")
-        for i, item in enumerate(value):
-            if i:
-                parts.append(", ")
-            _emit_json(item, parts)
-        parts.append("]")
-    elif isinstance(value, dict):
-        parts.append("{")
-        for i, (key, item) in enumerate(value.items()):
-            if i:
-                parts.append(", ")
-            parts.append(encode_basestring_ascii(key) + ": ")
-            _emit_json(item, parts)
-        parts.append("}")
-    else:
-        raise TypeError(f"cannot serialize {type(value)!r}")
+def _json(value) -> str:
+    """JSON text of a header value: a string escaped to ASCII, a float
+    at 17 significant digits, and an int, also one a config file gave a
+    float field, as an int."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return json.dumps(value)
 
 
 def serialize(tree: CartTree) -> str:
-    """Tree as a one-document JSON string, preorder node records."""
-    # Python numbers, which print as JSON should; None in the other mode
-    cls, p1, mean = ([None] * len(tree.rules) if column is None
-                     else column.tolist() for column in (
-                         tree.predicted_class, tree.positive_proportion,
-                         tree.mean))
+    """Tree as a one-document JSON string, preorder node records.
+
+    Every float prints as format(x, ".17g"), which holds it exactly and
+    is not repr: a whole one prints as an int (1.0 as 1), and 17 digits
+    may show more (0.81499999999999995 for 0.815).  Strings are escaped
+    to ASCII.  Each node record is filled in from the columns by the
+    template of its kind: leaf, numeric rule or categorical rule.
+    """
+    config = tree.config
+    features = ", ".join(
+        f'{{"name": {_json(name)}, "kind": {_json(kind)}, '
+        f'"levels": {_json(levels)}}}'
+        for name, kind, levels in tree.fingerprint[:-1])
+    head = (f'{{"format": "{FORMAT_VERSION}", "config": {{'
+            f'"min_node_size": {_json(config.min_node_size)}, '
+            f'"max_depth": {_json(config.max_depth)}, '
+            f'"min_gini_decrease": {_json(config.min_gini_decrease)}, '
+            f'"mode": {_json(config.mode)}}}, "schema": {{"features": '
+            f'[{features}], "target": {_json(tree.fingerprint[-1])}}}, '
+            f'"n_training_rows": {_json(tree.n_training_rows)}, "nodes": [')
+    # Python numbers print as JSON: tolist() gives them, and codes and
+    # counts already are
+    if tree.mean is None:
+        leaves = [f'"class": {c}, "p1": {p:.17g}, "mean": null'
+                  for c, p in zip(tree.predicted_class.tolist(),
+                                  tree.positive_proportion.tolist())]
+    else:
+        leaves = [f'"class": null, "p1": null, "mean": {m:.17g}'
+                  for m in tree.mean.tolist()]
+    names = {name: _json(name) for name, _, _ in tree.fingerprint[:-1]}
     records = []
-    for i, (rule, n, counts, right) in enumerate(zip(
-            tree.rules, tree.n, tree.counts, tree.right)):
-        counts = list(counts) if counts is not None else None
+    for i, (rule, n, counts, r) in enumerate(zip(tree.rules, tree.n,
+                                                 tree.counts, tree.right)):
+        counts = "null" if counts is None else f"[{counts[0]}, {counts[1]}]"
         if rule is None:
-            records.append({"n": n, "counts": counts, "left": None,
-                            "right": None, "class": cls[i], "p1": p1[i],
-                            "mean": mean[i]})
+            records.append(f'{{"n": {n}, "counts": {counts}, "left": null, '
+                           f'"right": null, {leaves[i]}}}')
+            continue
+        if rule.threshold is None:
+            test = (f'"threshold": null, "subset": {sorted(rule.subset)}, '
+                    f'"complement": {sorted(rule.complement)}')
         else:
-            numeric = rule.is_numeric
-            records.append({
-                "n": n, "counts": counts, "left": i + 1, "right": right,
-                "feature": rule.feature, "feature_index": rule.feature_index,
-                "threshold": rule.threshold,
-                "subset": None if numeric else sorted(rule.subset),
-                "complement": None if numeric else sorted(rule.complement)})
-    doc = {
-        "format": FORMAT_VERSION,
-        "config": {
-            "min_node_size": tree.config.min_node_size,
-            "max_depth": tree.config.max_depth,
-            "min_gini_decrease": tree.config.min_gini_decrease,
-            "mode": tree.config.mode,
-        },
-        "schema": {
-            "features": [{"name": name, "kind": kind, "levels": levels}
-                         for name, kind, levels in tree.fingerprint[:-1]],
-            "target": tree.fingerprint[-1],
-        },
-        "n_training_rows": tree.n_training_rows,
-        "nodes": records,
-    }
-    parts: list[str] = []
-    _emit_json(doc, parts)
-    return "".join(parts) + "\n"
+            test = (f'"threshold": {rule.threshold:.17g}, "subset": null, '
+                    '"complement": null')
+        records.append(f'{{"n": {n}, "counts": {counts}, "left": {i + 1}, '
+                       f'"right": {r}, "feature": {names[rule.feature]}, '
+                       f'"feature_index": {rule.feature_index}, {test}}}')
+    return head + ", ".join(records) + "]}\n"
 
 
 def _fingerprint_from_doc(doc) -> tuple:
+    """The schema section's fingerprint, refused unless it describes a
+    Schema: string names and target, known kinds, whole levels."""
     try:
-        features = tuple(
-            (f["name"], f["kind"], f["levels"]) for f in doc["features"])
-        return features + (doc["target"],)
-    except (KeyError, TypeError) as exc:
+        specs = [(f["name"], f["kind"], f["levels"]) for f in doc["features"]]
+        target = doc["target"]
+        if type(target) is not str or not all(
+                type(name) is str and (levels is None or type(levels) is int)
+                for name, _, levels in specs):
+            raise TypeError("names must be strings and levels null or "
+                            "whole numbers")
+        schema = Schema([FeatureSpec(*spec) for spec in specs], target)
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"bad schema section: {exc}") from None
+    return schema.fingerprint()
 
 
 def deserialize(text: str) -> CartTree:
@@ -802,16 +797,20 @@ def deserialize(text: str) -> CartTree:
             raise MalformedDocumentError(f"missing {key} field")
     cfg = doc["config"]
     try:
-        config = CartConfig(
-            min_node_size=int(cfg["min_node_size"]),
-            max_depth=int(cfg["max_depth"]),
-            min_gini_decrease=float(cfg["min_gini_decrease"]),
-            mode=cfg["mode"],
-            allow_large_min_node=True,
-        )
+        limits = cfg["min_node_size"], cfg["max_depth"]
+        if not (type(limits[0]) is type(limits[1]) is int
+                and _number(cfg["min_gini_decrease"])):
+            raise TypeError("min_node_size and max_depth must be whole "
+                            "numbers and min_gini_decrease a finite number")
+        config = CartConfig(*limits, cfg["min_gini_decrease"], cfg["mode"],
+                            allow_large_min_node=True)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise MalformedDocumentError(f"bad config section: {exc}") from None
     fingerprint = _fingerprint_from_doc(doc["schema"])
+    rows = doc["n_training_rows"]
+    if type(rows) is not int:
+        raise MalformedDocumentError(
+            f"n_training_rows is {rows!r}, not a whole number")
     records = doc["nodes"]
     if not isinstance(records, list) or not records:
         raise MalformedDocumentError("nodes must be a nonempty list")
@@ -836,9 +835,15 @@ def deserialize(text: str) -> CartTree:
             raise MalformedDocumentError(
                 f"node {i} has only one child index")
         try:
-            n.append(int(rec["n"]))
-            c = rec["counts"]
-            counts.append(tuple(map(int, c)) if c is not None else None)
+            count, c = rec["n"], rec["counts"]
+            if type(count) is not int or c is not None and not (
+                    type(c) is list and len(c) == 2
+                    and type(c[0]) is type(c[1]) is int):
+                raise MalformedDocumentError(
+                    f"node {i} has n {count!r} and counts {c!r}, not a whole "
+                    "number and null or two whole numbers")
+            n.append(count)
+            counts.append(tuple(c) if c is not None else None)
             if left is None:
                 rules.append(None)
                 for key, column in columns.items():
@@ -861,7 +866,7 @@ def deserialize(text: str) -> CartTree:
                                 else float)
     return CartTree(rules=rules, right=right, n=n, counts=counts,
                     fingerprint=fingerprint, config=config,
-                    n_training_rows=int(doc["n_training_rows"]), **leaf)
+                    n_training_rows=rows, **leaf)
 
 
 def _number(value) -> bool:
@@ -901,8 +906,9 @@ def _value(rec: dict, key: str, i: int, node: str):
 def _record_rule(rec: dict, i: int, features: tuple) -> SplitRule:
     """The rule of internal node i's record, refused when a value breaks
     the format or the schema contradicts its feature, index or kind."""
-    name, j = rec["feature"], int(rec["feature_index"])
-    if not 0 <= j < len(features) or features[j][0] != name:
+    name, j = rec["feature"], rec["feature_index"]
+    if type(j) is not int or not 0 <= j < len(features) or (
+            features[j][0] != name):
         raise MalformedDocumentError(
             f"node {i} routes on feature {name!r} at index {j}, "
             "which the schema does not hold")

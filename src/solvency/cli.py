@@ -315,7 +315,9 @@ def _screened_variables(cfg: PipelineConfig, data: Dataset) -> list[str]:
 
 
 def stage_train(cfg: PipelineConfig, data: Dataset | None = None
-                ) -> list[str]:
+                ) -> tuple[list[str], cart.CartTree]:
+    """Write model.json, tree.dot and tree.txt; also return the tree
+    that eval would read back from model.json."""
     data = _stage_data(cfg, data)
     variables = _screened_variables(cfg, data)
     if cfg.holdout is not None:
@@ -326,15 +328,19 @@ def stage_train(cfg: PipelineConfig, data: Dataset | None = None
     _write(cfg.path(TREE_TXT), cart.export_text(tree))
     print(f"train: {tree.node_count()} nodes, depth {tree.depth()}, "
           f"{data.n} training rows")
-    return [MODEL_JSON, TREE_DOT, TREE_TXT]
+    return [MODEL_JSON, TREE_DOT, TREE_TXT], tree
 
 
-def _load_model(cfg: PipelineConfig) -> cart.CartTree:
+def _load_model(cfg: PipelineConfig, tree: cart.CartTree | None = None
+                ) -> cart.CartTree:
+    """The --model file, else the tree pipeline hands on, else the out
+    directory's model.json; refused unless it is a classification tree."""
     path = cfg.model if cfg.model else cfg.path(MODEL_JSON)
-    if not os.path.exists(path):
-        raise ConfigError(f"model file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        tree = cart.deserialize(fh.read())
+    if cfg.model or tree is None:
+        if not os.path.exists(path):
+            raise ConfigError(f"model file not found: {path}")
+        with open(path, encoding="utf-8") as fh:
+            tree = cart.deserialize(fh.read())
     if tree.config.mode != cart.CLASSIFICATION:
         raise ConfigError(
             f"model {path} is a {tree.config.mode} tree; eval and predict "
@@ -342,12 +348,12 @@ def _load_model(cfg: PipelineConfig) -> cart.CartTree:
     return tree
 
 
-def stage_eval(cfg: PipelineConfig, data: Dataset | None = None
-               ) -> list[str]:
+def stage_eval(cfg: PipelineConfig, data: Dataset | None = None,
+               tree: cart.CartTree | None = None) -> list[str]:
     data = _stage_data(cfg, data)
     if cfg.holdout is not None:
         _, data = data.split(cfg.holdout, cfg.seed)
-    tree = _load_model(cfg)
+    tree = _load_model(cfg, tree)
     classes, scores = cart.predict_dataset(tree, data)
     actual = data.binary_target()
     cm = evaluation.confusion(actual, classes)
@@ -427,9 +433,10 @@ def run_pipeline(cfg: PipelineConfig) -> int:
     exit_code = 0
     failed = False
     # Encode reads the input and hands the later stages, in memory, the
-    # dataset they would read back from encoded.csv, so every artifact
-    # is the one a manual run of the four commands writes.
-    data = None
+    # dataset they would read back from encoded.csv, and train hands
+    # eval the tree it would read back from model.json, so every
+    # artifact is the one a manual run of the four commands writes.
+    data = tree = None
     for name, func in PIPELINE_STAGES:
         entry = {"name": name, "status": "skipped", "artifacts": [],
                  "seconds": 0.0}
@@ -440,6 +447,10 @@ def run_pipeline(cfg: PipelineConfig) -> int:
         try:
             if name == "encode":
                 entry["artifacts"], data = func(cfg)
+            elif name == "train":
+                entry["artifacts"], tree = func(cfg, data)
+            elif name == "eval":
+                entry["artifacts"] = func(cfg, data, tree)
             else:
                 entry["artifacts"] = func(cfg, data)
             entry["status"] = "completed"

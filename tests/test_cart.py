@@ -40,7 +40,7 @@ from solvency.cart import (
     serialize,
     split_gini,
 )
-from solvency.dataset import CATEGORICAL, ClassDistribution, Dataset
+from solvency.dataset import CATEGORICAL, ClassDistribution, Dataset, Schema
 from solvency.errors import (
     ConfigError,
     DataError,
@@ -617,6 +617,67 @@ class TestSerialization:
         assert type(nodes[0]["threshold"]) is type(nodes[2]["p1"]) is int
         assert serialize(deserialize(text)) == text
 
+    @pytest.mark.parametrize("value", [
+        '"abc"', "null", "[24]", "1e400", "24.0", "true", '"24"'])
+    def test_bad_n_training_rows_rejected(self, value):
+        text = serialize(grow(deeper_code_dataset(),
+                              config=CartConfig(min_node_size=1)))
+        assert '"n_training_rows": 24,' in text
+        with pytest.raises(MalformedDocumentError, match="n_training_rows"):
+            deserialize(text.replace('"n_training_rows": 24,',
+                                     f'"n_training_rows": {value},'))
+
+    @pytest.mark.parametrize("node, field, value", [
+        (0, "n", '"24"'),
+        (0, "n", "true"),
+        (0, "n", "24.0"),
+        (0, "n", "24.5"),
+        (0, "counts", '["6", 18]'),
+        (0, "counts", "[6, 18.0]"),
+        (0, "counts", "[6, 18, 0]"),
+        (0, "counts", "[24]"),
+        (0, "counts", '"12"'),
+        (3, "counts", "{}"),
+        (0, "feature_index", "0.5"),
+        (0, "feature_index", "0.0"),
+        (1, "feature_index", "true"),
+    ])
+    def test_numbers_that_are_not_json_integers_rejected(self, node, field,
+                                                         value):
+        """int() would read each as a count or an index; serialize would
+        then not give back the document it came from."""
+        doc = json.loads(serialize(grow(deeper_code_dataset(),
+                                        config=CartConfig(min_node_size=1))))
+        doc["nodes"][node][field] = json.loads(value)
+        with pytest.raises(MalformedDocumentError, match=f"node {node} "):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("config", "min_node_size", '"1"'),
+        ("config", "min_node_size", "1.0"),
+        ("config", "max_depth", "true"),
+        ("config", "max_depth", "10.5"),
+        ("config", "min_gini_decrease", '"0"'),
+        ("config", "min_gini_decrease", "1e400"),
+        ("config", "mode", '["classification"]'),
+        ("feature", "levels", '"3"'),
+        ("feature", "levels", "3.0"),
+        ("feature", "name", "1"),
+        ("feature", "kind", '"ordinal"'),
+        ("schema", "target", "null"),
+    ])
+    def test_header_values_of_the_wrong_type_rejected(self, section, field,
+                                                      value):
+        doc = json.loads(serialize(grow(deeper_code_dataset(),
+                                        config=CartConfig(min_node_size=1))))
+        where = {"config": doc["config"], "schema": doc["schema"],
+                 "feature": doc["schema"]["features"][1]}[section]
+        where[field] = json.loads(value)
+        part = "config" if section == "config" else "schema"
+        with pytest.raises(MalformedDocumentError,
+                           match=f"bad {part} section"):
+            deserialize(json.dumps(doc))
+
     def test_orphan_node_rejected(self):
         tree, _ = self.grown_tree()
         doc = json.loads(serialize(tree))
@@ -1000,3 +1061,50 @@ def test_outputs_match_golden_digests(name):
     found = tuple(hashlib.sha256(render(tree).encode()).hexdigest()
                   for render in (serialize, export_dot, export_text))
     assert found == digests
+
+
+def escaped_names_dataset():
+    """Feature and target names that JSON must escape (a quote, a
+    backslash, non-ASCII letters), a numeric column whose midpoints are
+    negative whole numbers, and labels a depth-3 tree sorts purely."""
+    rng = np.random.default_rng(41)
+    n = 80
+    a = rng.choice([-6, -4, -2, 0, 2], n)
+    c = rng.integers(1, 4, n)
+    x = np.round(rng.uniform(-1, 1, n), 2)
+    y = ((a <= -3) ^ np.isin(c, [1, 3])) | (x > 0.8)
+    data = make_dataset(
+        {'say "hi"': a.tolist(), "back\\slash": c.tolist(),
+         "\u00c5lder": x.tolist()}, y.astype(int).tolist(),
+        kinds={"back\\slash": CATEGORICAL}, levels={"back\\slash": 3})
+    return Dataset(Schema(data.schema.features, "m\u00e5l"), data.X, data.y)
+
+
+# SHA-256 of serialize, recorded while it still walked each record as a
+# dict, and a fragment of the text each case is there to pin.
+SERIALIZED = {
+    "escaped-names": (
+        escaped_names_dataset, CartConfig(min_node_size=1, max_depth=3),
+        ('"say \\"hi\\""', '"back\\\\slash"', '"\\u00c5lder"',
+         '"m\\u00e5l"', '"threshold": -3,', '"p1": 0,', '"p1": 1,'),
+        "292a7425d050d6589fd6ecbed0a705ae05e16fe243549111ed6cc293a724cf5b"),
+    "regression-null-counts": (
+        real_target_dataset,
+        CartConfig(min_node_size=5, max_depth=3, mode=REGRESSION),
+        ('"counts": null', '"class": null, "p1": null, "mean": -'),
+        "517ae6955cc5d424b0acb08707452e9e6e5674c381c36089f2656b891098563e"),
+    "int-config": (
+        noisy_classification_dataset,
+        CartConfig(min_node_size=2, max_depth=4, min_gini_decrease=10 ** 17),
+        ('"min_gini_decrease": 100000000000000000,',),
+        "a0cabc77aaf0f4956e58f7bb23f366337328720f96dad6bd7e0d9030bc67ae84"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SERIALIZED))
+def test_serialize_matches_recorded_digest(name):
+    make, config, fragments, digest = SERIALIZED[name]
+    text = serialize(grow(make(), config=config))
+    assert [f for f in fragments if f not in text] == []
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    assert serialize(deserialize(text)) == text

@@ -13,7 +13,8 @@ import sys
 
 import pytest
 
-from solvency import cli, screening
+from solvency import cart, cli, screening
+from solvency.cart import deserialize
 from solvency.cli import build_parser, main
 from solvency.dataset import load_csv, read_header, schema_from_header
 
@@ -756,6 +757,67 @@ class TestPipelineCommand:
         monkeypatch.setattr(cli, "load_csv", counted)
         assert run_pipeline_into(workdir / "run", source) == 0
         assert calls == [str(source)]
+
+
+    def test_evaluates_the_grown_tree_in_memory(self, workdir, monkeypatch):
+        source = make_synthetic(workdir, rows=200, seed=3)
+        texts = counted_deserialize(monkeypatch)
+        out = workdir / "run"
+        assert run_pipeline_into(out, source) == 0
+        assert texts == []
+        manual = workdir / "manual"
+        assert main(["eval", "--input", str(out / "encoded.csv"),
+                     "--model", str(out / "model.json"),
+                     "--out", str(manual)]) == 0
+        assert texts == [(out / "model.json").read_text()]
+        for name in ("eval.json", "eval.txt", "roc.tsv"):
+            assert (out / name).read_bytes() == (manual / name).read_bytes()
+
+    def test_evaluates_a_configured_model_file(self, workdir, monkeypatch):
+        source = make_synthetic(workdir, rows=200, seed=3)
+        stump = workdir / "stump"
+        assert main(["train", "--input", str(source), "--max-depth", "1",
+                     "--out", str(stump)]) == 0
+        config = workdir / "config.json"
+        config.write_text(json.dumps({"model": str(stump / "model.json")}))
+        texts = counted_deserialize(monkeypatch)
+        out = workdir / "run"
+        assert run_pipeline_into(out, source, ["--config", str(config)]) == 0
+        assert texts == [(stump / "model.json").read_text()]
+        assert (out / "model.json").read_text() != texts[0]
+        manual = workdir / "manual"
+        assert main(["eval", "--input", str(out / "encoded.csv"),
+                     "--model", str(stump / "model.json"),
+                     "--out", str(manual)]) == 0
+        assert (out / "eval.json").read_bytes() == \
+            (manual / "eval.json").read_bytes()
+
+    def test_regression_config_fails_at_eval(self, workdir, capsys):
+        """pipeline has no --mode flag, but a config file may set the
+        mode: train grows a regression tree, and eval refuses it."""
+        source = make_synthetic(workdir, rows=200, seed=3)
+        config = workdir / "regression.json"
+        config.write_text(json.dumps({"mode": "regression"}))
+        out = workdir / "run"
+        assert run_pipeline_into(out, source, ["--config", str(config)]) == 2
+        stages = read_manifest(out)["stages"]
+        assert [s["status"] for s in stages] == ["completed"] * 3 + ["failed"]
+        assert stages[3]["error"] == (
+            f"model {out / 'model.json'} is a regression tree; eval and "
+            "predict need a classification tree")
+        assert "regression" in capsys.readouterr().err
+
+
+def counted_deserialize(monkeypatch):
+    """The texts cart.deserialize is called on from now on."""
+    texts = []
+
+    def counted(text):
+        texts.append(text)
+        return deserialize(text)
+
+    monkeypatch.setattr(cart, "deserialize", counted)
+    return texts
 
 
 def assert_pipeline_matches_manual(workdir, capsys, source, encode_flags,
