@@ -41,6 +41,7 @@ from .errors import (
     DataError,
     NumericError,
     SolvencyError,
+    SolvencyWarning,
 )
 from .evaluation import (
     ConfusionMatrix,
@@ -80,6 +81,7 @@ __all__ = [
     "class_distribution", "clean", "load_csv", "schema_from_header",
     "write_csv",
     "ConfigError", "DataError", "NumericError", "SolvencyError",
+    "SolvencyWarning",
     "ConfusionMatrix", "ErrorRates", "Metrics", "RocCurve", "auc_se_ci",
     "confusion", "error_rates", "metrics", "report_json", "report_table",
     "roc",

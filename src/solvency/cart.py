@@ -43,6 +43,7 @@ from .errors import (
     EmptyDatasetError,
     MalformedDocumentError,
     SchemaMismatchError,
+    SolvencyWarning,
     VersionMismatchError,
 )
 
@@ -52,7 +53,7 @@ CLASSIFICATION = "classification"
 REGRESSION = "regression"
 
 
-class UnseenCategoryWarning(UserWarning):
+class UnseenCategoryWarning(SolvencyWarning):
     """Prediction met a categorical code that no training row of the
     node testing it held; such a row goes right."""
 
@@ -934,7 +935,7 @@ def _dot_escape(text: str) -> str:
     return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def _labels(tree: CartTree) -> list[tuple[str, str]]:
+def node_labels(tree: CartTree) -> list[tuple[str, str]]:
     """(body, stats) of every node: its rule or leaf prediction, then its
     row count and class counts.  tolist() gives Python floats, whose
     repr is the bare number."""
@@ -949,10 +950,13 @@ def _labels(tree: CartTree) -> list[tuple[str, str]]:
                                              tree.counts)]
 
 
-def export_dot(tree: CartTree) -> str:
-    """Graphviz digraph; edges carry True (left) and False (right)."""
+def export_dot(tree: CartTree,
+               labels: list[tuple[str, str]] | None = None) -> str:
+    """Graphviz digraph; edges carry True (left) and False (right).
+    labels, if given, are the tree's node_labels, rendered once for
+    both exports."""
     lines = ["digraph cart {", "  node [shape=box];"]
-    for i, (body, stats) in enumerate(_labels(tree)):
+    for i, (body, stats) in enumerate(labels or node_labels(tree)):
         lines.append(f'  n{i} [label="{_dot_escape(body)}\\n{stats}"];')
     for i, r in enumerate(tree.right):
         if r >= 0:
@@ -962,12 +966,15 @@ def export_dot(tree: CartTree) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_text(tree: CartTree) -> str:
-    """Indented plain-text outline of the tree, two spaces per level."""
+def export_text(tree: CartTree,
+                labels: list[tuple[str, str]] | None = None) -> str:
+    """Indented plain-text outline of the tree, two spaces per level;
+    labels as for export_dot."""
     depths = _depths(tree.right)
     tags = [""] * len(depths)
     lines = []
-    for i, ((body, stats), r) in enumerate(zip(_labels(tree), tree.right)):
+    for i, ((body, stats), r) in enumerate(zip(labels or node_labels(tree),
+                                               tree.right)):
         lines.append(f"{'  ' * depths[i]}{tags[i]}{body} [{stats}]")
         if r >= 0:
             tags[i + 1], tags[r] = "True: ", "False: "

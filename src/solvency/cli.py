@@ -17,6 +17,8 @@ import json
 import os
 import sys
 import time
+import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -45,6 +47,7 @@ from .errors import (
     DegenerateClassError,
     NumericError,
     SolvencyError,
+    SolvencyWarning,
 )
 
 ENCODED_CSV = "encoded.csv"
@@ -323,9 +326,10 @@ def stage_train(cfg: PipelineConfig, data: Dataset | None = None
     if cfg.holdout is not None:
         data, _ = data.split(cfg.holdout, cfg.seed)
     tree = cart.grow(data, variables, cfg.cart_config())
+    labels = cart.node_labels(tree)
     _write(cfg.path(MODEL_JSON), cart.serialize(tree))
-    _write(cfg.path(TREE_DOT), cart.export_dot(tree))
-    _write(cfg.path(TREE_TXT), cart.export_text(tree))
+    _write(cfg.path(TREE_DOT), cart.export_dot(tree, labels))
+    _write(cfg.path(TREE_TXT), cart.export_text(tree, labels))
     print(f"train: {tree.node_count()} nodes, depth {tree.depth()}, "
           f"{data.n} training rows")
     return [MODEL_JSON, TREE_DOT, TREE_TXT], tree
@@ -572,28 +576,49 @@ COMMANDS = {
 }
 
 
+@contextmanager
+def _warning_lines(command: str):
+    """Format the package's warnings as the lines "solvency <command>:
+    warning: <message>", without Python's source path and line; other
+    warnings keep Python's format, and the warning filters decide as
+    before whether a warning shows."""
+    python_format = warnings.formatwarning
+
+    def format_warning(message, category, *where):
+        if issubclass(category, SolvencyWarning):
+            return f"solvency {command}: warning: {message}\n"
+        return python_format(message, category, *where)
+
+    warnings.formatwarning = format_warning
+    try:
+        yield
+    finally:
+        warnings.formatwarning = python_format
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        cfg = resolve_config(args)
-        if args.command == "synth":
-            doc = dict(cfg.synth)
-            if args.rows is not None:
-                doc["n_rows"] = args.rows
-            if args.noise is not None:
-                doc["noise"] = args.noise
-            if args.seed is not None:
-                doc["seed"] = args.seed
-            cfg = replace(cfg, synth=doc)
-        os.makedirs(cfg.out, exist_ok=True)
-        if args.command == "pipeline":
-            return run_pipeline(cfg)
-        COMMANDS[args.command](cfg)
-        return 0
-    except SolvencyError as exc:
-        print(f"solvency {args.command}: {exc}", file=sys.stderr)
-        return exit_code_for(exc)
+    with _warning_lines(args.command):
+        try:
+            cfg = resolve_config(args)
+            if args.command == "synth":
+                doc = dict(cfg.synth)
+                if args.rows is not None:
+                    doc["n_rows"] = args.rows
+                if args.noise is not None:
+                    doc["noise"] = args.noise
+                if args.seed is not None:
+                    doc["seed"] = args.seed
+                cfg = replace(cfg, synth=doc)
+            os.makedirs(cfg.out, exist_ok=True)
+            if args.command == "pipeline":
+                return run_pipeline(cfg)
+            COMMANDS[args.command](cfg)
+            return 0
+        except SolvencyError as exc:
+            print(f"solvency {args.command}: {exc}", file=sys.stderr)
+            return exit_code_for(exc)
 
 
 if __name__ == "__main__":

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import os
 import re
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import islice, repeat
 from typing import Iterable, Iterator, Sequence
@@ -415,18 +415,22 @@ def load_csv(
     kept as text labels.  With target_optional=True the target column
     may be absent, in which case every row gets a missing target
     (useful for scoring unlabeled rows).
+
+    When every column is numeric and no missing token is a finite
+    number, a block of rows that np.loadtxt reads as the csv path
+    would is read by it (see _plain_blocks).
     """
     if not os.path.exists(path):
         raise MissingFileError(f"input file not found: {path}")
     # a cell that is exactly a token reads as "nan"; float() would read
     # a token that is a finite number as a value, so such a token turns
-    # the fast path off
+    # the fast paths off
     missing = dict.fromkeys((tok.strip() for tok in missing_tokens), "nan")
     fast = not any(map(_finite_number, missing))
     labelled = [f.name for f in schema.features
                 if f.kind == CATEGORICAL and not encoded]
-    with _csv_reader(path) as reader:
-        found = _header(reader, path)
+    with closing(_row_blocks(path, fast and not labelled)) as blocks:
+        found = next(blocks)
         has_target = not (target_optional and schema.target not in found)
         expected = set(schema.names) | ({schema.target} if has_target
                                         else set())
@@ -438,18 +442,22 @@ def load_csv(
         parts = {name: [np.empty(0, object if name in labelled else float)]
                  for name in names}
         start = 0
-        while block := list(islice(reader, _BLOCK_ROWS)):
-            widths = np.fromiter(map(len, block), np.intp, len(block))
-            ragged = np.flatnonzero(widths != len(found))
-            if ragged.size:
-                i = ragged[0]
-                raise RaggedRowError(
-                    f"row {start + i} has {widths[i]} cells, "
-                    f"expected {len(found)}")
-            cells = list(zip(*block))
+        for block in blocks:
+            if isinstance(block, np.ndarray):
+                block[~np.isfinite(block)] = np.nan
+                cells = block.T
+            else:
+                widths = np.fromiter(map(len, block), np.intp, len(block))
+                ragged = np.flatnonzero(widths != len(found))
+                if ragged.size:
+                    i = ragged[0]
+                    raise RaggedRowError(
+                        f"row {start + i} has {widths[i]} cells, "
+                        f"expected {len(found)}")
+                cells = [_parse_cells(column, missing, name in labelled, fast)
+                         for name, column in zip(found, zip(*block))]
             for name, part in parts.items():
-                part.append(_parse_cells(cells[found.index(name)], missing,
-                                         name in labelled, fast))
+                part.append(cells[found.index(name)])
             start += len(block)
     columns = {name: np.concatenate(part) for name, part in parts.items()}
     labels = {name: columns.pop(name) for name in labelled}
@@ -459,6 +467,71 @@ def load_csv(
             X[:, spec.index] = columns[spec.name]
     y = columns.get(schema.target, np.full(start, np.nan))
     return Dataset(schema, X, y, labels)
+
+
+def _row_blocks(path: str, plain: bool) -> Iterator[list | np.ndarray]:
+    """The header row of path, then its data rows in blocks of
+    _BLOCK_ROWS: each block a list of csv rows or, if plain is set and
+    the text allows it, a float matrix from _plain_blocks."""
+    text = _plain_text(path) if plain else None
+    if text is not None:
+        yield from _plain_blocks(path, text)
+        return
+    with _csv_reader(path) as reader:
+        yield _header(reader, path)
+        while block := list(islice(reader, _BLOCK_ROWS)):
+            yield block
+
+
+def _plain_text(path: str) -> str | None:
+    """The text of path if each of its lines holds one csv row, which
+    holds when it has no quote and no CR outside a CRLF; else None."""
+    with open(path, newline="", encoding="utf-8") as fh, _read_errors(path):
+        text = fh.read()
+    if '"' in text or ("\r" in text
+                       and text.count("\r") != text.count("\r\n")):
+        return None
+    return text
+
+
+def _plain_blocks(path: str, text: str) -> Iterator[list | np.ndarray]:
+    """_row_blocks of a _plain_text: the header row, then per block of
+    lines the matrix np.loadtxt reads from it or, where _loadtxt
+    refuses the block, its csv rows."""
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the empty string after a final newline
+    header = _csv_rows(path, lines[:1], 0)
+    yield _header(iter(header), path)
+    for start in range(1, len(lines), _BLOCK_ROWS):
+        block = lines[start:start + _BLOCK_ROWS]
+        values = _loadtxt(block, len(header[0]))
+        yield _csv_rows(path, block, start) if values is None else values
+
+
+def _loadtxt(lines: list[str], width: int) -> np.ndarray | None:
+    """The cells of lines as np.loadtxt reads them, or None where it
+    refuses them or could read them otherwise than csv and float() do.
+    loadtxt refuses what float() would read differently (1_000,
+    non-ASCII digits, quoted or empty cells, tokens such as NA) and
+    ragged rows.  It skips a blank line, where csv reads a row of no
+    cells, and warns when it reads no rows; it has no field limit."""
+    if ("" in lines or "\r" in lines
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    try:
+        values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
+                            dtype=float)
+    except ValueError:
+        return None
+    return values if values.shape == (len(lines), width) else None
+
+
+def _csv_rows(path: str, lines: list[str], offset: int) -> list[list[str]]:
+    """The csv rows of lines, which follow line offset of path."""
+    reader = csv.reader(lines)
+    with _read_errors(path, lambda: offset + reader.line_num):
+        return list(reader)
 
 
 def _finite_number(text: str) -> bool:
@@ -732,18 +805,25 @@ def _header(reader, path: str) -> list[str]:
 
 @contextmanager
 def _csv_reader(path: str, kind=csv.reader):
-    """A csv reader of the given kind over the UTF-8 text of path.  A
-    byte that is not UTF-8, or a line the csv module rejects, raises
-    DataError naming the file."""
+    """A csv reader of the given kind over the UTF-8 text of path,
+    whose read errors raise as _read_errors raises them."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = kind(fh)
-        try:
+        # a DictReader counts a line only once it has parsed it
+        with _read_errors(
+                path, lambda: getattr(reader, "reader", reader).line_num):
             yield reader
-        except UnicodeDecodeError as exc:
-            raise DataError(
-                f"{path} is not UTF-8 text: byte "
-                f"0x{exc.object[exc.start]:02x} cannot be decoded") from None
-        except csv.Error as exc:
-            # a DictReader counts a line only once it has parsed it
-            line = getattr(reader, "reader", reader).line_num
-            raise DataError(f"{path} line {line}: {exc}") from None
+
+
+@contextmanager
+def _read_errors(path: str, line_num=None):
+    """A byte that is not UTF-8, or a line the csv module rejects (the
+    line line_num() numbers), raises DataError naming the file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise DataError(
+            f"{path} is not UTF-8 text: byte "
+            f"0x{exc.object[exc.start]:02x} cannot be decoded") from None
+    except csv.Error as exc:
+        raise DataError(f"{path} line {line_num()}: {exc}") from None

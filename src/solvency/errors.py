@@ -23,6 +23,11 @@ class NumericError(SolvencyError):
     """Numerical failure such as a singular system (exit code 4)."""
 
 
+class SolvencyWarning(UserWarning):
+    """Base class for every warning issued by this package; the command
+    line prints these as it prints errors, without source locations."""
+
+
 # -- dataset --------------------------------------------------------------
 
 class MissingFileError(ConfigError):

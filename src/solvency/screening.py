@@ -21,7 +21,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dataset import Dataset
-from .errors import DataError, SingularMatrixError, ZeroVarianceError
+from .errors import (
+    DataError,
+    SingularMatrixError,
+    SolvencyWarning,
+    ZeroVarianceError,
+)
 
 #: |coefficient| above which the fit is treated as quasi-separated.
 SEPARATION_GUARD = 15.0
@@ -33,11 +38,11 @@ SEPARATION_GUARD = 15.0
 _COND_LIMIT = 1e12
 
 
-class SeparationWarning(UserWarning):
+class SeparationWarning(SolvencyWarning):
     """A logistic coefficient ran away; the data are likely separable."""
 
 
-class ConvergenceWarning(UserWarning):
+class ConvergenceWarning(SolvencyWarning):
     """IRLS used up its iterations before the coefficients settled."""
 
 

@@ -220,8 +220,9 @@ class TestScreenCommand:
             assert main(args) == 0
         proc = run_module(*args, warnings="default")
         assert proc.returncode == 0
-        assert ("ConvergenceWarning: IRLS did not converge in 2 iterations"
-                in proc.stderr)
+        assert proc.stderr == ("solvency screen: warning: IRLS did not "
+                               "converge in 2 iterations; the coefficients "
+                               "are not final\n")
 
     def test_tiny_input_exits_3(self, workdir):
         bad = workdir / "tiny.csv"
@@ -577,6 +578,32 @@ class TestPredictCommand:
         assert "row 1" in err and "2.9" in err and "'color'" in err
         assert not (workdir / "predictions.csv").exists()
 
+    @pytest.mark.parametrize("command", ["predict", "eval"])
+    def test_unseen_codes_warn_in_one_line_each(self, workdir, command):
+        """Each unseen (feature, code) prints one "solvency <command>:
+        warning:" line, in row order, without Python's source path and
+        source line."""
+        book = workdir / "book.csv"
+        book.write_text(CODEBOOK_CSV)
+        coded = workdir / "coded.csv"
+        coded.write_text("color,flag,amount,y\n" + "".join(
+            f"{code},{i % 2},{10.0 + i},{int(code == 2)}\n"
+            for i, code in enumerate([1, 2] * 6)))
+        assert main(["train", "--input", str(coded), "--codebook", str(book),
+                     "--target", "y", "--variables", "color",
+                     "--min-node-size", "1", "--out", str(workdir)]) == 0
+        fresh = workdir / "fresh.csv"
+        fresh.write_text("color,flag,amount,y\n4,1,12.0,1\n1,0,10.0,0\n"
+                         "3,0,11.0,0\n4,1,13.0,0\n")
+        proc = run_module(command, "--input", str(fresh), "--codebook",
+                          str(book), "--target", "y", "--out", str(workdir),
+                          warnings="default")
+        assert proc.returncode == 0
+        assert proc.stderr == "".join(
+            f"solvency {command}: warning: code {code} of 'color' is absent "
+            "from the training rows of node 0; routing right\n"
+            for code in (4, 3))
+
     def test_schema_mismatch_exits_3(self, workdir):
         TestEvalCommand().trained(workdir)
         other = workdir / "other.csv"
@@ -630,6 +657,21 @@ class TestUnreadableFiles:
         assert read_header(str(source)) == ["x", "y"]
         source.write_bytes(b"x,y\n1.0,0\n" + LONG_FIELD.encode() + b",1\n")
         assert read_header(str(source)) == ["x", "y"]
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+@pytest.mark.parametrize("command", ["train", "predict"])
+def test_blank_line_in_coded_input_exits_3(workdir, capsys, command,
+                                           newline):
+    """A blank line in a coded file is a row of no cells, though
+    np.loadtxt would skip it."""
+    source = TestEvalCommand().trained(workdir)
+    lines = source.read_text().splitlines()
+    lines.insert(6, "")
+    blank = workdir / "blank.csv"
+    blank.write_bytes((newline.join(lines) + newline).encode())
+    assert main([command, "--input", str(blank), "--out", str(workdir)]) == 3
+    assert "row 5 has 0 cells, expected 14" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["encode", "screen", "train", "eval",

@@ -28,6 +28,7 @@ from solvency.dataset import (
     class_distribution,
     clean,
     _format_cells,
+    _parse_cells,
     load_csv,
     read_back,
     read_header,
@@ -645,3 +646,141 @@ def test_write_csv_matches_csv_writer(data, n, text_columns, block):
         with mock.patch("solvency.dataset._BLOCK_ROWS", block):
             write_csv(written, str(path))
         assert path.read_bytes() == expected.getvalue().encode("utf-8")
+
+
+#: Cells of an all-numeric file that np.loadtxt reads as float() does:
+#: repr and str spellings, padding, infinities, NaN, and the numbers
+#: that the missing tokens below name.
+PLAIN_CELLS = st.one_of(
+    st.floats().map(repr), st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.sampled_from(["0", "-0", "1e3", ".5", "+7", "inf", "-nan", "1e400",
+                     " 7 ", "\t2.5", "5\u3000", "\x1c4", "6\x0b", "-999",
+                     "2.5"]))
+#: Cells the first pass must leave to the csv path: tokens, empty
+#: cells, float() syntax loadtxt lacks (1_000, non-ASCII digits),
+#: text, a NUL and a field over csv's 131,072-character limit.
+ODD_CELLS = st.sampled_from(
+    ["NA", "N/A", "", "1_000", "\u0661\u0662", "x", "1\x00", "9" * 131_073])
+#: Changes to a file's lines: an odd cell, a blank line, a row one cell
+#: short or long, a lone CR, a quoted first cell, and a quoted cell
+#: holding a line break.
+LINE_EDITS = st.sampled_from(["odd", "odd", "blank", "short", "long",
+                              "lone-cr", "quote", "quoted-break"])
+
+
+def load_outcome(path, schema, tokens):
+    """load_csv's X and y bytes, or the type and text of its error."""
+    try:
+        data = load_csv(path, schema, missing_tokens=tokens, encoded=True)
+    except Exception as exc:  # compared below, whatever it is
+        return type(exc), str(exc)
+    return data.X.tobytes(), data.y.tobytes(), data.X.shape
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=12),
+       st.integers(min_value=1, max_value=4),
+       st.sampled_from(["\n", "\r\n"]),
+       st.lists(st.sampled_from(["NA", "N/A", "", "x", "nan", "-inf",
+                                 "-999", " 2.5 "]), max_size=3))
+def test_first_pass_reads_as_the_csv_path(data, n, block, newline, tokens):
+    """load_csv of an all-numeric file gives the bits, or raises the
+    error type and message, that it gives with the loadtxt first pass
+    patched out, over blocks of a few rows."""
+    header = data.draw(st.permutations(["a", "c", "TARGET"]))
+    lines = [",".join(header)] + [
+        ",".join(data.draw(st.lists(PLAIN_CELLS, min_size=3, max_size=3)))
+        for _ in range(n)]
+    for edit in data.draw(st.lists(LINE_EDITS, max_size=3)):
+        i = data.draw(st.integers(min_value=1, max_value=len(lines)))
+        if edit == "blank":
+            lines.insert(i, "")
+        elif i < len(lines) and edit == "odd":
+            cells = lines[i].split(",")
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(
+                ODD_CELLS)
+            lines[i] = ",".join(cells)
+        elif i < len(lines):
+            line = lines[i]
+            lines[i] = {"short": line.rpartition(",")[0],
+                        "long": line + ",1",
+                        "lone-cr": line.replace(",", "\r,", 1),
+                        "quote": '"' + line.replace(",", '",', 1),
+                        "quoted-break": '"' + line.replace(",", '\n",', 1),
+                        }[edit]
+    ending = data.draw(st.sampled_from(["", newline, newline * 2]))
+    schema = Schema([FeatureSpec("a", NUMERIC),
+                     FeatureSpec("c", CATEGORICAL, levels=3)], "TARGET")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "d.csv")
+        Path(path).write_bytes((newline.join(lines) + ending).encode())
+        with mock.patch("solvency.dataset._BLOCK_ROWS", block):
+            outcome = load_outcome(path, schema, tokens)
+            with mock.patch("solvency.dataset._plain_text",
+                            return_value=None):
+                expected = load_outcome(path, schema, tokens)
+    assert outcome == expected
+
+
+class TestFirstPass:
+    """Clean numeric files are read by np.loadtxt, block by block."""
+
+    schema = Schema([FeatureSpec("a", NUMERIC),
+                     FeatureSpec("c", CATEGORICAL, levels=3)], "TARGET")
+
+    def test_clean_files_never_reach_the_csv_path(self, tmp_path):
+        lf = tmp_path / "lf.csv"
+        write_lines(lf, ["TARGET,a,c"] + [f"{i % 2},{i * 0.25},{i % 3}"
+                                          for i in range(10)])
+        data = make_dataset({"a": [0.1, -2.0, 1e300, -0.0, 3.0],
+                             "c": [1, 2, 3, 1, 2]}, [0, 1, 1, 1, 0],
+                            kinds={"c": CATEGORICAL})
+        crlf = tmp_path / "encoded.csv"
+        write_csv(data, str(crlf))
+        assert b"\r\n" in crlf.read_bytes()
+        with mock.patch("solvency.dataset._BLOCK_ROWS", 3), \
+                mock.patch("solvency.dataset._parse_cells",
+                           side_effect=AssertionError("csv path")):
+            plain = load_csv(str(lf), self.schema, encoded=True)
+            again = load_csv(str(crlf), data.schema, encoded=True)
+        assert rows(plain) == [[i * 0.25, float(i % 3), float(i % 2)]
+                               for i in range(10)]
+        assert_bit_equal(again.X, read_back(data).X)
+        assert_bit_equal(again.y, read_back(data).y)
+
+    def test_a_refused_block_alone_takes_the_csv_path(self, tmp_path):
+        """An NA cell sends its block, and only it, to _parse_cells."""
+        p = tmp_path / "d.csv"
+        lines = ["a,c,TARGET"] + [f"{i}.5,{i % 3},{i % 2}" for i in range(12)]
+        lines[6] = "NA,2,1"
+        write_lines(p, lines)
+        with mock.patch("solvency.dataset._BLOCK_ROWS", 4), \
+                mock.patch("solvency.dataset._parse_cells",
+                           wraps=_parse_cells) as parse:
+            data = load_csv(str(p), self.schema, encoded=True)
+        assert parse.call_count == 3  # a, c and TARGET of the second block
+        assert cells(data.X[:, 0]) == [None if i == 5 else i + 0.5
+                                       for i in range(12)]
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,c,TARGET\n1,1,0\n\n2,2,1\n", "row 1 has 0 cells"),
+        ("a,c,TARGET\r\n1,1,0\r\n2,2,1\r\n\r\n", "row 2 has 0 cells"),
+        ("a,c,TARGET\n\n", "row 0 has 0 cells"),
+        ("a,c,TARGET\n1,1\n", "row 0 has 2 cells"),
+        ("a,c,TARGET\n1,1,0,1\n2,2,1,0\n", "row 0 has 4 cells"),
+    ], ids=["blank-mid-file", "blank-crlf-trailing", "blank-only-row",
+            "short-rows", "long-rows"])
+    def test_ragged_rows_are_named(self, tmp_path, text, message):
+        """A blank line is a row of no cells, and rows that all lack or
+        all add a cell are ragged, though loadtxt would read them."""
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(RaggedRowError, match=f"{message}, expected 3"):
+            load_csv(str(p), self.schema, encoded=True)
+
+    def test_long_field_names_the_file_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_lines(p, ["a,c,TARGET", "1,1,0", "9" * 131_073 + ",1,0"])
+        with pytest.raises(DataError, match="line 3: field larger than "
+                                            "field limit"):
+            load_csv(str(p), self.schema, encoded=True)
