@@ -24,6 +24,7 @@ import json
 import sys
 import warnings
 from dataclasses import dataclass
+from itertools import zip_longest
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -637,6 +638,24 @@ def predict_values(tree: CartTree, data: Dataset) -> np.ndarray:
     return tree.mean[_leaf_index(tree, data, REGRESSION)]
 
 
+def _schema_difference(ours: tuple, trained: tuple) -> str:
+    """The first feature, else the target, in which a dataset's schema
+    fingerprint differs from a tree's, told on both sides."""
+    def told(feature):
+        if feature is None:
+            return "absent"
+        name, kind, levels = feature
+        return f"{name!r} ({kind}" + (
+            f", {levels} levels)" if kind == CATEGORICAL else ")")
+    pairs = zip_longest(ours[:-1], trained[:-1])
+    for i, (mine, theirs) in enumerate(pairs):
+        if mine != theirs:
+            return (f"feature {i} is {told(mine)} in the data and "
+                    f"{told(theirs)} in the tree")
+    return (f"the target is {ours[-1]!r} in the data and {trained[-1]!r} "
+            "in the tree")
+
+
 def _leaf_index(tree: CartTree, data: Dataset, mode: str) -> np.ndarray:
     """Table index of the leaf each row reaches.
 
@@ -651,7 +670,8 @@ def _leaf_index(tree: CartTree, data: Dataset, mode: str) -> np.ndarray:
     """
     if data.schema.fingerprint() != tree.fingerprint:
         raise SchemaMismatchError(
-            "dataset schema differs from the tree's training schema")
+            "dataset schema differs from the tree's training schema: "
+            + _schema_difference(data.schema.fingerprint(), tree.fingerprint))
     if tree.config.mode != mode:
         raise ValueError(f"needs a {mode} tree, not a {tree.config.mode} one")
     leaf = np.empty(data.n, dtype=np.intp)

@@ -324,11 +324,15 @@ class Dataset:
         return self.X.take([spec.index for spec in specs], axis=1)
 
     def binary_target(self) -> np.ndarray:
-        """Target as an int array, insisting every value is 0 or 1."""
+        """Target as an int array, insisting every value is 0 or 1; the
+        first row that holds another value, or none, raises DataError."""
         y = self.y
-        if not np.all((y == 0.0) | (y == 1.0)):
-            bad = y[(y != 0.0) & (y != 1.0)][0]
-            raise DataError(f"target value {bad!r} is not 0 or 1")
+        bad = np.flatnonzero((y != 0.0) & (y != 1.0))
+        if bad.size:
+            i = bad[0]
+            value = "missing" if np.isnan(y[i]) else repr(float(y[i]))
+            raise DataError(f"target {self.schema.target!r} of row {i} is "
+                            f"{value}, not 0 or 1")
         return y.astype(int)
 
     def codes(self, name: str) -> np.ndarray:
@@ -416,8 +420,8 @@ def load_csv(
     may be absent, in which case every row gets a missing target
     (useful for scoring unlabeled rows).
 
-    When every column is numeric and no missing token is a finite
-    number, a block of rows that np.loadtxt reads as the csv path
+    When the text has no quote and no CR outside a CRLF, a block of
+    lines that np.loadtxt or a split on commas reads as the csv path
     would is read by it (see _plain_blocks).
     """
     if not os.path.exists(path):
@@ -442,23 +446,16 @@ def load_csv(
         parts = {name: [np.empty(0, object if name in labelled else float)]
                  for name in names}
         start = 0
-        for block in blocks:
-            if isinstance(block, np.ndarray):
-                block[~np.isfinite(block)] = np.nan
-                cells = block.T
+        for rows, columns in blocks:
+            if isinstance(columns, np.ndarray):
+                columns[~np.isfinite(columns)] = np.nan
             else:
-                widths = np.fromiter(map(len, block), np.intp, len(block))
-                ragged = np.flatnonzero(widths != len(found))
-                if ragged.size:
-                    i = ragged[0]
-                    raise RaggedRowError(
-                        f"row {start + i} has {widths[i]} cells, "
-                        f"expected {len(found)}")
-                cells = [_parse_cells(column, missing, name in labelled, fast)
-                         for name, column in zip(found, zip(*block))]
+                columns = [_parse_cells(cells, missing, name in labelled,
+                                        fast)
+                           for name, cells in zip(found, columns)]
             for name, part in parts.items():
-                part.append(cells[found.index(name)])
-            start += len(block)
+                part.append(columns[found.index(name)])
+            start += rows
     columns = {name: np.concatenate(part) for name, part in parts.items()}
     labels = {name: columns.pop(name) for name in labelled}
     X = np.full((start, len(schema)), np.nan)
@@ -469,24 +466,29 @@ def load_csv(
     return Dataset(schema, X, y, labels)
 
 
-def _row_blocks(path: str, plain: bool) -> Iterator[list | np.ndarray]:
+def _row_blocks(path: str, numeric: bool) -> Iterator:
     """The header row of path, then its data rows in blocks of
-    _BLOCK_ROWS: each block a list of csv rows or, if plain is set and
-    the text allows it, a float matrix from _plain_blocks."""
-    text = _plain_text(path) if plain else None
+    _BLOCK_ROWS, each as (row count, columns): the cells of each
+    column or, from _plain_blocks if numeric is set and the text allows
+    it, a float matrix with one row per column."""
+    text = _plain_text(path)
     if text is not None:
-        yield from _plain_blocks(path, text)
+        yield from _plain_blocks(path, text.split("\n"), numeric)
         return
     with _csv_reader(path) as reader:
-        yield _header(reader, path)
+        header = _header(reader, path)
+        yield header
+        start = 0
         while block := list(islice(reader, _BLOCK_ROWS)):
-            yield block
+            yield len(block), _columns(block, len(header), start)
+            start += len(block)
 
 
 def _plain_text(path: str) -> str | None:
     """The text of path if each of its lines holds one csv row, which
     holds when it has no quote and no CR outside a CRLF; else None."""
-    with open(path, newline="", encoding="utf-8") as fh, _read_errors(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh, \
+            _read_errors(path):
         text = fh.read()
     if '"' in text or ("\r" in text
                        and text.count("\r") != text.count("\r\n")):
@@ -494,19 +496,31 @@ def _plain_text(path: str) -> str | None:
     return text
 
 
-def _plain_blocks(path: str, text: str) -> Iterator[list | np.ndarray]:
-    """_row_blocks of a _plain_text: the header row, then per block of
-    lines the matrix np.loadtxt reads from it or, where _loadtxt
-    refuses the block, its csv rows."""
-    lines = text.split("\n")
+def _plain_blocks(path: str, lines: list[str], numeric: bool) -> Iterator:
+    """_row_blocks of the lines of a _plain_text: the header row, then
+    each block of lines as the first of these reads it: _loadtxt, if
+    numeric is set (every column numeric, no missing token a finite
+    number), _split, and the csv module.  Each block's lines leave the
+    list as it is read, so they are freed block by block."""
     if not lines[-1]:
         lines.pop()  # the empty string after a final newline
     header = _csv_rows(path, lines[:1], 0)
+    del lines[:1]
     yield _header(iter(header), path)
-    for start in range(1, len(lines), _BLOCK_ROWS):
-        block = lines[start:start + _BLOCK_ROWS]
-        values = _loadtxt(block, len(header[0]))
-        yield _csv_rows(path, block, start) if values is None else values
+    width = len(header[0])
+    start = 1  # the index of the block's first line in the file
+    while lines:
+        block = lines[:_BLOCK_ROWS]
+        del lines[:_BLOCK_ROWS]
+        values = _loadtxt(block, width) if numeric else None
+        if values is not None:
+            yield len(block), values.T
+        elif (cells := _split(block, width)) is not None:
+            yield len(block), [cells[j::width] for j in range(width)]
+        else:
+            yield len(block), _columns(_csv_rows(path, block, start), width,
+                                       start - 1)
+        start += len(block)
 
 
 def _loadtxt(lines: list[str], width: int) -> np.ndarray | None:
@@ -527,11 +541,38 @@ def _loadtxt(lines: list[str], width: int) -> np.ndarray | None:
     return values if values.shape == (len(lines), width) else None
 
 
+def _split(lines: list[str], width: int) -> list[str] | None:
+    """The cells of lines, row after row, as csv reads lines that hold
+    no quote and no CR but at their end, or None where a comma split
+    could read them otherwise.  csv reads a blank line as a row of no
+    cells, names a ragged row (a line without width - 1 commas) in its
+    error, refuses a field over its limit, and, before Python 3.11, a
+    NUL.  It drops the CR of a CRLF, as the split does."""
+    text = ",".join(lines)
+    if ("" in lines or "\r" in lines or "\0" in text
+            or max(map(len, lines)) > csv.field_size_limit()
+            or set(map(str.count, lines, repeat(","))) != {width - 1}):
+        return None
+    return text.replace("\r", "").split(",")
+
+
 def _csv_rows(path: str, lines: list[str], offset: int) -> list[list[str]]:
     """The csv rows of lines, which follow line offset of path."""
     reader = csv.reader(lines)
     with _read_errors(path, lambda: offset + reader.line_num):
         return list(reader)
+
+
+def _columns(rows: list[list[str]], width: int, start: int) -> list:
+    """The columns of csv rows, the first of which is data row start;
+    a row of other than width cells raises RaggedRowError naming it."""
+    widths = np.fromiter(map(len, rows), np.intp, len(rows))
+    ragged = np.flatnonzero(widths != width)
+    if ragged.size:
+        i = ragged[0]
+        raise RaggedRowError(
+            f"row {start + i} has {widths[i]} cells, expected {width}")
+    return list(zip(*rows))
 
 
 def _finite_number(text: str) -> bool:
@@ -541,7 +582,7 @@ def _finite_number(text: str) -> bool:
         return False
 
 
-def _parse_cells(cells: tuple[str, ...], missing: dict[str, str],
+def _parse_cells(cells: Sequence[str], missing: dict[str, str],
                  text: bool, fast: bool) -> np.ndarray:
     """One column of a block: the stripped labels with None where
     missing when text is set, else float() of each stripped cell with
@@ -805,9 +846,10 @@ def _header(reader, path: str) -> list[str]:
 
 @contextmanager
 def _csv_reader(path: str, kind=csv.reader):
-    """A csv reader of the given kind over the UTF-8 text of path,
-    whose read errors raise as _read_errors raises them."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    """A csv reader of the given kind over the UTF-8 text of path, less
+    a byte-order mark, whose read errors raise as _read_errors raises
+    them."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = kind(fh)
         # a DictReader counts a line only once it has parsed it
         with _read_errors(

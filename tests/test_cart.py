@@ -3,6 +3,7 @@ serialization, and prediction."""
 
 import hashlib
 import json
+import re
 import time
 import warnings
 from fractions import Fraction
@@ -724,6 +725,27 @@ class TestPredict:
         other = make_dataset({"z": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
         tree = grow(data)
         with pytest.raises(SchemaMismatchError):
+            predict_dataset(tree, other)
+
+    @pytest.mark.parametrize("columns, target, message", [
+        ({"x": [1.0], "z": [2.0]}, "TARGET",
+         "feature 1 is 'z' (numeric) in the data and absent in the tree"),
+        ({"z": [1.0]}, "TARGET",
+         "feature 0 is 'z' (numeric) in the data and 'x' (numeric) in the "
+         "tree"),
+        ({"x": [1.0]}, "y",
+         "the target is 'y' in the data and 'TARGET' in the tree"),
+    ], ids=["extra-feature", "renamed-feature", "renamed-target"])
+    def test_schema_mismatch_names_the_difference(self, columns, target,
+                                                  message):
+        tree = grow(make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1]))
+        other = make_dataset(columns, [None])
+        if target != "TARGET":
+            other = Dataset(Schema(other.schema.features, target), other.X,
+                            other.y)
+        with pytest.raises(SchemaMismatchError, match=(
+                "^dataset schema differs from the tree's training schema: "
+                + re.escape(message) + "$")):
             predict_dataset(tree, other)
 
     def test_unseen_category_routes_right_with_warning(self):

@@ -1008,3 +1008,66 @@ class TestConfigResolution:
         with pytest.raises(SystemExit) as err:
             main(["frobnicate"])
         assert err.value.code == 2
+
+
+def labelled_input(workdir):
+    """A codebook and a labelled input whose first column is categorical."""
+    (workdir / "book.csv").write_text(CODEBOOK_CSV)
+    source = workdir / "raw.csv"
+    source.write_text(LABELED_CSV + "".join(
+        f"{('red', 'green', 'blue')[i % 3]},{'NY'[i % 2]},"
+        f"{10 + i % 7}.5,{i // 2 % 2}\n" for i in range(60)))
+    return source
+
+
+@pytest.mark.parametrize("marked", [("raw.csv",), ("book.csv",),
+                                    ("raw.csv", "book.csv")],
+                         ids=["input", "codebook", "both"])
+def test_byte_order_mark_gives_the_same_artifacts(workdir, marked):
+    """Inputs saved with a UTF-8 byte-order mark, as spreadsheet programs
+    save CSV, give the artifacts of the same files without one."""
+    labelled_input(workdir)
+    copy = workdir / "marked"
+    copy.mkdir()
+    for name in ("raw.csv", "book.csv"):
+        text = (workdir / name).read_bytes()
+        (copy / name).write_bytes(
+            b"\xef\xbb\xbf" + text if name in marked else text)
+    outs = []
+    for source in (workdir, copy):
+        out = source / "out"
+        assert main(["pipeline", "--input", str(source / "raw.csv"),
+                     "--codebook", str(source / "book.csv"), "--target", "y",
+                     "--out", str(out)]) == 0
+        outs.append({name: (out / name).read_bytes()
+                     for name in sorted(os.listdir(out))
+                     if name != "manifest.json"})
+    assert outs[0] == outs[1]
+    assert outs[1]["encoded.csv"].startswith(b"color,flag,amount,y\r\n")
+
+
+def test_schema_mismatch_names_the_feature(workdir, capsys):
+    """A model trained through a codebook, evaluated on labelled input
+    without it, names the first feature whose kind differs."""
+    source = labelled_input(workdir)
+    assert main(["pipeline", "--input", str(source), "--codebook",
+                 str(workdir / "book.csv"), "--target", "y",
+                 "--out", str(workdir)]) == 0
+    capsys.readouterr()
+    assert main(["eval", "--input", str(source), "--target", "y",
+                 "--out", str(workdir)]) == 3
+    assert capsys.readouterr().err == (
+        "solvency eval: dataset schema differs from the tree's training "
+        "schema: feature 0 is 'color' (numeric) in the data and 'color' "
+        "(categorical, 3 levels) in the tree\n")
+
+
+def test_missing_target_at_eval_names_the_row(workdir, capsys):
+    source = TestEvalCommand().trained(workdir)
+    lines = source.read_text().splitlines()
+    lines[6] = lines[6].rpartition(",")[0] + ",NA"
+    holey = workdir / "holey.csv"
+    holey.write_text("\n".join(lines) + "\n")
+    assert main(["eval", "--input", str(holey), "--out", str(workdir)]) == 3
+    assert capsys.readouterr().err == (
+        "solvency eval: target 'TARGET' of row 5 is missing, not 0 or 1\n")

@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -27,6 +28,7 @@ from solvency.dataset import (
     apply_codebook,
     class_distribution,
     clean,
+    _csv_rows,
     _format_cells,
     _parse_cells,
     load_csv,
@@ -784,3 +786,198 @@ class TestFirstPass:
         with pytest.raises(DataError, match="line 3: field larger than "
                                             "field limit"):
             load_csv(str(p), self.schema, encoded=True)
+
+
+#: Cells of a labelled column: labels, padded labels and tokens, labels
+#: float() reads as numbers, and short text without a comma, quote, CR,
+#: LF or NUL.
+LABEL_CELLS = st.one_of(
+    st.sampled_from(["red", " green ", "\tblue　", "NA", " NA ", "N/A",
+                     "", "x y", "-999", "nan", "1e3"]),
+    st.text(st.characters(blacklist_characters=',"\r\n\x00',
+                          blacklist_categories=("Cs",)), max_size=4))
+#: Changes to a labelled file's lines: those of LINE_EDITS, a label
+#: holding a NUL, and a padded token.
+LABEL_EDITS = st.sampled_from(["odd", "nul", "pad", "blank", "short", "long",
+                               "lone-cr", "quote", "quoted-break"])
+
+
+def labelled_outcome(path, schema, tokens):
+    """load_csv's X and y bytes and raw labels, or the type and text of
+    its error."""
+    try:
+        data = load_csv(path, schema, missing_tokens=tokens)
+    except Exception as exc:  # compared below, whatever it is
+        return type(exc), str(exc)
+    return (data.X.tobytes(), data.y.tobytes(), data.X.shape,
+            {name: column.tolist() for name, column in data.labels.items()})
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.integers(min_value=0, max_value=12),
+       st.integers(min_value=1, max_value=4),
+       st.sampled_from(["\n", "\r\n"]),
+       st.lists(st.sampled_from(["NA", "N/A", "", "x", "nan", "-999",
+                                 " 2.5 "]), max_size=3))
+def test_split_pass_reads_labelled_files_as_the_csv_path(data, n, block,
+                                                         newline, tokens):
+    """load_csv of a file with a labelled column gives the bits and
+    labels, or raises the error type and message, that it gives with the
+    comma-split pass patched out, over blocks of a few rows."""
+    header = data.draw(st.permutations(["a", "c", "TARGET"]))
+    draws = {"a": PLAIN_CELLS, "c": LABEL_CELLS, "TARGET": PLAIN_CELLS}
+    lines = [",".join(header)] + [
+        ",".join(data.draw(draws[name]) for name in header)
+        for _ in range(n)]
+    for edit in data.draw(st.lists(LABEL_EDITS, max_size=3)):
+        i = data.draw(st.integers(min_value=1, max_value=len(lines)))
+        if edit == "blank":
+            lines.insert(i, "")
+        elif i < len(lines) and edit in ("odd", "nul", "pad"):
+            cells = lines[i].split(",")
+            j = data.draw(st.integers(0, len(cells) - 1))
+            if edit == "odd":
+                cells[j] = data.draw(ODD_CELLS)
+            elif edit == "nul":
+                cells[j] = "re\x00d"
+            else:
+                token = data.draw(st.sampled_from(tokens or ["NA"]))
+                cells[j] = f" {token} "
+            lines[i] = ",".join(cells)
+        elif i < len(lines):
+            line = lines[i]
+            lines[i] = {"short": line.rpartition(",")[0],
+                        "long": line + ",1",
+                        "lone-cr": line.replace(",", "\r,", 1),
+                        "quote": '"' + line.replace(",", '",', 1),
+                        "quoted-break": '"' + line.replace(",", '\n",', 1),
+                        }[edit]
+    ending = data.draw(st.sampled_from(["", newline, newline * 2]))
+    schema = Schema([FeatureSpec("a", NUMERIC),
+                     FeatureSpec("c", CATEGORICAL, levels=3)], "TARGET")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "d.csv")
+        Path(path).write_bytes((newline.join(lines) + ending).encode())
+        with mock.patch("solvency.dataset._BLOCK_ROWS", block):
+            outcome = labelled_outcome(path, schema, tokens)
+            with mock.patch("solvency.dataset._plain_text",
+                            return_value=None):
+                expected = labelled_outcome(path, schema, tokens)
+    assert outcome == expected
+
+
+class TestSplitPass:
+    """Files with labelled columns are split on commas, block by block."""
+
+    schema = Schema([FeatureSpec("a", NUMERIC),
+                     FeatureSpec("c", CATEGORICAL, levels=3)], "TARGET")
+    lines = ["c,a,TARGET"] + [
+        f"{(' red', 'green ', 'NA')[i % 3]},{'NA' if i == 4 else i / 4},"
+        f"{i % 2}" for i in range(10)]
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_clean_files_never_reach_the_csv_path(self, tmp_path, newline):
+        """Only the header line goes through the csv module; the CR of a
+        CRLF is not part of a cell."""
+        p = tmp_path / "d.csv"
+        p.write_bytes((newline.join(self.lines) + newline).encode())
+        with mock.patch("solvency.dataset._BLOCK_ROWS", 3), \
+                mock.patch("solvency.dataset._csv_rows",
+                           wraps=_csv_rows) as csv_rows:
+            data = load_csv(str(p), self.schema)
+        assert [(len(call.args[1]), call.args[2])
+                for call in csv_rows.call_args_list] == [(1, 0)]
+        assert rows(data) == [
+            [None if i == 4 else i / 4, (None if i % 3 == 2 else
+                                         ("red", "green")[i % 3]),
+             float(i % 2)] for i in range(10)]
+
+    def test_a_refused_block_alone_takes_the_csv_path(self, tmp_path):
+        """A NUL sends its block, and only it, to the csv module, which
+        reads it as a character from Python 3.11 on and refuses it
+        before."""
+        p = tmp_path / "d.csv"
+        lines = list(self.lines)
+        lines[5] = "re\x00d,1.0,1"
+        write_lines(p, lines)
+        with mock.patch("solvency.dataset._BLOCK_ROWS", 3), \
+                mock.patch("solvency.dataset._csv_rows",
+                           wraps=_csv_rows) as csv_rows:
+            if sys.version_info < (3, 11):
+                with pytest.raises(DataError, match="line 6: line contains "
+                                                    "NUL"):
+                    load_csv(str(p), self.schema)
+                return
+            data = load_csv(str(p), self.schema)
+        assert [call.args[2] for call in csv_rows.call_args_list] == [0, 4]
+        assert data.labels["c"][4] == "re\x00d"
+
+    @pytest.mark.parametrize("text, message", [
+        ("a,c,TARGET\nred,1,0\n\ngreen,2,1\n", "row 1 has 0 cells"),
+        ("a,c,TARGET\r\n1,red,0\r\n\r\n", "row 1 has 0 cells"),
+        ("a,c,TARGET\n1,red\n", "row 0 has 2 cells"),
+        ("a,c,TARGET\n1,red,0\n1,red,0,1\n1,red\n", "row 1 has 4 cells"),
+    ], ids=["blank-mid-file", "blank-crlf-trailing", "short-row",
+            "long-then-short"])
+    def test_ragged_rows_are_named(self, tmp_path, text, message):
+        """A long row and a short one together hold as many commas as
+        two good rows, but each line is counted."""
+        p = tmp_path / "d.csv"
+        p.write_bytes(text.encode())
+        with pytest.raises(RaggedRowError, match=f"{message}, expected 3"):
+            load_csv(str(p), self.schema)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_blank_line_of_a_one_column_file(self, tmp_path, newline):
+        """A blank line holds as many commas as a row of one cell, but
+        is a row of none."""
+        p = tmp_path / "d.csv"
+        p.write_bytes(newline.join(["TARGET", "NA", "", "1", ""]).encode())
+        with pytest.raises(RaggedRowError, match="row 1 has 0 cells, "
+                                                 "expected 1"):
+            load_csv(str(p), Schema([], "TARGET"))
+
+    def test_long_field_names_the_file_line(self, tmp_path):
+        p = tmp_path / "d.csv"
+        write_lines(p, ["a,c,TARGET", "1,red,0", "1," + "r" * 131_073 + ",0"])
+        with pytest.raises(DataError, match="line 3: field larger than "
+                                            "field limit"):
+            load_csv(str(p), self.schema)
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as spreadsheet programs write it, is not
+    part of the first column name."""
+
+    def test_input_reads_as_without_it(self, tmp_path):
+        text = "c,a,TARGET\r\nred,1.5,1\r\nNA,2,0\r\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(text.encode("utf-8-sig"))
+        schema = Schema([FeatureSpec("a", NUMERIC),
+                         FeatureSpec("c", CATEGORICAL, levels=2)], "TARGET")
+        assert read_header(str(marked)) == ["c", "a", "TARGET"]
+        for path in (plain, marked):
+            data = load_csv(str(path), schema)
+            assert rows(data) == [[1.5, "red", 1.0], [2.0, None, 0.0]]
+        with mock.patch("solvency.dataset._plain_text", return_value=None):
+            assert rows(load_csv(str(marked), schema)) == rows(data)
+
+    def test_codebook_reads_as_without_it(self, tmp_path):
+        path = tmp_path / "book.csv"
+        path.write_bytes("feature,label,code\nc,red,1\nc,blue,0\n".encode(
+            "utf-8-sig"))
+        assert CodeBook.load(str(path)) == CodeBook({"c": {"red": 1,
+                                                           "blue": 0}})
+
+
+class TestBinaryTarget:
+    @pytest.mark.parametrize("target, message", [
+        ([0, 1, None, 2], "target 'TARGET' of row 2 is missing, not 0 or 1"),
+        ([1, 0.5, 0], "target 'TARGET' of row 1 is 0.5, not 0 or 1"),
+        ([2, 0], "target 'TARGET' of row 0 is 2.0, not 0 or 1"),
+    ], ids=["missing", "fraction", "whole"])
+    def test_first_bad_row_is_named(self, target, message):
+        data = make_dataset({"a": [1.0] * len(target)}, target)
+        with pytest.raises(DataError, match=f"^{message}$"):
+            data.binary_target()
