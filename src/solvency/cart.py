@@ -8,8 +8,8 @@ Breiman's ordered scan.  Candidates are ranked by impurity decrease with
 a deterministic tie-break: lowest feature index first, then lowest
 threshold, then lexicographically smallest sorted code subset.
 
-Classification impurity is Gini, 1 - sum(p_i^2); regression mode uses
-the population variance of the target instead and predicts leaf means.
+The target is two-class.  Impurity is Gini, 1 - sum(p_i^2), and a
+leaf predicts its majority class and its class-1 proportion.
 
 Trees grow level by level, as in SLIQ and SPRINT: each numeric column
 is sorted once, stably, at the root, and every node of one depth is
@@ -50,8 +50,8 @@ from .errors import (
 
 FORMAT_VERSION = "cart-model/1"
 
+#: The only mode model.json records; a tree of any other is refused.
 CLASSIFICATION = "classification"
-REGRESSION = "regression"
 
 
 class UnseenCategoryWarning(SolvencyWarning):
@@ -125,7 +125,6 @@ class CartConfig:
     min_node_size: int = 5
     max_depth: int = 10
     min_gini_decrease: float = 0.0
-    mode: str = CLASSIFICATION
     allow_large_min_node: bool = False
 
     def __post_init__(self):
@@ -139,8 +138,6 @@ class CartConfig:
             raise ConfigError("max_depth cannot be negative")
         if self.min_gini_decrease < 0:
             raise ConfigError("min_gini_decrease cannot be negative")
-        if self.mode not in (CLASSIFICATION, REGRESSION):
-            raise ConfigError(f"unknown mode {self.mode!r}")
 
 
 @dataclass(eq=False)
@@ -152,21 +149,19 @@ class CartTree:
     left subtree before its right child, so internal node i has its
     left child at i + 1.  rules[i] and right[i] are its rule and right
     child, None and -1 at a leaf; n[i] and counts[i] its row and class
-    counts (None in regression).  The leaf predictions, 0 at internal
-    nodes, are arrays: predicted_class and positive_proportion in
-    classification, mean in regression, and None in the other mode.
+    counts.  The leaf predictions, predicted_class and
+    positive_proportion, are arrays holding 0 at internal nodes.
     """
 
     rules: list[SplitRule | None]
     right: list[int]
     n: list[int]
-    counts: list[tuple[int, int] | None]
+    counts: list[tuple[int, int]]
     fingerprint: tuple
     config: CartConfig
     n_training_rows: int
-    predicted_class: np.ndarray | None = None
-    positive_proportion: np.ndarray | None = None
-    mean: np.ndarray | None = None
+    predicted_class: np.ndarray
+    positive_proportion: np.ndarray
 
     def node_count(self) -> int:
         return len(self.rules)
@@ -197,42 +192,29 @@ def assign_leaf(counts: tuple[int, int]) -> tuple[int, float]:
 # brute-force enumeration using the same arithmetic (p = c/n as plain
 # division, impurity = 1 - p*p - q*q, weighted = (nl*gl + nr*gr)/n,
 # decrease = parent - weighted) reproduces the chosen decrease bit for
-# bit.  Keep products spelled as multiplication, not **.  Class counts
-# are integer-valued floats below 2**53, so they may be summed in any
-# order and across nodes.  Sums of real targets must keep their order:
-# prefix sums start from 0.0 at each node and run in stable sorted
-# order, per-code sums are np.sum over the code's rows in row order, and
-# a subset sums its codes in ascending order starting from 0.0.
+# bit.  Keep products spelled as multiplication, not **.  Every summed
+# quantity is a row or class count, an integer-valued float below 2**53,
+# so it may be summed in any order and across nodes.
 
-def _impurity(n, s, s2=None):
-    """Gini of n rows of which s are class 1 when s2 is None, else the
-    population variance of n values with sum s and sum of squares s2."""
-    if s2 is None:
-        p1 = s / n
-        p0 = (n - s) / n
-        return 1.0 - p1 * p1 - p0 * p0
-    mean = s / n
-    return s2 / n - mean * mean
+def _impurity(n, ones):
+    """Gini of n rows of which ones are class 1."""
+    p1 = ones / n
+    p0 = (n - ones) / n
+    return 1.0 - p1 * p1 - p0 * p0
 
 
 def _decrease(parent, n, nl, left, total):
     """Impurity decrease of sending nl of n rows left, where left and
-    total hold the left side's and the node's target sums."""
+    total are the left side's and the node's class-1 counts."""
     nr = n - nl
-    right = [t - s for t, s in zip(total, left)]
-    return parent - (nl * _impurity(nl, *left) + nr * _impurity(nr, *right)) / n
+    return parent - (nl * _impurity(nl, left)
+                     + nr * _impurity(nr, total - left)) / n
 
 
 def _segments(sizes):
     """First position of each node's segment and the node of every
     position, for nodes of the given row counts laid end to end."""
     return np.cumsum(sizes) - sizes, np.repeat(np.arange(sizes.shape[0]), sizes)
-
-
-def _ascending_sums(sums, left):
-    """Each row count and target sum of the ranks marked in left, added
-    in ascending rank order, as a node-at-a-time search adds them."""
-    return [np.cumsum(np.where(left, t, 0.0), -1)[..., -1] for t in sums]
 
 
 class _LevelScorer:
@@ -249,13 +231,11 @@ class _LevelScorer:
     scored at once by the ordered scan (see _subsets).
     """
 
-    def __init__(self, data: Dataset, variables, mode: str):
+    def __init__(self, data: Dataset, variables):
         names = list(variables) if variables is not None else data.schema.names
         self.specs = sorted((data.schema[n] for n in names),
                             key=lambda s: s.index)
-        self.classification = mode == CLASSIFICATION
-        self.y = (data.binary_target().astype(float) if self.classification
-                  else data.y)
+        self.y = data.binary_target().astype(float)
         self.numeric = np.array([s.kind == NUMERIC for s in self.specs],
                                 dtype=bool)
         self.num = np.flatnonzero(self.numeric)
@@ -296,15 +276,8 @@ class _LevelScorer:
         a = sizes.shape[0]
         starts, seg = _segments(sizes)
         n = sizes.astype(float)
-        ones = None
-        if self.classification:
-            ones = np.add.reduceat(self.y[rows], starts)
-            parent = _impurity(n, ones)
-        else:
-            parent = np.empty(a)
-            for i, (s, e) in enumerate(zip(starts, starts + sizes)):
-                y = self.y[rows[s:e]]
-                parent[i] = _impurity(e - s, y.sum(), (y * y).sum())
+        ones = np.add.reduceat(self.y[rows], starts)
+        parent = _impurity(n, ones)
         best = np.full((a, len(self.specs)), -np.inf)
         threshold = np.full((a, len(self.specs)), np.nan)
         subsets = np.zeros((2, a, 0, self.levels), dtype=bool)
@@ -312,7 +285,7 @@ class _LevelScorer:
             self._thresholds(lists, starts, seg, n, parent, ones, best,
                              threshold)
         if self.cat.size:
-            subsets = self._subsets(rows, starts, sizes, seg, parent, best)
+            subsets = self._subsets(rows, sizes, seg, parent, ones, best)
         best[parent <= 0.0] = -np.inf
         f = best.argmax(axis=1)
         at = np.arange(a)
@@ -321,25 +294,15 @@ class _LevelScorer:
     def _thresholds(self, lists, starts, seg, n, parent, ones, best,
                     threshold):
         """Fill best and threshold for the numeric columns; ones holds
-        each node's class-1 count in classification."""
+        each node's class-1 count."""
         m = seg.shape[0]
         position = np.arange(m)
         last = starts + n.astype(np.intp) - 1
         nl = (position - starts[seg] + 1).astype(float)
-        n, parent = n[seg], parent[seg]
-        if self.classification:
-            before = (np.cumsum(ones) - ones)[seg]
-            total = [ones[seg]]
+        n, parent, total = n[seg], parent[seg], ones[seg]
+        before = (np.cumsum(ones) - ones)[seg]
         for j, rows in enumerate(lists[1:]):
-            y = self.y[rows]
-            if self.classification:
-                left = [np.cumsum(y) - before]
-            else:
-                left = [np.empty(m), np.empty(m)]
-                for s, e in zip(starts, last + 1):
-                    np.cumsum(y[s:e], out=left[0][s:e])
-                    np.cumsum(y[s:e] * y[s:e], out=left[1][s:e])
-                total = [t[last][seg] for t in left]
+            left = np.cumsum(self.y[rows]) - before
             v = self.values[j, rows]
             cut = np.empty(m, dtype=bool)
             cut[:-1] = v[1:] > v[:-1]
@@ -354,42 +317,29 @@ class _LevelScorer:
             best[:, f] = top
             threshold[:, f] = (v[pick] + v[pick + 1]) / 2.0
 
-    def _subsets(self, rows, starts, sizes, seg, parent, best):
+    def _subsets(self, rows, sizes, seg, parent, ones, best):
         """Fill best for the categorical columns; returns, per node and
         column, the ranks the best subset sends left and right.
 
-        For two-class Gini and for variance an optimal subset is a prefix
-        of the codes sorted by class-1 proportion (by mean), and one that
-        splits a group of equal proportions scores strictly less (Breiman
-        et al. 1984, Thm 4.5; Fisher 1958).  So a (node, column) pair is
-        cut only between distinct proportions in that order, ties by rank,
-        a cut's left side holding the first present rank.  _tied solves a
-        pair whose codes all share one proportion.
+        For two-class Gini an optimal subset is a prefix of the codes
+        sorted by class-1 proportion, and one that splits a group of
+        equal proportions scores strictly less (Breiman et al. 1984, Thm
+        4.5).  So a (node, column) pair is cut only between distinct
+        proportions in that order, ties by rank, a cut's left side
+        holding the first present rank.  _tied solves a pair whose codes
+        all share one proportion.
         """
         a, k, levels = sizes.shape[0], self.cat.size, self.levels
-        table = np.zeros((2 if self.classification else 3, a, k, levels))
+        # table[0] and table[1]: rows and class-1 rows per (node, column, rank)
+        table = np.zeros((2, a, k, levels))
         cell = seg * levels
         for c in range(k):
             index = cell + self.ranks[c, rows]
             table[0, :, c] = np.bincount(
                 index, minlength=a * levels).reshape(a, levels)
-            if self.classification:
-                table[1, :, c] = np.bincount(
-                    index, self.y[rows], a * levels).reshape(a, levels)
+            table[1, :, c] = np.bincount(
+                index, self.y[rows], a * levels).reshape(a, levels)
         present = table[0] > 0
-        if self.classification:
-            totals = table[1:].sum(axis=3)
-        else:
-            for i, (s, e) in enumerate(zip(starts, starts + sizes)):
-                y = self.y[rows[s:e]]
-                for c in range(k):
-                    ranks = self.ranks[c, rows[s:e]]
-                    for r in np.flatnonzero(present[i, c]):
-                        v = y[ranks == r]
-                        table[1:, i, c, r] = np.sum(v), np.sum(v * v)
-            totals = np.array([[[t[i, c, present[i, c]].sum()
-                                 for c in range(k)] for i in range(a)]
-                               for t in table[1:]])
         with np.errstate(divide="ignore", invalid="ignore"):
             key = table[1] / table[0]  # nan at absent ranks, which sort last
             order = np.argsort(key, axis=2, kind="stable")
@@ -399,10 +349,10 @@ class _LevelScorer:
                     <= np.arange(levels - 1)[:, None])
             sides = present[:, :, None] & (head == np.take_along_axis(
                 head, present.argmax(axis=2)[..., None, None], axis=3))
-            nl, *left = _ascending_sums(table[:, :, :, None], sides)
+            nl, left = np.where(sides, table[:, :, :, None], 0.0).sum(-1)
             dec = np.where(cut, _decrease(
                 parent[:, None, None], sizes[:, None, None], nl, left,
-                totals[..., None]), -np.inf)
+                ones[:, None, None]), -np.inf)
         top, pick = dec.max(axis=2), dec.argmax(axis=2)
         for i, c in np.argwhere(((dec == top[..., None]).sum(axis=2) > 1)
                                 & (top > -np.inf)):
@@ -413,27 +363,20 @@ class _LevelScorer:
         for i, c in np.argwhere((present.sum(axis=2) > 1) & ~cut.any(axis=2)
                                 & (parent > 0.0)[:, None]):
             top[i, c], left[i, c] = self._tied(
-                table[:, i, c], parent[i], sizes[i], totals[:, i, c])
+                table[0, i, c], parent[i], sizes[i], ones[i])
         best[:, self.cat] = top
         return np.stack([left, present & ~left])
 
-    def _tied(self, table, parent, n, totals):
-        """Best decrease and left ranks of a pair of n rows whose codes
-        share one proportion: every subset's exact decrease is 0, and
-        rounding picks the winner.  Regression scores every subset; in
-        classification the decrease follows from the left row count, and
-        the smallest code tuple reaching a best count is built greedily."""
-        ranks, m = np.flatnonzero(table[0]), np.count_nonzero(table[0])
-        if not self.classification:
-            # odd numbers below 2**m - 1: the subsets with the first code
-            subsets = np.zeros((2 ** (m - 1) - 1, table.shape[1]), dtype=bool)
-            subsets[:, ranks] = (np.arange(1, 2 ** m - 1, 2)[:, None]
-                                 >> np.arange(m)) & 1
-            nl, *left = _ascending_sums(table[:, None], subsets)
-            dec = _decrease(parent, n, nl, left, totals)
-            return dec.max(), min(subsets[dec == dec.max()],
-                                  key=lambda s: tuple(np.flatnonzero(s)))
-        sizes = table[0, ranks].astype(int)
+    @staticmethod
+    def _tied(count, parent, n, ones):
+        """Best decrease and left ranks of a pair of n rows, ones of
+        them class 1, whose codes (count[r] rows at rank r) share one
+        proportion: every subset's exact decrease is 0, and rounding
+        picks the winner.  The decrease follows from the left row count,
+        and the smallest code tuple reaching a best count is built
+        greedily."""
+        ranks = np.flatnonzero(count)
+        m, sizes = ranks.shape[0], count[ranks].astype(int)
         # reach[j, x]: a subset of the codes from j on holds x rows; no
         # count passes n, so np.roll never wraps a reachable one round
         reach = np.tile(np.arange(n + 1) == 0, (m + 1, 1))
@@ -441,9 +384,9 @@ class _LevelScorer:
             reach[j] = reach[j + 1] | np.roll(reach[j + 1], sizes[j])
         # left counts holding the first code, short of the whole node
         nl = np.flatnonzero(reach[1, :n - sizes[0]]) + sizes[0]
-        dec = _decrease(parent, n, nl, [nl * totals[0] / n], totals)
+        dec = _decrease(parent, n, nl, nl * ones / n, ones)
         goal = np.bincount(nl[dec == dec.max()], minlength=n + 1) > 0
-        left, held = np.arange(table.shape[1]) == ranks[0], sizes[0]
+        left, held = np.arange(count.shape[0]) == ranks[0], sizes[0]
         for j in range(1, m):
             if not goal[held] and (np.roll(reach[j + 1], held + sizes[j])
                                    & goal).any():
@@ -489,7 +432,7 @@ def best_split(
     """
     idx = (np.arange(data.n) if indices is None
            else np.asarray(indices, dtype=np.intp))
-    scorer = _LevelScorer(data, variables, config.mode)
+    scorer = _LevelScorer(data, variables)
     if idx.shape[0] < 2 or not scorer.specs:
         return None
     dec, f, threshold, subsets = scorer.split(
@@ -517,25 +460,22 @@ def grow(
     """
     if data.n == 0:
         raise EmptyDatasetError("cannot grow a tree on 0 rows")
-    scorer = _LevelScorer(data, variables, config.mode)
+    scorer = _LevelScorer(data, variables)
     y = scorer.y
-    classification = scorer.classification
     smallest = max(config.min_node_size, 2)
     # Nodes are made level by level, a split node's two children side by
-    # side: sizes[i] is node i's row count, ones[i] its class-1 count
-    # (classification only), rules[i] its rule and first[i] its left child.
+    # side: sizes[i] is node i's row count, ones[i] its class-1 count,
+    # rules[i] its rule and first[i] its left child.
     sizes = [data.n]
-    ones = [float(y.sum())] if classification else []
+    ones = [float(y.sum())]
     rules: dict[int, SplitRule] = {}
     first: dict[int, int] = {}
-    leaf_of_row = np.zeros(data.n, dtype=np.intp)  # regression leaf means
     goes = np.empty(data.n, dtype=bool)  # each row's side at this level
     # The nodes of one depth that may split: ids, row and class-1 counts.
     level, level_n = np.array([0]), np.array([data.n])
     level_ones = np.array(ones)
-    mixed = 0 < ones[0] < data.n if classification else True
-    if (data.n < smallest or config.max_depth == 0 or not mixed
-            or not scorer.specs):
+    if (data.n < smallest or config.max_depth == 0
+            or not 0 < ones[0] < data.n or not scorer.specs):
         level = level[:0]
     lists = scorer.presort(np.arange(data.n)) if level.shape[0] else []
     depth = 0
@@ -554,14 +494,10 @@ def grow(
             first[int(level[i])] = int(child[i])
         group_n = np.stack([nl, level_n - nl], axis=1)
         sizes += group_n[split].ravel().tolist()
-        if classification:
-            ones_left = np.add.reduceat(y[lists[0]] * left, starts)
-            group_ones = np.stack([ones_left, level_ones - ones_left], axis=1)
-            ones += group_ones[split].ravel().tolist()
-            mixed = (group_ones > 0) & (group_ones < group_n)
-        else:
-            moving = split[seg]
-            leaf_of_row[lists[0][moving]] = (child[seg] + ~left)[moving]
+        ones_left = np.add.reduceat(y[lists[0]] * left, starts)
+        group_ones = np.stack([ones_left, level_ones - ones_left], axis=1)
+        ones += group_ones[split].ravel().tolist()
+        mixed = (group_ones > 0) & (group_ones < group_n)
         depth += 1
         opened = (split[:, None] & mixed & (group_n >= smallest)
                   & (depth < config.max_depth)).ravel()
@@ -588,17 +524,15 @@ def grow(
             lists[j] = out[:kept]
         level = np.stack([child, child + 1], axis=1).ravel()[opened]
         level_n = group_n[opened]
-        if classification:
-            level_ones = group_ones.ravel()[opened]
-    return CartTree(**_preorder(sizes, ones, rules, first, y, leaf_of_row),
+        level_ones = group_ones.ravel()[opened]
+    return CartTree(**_preorder(sizes, ones, rules, first),
                     fingerprint=data.schema.fingerprint(), config=config,
                     n_training_rows=data.n)
 
 
-def _preorder(sizes, ones, rules, first, y, leaf_of_row) -> dict:
+def _preorder(sizes, ones, rules, first) -> dict:
     """The node table's columns, in preorder, of nodes given in making
-    order.  A regression tree has no ones; its leaf means come from the
-    rows leaf_of_row sends to each leaf, summed in row order."""
+    order."""
     order, stack = [], [0]
     while stack:
         i = stack.pop()
@@ -607,35 +541,21 @@ def _preorder(sizes, ones, rules, first, y, leaf_of_row) -> dict:
             stack += [first[i] + 1, first[i]]
     index = {made: i for i, made in enumerate(order)}
     right = [index[first[i] + 1] if i in first else -1 for i in order]
-    table = dict(rules=[rules.get(i) for i in order], right=right,
-                 n=[sizes[i] for i in order])
-    leaves = [j for j, r in enumerate(right) if r < 0]
-    if ones:
-        counts = [(sizes[i] - int(ones[i]), int(ones[i])) for i in order]
-        predicted, p1 = np.zeros(len(order), dtype=int), np.zeros(len(order))
-        for j in leaves:
+    counts = [(sizes[i] - int(ones[i]), int(ones[i])) for i in order]
+    predicted, p1 = np.zeros(len(order), dtype=int), np.zeros(len(order))
+    for j, r in enumerate(right):
+        if r < 0:
             predicted[j], p1[j] = assign_leaf(counts[j])
-        return dict(table, counts=counts, predicted_class=predicted,
-                    positive_proportion=p1)
-    by_leaf = np.argsort(leaf_of_row, kind="stable")
-    ends = np.cumsum(np.bincount(leaf_of_row, minlength=len(sizes))).tolist()
-    mean = np.zeros(len(order))
-    for j in leaves:
-        i = order[j]
-        mean[j] = y[by_leaf[ends[i] - sizes[i]:ends[i]]].mean()
-    return dict(table, counts=[None] * len(order), mean=mean)
+    return dict(rules=[rules.get(i) for i in order], right=right,
+                n=[sizes[i] for i in order], counts=counts,
+                predicted_class=predicted, positive_proportion=p1)
 
 
 def predict_dataset(tree: CartTree, data: Dataset):
-    """Apply a classification tree to every row; returns (classes,
-    scores) arrays, the scores being leaf positive proportions."""
-    leaf = _leaf_index(tree, data, CLASSIFICATION)
+    """Apply the tree to every row; returns (classes, scores) arrays,
+    the scores being leaf positive proportions."""
+    leaf = _leaf_index(tree, data)
     return tree.predicted_class[leaf], tree.positive_proportion[leaf]
-
-
-def predict_values(tree: CartTree, data: Dataset) -> np.ndarray:
-    """Apply a regression tree to every row; returns the leaf means."""
-    return tree.mean[_leaf_index(tree, data, REGRESSION)]
 
 
 def _schema_difference(ours: tuple, trained: tuple) -> str:
@@ -656,15 +576,15 @@ def _schema_difference(ours: tuple, trained: tuple) -> str:
             "in the tree")
 
 
-def _leaf_index(tree: CartTree, data: Dataset, mode: str) -> np.ndarray:
+def _leaf_index(tree: CartTree, data: Dataset) -> np.ndarray:
     """Table index of the leaf each row reaches.
 
-    The dataset schema must match the training schema exactly, and the
-    tree must be of the given mode.  Rows are routed together, one
-    index partition per node.  A row that reaches a rule on a feature
-    it has no value for, or a categorical rule with a value that is not
-    a whole number within 2**53, raises DataError naming the row and
-    feature; such a value in a feature its path never tests is harmless.
+    The dataset schema must match the training schema exactly.  Rows
+    are routed together, one index partition per node.  A row that
+    reaches a rule on a feature it has no value for, or a categorical
+    rule with a value that is not a whole number within 2**53, raises
+    DataError naming the row and feature; such a value in a feature its
+    path never tests is harmless.
     A categorical code that no training row of the node testing it held
     routes right, with one UnseenCategoryWarning per feature and code.
     """
@@ -672,8 +592,6 @@ def _leaf_index(tree: CartTree, data: Dataset, mode: str) -> np.ndarray:
         raise SchemaMismatchError(
             "dataset schema differs from the tree's training schema: "
             + _schema_difference(data.schema.fingerprint(), tree.fingerprint))
-    if tree.config.mode != mode:
-        raise ValueError(f"needs a {mode} tree, not a {tree.config.mode} one")
     leaf = np.empty(data.n, dtype=np.intp)
     unseen: dict[tuple[str, int], tuple[int, int]] = {}
     stack = [(0, np.arange(data.n))]
@@ -743,23 +661,19 @@ def serialize(tree: CartTree) -> str:
             f'"min_node_size": {_json(config.min_node_size)}, '
             f'"max_depth": {_json(config.max_depth)}, '
             f'"min_gini_decrease": {_json(config.min_gini_decrease)}, '
-            f'"mode": {_json(config.mode)}}}, "schema": {{"features": '
+            f'"mode": "{CLASSIFICATION}"}}, "schema": {{"features": '
             f'[{features}], "target": {_json(tree.fingerprint[-1])}}}, '
             f'"n_training_rows": {_json(tree.n_training_rows)}, "nodes": [')
     # Python numbers print as JSON: tolist() gives them, and codes and
     # counts already are
-    if tree.mean is None:
-        leaves = [f'"class": {c}, "p1": {p:.17g}, "mean": null'
-                  for c, p in zip(tree.predicted_class.tolist(),
-                                  tree.positive_proportion.tolist())]
-    else:
-        leaves = [f'"class": null, "p1": null, "mean": {m:.17g}'
-                  for m in tree.mean.tolist()]
+    leaves = [f'"class": {c}, "p1": {p:.17g}, "mean": null'
+              for c, p in zip(tree.predicted_class.tolist(),
+                              tree.positive_proportion.tolist())]
     names = {name: _json(name) for name, _, _ in tree.fingerprint[:-1]}
     records = []
-    for i, (rule, n, counts, r) in enumerate(zip(tree.rules, tree.n,
-                                                 tree.counts, tree.right)):
-        counts = "null" if counts is None else f"[{counts[0]}, {counts[1]}]"
+    for i, (rule, n, (c0, c1), r) in enumerate(zip(tree.rules, tree.n,
+                                                   tree.counts, tree.right)):
+        counts = f"[{c0}, {c1}]"
         if rule is None:
             records.append(f'{{"n": {n}, "counts": {counts}, "left": null, '
                            f'"right": null, {leaves[i]}}}')
@@ -797,8 +711,9 @@ def deserialize(text: str) -> CartTree:
     """Rebuild a tree from serialize() output.
 
     Raises VersionMismatchError for a foreign format tag and
-    MalformedDocumentError for anything structurally wrong, naming the
-    offending node index where one exists.
+    MalformedDocumentError for anything structurally wrong, a mode other
+    than classification included, naming the offending node index where
+    one exists.
     """
     try:
         doc = json.loads(text)
@@ -823,7 +738,10 @@ def deserialize(text: str) -> CartTree:
                 and _number(cfg["min_gini_decrease"])):
             raise TypeError("min_node_size and max_depth must be whole "
                             "numbers and min_gini_decrease a finite number")
-        config = CartConfig(*limits, cfg["min_gini_decrease"], cfg["mode"],
+        if cfg["mode"] != CLASSIFICATION:
+            raise ValueError(f"mode is {cfg['mode']!r}, not "
+                             f"{CLASSIFICATION!r}")
+        config = CartConfig(*limits, cfg["min_gini_decrease"],
                             allow_large_min_node=True)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise MalformedDocumentError(f"bad config section: {exc}") from None
@@ -837,9 +755,7 @@ def deserialize(text: str) -> CartTree:
         raise MalformedDocumentError("nodes must be a nonempty list")
 
     rules, right, n, counts = [], [], [], []
-    columns = _LEAF_COLUMNS[config.mode]
-    leaf = {column: [0] * len(records) for column in columns.values()}
-    kind = f"{config.mode} leaf"
+    predicted, p1 = np.zeros(len(records), dtype=int), np.zeros(len(records))
     # A depth-first walk, left child first, must meet every node once
     # and in table order: the table is then one tree, in preorder, and
     # each internal node's left child is the next node.
@@ -857,18 +773,18 @@ def deserialize(text: str) -> CartTree:
                 f"node {i} has only one child index")
         try:
             count, c = rec["n"], rec["counts"]
-            if type(count) is not int or c is not None and not (
+            if type(count) is not int or not (
                     type(c) is list and len(c) == 2
                     and type(c[0]) is type(c[1]) is int):
                 raise MalformedDocumentError(
                     f"node {i} has n {count!r} and counts {c!r}, not a whole "
-                    "number and null or two whole numbers")
+                    "number and two whole numbers")
             n.append(count)
-            counts.append(tuple(c) if c is not None else None)
+            counts.append(tuple(c))
             if left is None:
                 rules.append(None)
-                for key, column in columns.items():
-                    leaf[column][i] = _value(rec, key, i, kind)
+                predicted[i] = _value(rec, "class", i, "classification leaf")
+                p1[i] = _value(rec, "p1", i, "classification leaf")
             else:
                 for child in (left, r):
                     if not (isinstance(child, int)
@@ -882,12 +798,10 @@ def deserialize(text: str) -> CartTree:
         right.append(-1 if r is None else r)
     if pending:
         raise MalformedDocumentError(f"node {pending[-1]} referenced twice")
-    for column, values in leaf.items():
-        leaf[column] = np.array(values, int if column == "predicted_class"
-                                else float)
     return CartTree(rules=rules, right=right, n=n, counts=counts,
                     fingerprint=fingerprint, config=config,
-                    n_training_rows=rows, **leaf)
+                    n_training_rows=rows, predicted_class=predicted,
+                    positive_proportion=p1)
 
 
 def _number(value) -> bool:
@@ -900,22 +814,16 @@ def _number(value) -> bool:
 _VALUES = {
     "class": ("0 or 1", lambda v: type(v) is int and v in (0, 1)),
     "p1": ("a finite number in [0, 1]", lambda v: _number(v) and 0 <= v <= 1),
-    "mean": ("a finite number", _number),
     "threshold": ("a finite number", _number),
     "subset": ("a list of whole numbers",
                lambda v: type(v) is list and all(type(c) is int for c in v)),
 }
 _VALUES["complement"] = _VALUES["subset"]
 
-#: The leaf fields of each mode's records, each to its CartTree column.
-_LEAF_COLUMNS = {CLASSIFICATION: {"class": "predicted_class",
-                                  "p1": "positive_proportion"},
-                 REGRESSION: {"mean": "mean"}}
-
 
 def _value(rec: dict, key: str, i: int, node: str):
     """Field key of node i's record, refused unless it holds what
-    _VALUES asks; node names what node i is, a rule or a mode's leaf."""
+    _VALUES asks; node names what node i is, a rule or a leaf."""
     value = rec.get(key)
     what, valid = _VALUES[key]
     if not valid(value):
@@ -959,13 +867,10 @@ def node_labels(tree: CartTree) -> list[tuple[str, str]]:
     """(body, stats) of every node: its rule or leaf prediction, then its
     row count and class counts.  tolist() gives Python floats, whose
     repr is the bare number."""
-    if tree.mean is not None:
-        leaves = [f"leaf mean={m!r}" for m in tree.mean.tolist()]
-    else:
-        leaves = [f"leaf class={c} p1={p!r}" for c, p in zip(
-            tree.predicted_class.tolist(), tree.positive_proportion.tolist())]
+    leaves = [f"leaf class={c} p1={p!r}" for c, p in zip(
+        tree.predicted_class.tolist(), tree.positive_proportion.tolist())]
     return [(leaf if rule is None else rule.describe(),
-             f"n={n}" if counts is None else f"n={n} counts={counts}")
+             f"n={n} counts={counts}")
             for rule, leaf, n, counts in zip(tree.rules, leaves, tree.n,
                                              tree.counts)]
 

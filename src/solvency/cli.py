@@ -45,9 +45,11 @@ from .errors import (
     ConfigError,
     DataError,
     DegenerateClassError,
+    MalformedDocumentError,
     NumericError,
     SolvencyError,
     SolvencyWarning,
+    VersionMismatchError,
 )
 
 ENCODED_CSV = "encoded.csv"
@@ -91,7 +93,6 @@ class PipelineConfig:
     max_depth: int = 10
     min_gini_decrease: float = 0.0
     allow_large_min_node: bool = False
-    mode: str = cart.CLASSIFICATION
     holdout: float | None = None
     model: str | None = None
     roc_scores: str = "proportion"
@@ -123,7 +124,6 @@ class PipelineConfig:
             min_node_size=self.min_node_size,
             max_depth=self.max_depth,
             min_gini_decrease=self.min_gini_decrease,
-            mode=self.mode,
             allow_large_min_node=self.allow_large_min_node,
         )
 
@@ -338,18 +338,19 @@ def stage_train(cfg: PipelineConfig, data: Dataset | None = None
 def _load_model(cfg: PipelineConfig, tree: cart.CartTree | None = None
                 ) -> cart.CartTree:
     """The --model file, else the tree pipeline hands on, else the out
-    directory's model.json; refused unless it is a classification tree."""
+    directory's model.json; a file deserialize refuses is named in the
+    error."""
+    if tree is not None and not cfg.model:
+        return tree
     path = cfg.model if cfg.model else cfg.path(MODEL_JSON)
-    if cfg.model or tree is None:
-        if not os.path.exists(path):
-            raise ConfigError(f"model file not found: {path}")
-        with open(path, encoding="utf-8") as fh:
-            tree = cart.deserialize(fh.read())
-    if tree.config.mode != cart.CLASSIFICATION:
-        raise ConfigError(
-            f"model {path} is a {tree.config.mode} tree; eval and predict "
-            f"need a {cart.CLASSIFICATION} tree")
-    return tree
+    if not os.path.exists(path):
+        raise ConfigError(f"model file not found: {path}")
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return cart.deserialize(text)
+    except (MalformedDocumentError, VersionMismatchError) as exc:
+        raise type(exc)(f"model {path}: {exc}") from None
 
 
 def stage_eval(cfg: PipelineConfig, data: Dataset | None = None,
@@ -516,7 +517,6 @@ FLAG_GROUPS = {
         ("--variables", dict(type=lambda s: tuple(s.split(",")),
                              help="comma-separated variable names "
                                   "(overrides --screening)")),
-        ("--mode", dict(choices=[cart.CLASSIFICATION, cart.REGRESSION])),
     ],
     "tree": [
         ("--min-node-size", dict(type=int)),

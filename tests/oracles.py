@@ -75,84 +75,6 @@ def brute_force_best_split(data, variables=None):
     return best
 
 
-def variance(n, s, s2):
-    """Population variance of n values with sum s and sum of squares s2."""
-    mean = s / n
-    return s2 / n - mean * mean
-
-
-def brute_force_best_variance_split(data, variables=None):
-    """Exhaustive regression split search over every feature and cut.
-
-    Same result shape and tie rules as brute_force_best_split, with the
-    population variance of the target as impurity.  Sums of real
-    targets are formed as the library forms them, since their rounding
-    depends on the order of the terms: the node's impurity uses the
-    target's sums in row order; a numeric cut adds the targets at or
-    below it in stable sorted order from 0.0, against the whole running
-    sum as the node's total; a code's sums add its rows in row order, a
-    subset adds its codes' sums in ascending code order from 0.0, and
-    the node's total is np.sum of every code's sums in code order.
-    """
-    names = list(variables) if variables is not None else data.schema.names
-    specs = sorted((data.schema[n] for n in names), key=lambda s: s.index)
-    y = data.y
-    n = y.shape[0]
-    if n < 2:
-        return None
-    parent = variance(n, y.sum(), (y * y).sum())
-    if parent <= 0.0:
-        return None
-
-    def decrease(nl, left, total):
-        nr = n - nl
-        gl = variance(nl, *left)
-        gr = variance(nr, total[0] - left[0], total[1] - left[1])
-        return parent - (nl * gl + nr * gr) / n
-
-    best = None  # (decrease, feature, detail)
-    for spec in specs:
-        values = data.feature_array([spec.name])[:, 0]
-        feature_best = None
-        if spec.kind == NUMERIC:
-            order = np.argsort(values, kind="stable")
-            sums, s, s2 = [], 0.0, 0.0
-            for t in y[order]:
-                s, s2 = s + t, s2 + t * t
-                sums.append((s, s2))
-            v = values[order]
-            for i in range(n - 1):
-                if v[i + 1] > v[i]:
-                    dec = decrease(i + 1, sums[i], sums[-1])
-                    if feature_best is None or dec > feature_best[0]:
-                        feature_best = (dec, float((v[i] + v[i + 1]) / 2.0))
-        else:
-            codes = sorted(int(c) for c in np.unique(values))
-            count, code_sums = {}, {}
-            for c in codes:
-                t = y[values == c]
-                count[c], code_sums[c] = t.shape[0], (np.sum(t), np.sum(t * t))
-            total = tuple(np.sum(np.array([code_sums[c][k] for c in codes]))
-                          for k in (0, 1))
-            for subset in (_half_partitions(codes) if len(codes) >= 2 else ()):
-                s, s2 = 0.0, 0.0
-                for c in subset:
-                    s, s2 = s + code_sums[c][0], s2 + code_sums[c][1]
-                dec = decrease(sum(count[c] for c in subset), (s, s2), total)
-                if (feature_best is None or dec > feature_best[0]
-                        or (dec == feature_best[0]
-                            and subset < feature_best[1])):
-                    feature_best = (dec, subset)
-            if feature_best is not None:
-                feature_best = (feature_best[0], frozenset(feature_best[1]))
-        if feature_best is not None and (best is None
-                                         or feature_best[0] > best[0]):
-            best = (feature_best[0], spec.name, feature_best[1])
-    if best is None or best[0] < 0.0:
-        return None
-    return best
-
-
 def _half_partitions(codes):
     """Every proper nonempty subset containing the smallest code."""
     first, rest = codes[0], codes[1:]

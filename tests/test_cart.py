@@ -17,15 +17,12 @@ from conftest import make_dataset
 from oracles import (
     _decrease,
     brute_force_best_split,
-    brute_force_best_variance_split,
     gini_two_counts,
     reference_grow,
     route_rows,
 )
 from solvency.cart import (
-    CLASSIFICATION,
     FORMAT_VERSION,
-    REGRESSION,
     CartConfig,
     SplitRule,
     UnseenCategoryWarning,
@@ -37,7 +34,6 @@ from solvency.cart import (
     gini,
     grow,
     predict_dataset,
-    predict_values,
     serialize,
     split_gini,
 )
@@ -230,13 +226,11 @@ class TestTieBreaking:
         assert rule.feature == "c"
 
 
-def assert_agrees_with_oracle(data, mode=CLASSIFICATION):
+def assert_agrees_with_oracle(data):
     """best_split picks the oracle's decrease (bit for bit), feature,
     and threshold or code subset."""
-    found = best_split(data, config=CartConfig(mode=mode))
-    oracle = (brute_force_best_split if mode == CLASSIFICATION
-              else brute_force_best_variance_split)
-    expected = oracle(data)
+    found = best_split(data)
+    expected = brute_force_best_split(data)
     if expected is None:
         assert found is None
         return
@@ -372,8 +366,6 @@ class TestCartConfig:
         with pytest.raises(ConfigError):
             CartConfig(max_depth=-1)
         with pytest.raises(ConfigError):
-            CartConfig(mode="ternary")
-        with pytest.raises(ConfigError):
             CartConfig(min_gini_decrease=-0.1)
 
     def test_zero_depth_means_root_leaf(self):
@@ -448,23 +440,6 @@ class TestGrow:
         assert tree.predicted_class[0] == 0
 
 
-class TestRegressionMode:
-    def test_leaf_means_and_variance_split(self):
-        data = make_dataset(
-            {"x": [1.0, 2.0, 3.0, 4.0]}, [10.0, 10.0, 20.0, 20.0])
-        tree = grow(data, config=CartConfig(mode=REGRESSION,
-                                            min_node_size=1))
-        assert tree.rules[0].threshold == 2.5
-        fresh = make_dataset({"x": [1.5, 3.7]}, [None, None])
-        assert predict_values(tree, fresh).tolist() == [10.0, 20.0]
-
-    def test_constant_target_is_leaf(self):
-        data = make_dataset({"x": [1.0, 2.0, 3.0]}, [4.0, 4.0, 4.0])
-        tree = grow(data, config=CartConfig(mode=REGRESSION))
-        assert tree.rules[0] is None
-        assert tree.mean[0] == 4.0
-
-
 def deeper_code_dataset():
     """The root splits on x; its left child splits on c and holds codes
     1 and 2 only, while code 3 is in training on the right."""
@@ -472,6 +447,20 @@ def deeper_code_dataset():
         {"x": [1.0] * 6 + [9.0] * 18, "c": [1, 1, 1, 2, 2, 2] + [1, 2, 3] * 6},
         [1, 1, 1, 0, 0, 0] + [1] * 18, kinds={"c": CATEGORICAL},
         levels={"c": 3})
+
+
+#: Leaf fields set to values outside the format, with the ids these
+#: cases have always been reported under.
+LEAF_VALUES = [
+    ("class", None),
+    ("p1", None),
+    ("p1", "0.5"),
+    ("class", 0.5),
+    ("class", 7),
+    ("class", True),
+    ("p1", 1.5),
+    ("p1", float("nan")),
+]
 
 
 class TestSerialization:
@@ -556,22 +545,12 @@ class TestSerialization:
         with pytest.raises(MalformedDocumentError, match="categorical rule on numeric"):
             deserialize(json.dumps(doc))
 
-    @pytest.mark.parametrize("mode, field, value", [
-        ("classification", "class", None),
-        ("classification", "p1", None),
-        ("classification", "p1", "0.5"),
-        ("classification", "class", 0.5),
-        ("classification", "class", 7),
-        ("classification", "class", True),
-        ("classification", "p1", 1.5),
-        ("classification", "p1", float("nan")),
-        ("regression", "mean", None),
-        ("regression", "mean", float("nan")),
-    ])
-    def test_leaf_without_its_number_rejected(self, mode, field, value):
+    @pytest.mark.parametrize("field, value", LEAF_VALUES, ids=[
+        f"classification-{field}-{value}" for field, value in LEAF_VALUES])
+    def test_leaf_without_its_number_rejected(self, field, value):
         data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
         doc = json.loads(serialize(grow(data, config=CartConfig(
-            min_node_size=1, mode=mode))))
+            min_node_size=1))))
         leaf = doc["nodes"][-1]
         assert leaf["left"] is None and leaf[field] is not None
         leaf[field] = value
@@ -600,12 +579,11 @@ class TestSerialization:
     @pytest.mark.parametrize("node, field, value", [
         (0, "n", float("inf")),
         (0, "threshold", 10 ** 400),
-        (2, "mean", 10 ** 400),
-    ], ids=["n-inf", "threshold-1e400", "mean-1e400"])
+    ], ids=["n-inf", "threshold-1e400"])
     def test_numbers_past_float_range_rejected(self, node, field, value):
         data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
         doc = json.loads(serialize(grow(data, config=CartConfig(
-            min_node_size=1, mode=REGRESSION))))
+            min_node_size=1))))
         doc["nodes"][node][field] = value
         with pytest.raises(MalformedDocumentError, match=f"node {node}"):
             deserialize(json.dumps(doc))
@@ -638,6 +616,7 @@ class TestSerialization:
         (0, "counts", "[6, 18, 0]"),
         (0, "counts", "[24]"),
         (0, "counts", '"12"'),
+        (0, "counts", "null"),
         (3, "counts", "{}"),
         (0, "feature_index", "0.5"),
         (0, "feature_index", "0.0"),
@@ -776,11 +755,6 @@ class TestPredict:
             leaves = route_rows(json.loads(serialize(tree))["nodes"], data.X)
             assert classes.tolist() == [leaf["class"] for leaf in leaves]
             assert scores.tolist() == [leaf["p1"] for leaf in leaves]
-        data = real_target_dataset()
-        tree = grow(data, config=CartConfig(min_node_size=3, mode=REGRESSION))
-        leaves = route_rows(json.loads(serialize(tree))["nodes"], data.X)
-        assert predict_values(tree, data).tolist() == [
-            leaf["mean"] for leaf in leaves]
 
     def test_unseen_category_warns_once_per_code(self):
         data = make_dataset(
@@ -838,14 +812,6 @@ class TestPredict:
         wide = make_dataset({"x": [1.0], "z": [2.0]}, [None])
         with pytest.raises(SchemaMismatchError):
             predict_dataset(tree, wide)
-
-    def test_mode_must_match(self):
-        data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
-        with pytest.raises(ValueError, match="regression tree"):
-            predict_values(grow(data), data)
-        tree = grow(data, config=CartConfig(mode=REGRESSION))
-        with pytest.raises(ValueError, match="classification tree"):
-            predict_dataset(tree, data)
 
 
 class TestRendering:
@@ -912,24 +878,17 @@ def test_tree_agreement_property(seed, min_node_size, max_depth, min_decrease):
     assert records == reference_grow(data, config)
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5),
-       st.sampled_from([CLASSIFICATION, REGRESSION]))
-def test_loaded_tree_renders_and_predicts_as_grown(seed, min_node_size, mode):
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+def test_loaded_tree_renders_and_predicts_as_grown(seed, min_node_size):
     """deserialize(serialize(t)) holds t's node table: it renders the
     same bytes and predicts the same arrays."""
     rng = np.random.default_rng(seed)
     data = random_mixed_dataset(rng, max_rows=40)
-    if mode == REGRESSION:
-        data = Dataset(data.schema, data.X, rng.normal(size=data.n))
-    tree = grow(data, config=CartConfig(min_node_size=min_node_size,
-                                        mode=mode))
+    tree = grow(data, config=CartConfig(min_node_size=min_node_size))
     loaded = deserialize(serialize(tree))
     for render in (serialize, export_dot, export_text):
         assert render(loaded) == render(tree)
-    if mode == CLASSIFICATION:
-        pairs = zip(predict_dataset(tree, data), predict_dataset(loaded, data))
-    else:
-        pairs = [(predict_values(tree, data), predict_values(loaded, data))]
+    pairs = zip(predict_dataset(tree, data), predict_dataset(loaded, data))
     for grown, again in pairs:
         assert grown.dtype == again.dtype
         assert grown.tolist() == again.tolist()
@@ -970,19 +929,6 @@ def test_tied_categorical_agreement_property(seed):
     columns whose codes share proportions, all of them or in groups."""
     assert_agrees_with_oracle(
         random_tied_dataset(np.random.default_rng(seed)))
-
-
-@given(st.integers(0, 2 ** 32 - 1))
-def test_regression_split_agreement_property(seed):
-    """best_split in regression mode matches the exhaustive variance
-    oracle, bit for bit, on real and on discrete targets."""
-    rng = np.random.default_rng(seed)
-    data = random_mixed_dataset(rng, max_rows=25, max_features=3,
-                                max_levels=6)
-    targets = (rng.normal(size=data.n), np.round(rng.normal(size=data.n), 1),
-               rng.integers(0, 3, data.n))
-    data = Dataset(data.schema, data.X, targets[int(rng.integers(3))])
-    assert_agrees_with_oracle(data, REGRESSION)
 
 
 def test_grow_then_serialize_is_deterministic():
@@ -1043,23 +989,8 @@ def noisy_classification_dataset(n=300, seed=31):
         levels={"c": 4, "b": 2, "h": 6})
 
 
-def real_target_dataset(n=200, seed=32):
-    """Real-valued target driven by sparse, partly negative codes."""
-    rng = np.random.default_rng(seed)
-    g = rng.choice([-5, 2, 7, 11, 100], n)
-    s = rng.integers(0, 2, n)
-    x = rng.normal(0.0, 1.0, n)
-    effect = {-5: -1.5, 2: 0.25, 7: 0.3, 11: 2.0, 100: -0.1}
-    y = (np.array([effect[v] for v in g.tolist()]) + 0.7 * s + 0.5 * x
-         + rng.normal(0.0, 0.3, n))
-    return make_dataset(
-        {"g": g.tolist(), "x": x.tolist(), "s": s.tolist()}, y.tolist(),
-        kinds={"g": CATEGORICAL, "s": CATEGORICAL}, levels={"g": 5, "s": 2})
-
-
 # SHA-256 of serialize, export_dot and export_text, recorded before the
-# split search was vectorised; regression trees depend on the order in
-# which real-valued targets are summed.
+# split search was vectorised.
 GOLDEN = {
     "noisy-classification": (
         noisy_classification_dataset,
@@ -1067,12 +998,6 @@ GOLDEN = {
         ("e670e85da30118e5f2b63dd8d2d5cb31578e97d188f1c7d6112e772b9c5e4d0c",
          "f392af522980d8934c266ea9a5f2720008802beda775e25ba9c81617ff5e2624",
          "bc93f56b757552129026b73d2599375af2fd1f3648bfcda79bd47afa5d32bc8e")),
-    "real-target-regression": (
-        real_target_dataset,
-        CartConfig(min_node_size=3, max_depth=12, mode=REGRESSION),
-        ("e8ba803c536a10ca6cc7a4a9ec0811e6d8ff414378b4104141938a4384b7d88a",
-         "bed4b55c8e8f3662f3c73d47833b9a554f5c5325b254af56d3bbe088cb8a6249",
-         "d1dd5e5bdd7a1baf79547fc5f2eb3a95c11b1eb05b6bfddd84c9a7554f6ba84b")),
 }
 
 
@@ -1110,11 +1035,6 @@ SERIALIZED = {
         ('"say \\"hi\\""', '"back\\\\slash"', '"\\u00c5lder"',
          '"m\\u00e5l"', '"threshold": -3,', '"p1": 0,', '"p1": 1,'),
         "292a7425d050d6589fd6ecbed0a705ae05e16fe243549111ed6cc293a724cf5b"),
-    "regression-null-counts": (
-        real_target_dataset,
-        CartConfig(min_node_size=5, max_depth=3, mode=REGRESSION),
-        ('"counts": null', '"class": null, "p1": null, "mean": -'),
-        "517ae6955cc5d424b0acb08707452e9e6e5674c381c36089f2656b891098563e"),
     "int-config": (
         noisy_classification_dataset,
         CartConfig(min_node_size=2, max_depth=4, min_gini_decrease=10 ** 17),

@@ -452,12 +452,38 @@ class TestEvalCommand:
             capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "predict"])
-    def test_regression_model_exits_2(self, workdir, capsys, command):
-        source = self.trained(workdir, extra=("--mode", "regression"))
+    def test_regression_model_exits_3(self, workdir, capsys, command):
+        """A model.json of any mode but classification, such as a
+        regression model from an older version, is a malformed model."""
+        source = self.trained(workdir)
+        model = workdir / "model.json"
+        doc = json.loads(model.read_text())
+        doc["config"]["mode"] = "regression"
+        model.write_text(json.dumps(doc))
         rc = main([command, "--input", str(source), "--out", str(workdir)])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "regression" in err and "model.json" in err
+        assert rc == 3
+        assert (f"model {model}: bad config section: mode is 'regression', "
+                "not 'classification'") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "predict"])
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(format="cart-model/999"),
+         "expected 'cart-model/1', found 'cart-model/999'"),
+        (lambda doc: doc["nodes"][0].update(counts=None),
+         "node 0 has n 200 and counts None, not a whole number and two "
+         "whole numbers"),
+    ], ids=["foreign-format", "null-counts"])
+    def test_refused_model_names_its_file(self, workdir, capsys, command,
+                                          edit, message):
+        source = self.trained(workdir)
+        model = workdir / "elsewhere.json"
+        doc = json.loads((workdir / "model.json").read_text())
+        edit(doc)
+        model.write_text(json.dumps(doc))
+        rc = main([command, "--input", str(source), "--model", str(model),
+                   "--out", str(workdir)])
+        assert rc == 3
+        assert f"model {model}: {message}" in capsys.readouterr().err
 
 
 class TestPredictCommand:
@@ -834,20 +860,16 @@ class TestPipelineCommand:
         assert (out / "eval.json").read_bytes() == \
             (manual / "eval.json").read_bytes()
 
-    def test_regression_config_fails_at_eval(self, workdir, capsys):
-        """pipeline has no --mode flag, but a config file may set the
-        mode: train grows a regression tree, and eval refuses it."""
+    def test_mode_in_config_refused_before_any_stage(self, workdir, capsys):
+        """A tree mode is no setting: a config file naming one stops
+        pipeline before encode runs or the out directory is made."""
         source = make_synthetic(workdir, rows=200, seed=3)
         config = workdir / "regression.json"
         config.write_text(json.dumps({"mode": "regression"}))
         out = workdir / "run"
         assert run_pipeline_into(out, source, ["--config", str(config)]) == 2
-        stages = read_manifest(out)["stages"]
-        assert [s["status"] for s in stages] == ["completed"] * 3 + ["failed"]
-        assert stages[3]["error"] == (
-            f"model {out / 'model.json'} is a regression tree; eval and "
-            "predict need a classification tree")
-        assert "regression" in capsys.readouterr().err
+        assert not out.exists()
+        assert "unknown config key 'mode'" in capsys.readouterr().err
 
 
 def counted_deserialize(monkeypatch):
@@ -895,8 +917,8 @@ def assert_pipeline_matches_manual(workdir, capsys, source, encode_flags,
 
 
 #: Option strings of every subcommand; pipeline takes the encode,
-#: screen, tree and eval settings but never --mode, --variables,
-#: --screening or --model.
+#: screen, tree and eval settings but never --variables, --screening
+#: or --model.
 COMMON = {"-h", "--help", "--config", "--out", "--seed"}
 DATA = {"--input", "--codebook", "--target", "--missing-token"}
 ENCODE = {"--skip-codebook", "--outlier-method", "--iqr-multiplier",
@@ -908,7 +930,7 @@ TREE = {"--min-node-size", "--max-depth", "--min-gini-decrease",
 OPTIONS = {
     "encode": COMMON | DATA | ENCODE,
     "screen": COMMON | DATA | SCREEN | {"--holdout"},
-    "train": COMMON | DATA | TREE | {"--screening", "--variables", "--mode",
+    "train": COMMON | DATA | TREE | {"--screening", "--variables",
                                      "--holdout"},
     "eval": COMMON | DATA | {"--model", "--holdout", "--roc-scores"},
     "predict": COMMON | DATA | {"--model"},
