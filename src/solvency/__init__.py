@@ -13,15 +13,12 @@ from .cart import (
     deserialize,
     export_dot,
     export_text,
-    gini,
     grow,
     predict_dataset,
     serialize,
-    split_gini,
 )
 from .dataset import (
     DEFAULT_CODEBOOK,
-    ClassDistribution,
     CleaningLog,
     CodeBook,
     Dataset,
@@ -73,9 +70,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CartConfig", "CartTree", "SplitRule", "best_split", "deserialize",
-    "export_dot", "export_text", "gini", "grow", "predict_dataset",
-    "serialize", "split_gini",
-    "DEFAULT_CODEBOOK", "ClassDistribution", "CleaningLog", "CodeBook",
+    "export_dot", "export_text", "grow", "predict_dataset", "serialize",
+    "DEFAULT_CODEBOOK", "CleaningLog", "CodeBook",
     "Dataset", "FeatureSpec", "OutlierRule", "Schema", "apply_codebook",
     "class_distribution", "clean", "load_csv", "schema_from_header",
     "write_csv",

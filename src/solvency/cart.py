@@ -32,7 +32,6 @@ import numpy as np
 from .dataset import (
     CATEGORICAL,
     NUMERIC,
-    ClassDistribution,
     Dataset,
     FeatureSpec,
     Schema,
@@ -57,22 +56,6 @@ CLASSIFICATION = "classification"
 class UnseenCategoryWarning(SolvencyWarning):
     """Prediction met a categorical code that no training row of the
     node testing it held; such a row goes right."""
-
-
-def gini(dist: ClassDistribution) -> float:
-    """Gini impurity 1 - sum of squared class proportions."""
-    total = float(dist.total)
-    acc = 1.0
-    for c in dist.counts:
-        p = c / total
-        acc -= p * p
-    return acc
-
-
-def split_gini(left: ClassDistribution, right: ClassDistribution) -> float:
-    """Size-weighted Gini of a two-way partition."""
-    n = left.total + right.total
-    return (left.total * gini(left) + right.total * gini(right)) / n
 
 
 @dataclass(frozen=True)
@@ -779,12 +762,22 @@ def deserialize(text: str) -> CartTree:
                 raise MalformedDocumentError(
                     f"node {i} has n {count!r} and counts {c!r}, not a whole "
                     "number and two whole numbers")
+            if count < 1 or not 0 <= c[0] <= count or c[0] + c[1] != count:
+                raise MalformedDocumentError(
+                    f"node {i} has n {count} and counts {c}, not n of at "
+                    "least 1 and two non-negative counts summing to it")
             n.append(count)
             counts.append(tuple(c))
             if left is None:
                 rules.append(None)
-                predicted[i] = _value(rec, "class", i, "classification leaf")
-                p1[i] = _value(rec, "p1", i, "classification leaf")
+                leaf = (_value(rec, "class", i, "classification leaf"),
+                        _value(rec, "p1", i, "classification leaf"))
+                if leaf != assign_leaf(c):
+                    raise MalformedDocumentError(
+                        f"node {i} is a leaf whose class and p1 are "
+                        f"{leaf[0]!r} and {leaf[1]!r}, where its counts "
+                        f"{c} give {assign_leaf(c)}")
+                predicted[i], p1[i] = leaf
             else:
                 for child in (left, r):
                     if not (isinstance(child, int)
@@ -798,6 +791,15 @@ def deserialize(text: str) -> CartTree:
         right.append(-1 if r is None else r)
     if pending:
         raise MalformedDocumentError(f"node {pending[-1]} referenced twice")
+    if rows != n[0]:
+        raise MalformedDocumentError(
+            f"n_training_rows is {rows}, where the root holds {n[0]} rows")
+    for i, r in enumerate(right):
+        if r >= 0 and counts[i] != (counts[i + 1][0] + counts[r][0],
+                                    counts[i + 1][1] + counts[r][1]):
+            raise MalformedDocumentError(
+                f"node {i} has counts {list(counts[i])}, where its children "
+                f"have {list(counts[i + 1])} and {list(counts[r])}")
     return CartTree(rules=rules, right=right, n=n, counts=counts,
                     fingerprint=fingerprint, config=config,
                     n_training_rows=rows, predicted_class=predicted,

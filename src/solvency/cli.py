@@ -31,7 +31,6 @@ from .dataset import (
     FeatureSpec,
     OutlierRule,
     Schema,
-    apply_codebook,
     class_distribution,
     clean,
     csv_text,
@@ -219,9 +218,8 @@ def _load(cfg: PipelineConfig, path: str, encoded: bool = True) -> Dataset:
     else labels, which the codebook (if any) turns into codes."""
     book = CodeBook.load(cfg.codebook) if cfg.codebook else None
     schema = schema_from_header(read_header(path), cfg.target, book, path)
-    data = load_csv(path, schema, missing_tokens=cfg.missing_tokens,
-                    encoded=encoded)
-    return data if encoded or book is None else apply_codebook(data, book)
+    return load_csv(path, schema, missing_tokens=cfg.missing_tokens,
+                    codebook=None if encoded else book)
 
 
 def _stage_data(cfg: PipelineConfig, data: Dataset | None) -> Dataset:
@@ -249,9 +247,8 @@ def stage_encode(cfg: PipelineConfig) -> tuple[list[str], Dataset]:
     cleaned, log = clean(data, cfg.outlier_rule())
     write_csv(cleaned, cfg.path(ENCODED_CSV))
     _write(cfg.path(CLEANING_LOG), log.to_text())
-    dist = class_distribution(cleaned)
     print(f"encode: kept {cleaned.n} of {data.n} rows, "
-          f"class counts {dist.counts}")
+          f"class counts {class_distribution(cleaned)}")
     return [ENCODED_CSV, CLEANING_LOG], read_back(cleaned, cfg.missing_tokens)
 
 
@@ -394,7 +391,7 @@ def stage_predict(cfg: PipelineConfig) -> list[str]:
     schema = Schema(features, target)
     has_target = target in read_header(cfg.input)
     data = load_csv(cfg.input, schema, missing_tokens=cfg.missing_tokens,
-                    encoded=True, target_optional=True)
+                    target_optional=True)
     classes, scores = cart.predict_dataset(tree, data)
     names = schema.names + ([target] if has_target else [])
     # A score keeps repr's decimal part even when whole, so it goes in

@@ -1,10 +1,10 @@
 """Tabular credit data: schema, label encoding, and row cleaning.
 
-The flow is load_csv -> apply_codebook -> clean.  A dataset holds
-float64 columns with NaN for a missing value, plus the raw text labels
-of categorical columns not yet encoded.  apply_codebook turns labels
-into integer codes and clean drops rows carrying missing values or
-numeric outliers, so the modelling stages only see dense columns.
+The flow is load_csv -> clean.  A dataset holds float64 columns with
+NaN for a missing value.  Given a codebook, load_csv turns each block's
+categorical labels into integer codes as it reads them (apply_codebook),
+and clean drops rows carrying missing values or numeric outliers, so
+the modelling stages only see dense columns.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import re
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import islice, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -23,7 +23,6 @@ from .errors import (
     CodeBookError,
     DataError,
     EmptyDatasetError,
-    EmptyDistributionError,
     EmptyResultError,
     HeaderMismatchError,
     MissingFileError,
@@ -188,26 +187,6 @@ class CodeBook:
         except ValueError as exc:
             raise CodeBookError(f"{path}: {exc}") from None
 
-    @classmethod
-    def infer(cls, data: "Dataset") -> "CodeBook":
-        """Assign codes by first appearance in the raw labels.
-
-        Two-level features follow the boolean convention (first label
-        seen -> 1, second -> 0); wider features count up from 1.
-        Features are listed in the order their first label appears.
-        """
-        mappings, first = {}, {}
-        for name, column in data.labels.items():
-            present = ~np.equal(column, None)
-            labels = list(dict.fromkeys(column[present].tolist()))
-            if labels:
-                first[name] = (int(present.argmax()), data.schema[name].index)
-                mappings[name] = (
-                    {labels[0]: 1, labels[1]: 0} if len(labels) == 2
-                    else {lab: i + 1 for i, lab in enumerate(labels)})
-        return cls({name: mappings[name]
-                    for name in sorted(mappings, key=first.get)})
-
 
 #: Codes for the seven nominal variables of the bundled credit schema.
 DEFAULT_CODEBOOK = CodeBook({
@@ -244,27 +223,6 @@ DEFAULT_CODEBOOK = CodeBook({
 })
 
 
-@dataclass(frozen=True)
-class ClassDistribution:
-    """Row counts per target class, in class-code order."""
-
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.counts or any(c < 0 for c in self.counts):
-            raise ValueError(f"invalid class counts {self.counts!r}")
-        if self.total < 1:
-            raise EmptyDistributionError("class distribution over zero rows")
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts)
-
-    @property
-    def proportions(self) -> tuple[float, ...]:
-        return tuple(c / self.total for c in self.counts)
-
-
 def whole_codes(values: np.ndarray, feature: str, rows) -> np.ndarray:
     """Cells of a categorical feature as an int array; one that is not a
     whole number within 2**53 raises DataError naming it by rows."""
@@ -284,22 +242,18 @@ class Dataset:
 
     X holds one float64 column per schema feature, in schema order, and
     y the target; NaN marks a missing value in both.  A categorical
-    column that has not been through the codebook keeps its raw text
-    labels in labels[name], an object array with None for a missing
-    cell, and holds NaN in X.
+    column holds integer codes.
     """
 
     schema: Schema
     X: np.ndarray
     y: np.ndarray
-    labels: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
         self.y = np.asarray(self.y, dtype=float)
         shape = (self.y.shape[0], len(self.schema))
-        if (self.X.shape != shape or self.y.ndim != 1 or any(
-                col.shape != shape[:1] for col in self.labels.values())):
+        if self.X.shape != shape or self.y.ndim != 1:
             raise RaggedRowError(
                 f"columns do not form {shape[0]} rows of {shape[1]} "
                 "features plus a target")
@@ -309,11 +263,9 @@ class Dataset:
         return self.y.shape[0]
 
     def column(self, name: str) -> np.ndarray:
-        """The named column: target, raw labels, or feature values."""
+        """The named column: target or feature values."""
         if name == self.schema.target:
             return self.y
-        if name in self.labels:
-            return self.labels[name]
         return self.X[:, self.schema[name].index]
 
     def feature_array(self, names: Sequence[str] | None = None) -> np.ndarray:
@@ -343,8 +295,7 @@ class Dataset:
 
     def select(self, indices: Iterable[int]) -> "Dataset":
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.schema, self.X[idx], self.y[idx],
-                       {name: col[idx] for name, col in self.labels.items()})
+        return Dataset(self.schema, self.X[idx], self.y[idx])
 
     def split(self, fraction: float, seed: int) -> tuple["Dataset", "Dataset"]:
         """Seeded (train, holdout) partition; both keep original row order."""
@@ -405,7 +356,7 @@ def load_csv(
     schema: Schema,
     *,
     missing_tokens: Sequence[str] = DEFAULT_MISSING_TOKENS,
-    encoded: bool = False,
+    codebook: CodeBook | None = None,
     target_optional: bool = False,
 ) -> Dataset:
     """Read a comma-separated file into a Dataset.
@@ -414,9 +365,12 @@ def load_csv(
     target name, in any order; columns are matched by name.  Cells are
     stripped of whitespace; a cell equal to a missing token is missing.
     Numeric cells are read with Python's float(), and a cell it refuses
-    or reads as non-finite is missing too.  With encoded=True
-    categorical cells are read as numeric codes; otherwise they are
-    kept as text labels.  With target_optional=True the target column
+    or reads as non-finite is missing too.  Given a codebook,
+    categorical cells hold labels, which apply_codebook turns into
+    codes block by block; once every block has been read, a label the
+    book lacks raises UnknownLabelError naming its first row and, in
+    it, the first such feature.  Without one, categorical cells are
+    read as numeric codes.  With target_optional=True the target column
     may be absent, in which case every row gets a missing target
     (useful for scoring unlabeled rows).
 
@@ -431,8 +385,9 @@ def load_csv(
     # the fast paths off
     missing = dict.fromkeys((tok.strip() for tok in missing_tokens), "nan")
     fast = not any(map(_finite_number, missing))
-    labelled = [f.name for f in schema.features
-                if f.kind == CATEGORICAL and not encoded]
+    labelled = [] if codebook is None else [
+        f.name for f in schema.features if f.kind == CATEGORICAL]
+    unknown = None
     with closing(_row_blocks(path, fast and not labelled)) as blocks:
         found = next(blocks)
         has_target = not (target_optional and schema.target not in found)
@@ -442,28 +397,63 @@ def load_csv(
             raise HeaderMismatchError(
                 f"header mismatch: expected columns {sorted(expected)}, "
                 f"found {found}")
+        for name in labelled:
+            if name not in codebook:
+                raise UnknownLabelError(name, "<no mapping>", -1)
         names = schema.names + ([schema.target] if has_target else [])
-        parts = {name: [np.empty(0, object if name in labelled else float)]
-                 for name in names}
+        parts = {name: [np.empty(0)] for name in names}
         start = 0
         for rows, columns in blocks:
             if isinstance(columns, np.ndarray):
                 columns[~np.isfinite(columns)] = np.nan
             else:
-                columns = [_parse_cells(cells, missing, name in labelled,
-                                        fast)
-                           for name, cells in zip(found, columns)]
+                cells = dict(zip(found, columns))
+                codes, error = (
+                    apply_codebook({name: cells[name] for name in labelled},
+                                   codebook, missing, start)
+                    if labelled else ({}, None))
+                unknown = unknown or error
+                columns = [codes[name] if name in codes
+                           else _parse_cells(cells[name], missing, fast)
+                           for name in found]
             for name, part in parts.items():
                 part.append(columns[found.index(name)])
             start += rows
+    if unknown is not None:
+        raise unknown
     columns = {name: np.concatenate(part) for name, part in parts.items()}
-    labels = {name: columns.pop(name) for name in labelled}
     X = np.full((start, len(schema)), np.nan)
     for spec in schema.features:
-        if spec.name in columns:
-            X[:, spec.index] = columns[spec.name]
+        X[:, spec.index] = columns[spec.name]
     y = columns.get(schema.target, np.full(start, np.nan))
-    return Dataset(schema, X, y, labels)
+    return Dataset(schema, X, y)
+
+
+def apply_codebook(cells: Mapping[str, Sequence[str]], book: CodeBook,
+                   missing: Iterable[str], start: int
+                   ) -> tuple[dict[str, np.ndarray], UnknownLabelError | None]:
+    """The codes of one block's label cells, by feature, and the error
+    for the block's first label the book lacks, or None.
+
+    Each cell is stripped and looked up in the feature's book; a
+    missing token reads as NaN, even where the book has it as a label.
+    The error names the first row holding an unknown label (start
+    numbers the block's first row) and, in it, the first such feature
+    in the order of cells.
+    """
+    codes, unknown = {}, []
+    for j, (name, column) in enumerate(cells.items()):
+        # codes are finite, so inf marks a label the book lacks
+        table = {**book.mappings[name], **dict.fromkeys(missing, np.nan)}
+        codes[name] = np.fromiter(map(table.get, map(str.strip, column),
+                                      repeat(np.inf)), float, len(column))
+        if np.isinf(codes[name]).any():
+            row = int(np.isinf(codes[name]).argmax())
+            unknown.append((row, j, name, column[row].strip()))
+    if not unknown:
+        return codes, None
+    row, _, name, label = min(unknown)
+    return codes, UnknownLabelError(name, label, start + row)
 
 
 def _row_blocks(path: str, numeric: bool) -> Iterator:
@@ -583,19 +573,17 @@ def _finite_number(text: str) -> bool:
 
 
 def _parse_cells(cells: Sequence[str], missing: dict[str, str],
-                 text: bool, fast: bool) -> np.ndarray:
-    """One column of a block: the stripped labels with None where
-    missing when text is set, else float() of each stripped cell with
+                 fast: bool) -> np.ndarray:
+    """One numeric column of a block: float() of each stripped cell,
     NaN where a cell is missing, not a number, or not finite.
 
-    For numbers, fast, which needs that no missing token is a finite
-    number, first tries one float() per cell, then, if float() refuses
-    a cell, once more with each cell that is exactly a token read as
-    "nan".  A cell float() accepts reads as its stripped text would.
-    If float() still refuses one (a padded token, text), the exact path
-    reads the column.
+    fast, which needs that no missing token is a finite number, first
+    tries one float() per cell, then, if float() refuses a cell, once
+    more with each cell that is exactly a token read as "nan".  A cell
+    float() accepts reads as its stripped text would.  If float() still
+    refuses one (a padded token, text), the exact path reads the column.
     """
-    if fast and not text:
+    if fast:
         for texts in (cells, map(missing.get, cells, cells)):
             try:
                 values = np.fromiter(map(float, texts), float, len(cells))
@@ -606,9 +594,6 @@ def _parse_cells(cells: Sequence[str], missing: dict[str, str],
     stripped = np.array(list(map(str.strip, cells)), dtype=object)
     absent = np.fromiter(map(missing.__contains__, stripped), bool,
                          len(stripped))
-    if text:
-        stripped[absent] = None
-        return stripped
     values = np.full(len(stripped), np.nan)
     values[~absent] = _to_float(stripped[~absent])
     values[~np.isfinite(values)] = np.nan
@@ -642,13 +627,11 @@ def write_csv(data: Dataset, path: str) -> None:
 def read_back(data: Dataset,
               missing_tokens: Sequence[str] = DEFAULT_MISSING_TOKENS
               ) -> Dataset:
-    """The dataset load_csv(..., encoded=True) reads from the file
+    """The dataset load_csv reads, without a codebook, from the file
     write_csv makes of data, without the file.  Rendering and float()
     round-trip every finite value except -0.0, which is written as 0,
     and a cell whose text equals a missing token reads back missing, as
     does a non-finite one."""
-    if data.labels:
-        raise ValueError("read_back needs coded columns, not raw labels")
     written_as_token = []
     for token in {tok.strip() for tok in missing_tokens}:
         try:
@@ -669,7 +652,7 @@ def csv_text(header: Sequence[str], columns: Sequence[np.ndarray],
     """The text of a CSV file of a header and equally long columns: the
     header line, then one string per block of rows, so a table's text
     is never held whole.  Every line ends with newline.  Cells render
-    as _format_cells renders them, and names are quoted as labels are."""
+    as _format_cells renders them, and names are quoted as text is."""
     yield _csv_lines([[name] for name in _quoted(list(header))], newline)
     for start in range(0, len(columns[0]), _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
@@ -699,8 +682,8 @@ def _quoted(cells: list[str]) -> list[str]:
 
 
 def _format_cells(values: np.ndarray) -> list[str]:
-    """Text of one column's cells: labels quoted as csv.writer quotes
-    them, "" for a missing value, whole numbers without a decimal part
+    """Text of one column's cells: text quoted as csv.writer quotes
+    it, "" for a missing value, whole numbers without a decimal part
     (those below 1024 from a table), and other numbers at repr
     precision."""
     if values.dtype == object:
@@ -721,33 +704,6 @@ def _format_cells(values: np.ndarray) -> list[str]:
     return text.tolist()
 
 
-def apply_codebook(data: Dataset, book: CodeBook) -> Dataset:
-    """Replace categorical labels with their integer codes.
-
-    Missing values pass through untouched; a label absent from the
-    codebook aborts with the offending feature, label, and row index
-    (the first such row, then the first such feature in it).
-    """
-    for f in data.schema.features:
-        if f.kind == CATEGORICAL and f.name not in book:
-            raise UnknownLabelError(f.name, "<no mapping>", -1)
-    X = data.X.copy()
-    unknown = []
-    for name, labels in data.labels.items():
-        j = data.schema[name].index
-        # codes are finite, so inf marks a label the book lacks
-        codes = {None: np.nan, **book.mappings[name]}
-        X[:, j] = np.fromiter(map(codes.get, labels, repeat(np.inf)), float,
-                              data.n)
-        if np.isinf(X[:, j]).any():
-            row = int(np.isinf(X[:, j]).argmax())
-            unknown.append((row, j, name, labels[row]))
-    if unknown:
-        row, _, name, label = min(unknown)
-        raise UnknownLabelError(name, label, row)
-    return Dataset(data.schema, X, data.y)
-
-
 def clean(
     data: Dataset,
     rule: OutlierRule = OutlierRule(),
@@ -763,8 +719,6 @@ def clean(
     """
     names = data.schema.names + [data.schema.target]
     holes = np.isnan(np.column_stack([data.X, data.y]))
-    for name, column in data.labels.items():
-        holes[:, data.schema[name].index] = np.equal(column, None)
     dropped = holes.any(axis=1)
     rows = [np.flatnonzero(dropped)]
     reasons = [np.array([f"missing:{name}" for name in names],
@@ -795,12 +749,12 @@ def clean(
     return data.select(kept), log
 
 
-def class_distribution(data: Dataset) -> ClassDistribution:
+def class_distribution(data: Dataset) -> tuple[int, int]:
     """Counts of target classes 0 and 1."""
     if data.n == 0:
         raise EmptyDatasetError("cannot take class distribution of 0 rows")
     y = data.binary_target()
-    return ClassDistribution((int(np.sum(y == 0)), int(np.sum(y == 1))))
+    return int(np.sum(y == 0)), int(np.sum(y == 1))
 
 
 def schema_from_header(

@@ -80,10 +80,6 @@ class ZeroVarianceError(NumericError):
 
 # -- cart -----------------------------------------------------------------
 
-class EmptyDistributionError(DataError):
-    pass
-
-
 class SchemaMismatchError(DataError):
     pass
 

@@ -29,39 +29,28 @@ settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 def make_dataset(columns, target, kinds=None, levels=None):
     """Build a Dataset from parallel column lists.
 
-    columns maps name -> list of cell values, None for a missing one; a
-    column holding text becomes raw labels.  kinds maps name -> kind
-    (default numeric); levels maps name -> modality count for the
-    categorical ones (default max code, at least 2).
+    columns maps name -> list of cell values, None for a missing one.
+    kinds maps name -> kind (default numeric); levels maps name ->
+    modality count for the categorical ones (default max code, at
+    least 2).
     """
     kinds = kinds or {}
     levels = levels or {}
     features = []
     for name, cells in columns.items():
-        kind = kinds.get(name, NUMERIC)
-        if kind == CATEGORICAL:
-            if name in levels:
-                m = levels[name]
-            else:
-                present = [c for c in cells if c is not None]
-                if any(isinstance(c, str) for c in present):
-                    m = max(2, len(set(present)))
-                else:
-                    m = max(2, max(int(c) for c in present))
+        if kinds.get(name, NUMERIC) == CATEGORICAL:
+            m = levels.get(name) or max(
+                2, max(int(c) for c in cells if c is not None))
             features.append(FeatureSpec(name, CATEGORICAL, levels=m))
         else:
             features.append(FeatureSpec(name, NUMERIC))
     schema = Schema(features, "TARGET")
     X = np.full((len(target), len(features)), np.nan)
-    labels = {}
     for spec in schema.features:
-        cells = columns[spec.name]
-        if any(isinstance(c, str) for c in cells):
-            labels[spec.name] = np.array(cells, dtype=object)
-        else:
-            X[:, spec.index] = [np.nan if c is None else c for c in cells]
+        X[:, spec.index] = [np.nan if c is None else c
+                            for c in columns[spec.name]]
     y = [np.nan if t is None else t for t in target]
-    return Dataset(schema, X, y, labels)
+    return Dataset(schema, X, y)
 
 
 def cells(values):

@@ -21,6 +21,7 @@ from oracles import (
     reference_grow,
     route_rows,
 )
+from solvency import cart
 from solvency.cart import (
     FORMAT_VERSION,
     CartConfig,
@@ -31,13 +32,11 @@ from solvency.cart import (
     deserialize,
     export_dot,
     export_text,
-    gini,
     grow,
     predict_dataset,
     serialize,
-    split_gini,
 )
-from solvency.dataset import CATEGORICAL, ClassDistribution, Dataset, Schema
+from solvency.dataset import CATEGORICAL, Dataset, Schema
 from solvency.errors import (
     ConfigError,
     DataError,
@@ -70,12 +69,12 @@ def random_mixed_dataset(rng, max_rows=60, max_features=4, max_levels=5):
 
 class TestGini:
     def test_pure_node_is_exactly_zero(self):
-        assert gini(ClassDistribution((7, 0))) == 0.0
-        assert gini(ClassDistribution((0, 3))) == 0.0
+        assert cart._impurity(7, 0) == 0.0
+        assert cart._impurity(3, 3) == 0.0
 
     def test_even_node_is_exactly_half(self):
         for k in (1, 2, 10, 999):
-            assert gini(ClassDistribution((k, k))) == 0.5
+            assert cart._impurity(2 * k, k) == 0.5
 
     def test_agrees_with_rational_arithmetic(self):
         rng = np.random.default_rng(21)
@@ -87,23 +86,21 @@ class TestGini:
             total = Fraction(c0 + c1)
             exact = 1 - (Fraction(c1) / total) ** 2 - (
                 Fraction(c0) / total) ** 2
-            assert abs(gini(ClassDistribution((c0, c1))) - exact) < 1e-15
+            assert abs(cart._impurity(c0 + c1, c1) - exact) < 1e-15
 
     def test_split_gini_is_weighted_average(self):
-        left = ClassDistribution((2, 2))
-        right = ClassDistribution((4, 0))
-        # (4 * 0.5 + 4 * 0.0) / 8
-        assert split_gini(left, right) == 0.25
+        # left (2, 2) and right (4, 0): (4 * 0.5 + 4 * 0.0) / 8 off parent
+        assert cart._decrease(1.0, 8, 4, 2, 2) == 1.0 - 0.25
 
     @settings(max_examples=200, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6))
     def test_bounds_and_symmetry(self, c0, c1):
         if c0 + c1 == 0:
             return
-        value = gini(ClassDistribution((c0, c1)))
+        value = cart._impurity(c0 + c1, c1)
         assert 0.0 <= value <= 0.5
         # swapping classes reorders the subtractions, so only near-exact
-        swapped = gini(ClassDistribution((c1, c0)))
+        swapped = cart._impurity(c1 + c0, c0)
         assert abs(value - swapped) < 1e-15
 
 
@@ -631,6 +628,45 @@ class TestSerialization:
         doc["nodes"][node][field] = json.loads(value)
         with pytest.raises(MalformedDocumentError, match=f"node {node} "):
             deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("edits, message", [
+        ({4: {"n": 0, "counts": [0, 0]}}, "node 4 has n 0 "),
+        ({4: {"n": -5}}, "node 4 has n -5 "),
+        ({0: {"counts": [-1, 25]}}, r"node 0 has n 24 and counts \[-1, 25\]"),
+        ({0: {"counts": [3, 20]}}, r"node 0 has n 24 and counts \[3, 20\]"),
+        ({0: {"counts": [4, 20]}},
+         r"node 0 has counts \[4, 20\], where its children have \[3, 3\] "
+         r"and \[0, 18\]"),
+        ({1: {"n": 7, "counts": [4, 3]}, 3: {"n": 4, "counts": [4, 0]}},
+         r"node 0 has counts \[3, 21\], where its children have \[4, 3\]"),
+        ({4: {"class": 0}}, "node 4 is a leaf whose class and p1 are 0 and 1,"
+                            r" where its counts \[0, 18\] give \(1, 1.0\)"),
+        ({2: {"p1": 0.9}}, "node 2 is a leaf whose class and p1 are 1 and "
+                           "0.9"),
+        ({3: {"counts": [2, 1]}}, "node 3 is a leaf whose class and p1 are 0 "
+                                  "and 0"),
+    ], ids=["zero-n", "negative-n", "negative-count", "counts-not-summing",
+            "root-counts", "child-counts", "flipped-class", "other-p1",
+            "leaf-counts"])
+    def test_counts_that_contradict_the_tree_rejected(self, edits, message):
+        """A record's counts must be those of n rows, the sum of its
+        children's, and, at a leaf, give its class and p1."""
+        doc = json.loads(serialize(grow(deeper_code_dataset(),
+                                        config=CartConfig(min_node_size=1))))
+        for node, fields in edits.items():
+            doc["nodes"][node].update(fields)
+        with pytest.raises(MalformedDocumentError, match=message):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("value", [23, 25, -3])
+    def test_n_training_rows_other_than_the_root_n_rejected(self, value):
+        text = serialize(grow(deeper_code_dataset(),
+                              config=CartConfig(min_node_size=1)))
+        with pytest.raises(MalformedDocumentError,
+                           match=f"n_training_rows is {value}, where the "
+                                 "root holds 24 rows"):
+            deserialize(text.replace('"n_training_rows": 24,',
+                                     f'"n_training_rows": {value},'))
 
     @pytest.mark.parametrize("section, field, value", [
         ("config", "min_node_size", '"1"'),

@@ -237,7 +237,7 @@ class TestScreenCommand:
                    "--seed", "7", "--out", str(workdir)])
         assert rc == 0
         schema = schema_from_header(read_header(str(source)), "TARGET")
-        data = load_csv(str(source), schema, encoded=True)
+        data = load_csv(str(source), schema)
         train, _ = data.split(0.3, 7)
 
         def table(rows):

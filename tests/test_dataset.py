@@ -18,16 +18,15 @@ from solvency.dataset import (
     CATEGORICAL,
     DEFAULT_CODEBOOK,
     NUMERIC,
-    ClassDistribution,
     CodeBook,
     Dataset,
     FeatureSpec,
     _BLOCK_ROWS,
     OutlierRule,
     Schema,
-    apply_codebook,
     class_distribution,
     clean,
+    csv_text,
     _csv_rows,
     _format_cells,
     _parse_cells,
@@ -39,7 +38,7 @@ from solvency.dataset import (
 )
 from solvency.errors import (
     DataError,
-    EmptyDistributionError,
+    EmptyDatasetError,
     EmptyResultError,
     HeaderMismatchError,
     MissingFileError,
@@ -114,24 +113,6 @@ class TestCodeBook:
         with pytest.raises(ValueError):
             CodeBook({"x": {"a": 1, "b": 1}})
 
-    def test_infer_first_appearance_order(self):
-        data = make_dataset(
-            {"color": ["red", "blue", "red", "green"]},
-            [0, 1, 0, 1],
-            kinds={"color": CATEGORICAL},
-            levels={"color": 3},
-        )
-        book = CodeBook.infer(data)
-        assert book.mappings["color"] == {"red": 1, "blue": 2, "green": 3}
-
-    def test_infer_binary_convention(self):
-        data = make_dataset(
-            {"flag": ["Y", "N", "Y"]},
-            [0, 1, 0],
-            kinds={"flag": CATEGORICAL},
-        )
-        assert CodeBook.infer(data).mappings["flag"] == {"Y": 1, "N": 0}
-
 
 class TestLoadCsv:
     def test_columns_match_by_name_any_order(self, tmp_path):
@@ -175,9 +156,8 @@ class TestLoadCsv:
         p = tmp_path / "d.csv"
         write_lines(p, ["c,TARGET", "2,1", "1,0"])
         schema = Schema([FeatureSpec("c", CATEGORICAL, levels=3)], "TARGET")
-        data = load_csv(str(p), schema, encoded=True)
+        data = load_csv(str(p), schema)
         assert cells(data.X[:, 0]) == [2, 1]
-        assert data.labels == {}
 
     def test_fractional_code_and_python_float_syntax(self, tmp_path):
         # cells read with float(): padding, underscores and exponents
@@ -187,7 +167,7 @@ class TestLoadCsv:
                         "-0,-inf,1"])
         schema = Schema([FeatureSpec("c", CATEGORICAL, levels=3),
                          FeatureSpec("a", NUMERIC)], "TARGET")
-        data = load_csv(str(p), schema, encoded=True)
+        data = load_csv(str(p), schema)
         assert rows(data) == [[2.5, 1000.0, 1.0], [3.0, 1000.0, 0.0],
                               [0.0, None, 1.0]]
 
@@ -215,13 +195,13 @@ class TestLoadCsv:
         data = load_csv(str(p), schema, missing_tokens=["-999"])
         assert rows(data) == [[None, 1.0], [None, 0.0], [4.0, None]]
 
-    def test_raw_labels_kept_as_text(self, tmp_path):
+    def test_labels_read_as_codes_through_a_codebook(self, tmp_path):
         p = tmp_path / "d.csv"
         write_lines(p, ["c,TARGET", " red ,1", "NA,0", "blue,1"])
         schema = Schema([FeatureSpec("c", CATEGORICAL, levels=2)], "TARGET")
-        data = load_csv(str(p), schema)
-        assert rows(data) == [["red", 1.0], [None, 0.0], ["blue", 1.0]]
-        assert np.isnan(data.X).all()
+        book = CodeBook({"c": {"red": 1, "blue": 0}})
+        data = load_csv(str(p), schema, codebook=book)
+        assert rows(data) == [[1.0, 1.0], [None, 0.0], [0.0, 1.0]]
 
     def test_rows_beyond_one_block(self, tmp_path):
         p = tmp_path / "d.csv"
@@ -261,50 +241,84 @@ class TestLoadCsv:
         )
         p = tmp_path / "out.csv"
         write_csv(data, str(p))
-        again = load_csv(str(p), data.schema, encoded=True)
+        again = load_csv(str(p), data.schema)
         assert rows(again) == rows(data)
 
 
-class TestApplyCodebook:
-    def test_table_one_row_encodes_exactly(self):
-        data = make_dataset(
-            {
-                "NAME_CONTRACT_TYPE": ["Cash loans", "Revolving loans"],
-                "CODE_GENDER": ["F", "M"],
-                "NAME_EDUCATION_TYPE": ["Higher education",
-                                        "Secondary / secondary special"],
-            },
-            [1, 0],
-            kinds={name: CATEGORICAL for name in (
-                "NAME_CONTRACT_TYPE", "CODE_GENDER", "NAME_EDUCATION_TYPE")},
-            levels={"NAME_CONTRACT_TYPE": 2, "CODE_GENDER": 2,
-                    "NAME_EDUCATION_TYPE": 4},
-        )
-        encoded = apply_codebook(data, DEFAULT_CODEBOOK)
-        assert rows(encoded)[0][:3] == [1, 1, 1]
-        assert rows(encoded)[1][:3] == [0, 0, 3]
-        assert encoded.labels == {}
+def load_labelled(tmp_path, lines, *names, book=DEFAULT_CODEBOOK,
+                  **kwargs):
+    """load_csv of lines, whose first row is the header, through book;
+    names are the categorical columns, whose levels the book gives."""
+    path = tmp_path / "labelled.csv"
+    write_lines(path, lines)
+    schema = schema_from_header(lines[0].split(","), "TARGET", book)
+    assert [f.name for f in schema.features if f.kind == CATEGORICAL] == [
+        *names]
+    return load_csv(str(path), schema, codebook=book, **kwargs)
 
-    def test_unknown_label_names_feature_and_row(self):
-        data = make_dataset(
-            {"CODE_GENDER": ["F", "X"]},
-            [0, 1],
-            kinds={"CODE_GENDER": CATEGORICAL},
-        )
+
+class TestApplyCodebook:
+    """load_csv turns each block's labels into codes as it reads it."""
+
+    def test_table_one_row_encodes_exactly(self, tmp_path):
+        names = ("NAME_CONTRACT_TYPE", "CODE_GENDER", "NAME_EDUCATION_TYPE")
+        data = load_labelled(tmp_path, [
+            ",".join(names) + ",TARGET",
+            "Cash loans,F,Higher education,1",
+            "Revolving loans,M,Secondary / secondary special,0"], *names)
+        assert rows(data) == [[1, 1, 1, 1], [0, 0, 3, 0]]
+
+    def test_unknown_label_names_feature_and_row(self, tmp_path):
         with pytest.raises(UnknownLabelError) as err:
-            apply_codebook(data, DEFAULT_CODEBOOK)
+            load_labelled(tmp_path, ["CODE_GENDER,TARGET", "F,0", "X,1"],
+                          "CODE_GENDER")
         assert err.value.feature == "CODE_GENDER"
         assert err.value.label == "X"
         assert err.value.row == 1
 
-    def test_missing_markers_pass_through(self):
-        data = make_dataset(
-            {"CODE_GENDER": ["F", None]},
-            [0, 1],
-            kinds={"CODE_GENDER": CATEGORICAL},
-        )
-        encoded = apply_codebook(data, DEFAULT_CODEBOOK)
-        assert rows(encoded)[1][0] is None
+    def test_missing_markers_pass_through(self, tmp_path):
+        data = load_labelled(tmp_path, ["CODE_GENDER,TARGET", "F,0", "NA,1"],
+                             "CODE_GENDER")
+        assert rows(data)[1][0] is None
+
+    def test_tokens_win_over_labels(self, tmp_path):
+        """A cell equal to a missing token is missing even where the book
+        has it as a label; one equal to a label once stripped is coded."""
+        book = CodeBook({"c": {"NA": 1, "x": 2}})
+        data = load_labelled(tmp_path, ["c,TARGET", "NA,1", " x ,0", " NA,1"],
+                             "c", book=book)
+        assert cells(data.X[:, 0]) == [None, 2.0, None]
+
+    @pytest.mark.parametrize("edits, first", [
+        ({5: "Q,Z,1", 8: "?,?,0"}, ("FLAG_OWN_CAR", "Q", 5)),
+        ({4: "Y,W,1", 5: "Q,F,1"}, ("CODE_GENDER", "W", 4)),
+    ], ids=["same-row", "lower-row"])
+    def test_first_unknown_label_by_row_then_schema_order(self, tmp_path,
+                                                          edits, first):
+        """The lowest row holding an unknown label wins, then the first
+        such feature in schema order; later blocks do not count."""
+        lines = ["FLAG_OWN_CAR,CODE_GENDER,TARGET"] + ["Y,F,0"] * 9
+        for row, line in edits.items():
+            lines[1 + row] = line
+        with mock.patch("solvency.dataset._BLOCK_ROWS", 4), \
+                pytest.raises(UnknownLabelError) as err:
+            load_labelled(tmp_path, lines, "FLAG_OWN_CAR", "CODE_GENDER")
+        assert (err.value.feature, err.value.label, err.value.row) == first
+
+    def test_a_later_parse_error_is_reported_first(self, tmp_path):
+        """An unknown label is raised only once every block has been
+        read, so a ragged row after it is what the error names."""
+        lines = ["CODE_GENDER,TARGET", "F,0", "X,1"] + ["M,0"] * 6 + ["F"]
+        with mock.patch("solvency.dataset._BLOCK_ROWS", 4), \
+                pytest.raises(RaggedRowError, match="row 8 has 1 cells"):
+            load_labelled(tmp_path, lines, "CODE_GENDER")
+
+    def test_a_feature_the_book_lacks(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_lines(path, ["c,TARGET", "red,1"])
+        schema = Schema([FeatureSpec("c", CATEGORICAL, levels=2)], "TARGET")
+        with pytest.raises(UnknownLabelError, match="'<no mapping>'"):
+            load_csv(str(path), schema, codebook=DEFAULT_CODEBOOK)
 
 
 class TestClean:
@@ -401,14 +415,11 @@ class TestSplitAndDistribution:
 
     def test_class_distribution_counts(self):
         data = make_dataset({"a": [1.0, 2.0, 3.0]}, [0, 1, 1])
-        dist = class_distribution(data)
-        assert dist.counts == (1, 2)
-        assert dist.total == 3
-        assert dist.proportions == (1 / 3, 2 / 3)
+        assert class_distribution(data) == (1, 2)
 
     def test_empty_distribution_raises(self):
-        with pytest.raises(EmptyDistributionError):
-            ClassDistribution((0, 0))
+        with pytest.raises(EmptyDatasetError):
+            class_distribution(make_dataset({"a": []}, []))
 
     def test_codes_are_whole_numbers(self):
         data = make_dataset({"c": [3, -2 ** 53, 2 ** 53]}, [0, 1, 0],
@@ -509,20 +520,12 @@ def test_read_back_matches_a_written_and_reloaded_file(data, n, width):
         write_csv(written, path)
         loaded = load_csv(path, schema_from_header(read_header(path),
                                                    "TARGET"),
-                          missing_tokens=tokens, encoded=True)
+                          missing_tokens=tokens)
     back = read_back(written, tokens)
     assert back.schema == loaded.schema
     assert_bit_equal(back.X, loaded.X)
     assert_bit_equal(back.y, loaded.y)
-    assert back.X.flags.c_contiguous and not back.labels
-
-
-def test_read_back_refuses_raw_labels():
-    schema = Schema([FeatureSpec("color", CATEGORICAL, levels=2)], "TARGET")
-    labelled = Dataset(schema, [[math.nan]], [1.0],
-                       {"color": np.array(["red"], dtype=object)})
-    with pytest.raises(ValueError, match="raw labels"):
-        read_back(labelled)
+    assert back.X.flags.c_contiguous
 
 
 def test_read_back_turns_a_token_matching_cell_missing():
@@ -618,36 +621,34 @@ def reference_text(cell):
        st.lists(st.booleans(), max_size=3),
        st.integers(min_value=1, max_value=4))
 def test_write_csv_matches_csv_writer(data, n, text_columns, block):
-    """write_csv's file is byte-equal to csv.writer's of the same cells,
-    whatever the names and labels, for zero or more features, over
-    blocks of a few rows."""
+    """csv_text's file is byte-equal to csv.writer's of the same cells,
+    whatever the names and labels (text columns, as predict writes its
+    scores), for zero or more features, over blocks of a few rows; so is
+    write_csv's, which writes through it, of a dataset without text."""
     names = data.draw(st.lists(st.text(max_size=4), unique=True,
                                min_size=len(text_columns) + 1,
                                max_size=len(text_columns) + 1))
-    features = [FeatureSpec(name, CATEGORICAL, levels=2) if text
-                else FeatureSpec(name, NUMERIC)
-                for name, text in zip(names, text_columns)]
-    schema = Schema(features, names[-1])
     cells = [data.draw(st.lists(LABELS if text else NUMBERS,
                                 min_size=n, max_size=n))
              for text in text_columns + [False]]
-    X = np.full((n, len(features)), np.nan)
-    labels = {}
-    for j, (spec, column) in enumerate(zip(features, cells)):
-        if spec.kind == CATEGORICAL:
-            labels[spec.name] = np.array(column, dtype=object)
-        else:
-            X[:, j] = column
-    written = Dataset(schema, X, np.array(cells[-1], dtype=float), labels)
+    columns = [np.array(column, dtype=object if text else float)
+               for text, column in zip(text_columns + [False], cells)]
     expected = io.StringIO(newline="")
     csv.writer(expected).writerows(
         [names] + [[reference_text(cell) for cell in row]
                    for row in zip(*cells)])
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "d.csv"
-        with mock.patch("solvency.dataset._BLOCK_ROWS", block):
-            write_csv(written, str(path))
-        assert path.read_bytes() == expected.getvalue().encode("utf-8")
+    expected = expected.getvalue().encode("utf-8")
+    with mock.patch("solvency.dataset._BLOCK_ROWS", block):
+        assert "".join(csv_text(names, columns, "\r\n")).encode() == expected
+        if any(text_columns):
+            return
+        schema = Schema([FeatureSpec(name, NUMERIC) for name in names[:-1]],
+                        names[-1])
+        X = np.array(columns[:-1], dtype=float).reshape(len(names) - 1, n).T
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.csv"
+            write_csv(Dataset(schema, X, columns[-1]), str(path))
+            assert path.read_bytes() == expected
 
 
 #: Cells of an all-numeric file that np.loadtxt reads as float() does:
@@ -673,7 +674,7 @@ LINE_EDITS = st.sampled_from(["odd", "odd", "blank", "short", "long",
 def load_outcome(path, schema, tokens):
     """load_csv's X and y bytes, or the type and text of its error."""
     try:
-        data = load_csv(path, schema, missing_tokens=tokens, encoded=True)
+        data = load_csv(path, schema, missing_tokens=tokens)
     except Exception as exc:  # compared below, whatever it is
         return type(exc), str(exc)
     return data.X.tobytes(), data.y.tobytes(), data.X.shape
@@ -743,8 +744,8 @@ class TestFirstPass:
         with mock.patch("solvency.dataset._BLOCK_ROWS", 3), \
                 mock.patch("solvency.dataset._parse_cells",
                            side_effect=AssertionError("csv path")):
-            plain = load_csv(str(lf), self.schema, encoded=True)
-            again = load_csv(str(crlf), data.schema, encoded=True)
+            plain = load_csv(str(lf), self.schema)
+            again = load_csv(str(crlf), data.schema)
         assert rows(plain) == [[i * 0.25, float(i % 3), float(i % 2)]
                                for i in range(10)]
         assert_bit_equal(again.X, read_back(data).X)
@@ -759,7 +760,7 @@ class TestFirstPass:
         with mock.patch("solvency.dataset._BLOCK_ROWS", 4), \
                 mock.patch("solvency.dataset._parse_cells",
                            wraps=_parse_cells) as parse:
-            data = load_csv(str(p), self.schema, encoded=True)
+            data = load_csv(str(p), self.schema)
         assert parse.call_count == 3  # a, c and TARGET of the second block
         assert cells(data.X[:, 0]) == [None if i == 5 else i + 0.5
                                        for i in range(12)]
@@ -778,14 +779,14 @@ class TestFirstPass:
         p = tmp_path / "d.csv"
         p.write_bytes(text.encode())
         with pytest.raises(RaggedRowError, match=f"{message}, expected 3"):
-            load_csv(str(p), self.schema, encoded=True)
+            load_csv(str(p), self.schema)
 
     def test_long_field_names_the_file_line(self, tmp_path):
         p = tmp_path / "d.csv"
         write_lines(p, ["a,c,TARGET", "1,1,0", "9" * 131_073 + ",1,0"])
         with pytest.raises(DataError, match="line 3: field larger than "
                                             "field limit"):
-            load_csv(str(p), self.schema, encoded=True)
+            load_csv(str(p), self.schema)
 
 
 #: Cells of a labelled column: labels, padded labels and tokens, labels
@@ -802,15 +803,30 @@ LABEL_EDITS = st.sampled_from(["odd", "nul", "pad", "blank", "short", "long",
                                "lone-cr", "quote", "quoted-break"])
 
 
-def labelled_outcome(path, schema, tokens):
-    """load_csv's X and y bytes and raw labels, or the type and text of
+def label_book(path):
+    """A codebook giving each distinct stripped cell of column c, as the
+    csv module reads path, a code of its own, so codes tell apart every
+    label a reader could find."""
+    labels = [",", ",,"]  # no cell reads as these, and a book needs two
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        j = next(reader).index("c")
+        try:
+            labels += [row[j].strip() for row in reader if len(row) > j]
+        except csv.Error:
+            pass
+    return CodeBook({"c": {label: code for code, label
+                           in enumerate(dict.fromkeys(labels))}})
+
+
+def labelled_outcome(path, schema, tokens, book):
+    """load_csv's X and y bytes through book, or the type and text of
     its error."""
     try:
-        data = load_csv(path, schema, missing_tokens=tokens)
+        data = load_csv(path, schema, missing_tokens=tokens, codebook=book)
     except Exception as exc:  # compared below, whatever it is
         return type(exc), str(exc)
-    return (data.X.tobytes(), data.y.tobytes(), data.X.shape,
-            {name: column.tolist() for name, column in data.labels.items()})
+    return data.X.tobytes(), data.y.tobytes(), data.X.shape
 
 
 @settings(max_examples=200, deadline=None)
@@ -821,9 +837,10 @@ def labelled_outcome(path, schema, tokens):
                                  " 2.5 "]), max_size=3))
 def test_split_pass_reads_labelled_files_as_the_csv_path(data, n, block,
                                                          newline, tokens):
-    """load_csv of a file with a labelled column gives the bits and
-    labels, or raises the error type and message, that it gives with the
-    comma-split pass patched out, over blocks of a few rows."""
+    """load_csv of a file with a labelled column gives the bits, or
+    raises the error type and message, that it gives with the
+    comma-split pass patched out, over blocks of a few rows, through a
+    codebook that codes each label the file holds apart."""
     header = data.draw(st.permutations(["a", "c", "TARGET"]))
     draws = {"a": PLAIN_CELLS, "c": LABEL_CELLS, "TARGET": PLAIN_CELLS}
     lines = [",".join(header)] + [
@@ -858,11 +875,12 @@ def test_split_pass_reads_labelled_files_as_the_csv_path(data, n, block,
     with tempfile.TemporaryDirectory() as tmp:
         path = str(Path(tmp) / "d.csv")
         Path(path).write_bytes((newline.join(lines) + ending).encode())
+        book = label_book(path)
         with mock.patch("solvency.dataset._BLOCK_ROWS", block):
-            outcome = labelled_outcome(path, schema, tokens)
+            outcome = labelled_outcome(path, schema, tokens, book)
             with mock.patch("solvency.dataset._plain_text",
                             return_value=None):
-                expected = labelled_outcome(path, schema, tokens)
+                expected = labelled_outcome(path, schema, tokens, book)
     assert outcome == expected
 
 
@@ -871,6 +889,7 @@ class TestSplitPass:
 
     schema = Schema([FeatureSpec("a", NUMERIC),
                      FeatureSpec("c", CATEGORICAL, levels=3)], "TARGET")
+    book = CodeBook({"c": {"red": 1, "green": 2, "re\x00d": 3}})
     lines = ["c,a,TARGET"] + [
         f"{(' red', 'green ', 'NA')[i % 3]},{'NA' if i == 4 else i / 4},"
         f"{i % 2}" for i in range(10)]
@@ -884,12 +903,11 @@ class TestSplitPass:
         with mock.patch("solvency.dataset._BLOCK_ROWS", 3), \
                 mock.patch("solvency.dataset._csv_rows",
                            wraps=_csv_rows) as csv_rows:
-            data = load_csv(str(p), self.schema)
+            data = load_csv(str(p), self.schema, codebook=self.book)
         assert [(len(call.args[1]), call.args[2])
                 for call in csv_rows.call_args_list] == [(1, 0)]
         assert rows(data) == [
-            [None if i == 4 else i / 4, (None if i % 3 == 2 else
-                                         ("red", "green")[i % 3]),
+            [None if i == 4 else i / 4, (None if i % 3 == 2 else i % 3 + 1),
              float(i % 2)] for i in range(10)]
 
     def test_a_refused_block_alone_takes_the_csv_path(self, tmp_path):
@@ -906,11 +924,11 @@ class TestSplitPass:
             if sys.version_info < (3, 11):
                 with pytest.raises(DataError, match="line 6: line contains "
                                                     "NUL"):
-                    load_csv(str(p), self.schema)
+                    load_csv(str(p), self.schema, codebook=self.book)
                 return
-            data = load_csv(str(p), self.schema)
+            data = load_csv(str(p), self.schema, codebook=self.book)
         assert [call.args[2] for call in csv_rows.call_args_list] == [0, 4]
-        assert data.labels["c"][4] == "re\x00d"
+        assert data.X[4, 1] == 3
 
     @pytest.mark.parametrize("text, message", [
         ("a,c,TARGET\nred,1,0\n\ngreen,2,1\n", "row 1 has 0 cells"),
@@ -925,7 +943,7 @@ class TestSplitPass:
         p = tmp_path / "d.csv"
         p.write_bytes(text.encode())
         with pytest.raises(RaggedRowError, match=f"{message}, expected 3"):
-            load_csv(str(p), self.schema)
+            load_csv(str(p), self.schema, codebook=self.book)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_blank_line_of_a_one_column_file(self, tmp_path, newline):
@@ -942,7 +960,7 @@ class TestSplitPass:
         write_lines(p, ["a,c,TARGET", "1,red,0", "1," + "r" * 131_073 + ",0"])
         with pytest.raises(DataError, match="line 3: field larger than "
                                             "field limit"):
-            load_csv(str(p), self.schema)
+            load_csv(str(p), self.schema, codebook=self.book)
 
 
 class TestByteOrderMark:
@@ -956,12 +974,14 @@ class TestByteOrderMark:
         marked.write_bytes(text.encode("utf-8-sig"))
         schema = Schema([FeatureSpec("a", NUMERIC),
                          FeatureSpec("c", CATEGORICAL, levels=2)], "TARGET")
+        book = CodeBook({"c": {"red": 1, "blue": 0}})
         assert read_header(str(marked)) == ["c", "a", "TARGET"]
         for path in (plain, marked):
-            data = load_csv(str(path), schema)
-            assert rows(data) == [[1.5, "red", 1.0], [2.0, None, 0.0]]
+            data = load_csv(str(path), schema, codebook=book)
+            assert rows(data) == [[1.5, 1.0, 1.0], [2.0, None, 0.0]]
         with mock.patch("solvency.dataset._plain_text", return_value=None):
-            assert rows(load_csv(str(marked), schema)) == rows(data)
+            assert rows(load_csv(str(marked), schema,
+                                 codebook=book)) == rows(data)
 
     def test_codebook_reads_as_without_it(self, tmp_path):
         path = tmp_path / "book.csv"

@@ -51,6 +51,24 @@ def test_pipeline_reaches_every_wrapper(tmp_path, synthetic):
     assert layers["cart.export_s"] > 0 and layers["cart.deserialize_s"] == 0
 
 
+def test_labelled_pipeline_reaches_every_wrapper(tmp_path):
+    """load_csv maps labels to codes through apply_codebook, block by
+    block, which the tracer must see."""
+    book = tmp_path / "book.csv"
+    book.write_text("feature,label,code\ncolor,red,1\ncolor,blue,0\n",
+                    encoding="utf-8")
+    source = tmp_path / "labelled.csv"
+    source.write_text("color,x,TARGET\n" + "".join(
+        f"{('red', 'blue', 'NA')[i % 3]},{i % 7},{i % 5 % 2}\n"
+        for i in range(60)), encoding="utf-8")
+    doc = traced(tmp_path, ["pipeline", "--input", str(source), "--codebook",
+                            str(book), "--out", str(tmp_path / "p")])
+    assert doc["unreached"] == []
+    layers = doc["layers"]
+    assert layers["dataset.apply_codebook_s"] > 0
+    assert layers["rows_in"] == 60 and layers["dataset.clean_dropped_rows"] > 0
+
+
 def test_predict_reaches_every_wrapper(tmp_path, synthetic):
     model = tmp_path / "m"
     assert main(["train", "--input", str(synthetic), "--out",
