@@ -8,7 +8,6 @@ from . import cart, dataset, evaluation, screening, synth
 from .cart import (
     CartConfig,
     CartTree,
-    SplitRule,
     best_split,
     deserialize,
     export_dot,
@@ -69,7 +68,7 @@ from .synth import SynthSpec, default_spec, generate
 __version__ = "0.1.0"
 
 __all__ = [
-    "CartConfig", "CartTree", "SplitRule", "best_split", "deserialize",
+    "CartConfig", "CartTree", "best_split", "deserialize",
     "export_dot", "export_text", "grow", "predict_dataset", "serialize",
     "DEFAULT_CODEBOOK", "CleaningLog", "CodeBook",
     "Dataset", "FeatureSpec", "OutlierRule", "Schema", "apply_codebook",

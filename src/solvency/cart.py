@@ -21,6 +21,7 @@ the finished table is numbered in preorder.
 from __future__ import annotations
 
 import json
+import math
 import sys
 import warnings
 from dataclasses import dataclass
@@ -35,6 +36,7 @@ from .dataset import (
     Dataset,
     FeatureSpec,
     Schema,
+    not_whole,
     whole_codes,
 )
 from .errors import (
@@ -56,43 +58,6 @@ CLASSIFICATION = "classification"
 class UnseenCategoryWarning(SolvencyWarning):
     """Prediction met a categorical code that no training row of the
     node testing it held; such a row goes right."""
-
-
-@dataclass(frozen=True)
-class SplitRule:
-    """Routing test at an internal node.
-
-    Exactly one of threshold (numeric: left iff value <= threshold) and
-    subset (categorical: left iff code in subset) is set.  complement
-    holds the codes of the node's training rows routed right, so
-    prediction can tell a code none of them held from one that belongs
-    right.
-    """
-
-    feature: str
-    feature_index: int
-    threshold: float | None = None
-    subset: frozenset[int] | None = None
-    complement: frozenset[int] | None = None
-
-    def __post_init__(self):
-        if (self.threshold is None) == (self.subset is None):
-            raise ValueError("rule needs exactly one of threshold/subset")
-        if self.subset is not None:
-            if not self.subset or self.complement is None or not self.complement:
-                raise ValueError("categorical rule needs nonempty sides")
-            if self.subset & self.complement:
-                raise ValueError("subset and complement overlap")
-
-    @property
-    def is_numeric(self) -> bool:
-        return self.threshold is not None
-
-    def describe(self) -> str:
-        if self.is_numeric:
-            return f"{self.feature} <= {self.threshold!r}"
-        codes = ", ".join(str(c) for c in sorted(self.subset))
-        return f"{self.feature} in {{{codes}}}"
 
 
 @dataclass(frozen=True)
@@ -130,14 +95,20 @@ class CartTree:
     The preorder node table of the cart-model/1 format, as columns with
     one entry per node: a node comes before its children, its whole
     left subtree before its right child, so internal node i has its
-    left child at i + 1.  rules[i] and right[i] are its rule and right
-    child, None and -1 at a leaf; n[i] and counts[i] its row and class
-    counts.  The leaf predictions, predicted_class and
+    left child at i + 1.  feature[i] and right[i] are its rule's schema
+    feature index and its right child, -1 at a leaf; threshold[i] is a
+    numeric rule's threshold, else NaN.  codes holds, sorted, each code
+    a categorical rule names, and side[i, k] is 1 or 2 where node i
+    sends codes[k] left or right, else 0.  n[i] and counts[i] are its
+    row and class counts; the leaf predictions, predicted_class and
     positive_proportion, are arrays holding 0 at internal nodes.
     """
 
-    rules: list[SplitRule | None]
-    right: list[int]
+    feature: np.ndarray
+    threshold: np.ndarray
+    codes: np.ndarray
+    side: np.ndarray
+    right: np.ndarray
     n: list[int]
     counts: list[tuple[int, int]]
     fingerprint: tuple
@@ -147,10 +118,10 @@ class CartTree:
     positive_proportion: np.ndarray
 
     def node_count(self) -> int:
-        return len(self.rules)
+        return self.feature.shape[0]
 
     def depth(self) -> int:
-        return max(_depths(self.right))
+        return max(_depths(self.right.tolist()))
 
 
 def _depths(right: list[int]) -> list[int]:
@@ -162,11 +133,10 @@ def _depths(right: list[int]) -> list[int]:
     return depths
 
 
-def assign_leaf(counts: tuple[int, int]) -> tuple[int, float]:
-    """Majority class and positive proportion; ties go to class 0."""
-    n = counts[0] + counts[1]
-    predicted = 1 if counts[1] > counts[0] else 0
-    return predicted, counts[1] / n
+def assign_leaf(counts):
+    """Majority class and positive proportion; ties go to class 0.  The
+    two counts may be numbers or arrays of them, one entry per node."""
+    return (counts[1] > counts[0]) * 1, counts[1] / (counts[0] + counts[1])
 
 
 # -- split search ----------------------------------------------------------
@@ -218,6 +188,7 @@ class _LevelScorer:
         names = list(variables) if variables is not None else data.schema.names
         self.specs = sorted((data.schema[n] for n in names),
                             key=lambda s: s.index)
+        self.index = np.array([s.index for s in self.specs], dtype=np.intp)
         self.y = data.binary_target().astype(float)
         self.numeric = np.array([s.kind == NUMERIC for s in self.specs],
                                 dtype=bool)
@@ -231,13 +202,17 @@ class _LevelScorer:
         for j, f in enumerate(self.num):
             self.values[j] = data.X[:, self.specs[f].index]
         self.ranks = np.empty((self.cat.size, data.n), dtype=np.intp)
-        self.codes = []
+        codes = []
         for j, f in enumerate(self.cat):
-            codes, self.ranks[j] = np.unique(data.codes(self.specs[f].name),
-                                             return_inverse=True)
-            self.codes.append(codes)
+            c, self.ranks[j] = np.unique(data.codes(self.specs[f].name),
+                                         return_inverse=True)
+            codes.append(c)
         # at least two, so every pair has a cut position to score
-        self.levels = max([2] + [len(codes) for codes in self.codes])
+        self.levels = max([2] + [len(c) for c in codes])
+        # codes[j, r]: the code of rank r in categorical column j
+        self.codes = np.zeros((self.cat.size, self.levels), dtype=np.int64)
+        for j, c in enumerate(codes):
+            self.codes[j, :c.shape[0]] = c
 
     def presort(self, rows):
         """Attribute lists of the rows as one node: the rows as given,
@@ -388,41 +363,42 @@ class _LevelScorer:
         left[p] = sent_left[seg[p], j[p], self.ranks[j[p], rows[p]]]
         return left
 
-    def rule(self, f, threshold, subsets) -> SplitRule:
-        """The rule on feature position f; subsets holds the ranks each
-        categorical column's best subset sends left and right."""
-        spec = self.specs[f]
-        if spec.kind == NUMERIC:
-            return SplitRule(spec.name, spec.index, threshold=float(threshold))
-        codes = self.codes[self.slot[f]]
-        left, right = subsets[:, self.slot[f], :codes.shape[0]]
-        return SplitRule(spec.name, spec.index,
-                         subset=frozenset(codes[left].tolist()),
-                         complement=frozenset(codes[right].tolist()))
+    def named(self, f, subsets):
+        """(node, code, side) of each code the rules of nodes splitting
+        on feature positions f send left (side 1) or right (2), given the
+        ranks split sends; ascending within a side."""
+        cat = np.flatnonzero(~self.numeric[f])
+        j = self.slot[f[cat]]
+        side, i, r = np.nonzero(subsets[:, cat, j])
+        return cat[i], self.codes[j[i], r], side + 1
 
 
 def best_split(
     data: Dataset,
     variables: list[str] | None = None,
     config: CartConfig = CartConfig(),
-    indices=None,
-) -> tuple[SplitRule, float] | None:
-    """Best admissible rule for the given rows, or None.
+) -> tuple[dict, float] | None:
+    """Best admissible rule for all rows, and its decrease, or None.
 
-    None means no candidate exists (too few rows, no variables, pure
-    node, constant columns) or the best decrease falls short of
-    min_gini_decrease.
+    The rule is a dict of a model.json node record's rule fields:
+    feature, feature_index, and threshold or the subset and complement
+    code lists, the others None.  None means no candidate exists (too
+    few rows, no variables, pure node, constant columns) or the best
+    decrease falls short of min_gini_decrease.
     """
-    idx = (np.arange(data.n) if indices is None
-           else np.asarray(indices, dtype=np.intp))
     scorer = _LevelScorer(data, variables)
-    if idx.shape[0] < 2 or not scorer.specs:
+    if data.n < 2 or not scorer.specs:
         return None
     dec, f, threshold, subsets = scorer.split(
-        scorer.presort(idx), np.array([idx.shape[0]]))
+        scorer.presort(np.arange(data.n)), np.array([data.n]))
     if dec[0] < config.min_gini_decrease:  # -inf when nothing splits
         return None
-    return scorer.rule(f[0], threshold[0], subsets[:, 0]), float(dec[0])
+    spec, t = scorer.specs[f[0]], float(threshold[0])  # NaN unless numeric
+    _, codes, side = scorer.named(f, subsets)
+    return {"feature": spec.name, "feature_index": spec.index,
+            "threshold": None if math.isnan(t) else t,
+            "subset": codes[side == 1].tolist() or None,
+            "complement": codes[side == 2].tolist() or None}, float(dec[0])
 
 
 def grow(
@@ -447,12 +423,12 @@ def grow(
     y = scorer.y
     smallest = max(config.min_node_size, 2)
     # Nodes are made level by level, a split node's two children side by
-    # side: sizes[i] is node i's row count, ones[i] its class-1 count,
-    # rules[i] its rule and first[i] its left child.
+    # side: sizes[i] is node i's row count and ones[i] its class-1 count.
+    # splits holds per level the split nodes' ids, left children, schema
+    # feature indices and thresholds; named each (id, code, side) of them.
     sizes = [data.n]
     ones = [float(y.sum())]
-    rules: dict[int, SplitRule] = {}
-    first: dict[int, int] = {}
+    splits, named = [], []
     goes = np.empty(data.n, dtype=bool)  # each row's side at this level
     # The nodes of one depth that may split: ids, row and class-1 counts.
     level, level_n = np.array([0]), np.array([data.n])
@@ -471,10 +447,11 @@ def grow(
         # sweep every row to one side; refuse rather than split.
         split = (dec >= config.min_gini_decrease) & (nl > 0) & (nl < level_n)
         child = len(sizes) + 2 * (np.cumsum(split) - 1)
-        for i in np.flatnonzero(split):
-            rules[int(level[i])] = scorer.rule(f[i], threshold[i],
-                                               subsets[:, i])
-            first[int(level[i])] = int(child[i])
+        ids = level[split]
+        splits.append((ids, child[split], scorer.index[f[split]],
+                       threshold[split]))
+        i, code, side = scorer.named(f[split], subsets[:, split])
+        named += zip(ids[i].tolist(), code.tolist(), side.tolist())
         group_n = np.stack([nl, level_n - nl], axis=1)
         sizes += group_n[split].ravel().tolist()
         ones_left = np.add.reduceat(y[lists[0]] * left, starts)
@@ -508,30 +485,47 @@ def grow(
         level = np.stack([child, child + 1], axis=1).ravel()[opened]
         level_n = group_n[opened]
         level_ones = group_ones.ravel()[opened]
-    return CartTree(**_preorder(sizes, ones, rules, first),
+    return CartTree(**_preorder(sizes, ones, splits, named),
                     fingerprint=data.schema.fingerprint(), config=config,
                     n_training_rows=data.n)
 
 
-def _preorder(sizes, ones, rules, first) -> dict:
+def _preorder(sizes, ones, splits, named) -> dict:
     """The node table's columns, in preorder, of nodes given in making
-    order."""
-    order, stack = [], [0]
-    while stack:
-        i = stack.pop()
-        order.append(i)
-        if i in first:
-            stack += [first[i] + 1, first[i]]
-    index = {made: i for i, made in enumerate(order)}
-    right = [index[first[i] + 1] if i in first else -1 for i in order]
-    counts = [(sizes[i] - int(ones[i]), int(ones[i])) for i in order]
-    predicted, p1 = np.zeros(len(order), dtype=int), np.zeros(len(order))
-    for j, r in enumerate(right):
-        if r < 0:
-            predicted[j], p1[j] = assign_leaf(counts[j])
-    return dict(rules=[rules.get(i) for i in order], right=right,
-                n=[sizes[i] for i in order], counts=counts,
-                predicted_class=predicted, positive_proportion=p1)
+    order, from what grow gathers.  A left child comes right after its
+    parent and a right child after its sibling's subtree."""
+    made = len(sizes)
+    span = np.ones(made, dtype=np.intp)  # subtree sizes, from the leaves up
+    for ids, left, _, _ in reversed(splits):
+        span[ids] += span[left] + span[left + 1]
+    at = np.zeros(made, dtype=np.intp)  # preorder index of each node
+    for ids, left, _, _ in splits:
+        at[left], at[left + 1] = at[ids] + 1, at[ids] + 1 + span[left]
+    feature, right = np.full((2, made), -1, dtype=np.intp)
+    threshold = np.full(made, np.nan)
+    for ids, left, f, t in splits:
+        feature[at[ids]], right[at[ids]], threshold[at[ids]] = (
+            f, at[left + 1], t)
+    n, c1 = np.empty((2, made), dtype=int)
+    n[at], c1[at] = sizes, ones
+    triples = np.asarray(named, dtype=np.int64).reshape(-1, 3)
+    triples[:, 0] = at[triples[:, 0]]
+    leaf, (predicted, p1) = right < 0, assign_leaf((n - c1, c1))
+    return dict(feature=feature, threshold=threshold, right=right,
+                n=n.tolist(), counts=list(zip((n - c1).tolist(), c1.tolist())),
+                predicted_class=np.where(leaf, predicted, 0),
+                positive_proportion=np.where(leaf, p1, 0.0),
+                **_side_table(made, triples))
+
+
+def _side_table(nodes: int, triples) -> dict:
+    """The codes and side columns of a table of the given node count,
+    from its (node, code, side) triples: one sort and one scatter."""
+    at, codes, sides = np.asarray(triples, dtype=np.int64).reshape(-1, 3).T
+    table, slot = np.unique(codes, return_inverse=True)
+    side = np.zeros((nodes, table.shape[0]), dtype=np.int8)
+    side[at, slot] = sides
+    return dict(codes=table, side=side)
 
 
 def predict_dataset(tree: CartTree, data: Dataset):
@@ -563,52 +557,63 @@ def _leaf_index(tree: CartTree, data: Dataset) -> np.ndarray:
     """Table index of the leaf each row reaches.
 
     The dataset schema must match the training schema exactly.  Rows
-    are routed together, one index partition per node.  A row that
-    reaches a rule on a feature it has no value for, or a categorical
-    rule with a value that is not a whole number within 2**53, raises
-    DataError naming the row and feature; such a value in a feature its
-    path never tests is harmless.
-    A categorical code that no training row of the node testing it held
-    routes right, with one UnseenCategoryWarning per feature and code.
+    step down the tree together: each pass gathers, for every row not
+    yet at a leaf, its node's feature, threshold and right child, and a
+    categorical value's slot in tree.codes by searchsorted.  A row stops
+    at its first node testing a feature it has no value for, or a
+    categorical value that is not a whole number within 2**53.  DataError
+    then names the lowest such node and there the lowest row, a missing
+    value first: what a preorder walk would meet first.  A code that no
+    training row of its node held routes right, with one
+    UnseenCategoryWarning per feature and code, at the first (row, node).
     """
     if data.schema.fingerprint() != tree.fingerprint:
         raise SchemaMismatchError(
             "dataset schema differs from the tree's training schema: "
             + _schema_difference(data.schema.fingerprint(), tree.fingerprint))
     leaf = np.empty(data.n, dtype=np.intp)
-    unseen: dict[tuple[str, int], tuple[int, int]] = {}
-    stack = [(0, np.arange(data.n))]
-    while stack:
-        i, idx = stack.pop()
-        rule = tree.rules[i]
-        if rule is None:
-            leaf[idx] = i
-            continue
-        values = data.X[idx, rule.feature_index]
-        missing = np.isnan(values)
-        if missing.any():
-            raise DataError(
-                f"row {idx[missing.argmax()]} has no value for feature "
-                f"{rule.feature!r}, which the tree routes on")
-        if rule.is_numeric:
-            left = values <= rule.threshold
-        else:
-            whole_codes(values, rule.feature, idx)
-            left = np.isin(values, list(rule.subset))
-            absent = ~left & ~np.isin(values, list(rule.complement))
-            for code in np.unique(values[absent]):
-                first = (int(idx[absent & (values == code)][0]), i)
-                key = (rule.feature, int(code))
-                unseen[key] = min(unseen.get(key, first), first)
-        stack.append((tree.right[i], idx[~left]))
-        stack.append((i + 1, idx[left]))
-    # Warn in the order a row-by-row walk would first meet each code;
-    # along one row's path the table index grows with depth.
-    for (feature, code), (_, i) in sorted(unseen.items(),
-                                          key=lambda item: item[1]):
-        warnings.warn(f"code {code} of {feature!r} is absent from the "
-                      f"training rows of node {i}; routing right",
-                      UnseenCategoryWarning)
+    rows, node = np.arange(data.n), np.zeros(data.n, dtype=np.intp)
+    # (node, kind, row) of stopped rows, (row, node, code) of unseen codes
+    stops, unseen = [(rows[:0],) * 3], [(rows[:0],) * 3]
+    while rows.shape[0]:
+        f = tree.feature[node]
+        leaf[rows[f < 0]] = node[f < 0]
+        rows, node, f = rows[f >= 0], node[f >= 0], f[f >= 0]
+        values, threshold = data.X[rows, f], tree.threshold[node]
+        # kind 0: missing; 1: a categorical value that is not whole
+        kind = np.where(np.isnan(values), 0, np.where(
+            np.isnan(threshold) & not_whole(values), 1, -1))
+        stops.append((node[kind >= 0], kind[kind >= 0], rows[kind >= 0]))
+        rows, node, values, threshold = (
+            a[kind < 0] for a in (rows, node, values, threshold))
+        c = np.flatnonzero(np.isnan(threshold))
+        code = values[c].astype(np.int64)
+        slot = np.searchsorted(tree.codes, code).clip(
+            max=tree.codes.shape[0] - 1)
+        side = np.where(tree.codes[slot] == code, tree.side[node[c], slot], 0)
+        new = c[side == 0]
+        unseen.append((rows[new], node[new], code[side == 0]))
+        left = values <= threshold
+        left[c] = side == 1
+        node = np.where(left, node + 1, tree.right[node])
+    at, kind, row = (np.concatenate(a) for a in zip(*stops))
+    if at.shape[0]:
+        first = np.lexsort((row, kind, at))[0]
+        j, row = tree.feature[at[first]], row[first]
+        if kind[first] == 0:
+            raise DataError(f"row {row} has no value for feature "
+                            f"{tree.fingerprint[j][0]!r}, which the tree "
+                            "routes on")
+        whole_codes(data.X[[row], j], tree.fingerprint[j][0], [row])
+    row, node, code = (np.concatenate(a) for a in zip(*unseen))
+    order = np.lexsort((node, row))  # the order a row-by-row walk meets
+    _, first = np.unique(np.stack([tree.feature[node], code])[:, order],
+                         axis=1, return_index=True)
+    for i in order[np.sort(first)].tolist():
+        warnings.warn(f"code {code[i]} of "
+                      f"{tree.fingerprint[tree.feature[node[i]]][0]!r} is "
+                      f"absent from the training rows of node {node[i]}; "
+                      "routing right", UnseenCategoryWarning)
     return leaf
 
 
@@ -649,28 +654,38 @@ def serialize(tree: CartTree) -> str:
             f'"n_training_rows": {_json(tree.n_training_rows)}, "nodes": [')
     # Python numbers print as JSON: tolist() gives them, and codes and
     # counts already are
-    leaves = [f'"class": {c}, "p1": {p:.17g}, "mean": null'
-              for c, p in zip(tree.predicted_class.tolist(),
-                              tree.positive_proportion.tolist())]
-    names = {name: _json(name) for name, _, _ in tree.fingerprint[:-1]}
+    names = [_json(name) for name, _, _ in tree.fingerprint[:-1]]
+    subsets, complements = _code_lists(tree)
     records = []
-    for i, (rule, n, (c0, c1), r) in enumerate(zip(tree.rules, tree.n,
-                                                   tree.counts, tree.right)):
-        counts = f"[{c0}, {c1}]"
-        if rule is None:
-            records.append(f'{{"n": {n}, "counts": {counts}, "left": null, '
-                           f'"right": null, {leaves[i]}}}')
+    for i, (j, t, n, (c0, c1), r, c, p) in enumerate(zip(
+            tree.feature.tolist(), tree.threshold.tolist(), tree.n,
+            tree.counts, tree.right.tolist(), tree.predicted_class.tolist(),
+            tree.positive_proportion.tolist())):
+        if j < 0:
+            records.append(f'{{"n": {n}, "counts": [{c0}, {c1}], "left": null, '
+                           f'"right": null, "class": {c}, "p1": {p:.17g}, '
+                           '"mean": null}')
             continue
-        if rule.threshold is None:
-            test = (f'"threshold": null, "subset": {sorted(rule.subset)}, '
-                    f'"complement": {sorted(rule.complement)}')
+        if i in subsets:
+            test = (f'"threshold": null, "subset": {subsets[i]}, '
+                    f'"complement": {complements[i]}')
         else:
-            test = (f'"threshold": {rule.threshold:.17g}, "subset": null, '
-                    '"complement": null')
-        records.append(f'{{"n": {n}, "counts": {counts}, "left": {i + 1}, '
-                       f'"right": {r}, "feature": {names[rule.feature]}, '
-                       f'"feature_index": {rule.feature_index}, {test}}}')
+            test = f'"threshold": {t:.17g}, "subset": null, "complement": null'
+        records.append(f'{{"n": {n}, "counts": [{c0}, {c1}], "left": {i + 1}, '
+                       f'"right": {r}, "feature": {names[j]}, '
+                       f'"feature_index": {j}, {test}}}')
     return head + ", ".join(records) + "]}\n"
+
+
+def _code_lists(tree: CartTree) -> tuple[dict, dict]:
+    """The codes each categorical rule sends left and right, as sorted
+    lists keyed by node, from one pass over the nonzero cells of side."""
+    node, slot = np.nonzero(tree.side)
+    lists = ({}, {})
+    for i, side, code in zip(node.tolist(), tree.side[node, slot].tolist(),
+                             tree.codes[slot].tolist()):
+        lists[side - 1].setdefault(i, []).append(code)
+    return lists
 
 
 def _fingerprint_from_doc(doc) -> tuple:
@@ -737,7 +752,7 @@ def deserialize(text: str) -> CartTree:
     if not isinstance(records, list) or not records:
         raise MalformedDocumentError("nodes must be a nonempty list")
 
-    rules, right, n, counts = [], [], [], []
+    feature, threshold, named, right, n, counts = [], [], [], [], [], []
     predicted, p1 = np.zeros(len(records), dtype=int), np.zeros(len(records))
     # A depth-first walk, left child first, must meet every node once
     # and in table order: the table is then one tree, in preorder, and
@@ -769,7 +784,7 @@ def deserialize(text: str) -> CartTree:
             n.append(count)
             counts.append(tuple(c))
             if left is None:
-                rules.append(None)
+                j, t, triples = -1, math.nan, []
                 leaf = (_value(rec, "class", i, "classification leaf"),
                         _value(rec, "p1", i, "classification leaf"))
                 if leaf != assign_leaf(c):
@@ -785,9 +800,12 @@ def deserialize(text: str) -> CartTree:
                         raise MalformedDocumentError(
                             f"node {i} child index {child!r} out of range")
                 pending += [r, left]
-                rules.append(_record_rule(rec, i, fingerprint[:-1]))
+                j, t, triples = _record_rule(rec, i, fingerprint[:-1])
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedDocumentError(f"node {i}: {exc}") from None
+        feature.append(j)
+        threshold.append(t)
+        named += triples
         right.append(-1 if r is None else r)
     if pending:
         raise MalformedDocumentError(f"node {pending[-1]} referenced twice")
@@ -800,7 +818,10 @@ def deserialize(text: str) -> CartTree:
             raise MalformedDocumentError(
                 f"node {i} has counts {list(counts[i])}, where its children "
                 f"have {list(counts[i + 1])} and {list(counts[r])}")
-    return CartTree(rules=rules, right=right, n=n, counts=counts,
+    return CartTree(feature=np.array(feature, dtype=np.intp),
+                    threshold=np.array(threshold),
+                    **_side_table(len(records), named),
+                    right=np.array(right, dtype=np.intp), n=n, counts=counts,
                     fingerprint=fingerprint, config=config,
                     n_training_rows=rows, predicted_class=predicted,
                     positive_proportion=p1)
@@ -817,8 +838,11 @@ _VALUES = {
     "class": ("0 or 1", lambda v: type(v) is int and v in (0, 1)),
     "p1": ("a finite number in [0, 1]", lambda v: _number(v) and 0 <= v <= 1),
     "threshold": ("a finite number", _number),
-    "subset": ("a list of whole numbers",
-               lambda v: type(v) is list and all(type(c) is int for c in v)),
+    # as serialize writes it, and within the codes a data cell can hold
+    "subset": ("a strictly ascending list of whole numbers within 2**53",
+               lambda v: type(v) is list and all(type(c) is int for c in v)
+               and v == sorted(set(v))
+               and (not v or -2 ** 53 <= v[0] and v[-1] <= 2 ** 53)),
 }
 _VALUES["complement"] = _VALUES["subset"]
 
@@ -834,9 +858,11 @@ def _value(rec: dict, key: str, i: int, node: str):
     return value
 
 
-def _record_rule(rec: dict, i: int, features: tuple) -> SplitRule:
-    """The rule of internal node i's record, refused when a value breaks
-    the format or the schema contradicts its feature, index or kind."""
+def _record_rule(rec: dict, i: int, features: tuple) -> tuple:
+    """The feature index, threshold (NaN at a categorical rule) and
+    (node, code, side) triples (none at a numeric rule) of internal node
+    i's record, refused when a value breaks the format or the schema
+    contradicts its feature, index or kind."""
     name, j = rec["feature"], rec["feature_index"]
     if type(j) is not int or not 0 <= j < len(features) or (
             features[j][0] != name):
@@ -844,18 +870,27 @@ def _record_rule(rec: dict, i: int, features: tuple) -> SplitRule:
             f"node {i} routes on feature {name!r} at index {j}, "
             "which the schema does not hold")
     if rec["threshold"] is not None:
-        threshold = _value(rec, "threshold", i, "rule")
-        rule = SplitRule(name, j, threshold=float(threshold))
+        if rec.get("subset") is not None or rec.get("complement") is not None:
+            raise MalformedDocumentError(
+                f"node {i}: rule needs exactly one of threshold/subset")
+        kind, triples = NUMERIC, []
+        threshold = float(_value(rec, "threshold", i, "rule"))
     else:
-        rule = SplitRule(
-            name, j, subset=frozenset(_value(rec, "subset", i, "rule")),
-            complement=frozenset(_value(rec, "complement", i, "rule")))
-    kind = NUMERIC if rule.is_numeric else CATEGORICAL
+        subset, complement = (_value(rec, key, i, "rule")
+                              for key in ("subset", "complement"))
+        if not (subset and complement):
+            raise MalformedDocumentError(
+                f"node {i}: categorical rule needs nonempty sides")
+        if not set(subset).isdisjoint(complement):
+            raise MalformedDocumentError(
+                f"node {i}: subset and complement overlap")
+        kind, threshold = CATEGORICAL, math.nan
+        triples = [(i, c, 1) for c in subset] + [(i, c, 2) for c in complement]
     if features[j][1] != kind:
         raise MalformedDocumentError(
             f"node {i} has a {kind} rule on {features[j][1]} feature "
             f"{name!r}")
-    return rule
+    return j, threshold, triples
 
 
 # -- rendering -------------------------------------------------------------
@@ -869,12 +904,16 @@ def node_labels(tree: CartTree) -> list[tuple[str, str]]:
     """(body, stats) of every node: its rule or leaf prediction, then its
     row count and class counts.  tolist() gives Python floats, whose
     repr is the bare number."""
-    leaves = [f"leaf class={c} p1={p!r}" for c, p in zip(
-        tree.predicted_class.tolist(), tree.positive_proportion.tolist())]
-    return [(leaf if rule is None else rule.describe(),
+    names = [name for name, _, _ in tree.fingerprint[:-1]]
+    subsets, _ = _code_lists(tree)
+    return [(f"leaf class={c} p1={p!r}" if j < 0 else
+             f"{names[j]} in {{{', '.join(map(str, subsets[i]))}}}"
+             if i in subsets else f"{names[j]} <= {t!r}",
              f"n={n} counts={counts}")
-            for rule, leaf, n, counts in zip(tree.rules, leaves, tree.n,
-                                             tree.counts)]
+            for i, (j, t, c, p, n, counts) in enumerate(zip(
+                tree.feature.tolist(), tree.threshold.tolist(),
+                tree.predicted_class.tolist(),
+                tree.positive_proportion.tolist(), tree.n, tree.counts))]
 
 
 def export_dot(tree: CartTree,
@@ -885,7 +924,7 @@ def export_dot(tree: CartTree,
     lines = ["digraph cart {", "  node [shape=box];"]
     for i, (body, stats) in enumerate(labels or node_labels(tree)):
         lines.append(f'  n{i} [label="{_dot_escape(body)}\\n{stats}"];')
-    for i, r in enumerate(tree.right):
+    for i, r in enumerate(tree.right.tolist()):
         if r >= 0:
             lines.append(f'  n{i} -> n{i + 1} [label="True"];')
             lines.append(f'  n{i} -> n{r} [label="False"];')
@@ -897,11 +936,12 @@ def export_text(tree: CartTree,
                 labels: list[tuple[str, str]] | None = None) -> str:
     """Indented plain-text outline of the tree, two spaces per level;
     labels as for export_dot."""
-    depths = _depths(tree.right)
+    right = tree.right.tolist()
+    depths = _depths(right)
     tags = [""] * len(depths)
     lines = []
     for i, ((body, stats), r) in enumerate(zip(labels or node_labels(tree),
-                                               tree.right)):
+                                               right)):
         lines.append(f"{'  ' * depths[i]}{tags[i]}{body} [{stats}]")
         if r >= 0:
             tags[i + 1], tags[r] = "True: ", "False: "

@@ -181,7 +181,14 @@ class CodeBook:
                     raise CodeBookError(
                         f"{path} line {reader.line_num}: code {code!r} of "
                         f"feature {feature!r} is not an integer") from None
-                mappings.setdefault(feature, {})[record["label"]] = code
+                labels = mappings.setdefault(feature, {})
+                # load_csv strips each cell before the lookup
+                label = record["label"].strip()
+                if label in labels:
+                    raise CodeBookError(
+                        f"{path} line {reader.line_num}: label {label!r} of "
+                        f"feature {feature!r} is listed twice")
+                labels[label] = code
         try:
             return cls(mappings)
         except ValueError as exc:
@@ -223,11 +230,15 @@ DEFAULT_CODEBOOK = CodeBook({
 })
 
 
+def not_whole(values: np.ndarray) -> np.ndarray:
+    """Where values are not whole numbers within 2**53, NaN included."""
+    return (values != np.trunc(values)) | ~(np.abs(values) <= 2.0 ** 53)
+
+
 def whole_codes(values: np.ndarray, feature: str, rows) -> np.ndarray:
     """Cells of a categorical feature as an int array; one that is not a
     whole number within 2**53 raises DataError naming it by rows."""
-    bad = np.flatnonzero((values != np.trunc(values))
-                         | ~(np.abs(values) <= 2.0 ** 53))
+    bad = np.flatnonzero(not_whole(values))
     if bad.size:
         raise DataError(
             f"row {rows[bad[0]]} holds {float(values[bad[0]])!r} in "

@@ -7,6 +7,7 @@ tricks.  The split oracle keeps the same arithmetic formula shape
 so that agreement with the library can be asserted bit for bit.
 """
 
+import math
 from itertools import combinations
 
 import numpy as np
@@ -144,26 +145,46 @@ def reference_grow(data, config, variables=None):
 
 
 def route_rows(records, X):
-    """Leaf record each row of X reaches, one row at a time.
+    """Route each row of X down a serialized tree, one row at a time.
 
     records are the node records of a serialized tree,
     json.loads(serialize(tree))["nodes"]: a rule record names its
     feature index and a threshold (left iff value <= threshold) or a
-    code subset (left iff the truncated code is in it), and the indices
-    of its two children.
+    code subset (left iff the code is in it; a code in neither the
+    subset nor the complement goes right), and its two children.  A row
+    stops at the first rule whose feature it has no value for (kind 0),
+    or whose categorical value is not a whole number within 2**53 (kind
+    1).
+
+    Returns (leaves, error, unseen): the index of the leaf record each
+    row reaches, None for a row that stopped; None, or (node, kind, row)
+    of the lowest node where a row stopped, there kind 0 before kind 1,
+    then the lowest row; and, for each (feature index, code) that a row
+    met outside a rule's subset and complement, the first (row, node).
     """
-    found = []
-    for row in X:
-        rec = records[0]
-        while rec["left"] is not None:
+    leaves, stops, unseen = [], [], {}
+    for r, row in enumerate(X):
+        i = 0
+        while i is not None and records[i]["left"] is not None:
+            rec = records[i]
             value = row[rec["feature_index"]]
-            if rec["threshold"] is not None:
-                left = value <= rec["threshold"]
+            if math.isnan(value):
+                stops.append((i, 0, r))
+                i = None
+            elif rec["threshold"] is not None:
+                i = rec["left"] if value <= rec["threshold"] else rec["right"]
+            elif abs(value) > 2 ** 53 or value != math.floor(value):
+                stops.append((i, 1, r))
+                i = None
+            elif int(value) in rec["subset"]:
+                i = rec["left"]
             else:
-                left = int(value) in rec["subset"]
-            rec = records[rec["left"] if left else rec["right"]]
-        found.append(rec)
-    return found
+                if int(value) not in rec["complement"]:
+                    unseen.setdefault((rec["feature_index"], int(value)),
+                                      (r, i))
+                i = rec["right"]
+        leaves.append(i)
+    return leaves, min(stops, default=None), unseen
 
 
 def mann_whitney_auc(actual, scores) -> float:

@@ -161,11 +161,11 @@ def test_05_split_search_matches_exhaustive_oracle():
         decrease_oracle, feature, detail = expected
         rule, decrease = found
         assert decrease == decrease_oracle
-        assert rule.feature == feature
-        if rule.threshold is not None:
-            assert rule.threshold == detail
+        assert rule["feature"] == feature
+        if rule["threshold"] is not None:
+            assert rule["threshold"] == detail
         else:
-            assert rule.subset == detail
+            assert rule["subset"] == sorted(detail)
         agreements += 1
     assert agreements == 500
     assert time.perf_counter() - started < 60.0

@@ -25,7 +25,6 @@ from solvency import cart
 from solvency.cart import (
     FORMAT_VERSION,
     CartConfig,
-    SplitRule,
     UnseenCategoryWarning,
     assign_leaf,
     best_split,
@@ -33,6 +32,7 @@ from solvency.cart import (
     export_dot,
     export_text,
     grow,
+    node_labels,
     predict_dataset,
     serialize,
 )
@@ -119,22 +119,22 @@ class TestBestSplit:
     def test_perfect_numeric_split(self):
         data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
         rule, decrease = best_split(data)
-        assert rule.feature == "x"
-        assert rule.threshold == 2.5
+        assert rule == {"feature": "x", "feature_index": 0, "threshold": 2.5,
+                        "subset": None, "complement": None}
         assert decrease == 0.5
 
     def test_threshold_is_midpoint_of_distinct_values(self):
         data = make_dataset({"x": [0.0, 0.0, 10.0, 10.0]}, [0, 0, 1, 1])
         rule, _ = best_split(data)
-        assert rule.threshold == 5.0
+        assert rule["threshold"] == 5.0
 
     def test_categorical_subset_contains_smallest_code(self):
         data = make_dataset(
             {"c": [1, 1, 2, 2, 3, 3]}, [1, 1, 0, 0, 1, 1],
             kinds={"c": CATEGORICAL}, levels={"c": 3})
         rule, decrease = best_split(data)
-        assert rule.subset == frozenset({1, 3})
-        assert rule.complement == frozenset({2})
+        assert rule == {"feature": "c", "feature_index": 0, "threshold": None,
+                        "subset": [1, 3], "complement": [2]}
         assert decrease == pytest.approx(4 / 9, abs=1e-15)
 
     def test_pure_node_has_no_split(self):
@@ -159,7 +159,7 @@ class TestBestSplit:
             {"noise": [1.0, 2.0, 3.0, 4.0], "clean": [0.0, 0.0, 1.0, 1.0]},
             [0, 0, 1, 1])
         rule, _ = best_split(data, variables=["noise"])
-        assert rule.feature == "noise"
+        assert rule["feature"] == "noise"
 
 
 class TestTieBreaking:
@@ -168,14 +168,14 @@ class TestTieBreaking:
             {"a": [0.0, 0.0, 1.0, 1.0], "b": [0.0, 0.0, 1.0, 1.0]},
             [0, 0, 1, 1])
         rule, _ = best_split(data)
-        assert rule.feature == "a"
+        assert rule["feature"] == "a"
 
     def test_equal_cuts_prefer_lowest_threshold(self):
         # cuts at 0.5 and 2.5 both isolate one positive against a
         # (1, 2)-count side, so their impurities are bit-identical
         data = make_dataset({"x": [0.0, 1.0, 2.0, 3.0]}, [1, 0, 0, 1])
         rule, _ = best_split(data)
-        assert rule.threshold == 0.5
+        assert rule["threshold"] == 0.5
 
     def test_equal_subsets_prefer_lexicographically_smallest(self):
         # {1} and {1, 2} isolate the same impurity; (1,) sorts first
@@ -183,7 +183,7 @@ class TestTieBreaking:
             {"c": [1, 1, 2, 2, 3, 3]}, [1, 1, 1, 0, 0, 0],
             kinds={"c": CATEGORICAL}, levels={"c": 3})
         rule, _ = best_split(data)
-        assert rule.subset == frozenset({1})
+        assert rule["subset"] == [1]
 
     # each case has two subsets of bit-equal decrease; the winner must
     # not depend on the order the rows arrive in
@@ -200,7 +200,7 @@ class TestTieBreaking:
                             [target[i] for i in order],
                             kinds={"c": CATEGORICAL}, levels={"c": 5})
         rule, _ = best_split(data)
-        assert rule.subset == frozenset(subset)
+        assert rule["subset"] == sorted(subset)
         assert_agrees_with_oracle(data)
 
     def test_numeric_beats_categorical_only_by_position(self):
@@ -211,7 +211,7 @@ class TestTieBreaking:
         data = make_dataset(columns_numeric_first, [0, 0, 1, 1],
                             kinds={"c": CATEGORICAL}, levels={"c": 2})
         rule, _ = best_split(data)
-        assert rule.feature == "x"
+        assert rule["feature"] == "x"
 
         columns_categorical_first = {
             "c": [1, 1, 2, 2],
@@ -220,7 +220,7 @@ class TestTieBreaking:
         data = make_dataset(columns_categorical_first, [0, 0, 1, 1],
                             kinds={"c": CATEGORICAL}, levels={"c": 2})
         rule, _ = best_split(data)
-        assert rule.feature == "c"
+        assert rule["feature"] == "c"
 
 
 def assert_agrees_with_oracle(data):
@@ -234,13 +234,14 @@ def assert_agrees_with_oracle(data):
     dec, feature, detail = expected
     rule, decrease = found
     assert decrease == dec  # bit-for-bit
-    assert rule.feature == feature
-    if rule.threshold is not None:
-        assert rule.threshold == detail
+    assert rule["feature"] == feature
+    assert rule["feature_index"] == data.schema[feature].index
+    if rule["threshold"] is not None:
+        assert rule["threshold"] == detail
     else:
-        assert rule.subset == detail
+        assert rule["subset"] == sorted(detail)
         codes = {int(c) for c in data.column(feature)}
-        assert rule.complement == frozenset(codes) - detail
+        assert rule["complement"] == sorted(codes - detail)
 
 
 def random_wide_categorical_dataset(rng, max_levels=12, max_rows=80):
@@ -317,8 +318,8 @@ class TestOrderedScan:
         start = time.perf_counter()
         rule, decrease = best_split(data)
         assert time.perf_counter() - start < 1.0
-        assert rule.subset == frozenset(side)
-        assert rule.complement == frozenset(range(1, levels + 1)) - rule.subset
+        assert rule["subset"] == sorted(side)
+        assert rule["complement"] == sorted(set(range(1, levels + 1)) - side)
         c1 = float(data.y.sum())
         assert decrease == gini_two_counts(c1, data.n - c1, float(data.n))
 
@@ -338,12 +339,12 @@ class TestOrderedScan:
         start = time.perf_counter()
         rule, decrease = best_split(data)
         assert time.perf_counter() - start < 1.0
-        assert 1 in rule.subset
-        assert rule.subset | rule.complement == frozenset(range(1, 41))
+        assert 1 in rule["subset"]
+        assert sorted(rule["subset"] + rule["complement"]) == list(range(1, 41))
         y = data.binary_target().astype(float)
         c1 = float(y.sum())
         n = float(data.n)
-        left = np.isin(data.X[:, 0], list(rule.subset))
+        left = np.isin(data.X[:, 0], rule["subset"])
         assert decrease == _decrease(y, left, gini_two_counts(c1, n - c1, n),
                                      c1, n - c1, n)
 
@@ -368,7 +369,7 @@ class TestCartConfig:
     def test_zero_depth_means_root_leaf(self):
         data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
         tree = grow(data, config=CartConfig(max_depth=0))
-        assert tree.rules[0] is None
+        assert tree.feature.tolist() == [-1]
 
 
 class TestGrow:
@@ -377,21 +378,22 @@ class TestGrow:
             {"x": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}, [0, 0, 0, 1, 1, 1])
         tree = grow(data, config=CartConfig(min_node_size=1))
         assert tree.node_count() == 3
-        assert tree.rules[0].threshold == 3.5
+        assert tree.feature.tolist() == [0, -1, -1]
+        assert tree.threshold[0] == 3.5
         classes, _ = predict_dataset(tree, data)
         assert classes.tolist() == [0, 0, 0, 1, 1, 1]
 
     def test_homogeneous_root_stays_leaf(self):
         data = make_dataset({"x": [1.0, 2.0, 3.0]}, [1, 1, 1])
         tree = grow(data)
-        assert tree.rules[0] is None
+        assert tree.feature.tolist() == [-1]
         assert tree.predicted_class[0] == 1
 
     def test_min_node_size_stops_growth(self):
         data = make_dataset(
             {"x": [1.0, 2.0, 3.0, 4.0]}, [0, 1, 0, 1])
         tree = grow(data, config=CartConfig(min_node_size=5))
-        assert tree.rules[0] is None
+        assert tree.feature.tolist() == [-1]
 
     def test_max_depth_stops_growth(self):
         rng = np.random.default_rng(23)
@@ -405,10 +407,9 @@ class TestGrow:
             {"x": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}, [0, 0, 0, 1, 0, 1])
         tree = grow(data, config=CartConfig(min_node_size=1))
         assert tree.counts[0] == (4, 2)
-        for i, rule in enumerate(tree.rules):
-            if rule is None:
-                assert tree.positive_proportion[i] == (
-                    tree.counts[i][1] / tree.n[i])
+        for i in np.flatnonzero(tree.feature < 0):
+            assert tree.positive_proportion[i] == (
+                tree.counts[i][1] / tree.n[i])
 
     def test_row_order_invariance(self):
         rng = np.random.default_rng(24)
@@ -427,7 +428,7 @@ class TestGrow:
                             [0, 1])
         config = CartConfig(min_node_size=1)
         tree = grow(data, config=config)
-        assert tree.rules[0] is None
+        assert tree.feature.tolist() == [-1]
         assert json.loads(serialize(tree))["nodes"] == reference_grow(
             data, config)
 
@@ -481,7 +482,7 @@ class TestSerialization:
                             [0, 0, 1, 1])
         tree = grow(data, config=CartConfig(min_node_size=1))
         again = deserialize(serialize(tree))
-        assert again.rules[0].threshold == tree.rules[0].threshold
+        assert again.threshold[0] == tree.threshold[0]
 
     def test_format_tag_present(self):
         tree, _ = self.grown_tree()
@@ -572,6 +573,52 @@ class TestSerialization:
         with pytest.raises(MalformedDocumentError,
                            match=f"node {node} .*{field}"):
             deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("field, codes", [
+        ("subset", [1, 1]),
+        ("subset", [3, 1]),
+        ("complement", [4, 2]),
+        ("complement", [2, 2 ** 53 + 1]),
+        ("subset", [-2 ** 53 - 1, 1]),
+        ("complement", [2, 2 ** 70]),
+    ], ids=["repeated", "descending", "descending-complement",
+            "past-2**53", "below--2**53", "2**70"])
+    def test_code_lists_serialize_would_rewrite_rejected(self, field, codes):
+        """Only a strictly ascending list of codes within 2**53 is written
+        back as the file held it, and only such codes can meet a cell."""
+        doc = json.loads(serialize(grow(deeper_code_dataset(),
+                                        config=CartConfig(min_node_size=1))))
+        doc["nodes"][1][field] = codes
+        with pytest.raises(MalformedDocumentError, match=(
+                f"^node 1 is a rule whose '{field}' is "
+                + re.escape(f"{codes}, not a strictly ascending list of "
+                            "whole numbers within 2**53") + "$")):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"subset": []}, "node 1: categorical rule needs nonempty sides"),
+        ({"complement": []}, "node 1: categorical rule needs nonempty sides"),
+        ({"complement": [1, 2]}, "node 1: subset and complement overlap"),
+    ], ids=["empty-subset", "empty-complement", "overlap"])
+    def test_sides_that_cannot_route_rejected(self, fields, message):
+        doc = json.loads(serialize(grow(deeper_code_dataset(),
+                                        config=CartConfig(min_node_size=1))))
+        doc["nodes"][1].update(fields)
+        with pytest.raises(MalformedDocumentError, match=f"^{message}$"):
+            deserialize(json.dumps(doc))
+
+    def test_codes_at_2_to_the_53_load_and_route(self):
+        doc = json.loads(serialize(grow(deeper_code_dataset(),
+                                        config=CartConfig(min_node_size=1))))
+        doc["nodes"][1].update(subset=[-2 ** 53, 1], complement=[2, 2 ** 53])
+        text = json.dumps(doc)
+        tree = deserialize(text)
+        assert tree.codes.tolist() == [-2 ** 53, 1, 2, 2 ** 53]
+        assert serialize(tree) == text + "\n"
+        fresh = make_dataset({"x": [1.0, 1.0], "c": [2 ** 53, -2 ** 53]},
+                             [None] * 2, kinds={"c": CATEGORICAL},
+                             levels={"c": 3})
+        assert predict_dataset(tree, fresh)[0].tolist() == [0, 1]
 
     @pytest.mark.parametrize("node, field, value", [
         (0, "n", float("inf")),
@@ -788,9 +835,11 @@ class TestPredict:
             data = random_mixed_dataset(rng)
             tree = grow(data, config=CartConfig(min_node_size=1))
             classes, scores = predict_dataset(tree, data)
-            leaves = route_rows(json.loads(serialize(tree))["nodes"], data.X)
-            assert classes.tolist() == [leaf["class"] for leaf in leaves]
-            assert scores.tolist() == [leaf["p1"] for leaf in leaves]
+            records = json.loads(serialize(tree))["nodes"]
+            leaves, error, unseen = route_rows(records, data.X)
+            assert error is None and unseen == {}
+            assert classes.tolist() == [records[i]["class"] for i in leaves]
+            assert scores.tolist() == [records[i]["p1"] for i in leaves]
 
     def test_unseen_category_warns_once_per_code(self):
         data = make_dataset(
@@ -812,8 +861,8 @@ class TestPredict:
 
     def test_code_absent_from_a_deeper_node_names_that_node(self):
         tree = grow(deeper_code_dataset(), config=CartConfig(min_node_size=1))
-        assert tree.rules[0].feature == "x" and tree.rules[1].feature == "c"
-        assert 3 not in tree.rules[1].subset | tree.rules[1].complement
+        assert tree.feature[:2].tolist() == [0, 1]  # x, then c
+        assert 3 not in tree.codes[tree.side[1] > 0]
         fresh = make_dataset({"x": [9.0, 1.0, 1.0], "c": [3, 3, 3]},
                              [None] * 3, kinds={"c": CATEGORICAL},
                              levels={"c": 3})
@@ -823,6 +872,28 @@ class TestPredict:
             "code 3 of 'c' is absent from the training rows of node 1; "
             "routing right"]
         assert classes.tolist() == [1, 0, 0]
+
+    def test_unseen_codes_warn_by_first_row_then_node(self):
+        """A code met at a deep node in an early row and at a shallow
+        node in a later one is named at the first; warnings follow the
+        rows that first met their codes."""
+        data = make_dataset(
+            {"a": [1] * 8 + [2] * 8,
+             "b": [1, 1, 1, 2, 2, 2, 2, 2, 1, 1, 2, 2, 2, 2, 2, 2]},
+            [1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 0, 0],
+            kinds={"a": CATEGORICAL, "b": CATEGORICAL},
+            levels={"a": 2, "b": 2})
+        tree = grow(data, config=CartConfig(min_node_size=1))
+        assert tree.feature.tolist() == [1, 0, -1, -1, 0, -1, -1]  # b; a, a
+        fresh = make_dataset({"a": [7, 1, 7], "b": [2, 9, 1]}, [None] * 3,
+                             kinds={"a": CATEGORICAL, "b": CATEGORICAL},
+                             levels={"a": 2, "b": 2})
+        with pytest.warns(UnseenCategoryWarning) as caught:
+            predict_dataset(tree, fresh)
+        assert [str(w.message) for w in caught] == [
+            f"code {code} of {name!r} is absent from the training rows of "
+            f"node {node}; routing right"
+            for code, name, node in ((7, "a", 4), (9, "b", 0))]
 
     def test_missing_cell_on_routed_feature_names_row(self):
         data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0], "z": [0.0] * 4},
@@ -875,20 +946,30 @@ class TestRendering:
 
 class TestRuleDescribe:
     def test_numeric_description(self):
-        rule = SplitRule("x", 0, threshold=2.5)
-        assert rule.describe() == "x <= 2.5"
+        data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
+        tree = grow(data, config=CartConfig(min_node_size=1))
+        assert node_labels(tree)[0] == ("x <= 2.5", "n=4 counts=(2, 2)")
 
     def test_subset_description(self):
-        rule = SplitRule("c", 1, subset=frozenset({2, 1}),
-                         complement=frozenset({3}))
-        assert rule.describe() == "c in {1, 2}"
+        data = make_dataset(
+            {"x": [0.0] * 6, "c": [2, 2, 1, 1, 3, 3]}, [1, 1, 1, 1, 0, 0],
+            kinds={"c": CATEGORICAL}, levels={"c": 3})
+        tree = grow(data, config=CartConfig(min_node_size=1))
+        assert tree.feature[0] == 1 and tree.side[0].tolist() == [1, 1, 2]
+        assert node_labels(tree)[0] == ("c in {1, 2}", "n=6 counts=(2, 4)")
 
     def test_rule_needs_exactly_one_kind(self):
-        with pytest.raises(ValueError):
-            SplitRule("x", 0)
-        with pytest.raises(ValueError):
-            SplitRule("x", 0, threshold=1.0, subset=frozenset({1}),
-                      complement=frozenset({2}))
+        """A rule record holds a threshold or a subset and complement:
+        one with neither, or a threshold beside codes, is refused."""
+        data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
+        text = serialize(grow(data, config=CartConfig(min_node_size=1)))
+        for fields in ({"threshold": None},
+                       {"subset": [1], "complement": [2]},
+                       {"complement": [2]}):
+            doc = json.loads(text)
+            doc["nodes"][0].update(fields)
+            with pytest.raises(MalformedDocumentError, match="^node 0"):
+                deserialize(json.dumps(doc))
 
 
 @given(st.integers(0, 2 ** 32 - 1))
@@ -928,6 +1009,60 @@ def test_loaded_tree_renders_and_predicts_as_grown(seed, min_node_size):
     for grown, again in pairs:
         assert grown.dtype == again.dtype
         assert grown.tolist() == again.tolist()
+
+
+def mutated_rows(rng, data, rows=30):
+    """Rows drawn from data's, whose cells are at a random rate made
+    missing, moved off a whole number, pushed past 2**53 or, in a
+    categorical column, replaced by a code the column may never hold."""
+    X = data.X[rng.integers(0, data.n, rows)]
+    rate = rng.choice([0.0, 0.01, 0.03, 0.1])
+    X[rng.random(X.shape) < rate / 3] = np.nan
+    X[rng.random(X.shape) < rate / 3] += 0.5
+    X[rng.random(X.shape) < rate / 3] = 2.0 ** 60
+    rate = rng.choice([0.0, 0.1, 0.3])
+    for spec in data.schema.features:
+        if spec.kind == CATEGORICAL:
+            hit = rng.random(rows) < rate
+            X[hit, spec.index] = rng.integers(-2, 9, int(hit.sum()))
+    return Dataset(data.schema, X, np.full(rows, np.nan))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
+def test_router_matches_row_by_row_reference_property(seed, min_node_size):
+    """On rows with missing cells, values that are not whole and codes no
+    node saw, the router gives the reference router's leaves and warnings,
+    or the DataError naming the node and row it stops at."""
+    rng = np.random.default_rng(seed)
+    data = random_mixed_dataset(rng, max_rows=40)
+    tree = grow(data, config=CartConfig(min_node_size=min_node_size))
+    fresh = mutated_rows(rng, data)
+    records = json.loads(serialize(tree))["nodes"]
+    leaves, error, unseen = route_rows(records, fresh.X)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            found, message = cart._leaf_index(tree, fresh).tolist(), None
+        except DataError as exc:
+            message = str(exc)
+    if error is None:
+        assert message is None and found == leaves
+        names = [name for name, _, _ in tree.fingerprint[:-1]]
+        assert [str(w.message) for w in caught] == [
+            f"code {code} of {names[j]!r} is absent from the training rows "
+            f"of node {i}; routing right"
+            for (j, code), (_, i) in sorted(unseen.items(),
+                                            key=lambda item: item[1])]
+    else:
+        node, kind, row = error
+        rec = records[node]
+        value = float(fresh.X[row, rec["feature_index"]])
+        assert message == (
+            f"row {row} has no value for feature {rec['feature']!r}, which "
+            "the tree routes on" if kind == 0 else
+            f"row {row} holds {value!r} in categorical feature "
+            f"{rec['feature']!r}, which is not a whole number within 2**53")
+        assert caught == []
 
 
 #: Class-1 and class-0 rows of the blocks tied codes are built from.

@@ -151,6 +151,38 @@ class TestEncodeCommand:
         err = capsys.readouterr().err
         assert str(workdir / "book.csv") in err and repr(feature) in err
 
+    def test_padded_codebook_label_matches_its_cells(self, workdir):
+        """Cells are stripped before the lookup, and so are book labels."""
+        self.setup_inputs(workdir)
+        (workdir / "book.csv").write_text(
+            CODEBOOK_CSV.replace("color,red,1", "color, red ,1"))
+        (workdir / "raw.csv").write_text(
+            LABELED_CSV.replace("red,Y", " red ,Y"))
+        rc = main(["encode", "--input", str(workdir / "raw.csv"),
+                   "--codebook", str(workdir / "book.csv"),
+                   "--target", "y", "--out", str(workdir)])
+        assert rc == 0
+        lines = (workdir / "encoded.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == [
+            "1", "2", "3", "1", "2"]
+
+    @pytest.mark.parametrize("repeat", ["color,red,2", "color, red ,2",
+                                        "color,red,1"])
+    def test_repeated_codebook_label_exits_3(self, workdir, capsys, repeat):
+        """A label listed twice, or twice once stripped, names its line;
+        before, the last code silently won."""
+        self.setup_inputs(workdir)
+        book = workdir / "book.csv"
+        book.write_text(CODEBOOK_CSV.replace("color,blue,3",
+                                             f"{repeat}\ncolor,blue,3"))
+        rc = main(["encode", "--input", str(workdir / "raw.csv"),
+                   "--codebook", str(book), "--target", "y",
+                   "--out", str(workdir)])
+        assert rc == 3
+        assert (f"{book} line 4: label 'red' of feature 'color' is listed "
+                "twice") in capsys.readouterr().err
+        assert not (workdir / "encoded.csv").exists()
+
     def test_code_at_2_to_the_53_is_kept(self, workdir):
         self.setup_inputs(workdir)
         (workdir / "book.csv").write_text(
