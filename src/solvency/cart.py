@@ -838,11 +838,8 @@ _VALUES = {
     "class": ("0 or 1", lambda v: type(v) is int and v in (0, 1)),
     "p1": ("a finite number in [0, 1]", lambda v: _number(v) and 0 <= v <= 1),
     "threshold": ("a finite number", _number),
-    # as serialize writes it, and within the codes a data cell can hold
-    "subset": ("a strictly ascending list of whole numbers within 2**53",
-               lambda v: type(v) is list and all(type(c) is int for c in v)
-               and v == sorted(set(v))
-               and (not v or -2 ** 53 <= v[0] and v[-1] <= 2 ** 53)),
+    "subset": ("a list of whole numbers",
+               lambda v: type(v) is list and all(type(c) is int for c in v)),
 }
 _VALUES["complement"] = _VALUES["subset"]
 
@@ -878,6 +875,13 @@ def _record_rule(rec: dict, i: int, features: tuple) -> tuple:
     else:
         subset, complement = (_value(rec, key, i, "rule")
                               for key in ("subset", "complement"))
+        # as serialize writes them, and codes a data cell can hold
+        for key, codes in (("subset", subset), ("complement", complement)):
+            if codes != sorted(set(codes)) or codes and not (
+                    -2 ** 53 <= codes[0] and codes[-1] <= 2 ** 53):
+                raise MalformedDocumentError(
+                    f"node {i} is a rule whose {key!r} is {codes!r}, not "
+                    "strictly ascending codes within 2**53")
         if not (subset and complement):
             raise MalformedDocumentError(
                 f"node {i}: categorical rule needs nonempty sides")

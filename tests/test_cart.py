@@ -591,8 +591,8 @@ class TestSerialization:
         doc["nodes"][1][field] = codes
         with pytest.raises(MalformedDocumentError, match=(
                 f"^node 1 is a rule whose '{field}' is "
-                + re.escape(f"{codes}, not a strictly ascending list of "
-                            "whole numbers within 2**53") + "$")):
+                + re.escape(f"{codes}, not strictly ascending codes within "
+                            "2**53") + "$")):
             deserialize(json.dumps(doc))
 
     @pytest.mark.parametrize("fields, message", [
