@@ -571,31 +571,41 @@ def _leaf_index(tree: CartTree, data: Dataset) -> np.ndarray:
         raise SchemaMismatchError(
             "dataset schema differs from the tree's training schema: "
             + _schema_difference(data.schema.fingerprint(), tree.fingerprint))
+    X, width = data.X.ravel(), data.X.shape[1]
+    categorical = np.isnan(tree.threshold) & (tree.feature >= 0)
+    # Only a missing cell, or a categorical cell that is not whole, can
+    # stop a row; in data without one no pass looks for them.
+    check = np.isnan(X).any() or not_whole(data.X[:, [
+        j for j, (_, kind, _) in enumerate(tree.fingerprint[:-1])
+        if kind == CATEGORICAL]]).any()
     leaf = np.empty(data.n, dtype=np.intp)
     rows, node = np.arange(data.n), np.zeros(data.n, dtype=np.intp)
     # (node, kind, row) of stopped rows, (row, node, code) of unseen codes
     stops, unseen = [(rows[:0],) * 3], [(rows[:0],) * 3]
     while rows.shape[0]:
-        f = tree.feature[node]
-        leaf[rows[f < 0]] = node[f < 0]
-        rows, node, f = rows[f >= 0], node[f >= 0], f[f >= 0]
-        values, threshold = data.X[rows, f], tree.threshold[node]
-        # kind 0: missing; 1: a categorical value that is not whole
-        kind = np.where(np.isnan(values), 0, np.where(
-            np.isnan(threshold) & not_whole(values), 1, -1))
-        stops.append((node[kind >= 0], kind[kind >= 0], rows[kind >= 0]))
-        rows, node, values, threshold = (
-            a[kind < 0] for a in (rows, node, values, threshold))
-        c = np.flatnonzero(np.isnan(threshold))
+        f = tree.feature.take(node)
+        done = f < 0
+        if done.any():
+            leaf[rows[done]] = node[done]
+            rows, node, f = rows[~done], node[~done], f[~done]
+        values, cat = X.take(rows * width + f), categorical.take(node)
+        if check:
+            bad = np.isnan(values)
+            bad[cat] |= not_whole(values[cat])
+            # kind 0: a missing value; kind 1: a categorical one not whole
+            stops.append((node[bad], 1 - np.isnan(values[bad]), rows[bad]))
+            rows, node, values, cat = (a[~bad] for a in (rows, node, values, cat))
+        c = np.flatnonzero(cat)
         code = values[c].astype(np.int64)
         slot = np.searchsorted(tree.codes, code).clip(
             max=tree.codes.shape[0] - 1)
         side = np.where(tree.codes[slot] == code, tree.side[node[c], slot], 0)
-        new = c[side == 0]
-        unseen.append((rows[new], node[new], code[side == 0]))
-        left = values <= threshold
+        if not side.all():
+            new = c[side == 0]
+            unseen.append((rows[new], node[new], code[side == 0]))
+        left = values <= tree.threshold.take(node)
         left[c] = side == 1
-        node = np.where(left, node + 1, tree.right[node])
+        node = np.where(left, node + 1, tree.right.take(node))
     at, kind, row = (np.concatenate(a) for a in zip(*stops))
     if at.shape[0]:
         first = np.lexsort((row, kind, at))[0]
@@ -607,8 +617,10 @@ def _leaf_index(tree: CartTree, data: Dataset) -> np.ndarray:
         whole_codes(data.X[[row], j], tree.fingerprint[j][0], [row])
     row, node, code = (np.concatenate(a) for a in zip(*unseen))
     order = np.lexsort((node, row))  # the order a row-by-row walk meets
-    _, first = np.unique(np.stack([tree.feature[node], code])[:, order],
-                         axis=1, return_index=True)
+    # one whole number per (feature, code), and its first meeting
+    _, rank = np.unique(code, return_inverse=True)
+    key = rank * len(tree.fingerprint) + tree.feature[node]
+    _, first = np.unique(key[order], return_index=True)
     for i in order[np.sort(first)].tolist():
         warnings.warn(f"code {code[i]} of "
                       f"{tree.fingerprint[tree.feature[node[i]]][0]!r} is "
