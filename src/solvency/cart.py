@@ -573,11 +573,10 @@ def _leaf_index(tree: CartTree, data: Dataset) -> np.ndarray:
             + _schema_difference(data.schema.fingerprint(), tree.fingerprint))
     X, width = data.X.ravel(), data.X.shape[1]
     categorical = np.isnan(tree.threshold) & (tree.feature >= 0)
-    # Only a missing cell, or a categorical cell that is not whole, can
-    # stop a row; in data without one no pass looks for them.
-    check = np.isnan(X).any() or not_whole(data.X[:, [
-        j for j, (_, kind, _) in enumerate(tree.fingerprint[:-1])
-        if kind == CATEGORICAL]]).any()
+    # Only a missing cell, or a cell not whole in a column a categorical
+    # rule tests, can stop a row; without one no pass looks for them.
+    tested = sorted(set(tree.feature[categorical].tolist()))
+    check = np.isnan(X).any() or not_whole(data.X[:, tested]).any()
     leaf = np.empty(data.n, dtype=np.intp)
     rows, node = np.arange(data.n), np.zeros(data.n, dtype=np.intp)
     # (node, kind, row) of stopped rows, (row, node, code) of unseen codes
