@@ -99,9 +99,10 @@ class CartTree:
     feature index and its right child, -1 at a leaf; threshold[i] is a
     numeric rule's threshold, else NaN.  codes holds, sorted, each code
     a categorical rule names, and side[i, k] is 1 or 2 where node i
-    sends codes[k] left or right, else 0.  n[i] and counts[i] are its
-    row and class counts; the leaf predictions, predicted_class and
-    positive_proportion, are arrays holding 0 at internal nodes.
+    sends codes[k] left or right, else 0.  counts[i] holds its class-0
+    and class-1 row counts: its row count is their sum, and at a leaf
+    assign_leaf gives its prediction from them.  schema is the training
+    Schema.
     """
 
     feature: np.ndarray
@@ -109,13 +110,9 @@ class CartTree:
     codes: np.ndarray
     side: np.ndarray
     right: np.ndarray
-    n: list[int]
-    counts: list[tuple[int, int]]
-    fingerprint: tuple
+    counts: np.ndarray
+    schema: Schema
     config: CartConfig
-    n_training_rows: int
-    predicted_class: np.ndarray
-    positive_proportion: np.ndarray
 
     def node_count(self) -> int:
         return self.feature.shape[0]
@@ -486,8 +483,7 @@ def grow(
         level_n = group_n[opened]
         level_ones = group_ones.ravel()[opened]
     return CartTree(**_preorder(sizes, ones, splits, named),
-                    fingerprint=data.schema.fingerprint(), config=config,
-                    n_training_rows=data.n)
+                    schema=data.schema, config=config)
 
 
 def _preorder(sizes, ones, splits, named) -> dict:
@@ -506,16 +502,13 @@ def _preorder(sizes, ones, splits, named) -> dict:
     for ids, left, f, t in splits:
         feature[at[ids]], right[at[ids]], threshold[at[ids]] = (
             f, at[left + 1], t)
-    n, c1 = np.empty((2, made), dtype=int)
-    n[at], c1[at] = sizes, ones
+    n, c1 = np.array([sizes, ones], dtype=np.int64)
+    counts = np.empty((made, 2), dtype=np.int64)
+    counts[at] = np.stack([n - c1, c1], axis=1)
     triples = np.asarray(named, dtype=np.int64).reshape(-1, 3)
     triples[:, 0] = at[triples[:, 0]]
-    leaf, (predicted, p1) = right < 0, assign_leaf((n - c1, c1))
     return dict(feature=feature, threshold=threshold, right=right,
-                n=n.tolist(), counts=list(zip((n - c1).tolist(), c1.tolist())),
-                predicted_class=np.where(leaf, predicted, 0),
-                positive_proportion=np.where(leaf, p1, 0.0),
-                **_side_table(made, triples))
+                counts=counts, **_side_table(made, triples))
 
 
 def _side_table(nodes: int, triples) -> dict:
@@ -532,7 +525,8 @@ def predict_dataset(tree: CartTree, data: Dataset):
     """Apply the tree to every row; returns (classes, scores) arrays,
     the scores being leaf positive proportions."""
     leaf = _leaf_index(tree, data)
-    return tree.predicted_class[leaf], tree.positive_proportion[leaf]
+    classes, p1 = assign_leaf(tree.counts.T)  # per node, then per row
+    return classes[leaf], p1[leaf]
 
 
 def _schema_difference(ours: tuple, trained: tuple) -> str:
@@ -567,10 +561,12 @@ def _leaf_index(tree: CartTree, data: Dataset) -> np.ndarray:
     training row of its node held routes right, with one
     UnseenCategoryWarning per feature and code, at the first (row, node).
     """
-    if data.schema.fingerprint() != tree.fingerprint:
+    if data.schema != tree.schema:
         raise SchemaMismatchError(
             "dataset schema differs from the tree's training schema: "
-            + _schema_difference(data.schema.fingerprint(), tree.fingerprint))
+            + _schema_difference(data.schema.fingerprint(),
+                                 tree.schema.fingerprint()))
+    names = tree.schema.names
     X, width = data.X.ravel(), data.X.shape[1]
     categorical = np.isnan(tree.threshold) & (tree.feature >= 0)
     # Only a missing cell, or a cell not whole in a column a categorical
@@ -611,19 +607,17 @@ def _leaf_index(tree: CartTree, data: Dataset) -> np.ndarray:
         j, row = tree.feature[at[first]], row[first]
         if kind[first] == 0:
             raise DataError(f"row {row} has no value for feature "
-                            f"{tree.fingerprint[j][0]!r}, which the tree "
-                            "routes on")
-        whole_codes(data.X[[row], j], tree.fingerprint[j][0], [row])
+                            f"{names[j]!r}, which the tree routes on")
+        whole_codes(data.X[[row], j], names[j], [row])
     row, node, code = (np.concatenate(a) for a in zip(*unseen))
     order = np.lexsort((node, row))  # the order a row-by-row walk meets
     # one whole number per (feature, code), and its first meeting
     _, rank = np.unique(code, return_inverse=True)
-    key = rank * len(tree.fingerprint) + tree.feature[node]
+    key = rank * len(names) + tree.feature[node]
     _, first = np.unique(key[order], return_index=True)
     for i in order[np.sort(first)].tolist():
-        warnings.warn(f"code {code[i]} of "
-                      f"{tree.fingerprint[tree.feature[node[i]]][0]!r} is "
-                      f"absent from the training rows of node {node[i]}; "
+        warnings.warn(f"code {code[i]} of {names[tree.feature[node[i]]]!r} "
+                      f"is absent from the training rows of node {node[i]}; "
                       "routing right", UnseenCategoryWarning)
     return leaf
 
@@ -651,27 +645,26 @@ def serialize(tree: CartTree) -> str:
     to ASCII.  Each node record is filled in from the columns by the
     template of its kind: leaf, numeric rule or categorical rule.
     """
-    config = tree.config
+    config, schema = tree.config, tree.schema
+    counts = tree.counts.tolist()
     features = ", ".join(
-        f'{{"name": {_json(name)}, "kind": {_json(kind)}, '
-        f'"levels": {_json(levels)}}}'
-        for name, kind, levels in tree.fingerprint[:-1])
+        f'{{"name": {_json(f.name)}, "kind": {_json(f.kind)}, '
+        f'"levels": {_json(f.levels)}}}' for f in schema.features)
     head = (f'{{"format": "{FORMAT_VERSION}", "config": {{'
             f'"min_node_size": {_json(config.min_node_size)}, '
             f'"max_depth": {_json(config.max_depth)}, '
             f'"min_gini_decrease": {_json(config.min_gini_decrease)}, '
             f'"mode": "{CLASSIFICATION}"}}, "schema": {{"features": '
-            f'[{features}], "target": {_json(tree.fingerprint[-1])}}}, '
-            f'"n_training_rows": {_json(tree.n_training_rows)}, "nodes": [')
-    # Python numbers print as JSON: tolist() gives them, and codes and
-    # counts already are
-    names = [_json(name) for name, _, _ in tree.fingerprint[:-1]]
+            f'[{features}], "target": {_json(schema.target)}}}, '
+            f'"n_training_rows": {sum(counts[0])}, "nodes": [')
+    # Python numbers print as JSON, and tolist() gives them
+    names = [_json(name) for name in schema.names]
     subsets, complements = _code_lists(tree)
     records = []
-    for i, (j, t, n, (c0, c1), r, c, p) in enumerate(zip(
-            tree.feature.tolist(), tree.threshold.tolist(), tree.n,
-            tree.counts, tree.right.tolist(), tree.predicted_class.tolist(),
-            tree.positive_proportion.tolist())):
+    for i, (j, t, (c0, c1), r, c, p) in enumerate(zip(
+            tree.feature.tolist(), tree.threshold.tolist(), counts,
+            tree.right.tolist(), *_leaf_predictions(tree))):
+        n = c0 + c1
         if j < 0:
             records.append(f'{{"n": {n}, "counts": [{c0}, {c1}], "left": null, '
                            f'"right": null, "class": {c}, "p1": {p:.17g}, '
@@ -688,6 +681,12 @@ def serialize(tree: CartTree) -> str:
     return head + ", ".join(records) + "]}\n"
 
 
+def _leaf_predictions(tree: CartTree) -> list[list]:
+    """Every node's assign_leaf class and p1 as Python numbers; only a
+    leaf's are its prediction."""
+    return [a.tolist() for a in assign_leaf(tree.counts.T)]
+
+
 def _code_lists(tree: CartTree) -> tuple[dict, dict]:
     """The codes each categorical rule sends left and right, as sorted
     lists keyed by node, from one pass over the nonzero cells of side."""
@@ -699,9 +698,9 @@ def _code_lists(tree: CartTree) -> tuple[dict, dict]:
     return lists
 
 
-def _fingerprint_from_doc(doc) -> tuple:
-    """The schema section's fingerprint, refused unless it describes a
-    Schema: string names and target, known kinds, whole levels."""
+def _schema_from_doc(doc) -> Schema:
+    """The schema section's Schema, refused unless it describes one:
+    string names and target, known kinds, whole levels."""
     try:
         specs = [(f["name"], f["kind"], f["levels"]) for f in doc["features"]]
         target = doc["target"]
@@ -710,10 +709,9 @@ def _fingerprint_from_doc(doc) -> tuple:
                 for name, _, levels in specs):
             raise TypeError("names must be strings and levels null or "
                             "whole numbers")
-        schema = Schema([FeatureSpec(*spec) for spec in specs], target)
+        return Schema([FeatureSpec(*spec) for spec in specs], target)
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedDocumentError(f"bad schema section: {exc}") from None
-    return schema.fingerprint()
 
 
 def deserialize(text: str) -> CartTree:
@@ -754,7 +752,7 @@ def deserialize(text: str) -> CartTree:
                             allow_large_min_node=True)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise MalformedDocumentError(f"bad config section: {exc}") from None
-    fingerprint = _fingerprint_from_doc(doc["schema"])
+    schema = _schema_from_doc(doc["schema"])
     rows = doc["n_training_rows"]
     if type(rows) is not int:
         raise MalformedDocumentError(
@@ -763,8 +761,7 @@ def deserialize(text: str) -> CartTree:
     if not isinstance(records, list) or not records:
         raise MalformedDocumentError("nodes must be a nonempty list")
 
-    feature, threshold, named, right, n, counts = [], [], [], [], [], []
-    predicted, p1 = np.zeros(len(records), dtype=int), np.zeros(len(records))
+    feature, threshold, named, right, counts = [], [], [], [], []
     # A depth-first walk, left child first, must meet every node once
     # and in table order: the table is then one tree, in preorder, and
     # each internal node's left child is the next node.
@@ -792,8 +789,11 @@ def deserialize(text: str) -> CartTree:
                 raise MalformedDocumentError(
                     f"node {i} has n {count} and counts {c}, not n of at "
                     "least 1 and two non-negative counts summing to it")
-            n.append(count)
-            counts.append(tuple(c))
+            if count > 2 ** 53:
+                # beyond it int64 counts and float p1 need not be exact
+                raise MalformedDocumentError(
+                    f"node {i} has n {count}, above 2**53")
+            counts.append(c)
             if left is None:
                 j, t, triples = -1, math.nan, []
                 leaf = (_value(rec, "class", i, "classification leaf"),
@@ -803,7 +803,6 @@ def deserialize(text: str) -> CartTree:
                         f"node {i} is a leaf whose class and p1 are "
                         f"{leaf[0]!r} and {leaf[1]!r}, where its counts "
                         f"{c} give {assign_leaf(c)}")
-                predicted[i], p1[i] = leaf
             else:
                 for child in (left, r):
                     if not (isinstance(child, int)
@@ -811,7 +810,7 @@ def deserialize(text: str) -> CartTree:
                         raise MalformedDocumentError(
                             f"node {i} child index {child!r} out of range")
                 pending += [r, left]
-                j, t, triples = _record_rule(rec, i, fingerprint[:-1])
+                j, t, triples = _record_rule(rec, i, schema.features)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedDocumentError(f"node {i}: {exc}") from None
         feature.append(j)
@@ -820,22 +819,23 @@ def deserialize(text: str) -> CartTree:
         right.append(-1 if r is None else r)
     if pending:
         raise MalformedDocumentError(f"node {pending[-1]} referenced twice")
-    if rows != n[0]:
+    if rows != sum(counts[0]):
+        raise MalformedDocumentError(f"n_training_rows is {rows}, where the "
+                                     f"root holds {sum(counts[0])} rows")
+    counts = np.array(counts, dtype=np.int64)
+    right = np.array(right, dtype=np.intp)
+    parent = np.flatnonzero(right >= 0)
+    bad = parent[(counts[parent] != counts[parent + 1]
+                  + counts[right[parent]]).any(axis=1)]
+    if bad.shape[0]:
+        i, r = bad[0], right[bad[0]]
         raise MalformedDocumentError(
-            f"n_training_rows is {rows}, where the root holds {n[0]} rows")
-    for i, r in enumerate(right):
-        if r >= 0 and counts[i] != (counts[i + 1][0] + counts[r][0],
-                                    counts[i + 1][1] + counts[r][1]):
-            raise MalformedDocumentError(
-                f"node {i} has counts {list(counts[i])}, where its children "
-                f"have {list(counts[i + 1])} and {list(counts[r])}")
+            f"node {i} has counts {counts[i].tolist()}, where its children "
+            f"have {counts[i + 1].tolist()} and {counts[r].tolist()}")
     return CartTree(feature=np.array(feature, dtype=np.intp),
                     threshold=np.array(threshold),
-                    **_side_table(len(records), named),
-                    right=np.array(right, dtype=np.intp), n=n, counts=counts,
-                    fingerprint=fingerprint, config=config,
-                    n_training_rows=rows, predicted_class=predicted,
-                    positive_proportion=p1)
+                    **_side_table(len(records), named), right=right,
+                    counts=counts, schema=schema, config=config)
 
 
 def _number(value) -> bool:
@@ -873,7 +873,7 @@ def _record_rule(rec: dict, i: int, features: tuple) -> tuple:
     contradicts its feature, index or kind."""
     name, j = rec["feature"], rec["feature_index"]
     if type(j) is not int or not 0 <= j < len(features) or (
-            features[j][0] != name):
+            features[j].name != name):
         raise MalformedDocumentError(
             f"node {i} routes on feature {name!r} at index {j}, "
             "which the schema does not hold")
@@ -901,9 +901,9 @@ def _record_rule(rec: dict, i: int, features: tuple) -> tuple:
                 f"node {i}: subset and complement overlap")
         kind, threshold = CATEGORICAL, math.nan
         triples = [(i, c, 1) for c in subset] + [(i, c, 2) for c in complement]
-    if features[j][1] != kind:
+    if features[j].kind != kind:
         raise MalformedDocumentError(
-            f"node {i} has a {kind} rule on {features[j][1]} feature "
+            f"node {i} has a {kind} rule on {features[j].kind} feature "
             f"{name!r}")
     return j, threshold, triples
 
@@ -919,16 +919,15 @@ def node_labels(tree: CartTree) -> list[tuple[str, str]]:
     """(body, stats) of every node: its rule or leaf prediction, then its
     row count and class counts.  tolist() gives Python floats, whose
     repr is the bare number."""
-    names = [name for name, _, _ in tree.fingerprint[:-1]]
+    names = tree.schema.names
     subsets, _ = _code_lists(tree)
     return [(f"leaf class={c} p1={p!r}" if j < 0 else
              f"{names[j]} in {{{', '.join(map(str, subsets[i]))}}}"
              if i in subsets else f"{names[j]} <= {t!r}",
-             f"n={n} counts={counts}")
-            for i, (j, t, c, p, n, counts) in enumerate(zip(
+             f"n={c0 + c1} counts=({c0}, {c1})")
+            for i, (j, t, (c0, c1), c, p) in enumerate(zip(
                 tree.feature.tolist(), tree.threshold.tolist(),
-                tree.predicted_class.tolist(),
-                tree.positive_proportion.tolist(), tree.n, tree.counts))]
+                tree.counts.tolist(), *_leaf_predictions(tree)))]
 
 
 def export_dot(tree: CartTree,

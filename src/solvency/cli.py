@@ -28,9 +28,7 @@ from .dataset import (
     DEFAULT_MISSING_TOKENS,
     CodeBook,
     Dataset,
-    FeatureSpec,
     OutlierRule,
-    Schema,
     class_distribution,
     clean,
     csv_text,
@@ -112,9 +110,11 @@ class PipelineConfig:
             raise ConfigError("roc-scores must be 'proportion' or 'hard'")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in 64 unsigned bits")
+        # raise now what train and encode would raise after earlier
+        # stages had written their artifacts
+        self.cart_config()
         try:
-            OutlierRule(self.outlier_method, self.iqr_multiplier,
-                        self.z_threshold)
+            self.outlier_rule()
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
@@ -385,10 +385,7 @@ def stage_predict(cfg: PipelineConfig) -> list[str]:
     if not cfg.input:
         raise ConfigError("predict needs an input CSV (--input)")
     tree = _load_model(cfg)
-    features = [FeatureSpec(name, kind, levels)
-                for name, kind, levels in tree.fingerprint[:-1]]
-    target = tree.fingerprint[-1]
-    schema = Schema(features, target)
+    schema, target = tree.schema, tree.schema.target
     has_target = target in read_header(cfg.input)
     data = load_csv(cfg.input, schema, missing_tokens=cfg.missing_tokens,
                     target_optional=True)

@@ -62,13 +62,6 @@ class LogisticFit:
     log_likelihood: float
     separation: bool = False
 
-    @property
-    def intercept(self) -> float:
-        return float(self.coefficients[-1])
-
-    def coefficient(self, name: str) -> float:
-        return float(self.coefficients[self.variables.index(name)])
-
 
 def logistic_log_likelihood(X: np.ndarray, y: np.ndarray,
                             beta: np.ndarray) -> float:
@@ -338,12 +331,6 @@ class DroppedVariable:
     sig: float | None = None
     partner: str | None = None
     r: float | None = None
-
-    def describe(self) -> str:
-        if self.reason == REASON_NOT_SIGNIFICANT:
-            return f"{self.name}: not significant (sig={self.sig:.4g})"
-        return (f"{self.name}: correlated with {self.partner} "
-                f"(r={self.r:.4g})")
 
 
 @dataclass

@@ -387,7 +387,7 @@ class TestGrow:
         data = make_dataset({"x": [1.0, 2.0, 3.0]}, [1, 1, 1])
         tree = grow(data)
         assert tree.feature.tolist() == [-1]
-        assert tree.predicted_class[0] == 1
+        assert assign_leaf(tree.counts[0])[0] == 1
 
     def test_min_node_size_stops_growth(self):
         data = make_dataset(
@@ -406,10 +406,10 @@ class TestGrow:
         data = make_dataset(
             {"x": [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]}, [0, 0, 0, 1, 0, 1])
         tree = grow(data, config=CartConfig(min_node_size=1))
-        assert tree.counts[0] == (4, 2)
+        assert tree.counts[0].tolist() == [4, 2]
         for i in np.flatnonzero(tree.feature < 0):
-            assert tree.positive_proportion[i] == (
-                tree.counts[i][1] / tree.n[i])
+            c0, c1 = tree.counts[i].tolist()
+            assert assign_leaf(tree.counts[i])[1] == c1 / (c0 + c1)
 
     def test_row_order_invariance(self):
         rng = np.random.default_rng(24)
@@ -435,7 +435,7 @@ class TestGrow:
     def test_leaf_tie_predicts_zero(self):
         data = make_dataset({"x": [1.0, 1.0]}, [0, 1])
         tree = grow(data)
-        assert tree.predicted_class[0] == 0
+        assert assign_leaf(tree.counts[0])[0] == 0
 
 
 def deeper_code_dataset():
@@ -705,6 +705,31 @@ class TestSerialization:
         with pytest.raises(MalformedDocumentError, match=message):
             deserialize(json.dumps(doc))
 
+    @staticmethod
+    def leaf_of(n, ones):
+        """A one-leaf model of n training rows, ones of them class 1."""
+        doc = json.loads(serialize(grow(make_dataset({"x": [1.0]}, [0]))))
+        c, p1 = assign_leaf([n - ones, ones])
+        doc["n_training_rows"] = n
+        doc["nodes"][0].update({"n": n, "counts": [n - ones, ones],
+                                "class": c, "p1": p1})
+        return json.dumps(doc)
+
+    def test_n_of_2_to_the_53_loads_and_scores_exactly(self):
+        n = 2 ** 53
+        tree = deserialize(self.leaf_of(n, n - 1))
+        assert tree.counts.tolist() == [[1, n - 1]]
+        classes, scores = predict_dataset(tree, make_dataset({"x": [5.0]},
+                                                             [None]))
+        assert classes.tolist() == [1]
+        assert scores.tolist() == [(n - 1) / n]
+
+    def test_n_above_2_to_the_53_rejected(self):
+        n = 2 ** 53 + 1
+        with pytest.raises(MalformedDocumentError,
+                           match=f"^node 0 has n {n}, above 2\\*\\*53$"):
+            deserialize(self.leaf_of(n, 1))
+
     @pytest.mark.parametrize("value", [23, 25, -3])
     def test_n_training_rows_other_than_the_root_n_rejected(self, value):
         text = serialize(grow(deeper_code_dataset(),
@@ -819,7 +844,8 @@ class TestPredict:
                              kinds={"c": CATEGORICAL}, levels={"c": 3})
         with pytest.warns(UnseenCategoryWarning):
             predicted, _ = predict_dataset(tree, fresh)
-        assert predicted.tolist() == [tree.predicted_class[tree.right[0]]]
+        right = assign_leaf(tree.counts[tree.right[0]])[0]
+        assert predicted.tolist() == [right]
 
     def test_scores_are_leaf_proportions(self):
         data = make_dataset(
@@ -856,7 +882,7 @@ class TestPredict:
             "code 3 of 'c' is absent from the training rows of node 0; "
             "routing right",
         ]
-        right = tree.predicted_class[tree.right[0]]
+        right = assign_leaf(tree.counts[tree.right[0]])[0]
         assert classes.tolist() == [right, right, 1, right]
 
     def test_code_absent_from_a_deeper_node_names_that_node(self):
@@ -997,12 +1023,17 @@ def test_tree_agreement_property(seed, min_node_size, max_depth, min_decrease):
 
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
 def test_loaded_tree_renders_and_predicts_as_grown(seed, min_node_size):
-    """deserialize(serialize(t)) holds t's node table: it renders the
-    same bytes and predicts the same arrays."""
+    """deserialize(serialize(t)) holds t's node table: it holds the same
+    counts and schema, renders the same bytes and predicts the same
+    arrays."""
     rng = np.random.default_rng(seed)
     data = random_mixed_dataset(rng, max_rows=40)
     tree = grow(data, config=CartConfig(min_node_size=min_node_size))
     loaded = deserialize(serialize(tree))
+    assert loaded.counts.dtype == tree.counts.dtype
+    assert loaded.counts.shape == tree.counts.shape
+    assert loaded.counts.tolist() == tree.counts.tolist()
+    assert loaded.schema == tree.schema
     for render in (serialize, export_dot, export_text):
         assert render(loaded) == render(tree)
     pairs = zip(predict_dataset(tree, data), predict_dataset(loaded, data))
@@ -1047,7 +1078,7 @@ def test_router_matches_row_by_row_reference_property(seed, min_node_size):
             message = str(exc)
     if error is None:
         assert message is None and found == leaves
-        names = [name for name, _, _ in tree.fingerprint[:-1]]
+        names = tree.schema.names
         assert [str(w.message) for w in caught] == [
             f"code {code} of {names[j]!r} is absent from the training rows "
             f"of node {i}; routing right"

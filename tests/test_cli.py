@@ -903,6 +903,31 @@ class TestPipelineCommand:
         assert not out.exists()
         assert "unknown config key 'mode'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("min-node-size", 0, "min_node_size must be at least 1"),
+        ("min-node-size", 9, "min_node_size 9 exceeds 5; pass the "
+                             "large-min-node override to allow it"),
+        ("max-depth", -1, "max_depth cannot be negative"),
+        ("min-gini-decrease", -1, "min_gini_decrease cannot be negative"),
+        ("alpha", 2, "alpha must lie inside (0, 1)"),
+    ])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_bad_setting_refused_before_any_stage(self, workdir, capsys, key,
+                                                  value, message, given):
+        """A tree setting train would refuse stops pipeline, as a bad
+        screen setting does, before encode runs or the out directory is
+        made."""
+        source = make_synthetic(workdir, rows=200, seed=3)
+        extra = [f"--{key}", str(value)]
+        if given == "config":
+            config = workdir / "settings.json"
+            config.write_text(json.dumps({key: value}))
+            extra = ["--config", str(config)]
+        out = workdir / "run"
+        assert run_pipeline_into(out, source, extra) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"solvency pipeline: {message}\n"
+
 
 def counted_deserialize(monkeypatch):
     """The texts cart.deserialize is called on from now on."""
