@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from itertools import zip_longest
@@ -36,6 +35,7 @@ from .dataset import (
     Dataset,
     FeatureSpec,
     Schema,
+    json_number,
     not_whole,
     whole_codes,
 )
@@ -529,22 +529,21 @@ def predict_dataset(tree: CartTree, data: Dataset):
     return classes[leaf], p1[leaf]
 
 
-def _schema_difference(ours: tuple, trained: tuple) -> str:
+def _schema_difference(ours: Schema, trained: Schema) -> str:
     """The first feature, else the target, in which a dataset's schema
-    fingerprint differs from a tree's, told on both sides."""
-    def told(feature):
-        if feature is None:
+    differs from a tree's, told on both sides."""
+    def told(f):
+        if f is None:
             return "absent"
-        name, kind, levels = feature
-        return f"{name!r} ({kind}" + (
-            f", {levels} levels)" if kind == CATEGORICAL else ")")
-    pairs = zip_longest(ours[:-1], trained[:-1])
+        return f"{f.name!r} ({f.kind}" + (
+            f", {f.levels} levels)" if f.kind == CATEGORICAL else ")")
+    pairs = zip_longest(ours.features, trained.features)
     for i, (mine, theirs) in enumerate(pairs):
         if mine != theirs:
             return (f"feature {i} is {told(mine)} in the data and "
                     f"{told(theirs)} in the tree")
-    return (f"the target is {ours[-1]!r} in the data and {trained[-1]!r} "
-            "in the tree")
+    return (f"the target is {ours.target!r} in the data and "
+            f"{trained.target!r} in the tree")
 
 
 def _leaf_index(tree: CartTree, data: Dataset) -> np.ndarray:
@@ -564,8 +563,7 @@ def _leaf_index(tree: CartTree, data: Dataset) -> np.ndarray:
     if data.schema != tree.schema:
         raise SchemaMismatchError(
             "dataset schema differs from the tree's training schema: "
-            + _schema_difference(data.schema.fingerprint(),
-                                 tree.schema.fingerprint()))
+            + _schema_difference(data.schema, tree.schema))
     names = tree.schema.names
     X, width = data.X.ravel(), data.X.shape[1]
     categorical = np.isnan(tree.threshold) & (tree.feature >= 0)
@@ -727,6 +725,8 @@ def deserialize(text: str) -> CartTree:
     except json.JSONDecodeError as exc:
         raise MalformedDocumentError(
             f"not valid JSON at position {exc.pos}: {exc.msg}") from None
+    except RecursionError:
+        raise MalformedDocumentError("JSON nests too deeply to read") from None
     if not isinstance(doc, dict):
         raise MalformedDocumentError("document root must be an object")
     version = doc.get("format")
@@ -742,7 +742,7 @@ def deserialize(text: str) -> CartTree:
     try:
         limits = cfg["min_node_size"], cfg["max_depth"]
         if not (type(limits[0]) is type(limits[1]) is int
-                and _number(cfg["min_gini_decrease"])):
+                and json_number(cfg["min_gini_decrease"])):
             raise TypeError("min_node_size and max_depth must be whole "
                             "numbers and min_gini_decrease a finite number")
         if cfg["mode"] != CLASSIFICATION:
@@ -838,17 +838,12 @@ def deserialize(text: str) -> CartTree:
                     counts=counts, schema=schema, config=config)
 
 
-def _number(value) -> bool:
-    """Whether a parsed JSON value is a number that a float holds; int
-    and float compare exactly, and NaN compares false."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
-
-
 #: What each value field of a node record must hold, and its test.
 _VALUES = {
     "class": ("0 or 1", lambda v: type(v) is int and v in (0, 1)),
-    "p1": ("a finite number in [0, 1]", lambda v: _number(v) and 0 <= v <= 1),
-    "threshold": ("a finite number", _number),
+    "p1": ("a finite number in [0, 1]",
+           lambda v: json_number(v) and 0 <= v <= 1),
+    "threshold": ("a finite number", json_number),
     "subset": ("a list of whole numbers",
                lambda v: type(v) is list and all(type(c) is int for c in v)),
 }

@@ -151,6 +151,8 @@ def load_config_file(path: str) -> dict:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from None
+        except RecursionError:
+            raise ConfigError(f"config file {path} nests too deeply") from None
     if not isinstance(doc, dict):
         raise ConfigError("config file must hold a JSON object")
     return doc
@@ -301,7 +303,7 @@ def _screened_variables(cfg: PipelineConfig, data: Dataset) -> list[str]:
         with open(path, encoding="utf-8") as fh:
             try:
                 names = json.load(fh)["kept"]
-            except (ValueError, TypeError, KeyError):
+            except (ValueError, TypeError, KeyError, RecursionError):
                 names = None
         if not (isinstance(names, list)
                 and all(isinstance(name, str) for name in names)):

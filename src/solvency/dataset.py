@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import os
 import re
+import sys
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
 from itertools import islice, repeat
@@ -101,11 +102,6 @@ class Schema:
             if f.name == name:
                 return f
         raise KeyError(name)
-
-    def fingerprint(self) -> tuple:
-        """Hashable identity used to refuse mismatched model/data pairs."""
-        return tuple((f.name, f.kind, f.levels) for f in self.features) + (
-            self.target,)
 
     def __repr__(self):
         kinds = ", ".join(f"{f.name}:{f.kind[0]}" for f in self.features)
@@ -228,6 +224,12 @@ DEFAULT_CODEBOOK = CodeBook({
         "Lower secondary": 4,
     },
 })
+
+
+def json_number(value) -> bool:
+    """Whether a parsed JSON value is a number that a float holds; int
+    and float compare exactly, and NaN compares false."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def not_whole(values: np.ndarray) -> np.ndarray:
@@ -354,12 +356,26 @@ class OutlierRule:
     def fences(self, values: np.ndarray) -> tuple[float, float]:
         """Inclusive [low, high] range of acceptable values."""
         if self.method == "iqr":
-            q1, q3 = np.percentile(values, [25.0, 75.0])
+            q1, q3 = _quartiles(values)
             spread = self.multiplier * (q3 - q1)
             return q1 - spread, q3 + spread
         mean = float(values.mean())
         sd = float(values.std())
         return mean - self.z_threshold * sd, mean + self.z_threshold * sd
+
+
+def _quartiles(values: np.ndarray) -> np.ndarray:
+    """np.percentile(values, [25.0, 75.0]) of NaN-free values, bit for
+    bit, without the np.unique call that imports numpy.ma."""
+    last = values.size - 1
+    at = last * np.array([0.25, 0.75])
+    # numpy's: the top position's lower neighbour is -1 (so t = 1), and
+    # its partition points, which place 0.0 and -0.0 as numpy does
+    below = np.minimum(np.floor(at), last - 1).astype(np.intp)
+    ordered = np.partition(values, sorted({0, -1, *below, *(below + 1)}))
+    a, b = ordered[below], ordered[below + 1]
+    t = at - below
+    return np.where(t >= 0.5, b - (b - a) * (1 - t), a + (b - a) * t)
 
 
 def load_csv(

@@ -4,6 +4,7 @@ Labels are the planted rule's verdict XORed with Bernoulli(noise)
 flips.  All randomness comes from numpy's default PCG64 generator
 seeded with the single spec seed; feature columns are drawn in schema
 order, then the flip vector, so equal specs give byte-equal datasets.
+The planted rule is held in its JSON form (see check_rule).
 """
 
 from __future__ import annotations
@@ -12,45 +13,73 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import CATEGORICAL, NUMERIC, Dataset, FeatureSpec, Schema
+from .dataset import (CATEGORICAL, NUMERIC, Dataset, FeatureSpec, Schema,
+                      json_number)
 from .errors import ConfigError
 
 
-@dataclass(frozen=True)
-class RuleNode:
-    """Planted rule tree; label is set on leaves, feature on splits."""
+def _is_leaf(rule) -> bool:
+    return not isinstance(rule, dict) or "label" in rule
 
-    feature: str | None = None
-    threshold: float | None = None
-    subset: frozenset[int] | None = None
-    left: "RuleNode | None" = None
-    right: "RuleNode | None" = None
-    label: int | None = None
 
-    @classmethod
-    def leaf(cls, label: int) -> "RuleNode":
-        return cls(label=label)
+def _label(rule):
+    return rule["label"] if isinstance(rule, dict) else rule
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.label is not None
 
-    def depth(self) -> int:
-        if self.is_leaf:
-            return 0
-        return 1 + max(self.left.depth(), self.right.depth())
+def check_rule(rule, schema: Schema, depth: int = 0) -> None:
+    """Refuse with ConfigError a planted rule not in its JSON form over
+    schema's features, or stacking more than 3 splits on a path.  A leaf
+    is 0, 1 or {"label": 0 | 1}; a split {"feature", "threshold" |
+    "subset", "left", "right"} sends left the rows whose value is at
+    most the threshold, or is a code in the subset."""
+    if _is_leaf(rule):
+        label = _label(rule)
+        if not (type(label) is int and label in (0, 1)):
+            raise ConfigError(
+                f"rule leaves must be class 0 or 1, not {label!r}")
+        return
+    if depth == 3:
+        raise ConfigError("planted rule depth cannot exceed 3")
+    name = rule.get("feature")
+    if name not in schema.names:
+        raise ConfigError(f"rule references unknown feature {name!r}")
+    spec = schema[name]
+    if (("threshold" in rule) == ("subset" in rule)
+            or "left" not in rule or "right" not in rule):
+        raise ConfigError(f"rule split on {name!r} needs 'left', 'right' "
+                          "and one of 'threshold' and 'subset'")
+    if "threshold" in rule:
+        if spec.kind != NUMERIC:
+            raise ConfigError(f"threshold rule on categorical {name!r}")
+        if not json_number(rule["threshold"]):
+            raise ConfigError(f"rule threshold on {name!r} must be a finite "
+                              f"number, not {rule['threshold']!r}")
+    else:
+        if spec.kind != CATEGORICAL:
+            raise ConfigError(f"subset rule on numeric {name!r}")
+        subset, codes = rule["subset"], _codes_for(spec)
+        if not (type(subset) is list
+                and all(type(c) is int and c in codes for c in subset)):
+            raise ConfigError(
+                f"rule subset on {name!r} must be a list of its codes "
+                f"{codes.start}..{codes.stop - 1}, not {subset!r}")
+    check_rule(rule["left"], schema, depth + 1)
+    check_rule(rule["right"], schema, depth + 1)
 
-    def evaluate(self, columns: dict[str, np.ndarray]) -> np.ndarray:
-        if self.is_leaf:
-            some = next(iter(columns.values()))
-            return np.full(some.shape[0], self.label, dtype=int)
-        col = columns[self.feature]
-        if self.threshold is not None:
-            mask = col <= self.threshold
-        else:
-            mask = np.isin(col.astype(int), sorted(self.subset))
-        return np.where(mask, self.left.evaluate(columns),
-                        self.right.evaluate(columns))
+
+def planted_labels(rule, columns: dict[str, np.ndarray],
+                   n: int) -> np.ndarray:
+    """The class a checked planted rule gives each of n rows; columns
+    maps each feature it tests to the rows' values."""
+    if _is_leaf(rule):
+        return np.full(n, _label(rule), dtype=int)
+    values = columns[rule["feature"]]
+    if "threshold" in rule:
+        left = values <= float(rule["threshold"])
+    else:
+        left = np.isin(values.astype(int), rule["subset"])
+    return np.where(left, planted_labels(rule["left"], columns, n),
+                    planted_labels(rule["right"], columns, n))
 
 
 @dataclass
@@ -59,7 +88,7 @@ class SynthSpec:
 
     n_rows: int
     schema: Schema
-    rule: RuleNode
+    rule: dict | int
     noise: float = 0.0
     seed: int = 0
     ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
@@ -69,43 +98,15 @@ class SynthSpec:
             raise ConfigError("n_rows must be positive")
         if not 0.0 <= self.noise < 0.5:
             raise ConfigError("noise must lie in [0, 0.5)")
-        if self.rule.depth() > 3:
-            raise ConfigError("planted rule depth cannot exceed 3")
-        self._validate_rule(self.rule)
+        if not 0 <= self.seed < 2 ** 64:
+            raise ConfigError("seed must fit in 64 unsigned bits")
+        check_rule(self.rule, self.schema)
         for name, (low, high) in self.ranges.items():
             spec = self.schema[name]
             if spec.kind != NUMERIC:
                 raise ConfigError(f"range given for categorical {name!r}")
             if not low < high:
                 raise ConfigError(f"empty range for {name!r}")
-
-    def _validate_rule(self, node: RuleNode) -> None:
-        if node.is_leaf:
-            if node.label not in (0, 1):
-                raise ConfigError("rule leaves must be class 0 or 1")
-            return
-        try:
-            spec = self.schema[node.feature]
-        except KeyError:
-            raise ConfigError(
-                f"rule references unknown feature {node.feature!r}")
-        if node.threshold is not None:
-            if spec.kind != NUMERIC:
-                raise ConfigError(
-                    f"threshold rule on categorical {node.feature!r}")
-        elif node.subset is not None:
-            if spec.kind != CATEGORICAL:
-                raise ConfigError(f"subset rule on numeric {node.feature!r}")
-            if not node.subset <= set(_codes_for(spec)):
-                raise ConfigError(
-                    f"rule subset {sorted(node.subset)} outside the codes "
-                    f"of {node.feature!r}")
-        else:
-            raise ConfigError("rule split needs a threshold or a subset")
-        if node.left is None or node.right is None:
-            raise ConfigError("rule split needs both children")
-        self._validate_rule(node.left)
-        self._validate_rule(node.right)
 
 
 def _codes_for(spec: FeatureSpec) -> range:
@@ -125,8 +126,8 @@ def generate(spec: SynthSpec) -> Dataset:
         else:
             codes = _codes_for(f)
             X[:, f.index] = rng.integers(codes.start, codes.stop, n)
-    base = spec.rule.evaluate({f.name: X[:, f.index]
-                               for f in spec.schema.features})
+    base = planted_labels(spec.rule, {f.name: X[:, f.index]
+                                      for f in spec.schema.features}, n)
     flips = rng.random(n) < spec.noise
     return Dataset(spec.schema, X, np.where(flips, 1 - base, base))
 
@@ -161,19 +162,12 @@ def default_schema() -> Schema:
     ], target="TARGET")
 
 
-def default_rule() -> RuleNode:
+def default_rule() -> dict:
     """Depth-2 planted rule: modest income and modest credit mean 1."""
-    return RuleNode(
-        feature="AMT_INCOME_TOTAL",
-        threshold=137_500.0,
-        left=RuleNode(
-            feature="AMT_CREDIT",
-            threshold=522_500.0,
-            left=RuleNode.leaf(1),
-            right=RuleNode.leaf(0),
-        ),
-        right=RuleNode.leaf(0),
-    )
+    return {"feature": "AMT_INCOME_TOTAL", "threshold": 137_500.0,
+            "left": {"feature": "AMT_CREDIT", "threshold": 522_500.0,
+                     "left": 1, "right": 0},
+            "right": 0}
 
 
 def default_spec(n_rows: int = 4000, seed: int = 0,
@@ -188,62 +182,50 @@ def default_spec(n_rows: int = 4000, seed: int = 0,
     )
 
 
-def rule_from_doc(doc) -> RuleNode:
-    """Planted rule from its JSON form; bare ints are leaves."""
-    if isinstance(doc, int):
-        return RuleNode.leaf(doc)
-    if isinstance(doc, dict) and "label" in doc:
-        return RuleNode.leaf(int(doc["label"]))
-    if not isinstance(doc, dict) or "feature" not in doc:
-        raise ConfigError(f"bad rule node: {doc!r}")
-    subset = doc.get("subset")
-    return RuleNode(
-        feature=doc["feature"],
-        threshold=(float(doc["threshold"])
-                   if doc.get("threshold") is not None else None),
-        subset=frozenset(int(c) for c in subset) if subset is not None else None,
-        left=rule_from_doc(doc["left"]),
-        right=rule_from_doc(doc["right"]),
-    )
+def _value(doc: dict, key: str, default, kind: type, owner: str = "synth"):
+    """doc[key], else default; ConfigError naming the key unless it has
+    the JSON type kind: int, float (a finite number, or int), str or list."""
+    value = doc.get(key, default)
+    if not (json_number(value) if kind is float else type(value) is kind):
+        words = {int: "an integer", float: "a finite number",
+                 str: "a string", list: "a list"}[kind]
+        raise ConfigError(f"{owner} key {key!r} must be {words}, "
+                          f"not {value!r}")
+    return value
 
 
 def spec_from_doc(doc: dict) -> SynthSpec:
-    """SynthSpec from a JSON object; omitted parts fall back to the
-    bundled credit-shaped defaults."""
+    """SynthSpec from a JSON object, each value of its JSON type; omitted
+    parts fall back to the bundled credit-shaped defaults."""
     if not isinstance(doc, dict):
         raise ConfigError("synth spec must be a JSON object")
+    schema, ranges = default_schema(), dict(DEFAULT_RANGES)
     if "features" in doc:
-        features = []
-        ranges = {}
-        for f in doc["features"]:
-            try:
-                name, kind = f["name"], f["kind"]
-            except (KeyError, TypeError):
-                raise ConfigError(f"bad feature entry: {f!r}") from None
-            if kind == NUMERIC:
-                features.append(FeatureSpec(name, NUMERIC))
-                if "low" in f or "high" in f:
-                    ranges[name] = (float(f.get("low", 0.0)),
-                                    float(f.get("high", 1.0)))
-            elif kind == CATEGORICAL:
-                features.append(
-                    FeatureSpec(name, CATEGORICAL,
-                                levels=int(f.get("levels", 2))))
-            else:
-                raise ConfigError(f"unknown feature kind {kind!r}")
-        schema = Schema(features, doc.get("target", "TARGET"))
-    else:
-        schema = default_schema()
-        ranges = dict(DEFAULT_RANGES)
-    rule = (rule_from_doc(doc["rule"]) if "rule" in doc else default_rule())
-    try:
-        return SynthSpec(
-            n_rows=int(doc.get("n_rows", 4000)),
-            schema=schema,
-            rule=rule,
-            noise=float(doc.get("noise", 0.0)),
-            seed=int(doc.get("seed", 0)),
-            ranges=ranges,
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad synth spec: {exc}") from None
+        features, ranges = [], {}
+        try:
+            for f in _value(doc, "features", None, list):
+                if not isinstance(f, dict):
+                    raise ConfigError(f"bad feature entry: {f!r}")
+                name = _value(f, "name", None, str, "synth feature")
+                owner = f"synth feature {name!r}"
+                if any(g.name == name for g in features):
+                    raise ConfigError(f"{owner} is listed twice")
+                kind = f.get("kind")
+                if kind == NUMERIC and ("low" in f or "high" in f):
+                    ranges[name] = (
+                        float(_value(f, "low", 0.0, float, owner)),
+                        float(_value(f, "high", 1.0, float, owner)))
+                levels = (_value(f, "levels", 2, int, owner)
+                          if kind == CATEGORICAL else None)
+                features.append(FeatureSpec(name, kind, levels))
+            schema = Schema(features, _value(doc, "target", "TARGET", str))
+        except ValueError as exc:  # FeatureSpec's or Schema's refusal
+            raise ConfigError(str(exc)) from None
+    return SynthSpec(
+        n_rows=_value(doc, "n_rows", 4000, int),
+        schema=schema,
+        rule=doc.get("rule", default_rule()),
+        noise=float(_value(doc, "noise", 0.0, float)),
+        seed=_value(doc, "seed", 0, int),
+        ranges=ranges,
+    )

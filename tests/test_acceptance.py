@@ -40,7 +40,7 @@ from solvency.screening import (
     pearson_matrix,
     screen,
 )
-from solvency.synth import RuleNode
+from solvency.synth import planted_labels
 
 
 def test_01_error_rates_from_reference_confusion_matrix(solvency_confusion):
@@ -249,11 +249,10 @@ def _grid_rule_dataset(seed, n=1500):
     rng = np.random.default_rng(seed)
     income = 5000.0 * rng.integers(5, 51, n)
     credit = 25000.0 * rng.integers(2, 41, n)
-    rule = RuleNode(
-        feature="AMT_INCOME_TOTAL", threshold=137_500.0,
-        left=RuleNode(feature="AMT_CREDIT", threshold=512_500.0,
-                      left=RuleNode.leaf(1), right=RuleNode.leaf(0)),
-        right=RuleNode.leaf(0))
+    rule = {"feature": "AMT_INCOME_TOTAL", "threshold": 137_500.0,
+            "left": {"feature": "AMT_CREDIT", "threshold": 512_500.0,
+                     "left": 1, "right": 0},
+            "right": 0}
     columns = {
         "NAME_CONTRACT_TYPE": rng.integers(0, 2, n).tolist(),
         "AMT_INCOME_TOTAL": income.tolist(),
@@ -261,8 +260,8 @@ def _grid_rule_dataset(seed, n=1500):
         "AMT_ANNUITY": rng.uniform(2_000.0, 60_000.0, n).tolist(),
         "NAME_HOUSING_TYPE": rng.integers(1, 7, n).tolist(),
     }
-    labels = rule.evaluate({"AMT_INCOME_TOTAL": income,
-                            "AMT_CREDIT": credit})
+    labels = planted_labels(rule, {"AMT_INCOME_TOTAL": income,
+                                   "AMT_CREDIT": credit}, n)
     return make_dataset(columns, [int(v) for v in labels],
                         kinds={"NAME_CONTRACT_TYPE": CATEGORICAL,
                                "NAME_HOUSING_TYPE": CATEGORICAL},

@@ -6,11 +6,13 @@ these tests double as integration coverage of the whole package.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from solvency import cart, cli, screening
@@ -93,6 +95,82 @@ class TestSynthCommand:
                      "--out", str(workdir)]) == 0
         assert len((workdir / "synthetic.csv")
                    .read_text().splitlines()) == 41
+
+    def test_digests_pinned(self, workdir):
+        """synthetic.csv of a noisy run and of the README's config
+        example, as recorded before the planted rule was held as its
+        JSON form."""
+        assert main(synth_args(workdir / "a", rows=500, seed=3,
+                               noise=0.1)) == 0
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({
+            "alpha": 0.01, "r-threshold": 0.9, "min-node-size": 1,
+            "synth": {"n_rows": 500, "noise": 0.1,
+                      "rule": {"feature": "AMT_CREDIT", "threshold": 300000,
+                               "left": 1, "right": 0}}}))
+        assert main(["synth", "--config", str(cfg),
+                     "--out", str(workdir / "b")]) == 0
+        digests = [hashlib.sha256((workdir / run / "synthetic.csv")
+                                  .read_bytes()).hexdigest()
+                   for run in ("a", "b")]
+        assert digests == [
+            "3ecb8ae88ad9d2c5b4b23c715dc2d216523e9f90ee499d63102fdff36683f831",
+            "0f73a3a0203a59bff88adf21d5ace1d239943a01b31abcc5254f509fe1ad7fb2",
+        ]
+
+    @pytest.mark.parametrize("spec, found", [
+        ({"rule": {"feature": "AMT_CREDIT", "threshold": 1, "left": 0}},
+         "rule split on 'AMT_CREDIT' needs 'left', 'right' and one of "
+         "'threshold' and 'subset'"),
+        ({"rule": {"feature": "NAME_HOUSING_TYPE", "subset": ["x"],
+                   "left": 1, "right": 0}},
+         "rule subset on 'NAME_HOUSING_TYPE' must be a list of its codes "
+         "1..6, not ['x']"),
+        ({"rule": {"feature": "NAME_HOUSING_TYPE", "subset": 3,
+                   "left": 1, "right": 0}},
+         "rule subset on 'NAME_HOUSING_TYPE' must be a list of its codes "
+         "1..6, not 3"),
+        ({"features": 3}, "synth key 'features' must be a list, not 3"),
+        ({"features": [{"name": 5, "kind": "numeric"}], "rule": 0},
+         "synth feature key 'name' must be a string, not 5"),
+        ({"features": [{"name": "x", "kind": "numeric", "low": "x"}],
+          "rule": 0},
+         "synth feature 'x' key 'low' must be a finite number, not 'x'"),
+        ({"features": [{"name": "c", "kind": "categorical", "levels": 1}],
+          "rule": 0},
+         "categorical feature 'c' needs >= 2 levels"),
+        ({"features": [{"name": "a", "kind": "numeric"},
+                       {"name": "a", "kind": "numeric"}], "rule": 0},
+         "synth feature 'a' is listed twice"),
+        ({"seed": -1}, "seed must fit in 64 unsigned bits"),
+        ({"rule": {"label": 1.5}},
+         "rule leaves must be class 0 or 1, not 1.5"),
+        ({"rule": True}, "rule leaves must be class 0 or 1, not True"),
+        ({"features": [{"name": "c", "kind": "categorical", "levels": "3"}],
+          "rule": 0},
+         "synth feature 'c' key 'levels' must be an integer, not '3'"),
+        ({"features": [{"name": "x", "kind": "numeric"}], "target": 5,
+          "rule": 0},
+         "synth key 'target' must be a string, not 5"),
+        ({"n_rows": 100.9},
+         "synth key 'n_rows' must be an integer, not 100.9"),
+        ({"rule": {"feature": "AMT_CREDIT", "threshold": 1, "subset": [1],
+                   "left": 0, "right": 1}},
+         "rule split on 'AMT_CREDIT' needs 'left', 'right' and one of "
+         "'threshold' and 'subset'"),
+    ], ids=["no-right", "subset-text", "subset-number", "features-number",
+            "name-number", "low-text", "one-level", "twice-named",
+            "negative-seed", "fractional-label", "bool-rule", "levels-text",
+            "target-number", "fractional-rows", "threshold-and-subset"])
+    def test_malformed_spec_exits_2(self, workdir, capsys, spec, found):
+        """Each value is refused with one line naming it, before any
+        file is written, and never coerced."""
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({"synth": spec}))
+        assert main(["synth", "--config", str(cfg),
+                     "--out", str(workdir / "out")]) == 2
+        assert capsys.readouterr().err == f"solvency synth: {found}\n"
+        assert not (workdir / "out" / "synthetic.csv").exists()
 
 
 class TestEncodeCommand:
@@ -743,17 +821,55 @@ def test_repeated_header_column_exits_3(workdir, capsys, command):
     assert f"{source} names column 'a' more than once" in err
 
 
-def run_module(*args, warnings="error"):
-    """python -W <warnings> -m solvency.cli with the given arguments, run
-    on this checkout's package."""
+@pytest.mark.parametrize("command, flag, code, found", [
+    ("synth", "--config", 2, "config file {} nests too deeply"),
+    ("train", "--screening", 2, "screening file {} holds no JSON object "
+     "with a 'kept' list of variable names"),
+    ("predict", "--model", 3, "model {}: JSON nests too deeply to read"),
+], ids=["config", "screening", "model"])
+def test_deeply_nested_json_refused(workdir, capsys, command, flag, code,
+                                    found):
+    """JSON nested past Python's recursion limit is refused like other
+    unreadable JSON, naming the file, not as a RecursionError."""
+    deep = workdir / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    args = [command, flag, str(deep), "--out", str(workdir / "out")]
+    if command != "synth":
+        args += ["--input", str(make_synthetic(workdir))]
+    assert main(args) == code
+    assert capsys.readouterr().err == \
+        f"solvency {command}: {found.format(deep)}\n"
+
+
+def run_python(*args, warnings="error"):
+    """python -W <warnings> with the given arguments, run on this
+    checkout's package."""
     src = os.path.join(os.path.dirname(os.path.dirname(
         os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    return subprocess.run(
-        [sys.executable, "-W", warnings, "-m", "solvency.cli", *args],
-        capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, "-W", warnings, *args],
+                          capture_output=True, text=True, env=env,
+                          timeout=60)
+
+
+def run_module(*args, warnings="error"):
+    """python -W <warnings> -m solvency.cli with the given arguments."""
+    return run_python("-m", "solvency.cli", *args, warnings=warnings)
+
+
+@pytest.mark.skipif(np.__version__.startswith("1."),
+                    reason="numpy 1.x imports numpy.ma with numpy")
+def test_pipeline_imports_no_numpy_ma(workdir):
+    """clean's IQR fences do without np.percentile, whose np.unique
+    imports numpy.ma, tens of milliseconds on every run."""
+    source = make_synthetic(workdir, rows=400, seed=3, noise=0.1)
+    argv = ["pipeline", "--input", str(source), "--out", str(workdir)]
+    proc = run_python("-c", "import sys; from solvency.cli import main; "
+                      f"code = main({argv!r}); "
+                      "print(code, 'numpy.ma' in sys.modules)")
+    assert proc.stdout.splitlines()[-1] == "0 False", proc.stderr
 
 
 def run_pipeline_into(out, source, extra=()):

@@ -1,5 +1,7 @@
 """Seeded synthetic data generation with a planted labeling rule."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -8,13 +10,13 @@ from solvency.dataset import CATEGORICAL, NUMERIC, FeatureSpec, Schema, write_cs
 from solvency.errors import ConfigError
 from solvency.synth import (
     DEFAULT_RANGES,
-    RuleNode,
     SynthSpec,
+    check_rule,
     default_rule,
     default_schema,
     default_spec,
     generate,
-    rule_from_doc,
+    planted_labels,
     spec_from_doc,
 )
 
@@ -26,12 +28,22 @@ def tiny_schema():
     ], target="y")
 
 
+def split(feature, left=1, right=0, **test):
+    """A planted rule split in its JSON form."""
+    return {"feature": feature, **test, "left": left, "right": right}
+
+
+def depth(rule):
+    if not isinstance(rule, dict) or "label" in rule:
+        return 0
+    return 1 + max(depth(rule["left"]), depth(rule["right"]))
+
+
 def tiny_spec(**overrides):
     params = dict(
         n_rows=200,
         schema=tiny_schema(),
-        rule=RuleNode(feature="income", threshold=0.5,
-                      left=RuleNode.leaf(1), right=RuleNode.leaf(0)),
+        rule=split("income", threshold=0.5),
         ranges={"income": (0.0, 1.0)},
     )
     params.update(overrides)
@@ -62,7 +74,7 @@ class TestLabels:
         data = generate(spec)
         columns = {f.name: data.X[:, f.index].copy()
                    for f in spec.schema.features}
-        expected = spec.rule.evaluate(columns)
+        expected = planted_labels(spec.rule, columns, spec.n_rows)
         actual = data.y
         assert np.array_equal(actual, expected)
 
@@ -106,7 +118,8 @@ class TestDrawnValues:
         assert len(schema.features) == 13
         assert schema.target == "TARGET"
         assert schema.features[0].name == "NAME_CONTRACT_TYPE"
-        assert default_rule().depth() == 2
+        assert depth(default_rule()) == 2
+        check_rule(default_rule(), schema)
 
 
 class TestValidation:
@@ -122,42 +135,69 @@ class TestValidation:
         tiny_spec(noise=0.49)  # accepted
 
     def test_rule_depth_capped(self):
-        node = RuleNode.leaf(1)
+        node = 1
         for _ in range(4):
-            node = RuleNode(feature="income", threshold=0.5,
-                            left=node, right=RuleNode.leaf(0))
-        with pytest.raises(ConfigError):
+            node = split("income", left=node, threshold=0.5)
+        with pytest.raises(ConfigError, match="depth cannot exceed 3"):
+            tiny_spec(rule=node)
+        tiny_spec(rule=node["left"])  # depth 3 is accepted
+
+    def test_depth_check_stops_past_the_limit(self):
+        """A rule nested far past the limit is refused, not recursed
+        through."""
+        node = 1
+        for _ in range(100_000):
+            node = split("income", left=node, threshold=0.5)
+        with pytest.raises(ConfigError, match="depth cannot exceed 3"):
             tiny_spec(rule=node)
 
     def test_rule_unknown_feature(self):
-        rule = RuleNode(feature="balance", threshold=1.0,
-                        left=RuleNode.leaf(1), right=RuleNode.leaf(0))
         with pytest.raises(ConfigError):
-            tiny_spec(rule=rule)
+            tiny_spec(rule=split("balance", threshold=1.0))
 
     def test_threshold_on_categorical_rejected(self):
-        rule = RuleNode(feature="region", threshold=1.5,
-                        left=RuleNode.leaf(1), right=RuleNode.leaf(0))
         with pytest.raises(ConfigError):
-            tiny_spec(rule=rule)
+            tiny_spec(rule=split("region", threshold=1.5))
 
     def test_subset_on_numeric_rejected(self):
-        rule = RuleNode(feature="income", subset=frozenset({1}),
-                        left=RuleNode.leaf(1), right=RuleNode.leaf(0))
         with pytest.raises(ConfigError):
-            tiny_spec(rule=rule)
+            tiny_spec(rule=split("income", subset=[1]))
 
     def test_subset_codes_outside_levels_rejected(self):
-        rule = RuleNode(feature="region", subset=frozenset({4}),
-                        left=RuleNode.leaf(1), right=RuleNode.leaf(0))
         with pytest.raises(ConfigError):
-            tiny_spec(rule=rule)
+            tiny_spec(rule=split("region", subset=[4]))
 
     def test_leaf_label_must_be_binary(self):
-        rule = RuleNode(feature="income", threshold=0.5,
-                        left=RuleNode.leaf(2), right=RuleNode.leaf(0))
         with pytest.raises(ConfigError):
-            tiny_spec(rule=rule)
+            tiny_spec(rule=split("income", left=2, threshold=0.5))
+
+    @pytest.mark.parametrize("rule, found", [
+        (True, "class 0 or 1, not True"),
+        ({"label": 1.0}, "class 0 or 1, not 1.0"),
+        ({"label": {"label": 1}}, "class 0 or 1, not {'label': 1}"),
+        (None, "class 0 or 1, not None"),
+        (split(5, threshold=0.5), "unknown feature 5"),
+        ({"threshold": 0.5, "left": 1, "right": 0}, "unknown feature None"),
+        (split("income", threshold=0.5, subset=[1]), "one of 'threshold'"),
+        (split("income"), "one of 'threshold' and 'subset'"),
+        (split("income", threshold="0.5"), "finite number, not '0.5'"),
+        (split("income", threshold=float("nan")), "finite number, not nan"),
+        (split("income", threshold=10 ** 400), "finite number, not 1000"),
+        (split("income", threshold=True), "finite number, not True"),
+        (split("region", subset=[1.0]), "codes 1..3, not [1.0]"),
+        (split("region", subset=[True]), "codes 1..3, not [True]"),
+        (split("region", subset="1"), "codes 1..3, not '1'"),
+        (split("region", subset=[0, 3]), "codes 1..3, not [0, 3]"),
+        ({"feature": "income", "threshold": 0.5, "right": 0},
+         "needs 'left', 'right' and one of"),
+    ], ids=["bool-leaf", "float-label", "nested-label", "null-leaf",
+            "feature-number", "no-feature", "both-tests", "no-test",
+            "threshold-text", "threshold-nan", "threshold-huge",
+            "threshold-bool", "subset-float", "subset-bool", "subset-text",
+            "subset-code", "no-left"])
+    def test_malformed_rule_refused(self, rule, found):
+        with pytest.raises(ConfigError, match=re.escape(found)):
+            check_rule(rule, tiny_schema())
 
     def test_range_on_categorical_rejected(self):
         with pytest.raises(ConfigError):
@@ -178,18 +218,19 @@ class TestDocs:
             "right": {"feature": "income", "threshold": 0.25,
                       "left": 0, "right": 1},
         }
-        rule = rule_from_doc(doc)
-        assert rule.subset == frozenset({1, 3})
-        assert rule.left.label == 1
-        assert rule.right.threshold == 0.25
-        assert rule.right.left.label == 0
+        check_rule(doc, tiny_schema())
+        columns = {"region": np.array([1.0, 3.0, 2.0, 2.0, 2.0]),
+                   "income": np.array([0.9, 0.1, 0.1, 0.25, 0.3])}
+        assert planted_labels(doc, columns, 5).tolist() == [1, 1, 0, 0, 1]
 
     def test_bare_int_is_leaf(self):
-        assert rule_from_doc(1).label == 1
+        check_rule(1, tiny_schema())
+        assert planted_labels(1, {}, 3).tolist() == [1, 1, 1]
+        assert planted_labels({"label": 0}, {}, 2).tolist() == [0, 0]
 
     def test_bad_rule_doc(self):
         with pytest.raises(ConfigError):
-            rule_from_doc({"threshold": 0.5})
+            check_rule({"threshold": 0.5}, tiny_schema())
 
     def test_spec_defaults(self):
         spec = spec_from_doc({})
@@ -226,3 +267,37 @@ class TestDocs:
             spec_from_doc({"features": ["x"]})
         with pytest.raises(ConfigError):
             spec_from_doc({"n_rows": "many"})
+
+    @pytest.mark.parametrize("doc, found", [
+        ({"n_rows": True}, "'n_rows' must be an integer, not True"),
+        ({"seed": 1.0}, "'seed' must be an integer, not 1.0"),
+        ({"seed": 2 ** 64}, "seed must fit in 64 unsigned bits"),
+        ({"noise": "0.1"}, "'noise' must be a finite number, not '0.1'"),
+        ({"noise": float("nan")}, "'noise' must be a finite number, not nan"),
+        ({"features": {"x": "numeric"}}, "'features' must be a list"),
+        ({"features": [{"name": "x", "kind": "numeric", "high": None}]},
+         "feature 'x' key 'high' must be a finite number, not None"),
+        ({"features": [{"name": "x", "kind": "numeric", "low": 1e400}]},
+         "feature 'x' key 'low' must be a finite number, not inf"),
+        ({"features": [{"name": "c", "kind": "categorical",
+                        "levels": True}]},
+         "feature 'c' key 'levels' must be an integer, not True"),
+        ({"features": [{"name": "x"}]}, "unknown feature kind None"),
+        ({"features": [{"name": "x", "kind": "numeric"}], "target": "x"},
+         "target 'x' collides with a feature"),
+    ], ids=["rows-bool", "seed-float", "seed-too-big", "noise-text",
+            "noise-nan", "features-object", "high-null", "low-inf",
+            "levels-bool", "no-kind", "target-feature"])
+    def test_value_of_wrong_type_names_its_key(self, doc, found):
+        with pytest.raises(ConfigError, match=re.escape(found)):
+            spec_from_doc(doc)
+
+    def test_whole_numbers_serve_as_numbers(self):
+        spec = spec_from_doc({
+            "noise": 0, "features": [
+                {"name": "x", "kind": "numeric", "low": 1, "high": 3}],
+            "rule": {"feature": "x", "threshold": 2, "left": 1, "right": 0},
+        })
+        assert spec.noise == 0.0 and spec.ranges == {"x": (1.0, 3.0)}
+        data = generate(spec)
+        assert data.y.tolist() == [1 if x <= 2 else 0 for x in data.X[:, 0]]
