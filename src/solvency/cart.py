@@ -195,21 +195,17 @@ class _LevelScorer:
         self.slot = np.empty(len(self.specs), dtype=np.intp)
         self.slot[self.num] = np.arange(self.num.size)
         self.slot[self.cat] = np.arange(self.cat.size)
-        self.values = np.empty((self.num.size, data.n))
-        for j, f in enumerate(self.num):
-            self.values[j] = data.X[:, self.specs[f].index]
-        self.ranks = np.empty((self.cat.size, data.n), dtype=np.intp)
-        codes = []
-        for j, f in enumerate(self.cat):
-            c, self.ranks[j] = np.unique(data.codes(self.specs[f].name),
-                                         return_inverse=True)
-            codes.append(c)
+        self.values = data.X[:, self.index[self.num]].T.copy()
+        found = [np.unique(data.codes(self.specs[f].name), return_inverse=True)
+                 for f in self.cat]
+        self.ranks = np.array([r for _, r in found], dtype=np.intp).reshape(
+            self.cat.size, data.n)
         # at least two, so every pair has a cut position to score
-        self.levels = max([2] + [len(c) for c in codes])
+        self.levels = max([2] + [c.shape[0] for c, _ in found])
         # codes[j, r]: the code of rank r in categorical column j
-        self.codes = np.zeros((self.cat.size, self.levels), dtype=np.int64)
-        for j, c in enumerate(codes):
-            self.codes[j, :c.shape[0]] = c
+        self.codes = np.array(
+            [np.pad(c, (0, self.levels - c.shape[0])) for c, _ in found],
+            dtype=np.int64).reshape(self.cat.size, self.levels)
 
     def presort(self, rows):
         """Attribute lists of the rows as one node: the rows as given,
@@ -285,15 +281,12 @@ class _LevelScorer:
         all share one proportion.
         """
         a, k, levels = sizes.shape[0], self.cat.size, self.levels
-        # table[0] and table[1]: rows and class-1 rows per (node, column, rank)
-        table = np.zeros((2, a, k, levels))
-        cell = seg * levels
-        for c in range(k):
-            index = cell + self.ranks[c, rows]
-            table[0, :, c] = np.bincount(
-                index, minlength=a * levels).reshape(a, levels)
-            table[1, :, c] = np.bincount(
-                index, self.y[rows], a * levels).reshape(a, levels)
+        # table[0] and table[1]: rows and class-1 rows per (node, column,
+        # rank), counted for every column at once
+        index = ((seg * k + np.arange(k)[:, None]) * levels
+                 + self.ranks[:, rows]).ravel()
+        table = np.stack([np.bincount(index, w, a * k * levels) for w in (
+            None, np.tile(self.y[rows], k))]).reshape(2, a, k, levels)
         present = table[0] > 0
         with np.errstate(divide="ignore", invalid="ignore"):
             key = table[1] / table[0]  # nan at absent ranks, which sort last
@@ -331,20 +324,25 @@ class _LevelScorer:
         and the smallest code tuple reaching a best count is built
         greedily."""
         ranks = np.flatnonzero(count)
-        m, sizes = ranks.shape[0], count[ranks].astype(int)
-        # reach[j, x]: a subset of the codes from j on holds x rows; no
-        # count passes n, so np.roll never wraps a reachable one round
-        reach = np.tile(np.arange(n + 1) == 0, (m + 1, 1))
-        for j in range(m - 1, -1, -1):
-            reach[j] = reach[j + 1] | np.roll(reach[j + 1], sizes[j])
+        sizes, n = count[ranks].astype(int).tolist(), int(n)
+        # reach[j]: bit x is set when a subset of the codes from j on
+        # holds x rows
+        reach = [1] * (len(sizes) + 1)
+        for j in range(len(sizes) - 1, -1, -1):
+            reach[j] = reach[j + 1] | (reach[j + 1] << sizes[j])
         # left counts holding the first code, short of the whole node
-        nl = np.flatnonzero(reach[1, :n - sizes[0]]) + sizes[0]
+        packed = np.frombuffer(reach[1].to_bytes(n // 8 + 1, "little"),
+                               dtype=np.uint8)
+        nl = np.flatnonzero(np.unpackbits(
+            packed, count=n - sizes[0], bitorder="little")) + sizes[0]
         dec = _decrease(parent, n, nl, nl * ones / n, ones)
-        goal = np.bincount(nl[dec == dec.max()], minlength=n + 1) > 0
+        # goal: bit x is set when x is a best left count
+        best = np.bincount(nl[dec == dec.max()], minlength=n + 1) > 0
+        goal = int.from_bytes(np.packbits(best, bitorder="little"), "little")
         left, held = np.arange(count.shape[0]) == ranks[0], sizes[0]
-        for j in range(1, m):
-            if not goal[held] and (np.roll(reach[j + 1], held + sizes[j])
-                                   & goal).any():
+        for j in range(1, len(sizes)):
+            if (not (goal >> held) & 1
+                    and (reach[j + 1] << (held + sizes[j])) & goal):
                 left[ranks[j]], held = True, held + sizes[j]
         return dec.max(), left
 

@@ -110,6 +110,11 @@ class PipelineConfig:
             raise ConfigError("roc-scores must be 'proportion' or 'hard'")
         if not 0 <= self.seed < 2 ** 64:
             raise ConfigError("seed must fit in 64 unsigned bits")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not np.isfinite(value):
+                raise ConfigError(f"{f.name.replace('_', '-')} must be a "
+                                  f"finite number, not {value!r}")
         # raise now what train and encode would raise after earlier
         # stages had written their artifacts
         self.cart_config()
@@ -150,7 +155,8 @@ def load_config_file(path: str) -> dict:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from None
+            raise ConfigError(
+                f"config file {path} is not valid JSON: {exc}") from None
         except RecursionError:
             raise ConfigError(f"config file {path} nests too deeply") from None
     if not isinstance(doc, dict):

@@ -60,12 +60,9 @@ def confusion(actual: Sequence[int], predicted: Sequence[int]
     for vec, which in ((a, "actual"), (p, "predicted")):
         if not np.all((vec == 0) | (vec == 1)):
             raise ValueError(f"{which} values must all be 0 or 1")
-    return ConfusionMatrix(
-        vp=int(np.sum((a == 1) & (p == 1))),
-        vn=int(np.sum((a == 0) & (p == 0))),
-        fp=int(np.sum((a == 0) & (p == 1))),
-        fn=int(np.sum((a == 1) & (p == 0))),
-    )
+    vn, fp, fn, vp = np.bincount((2 * a + p).astype(np.intp),
+                                 minlength=4).tolist()
+    return ConfusionMatrix(vp=vp, vn=vn, fp=fp, fn=fn)
 
 
 @dataclass(frozen=True)
@@ -131,27 +128,17 @@ def roc(actual: Sequence[int], scores: Sequence[float]) -> RocCurve:
         raise ValueError("actual values must all be 0 or 1")
     if np.any(~np.isfinite(s)) or s.min() < 0.0 or s.max() > 1.0:
         raise ScoreOutOfRangeError("scores must lie inside [0, 1]")
-    n1 = int(np.sum(a == 1))
-    n0 = a.shape[0] - n1
+    order = np.argsort(-s, kind="mergesort")
+    # the last row of each run of tied scores, and the class-1 and
+    # class-0 rows up to it; fp / n0 and tp / n1 divide exact integers
+    # in float64, which gives the bits Python's int division would
+    ends = np.append(np.flatnonzero(np.diff(s[order])), a.shape[0] - 1)
+    tp = np.cumsum(a[order] == 1)[ends]
+    fp = ends + 1 - tp
+    n1, n0 = int(tp[-1]), int(fp[-1])
     if n1 == 0 or n0 == 0:
         raise DegenerateClassError("ROC needs both classes present")
-
-    order = np.argsort(-s, kind="mergesort")
-    sorted_scores = s[order]
-    sorted_actual = a[order]
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    n = a.shape[0]
-    while i < n:
-        j = i
-        while j < n and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        block = sorted_actual[i:j]
-        tp += int(np.sum(block == 1))
-        fp += int(np.sum(block == 0))
-        points.append((fp / n0, tp / n1))
-        i = j
+    points = [(0.0, 0.0)] + list(zip((fp / n0).tolist(), (tp / n1).tolist()))
     area = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
         area += (x1 - x0) * (y0 + y1) / 2.0
@@ -196,17 +183,11 @@ def report_json(cm: ConfusionMatrix, rates: ErrorRates, mets: Metrics,
     When no curve is available (degenerate scores) the four auc fields
     are null.
     """
-    doc = {
-        "vp": cm.vp, "vn": cm.vn, "fp": cm.fp, "fn": cm.fn,
-        "e1": rates.e1, "e2": rates.e2, "e3": rates.e3,
-        "accuracy": mets.accuracy,
-        "sensitivity": mets.sensitivity,
-        "specificity": mets.specificity,
-        "auc": curve.auc if curve else None,
-        "auc_se": curve.se if curve else None,
-        "auc_ci_low": curve.ci_low if curve else None,
-        "auc_ci_high": curve.ci_high if curve else None,
-    }
+    cells = {**vars(cm), **vars(rates), **vars(mets)}
+    # the auc fields are the curve's auc, se, ci_low and ci_high
+    doc = {name: cells[name] if name in cells
+           else curve and getattr(curve, name.removeprefix("auc_"))
+           for name in REPORT_FIELDS}
     return json.dumps(doc, indent=2) + "\n"
 
 

@@ -187,6 +187,61 @@ def route_rows(records, X):
     return leaves, min(stops, default=None), unseen
 
 
+def tied_reference(count, parent, n, ones):
+    """_LevelScorer._tied with subset sums held as boolean tables.
+
+    Best decrease and left-rank mask of a pair of n rows, ones of them
+    class 1, whose codes hold count[r] rows at rank r.  reach[j, x]
+    says a subset of the codes from j on holds x rows; the decrease of
+    each reachable left count holding the first code is scored, and the
+    smallest code tuple reaching a best count is built greedily.
+    """
+    ranks = np.flatnonzero(count)
+    m, sizes = ranks.shape[0], count[ranks].astype(int)
+    # no count passes n, so np.roll never wraps a reachable one round
+    reach = np.tile(np.arange(n + 1) == 0, (m + 1, 1))
+    for j in range(m - 1, -1, -1):
+        reach[j] = reach[j + 1] | np.roll(reach[j + 1], sizes[j])
+    nl = np.flatnonzero(reach[1, :n - sizes[0]]) + sizes[0]
+    nr = n - nl
+    left = nl * ones / n
+    right = ones - left
+    dec = parent - (nl * gini_two_counts(left, nl - left, nl)
+                    + nr * gini_two_counts(right, nr - right, nr)) / n
+    goal = np.bincount(nl[dec == dec.max()], minlength=n + 1) > 0
+    chosen, held = np.arange(count.shape[0]) == ranks[0], sizes[0]
+    for j in range(1, m):
+        if not goal[held] and (np.roll(reach[j + 1], held + sizes[j])
+                               & goal).any():
+            chosen[ranks[j]], held = True, held + sizes[j]
+    return dec.max(), chosen
+
+
+def roc_reference(actual, scores):
+    """ROC points and trapezoid area by a row-by-row sweep down the
+    scores, one point per run of tied scores."""
+    a = np.asarray(actual)
+    s = np.asarray(scores, dtype=float)
+    n1 = int(np.sum(a == 1))
+    n0 = a.shape[0] - n1
+    order = np.argsort(-s, kind="mergesort")
+    sorted_scores, sorted_actual = s[order], a[order]
+    points = [(0.0, 0.0)]
+    tp = fp = i = 0
+    while i < a.shape[0]:
+        j = i
+        while j < a.shape[0] and sorted_scores[j] == sorted_scores[i]:
+            j += 1
+        tp += int(np.sum(sorted_actual[i:j] == 1))
+        fp += int(np.sum(sorted_actual[i:j] == 0))
+        points.append((fp / n0, tp / n1))
+        i = j
+    area = 0.0
+    for (x0, y0), (x1, y1) in zip(points, points[1:]):
+        area += (x1 - x0) * (y0 + y1) / 2.0
+    return points, min(1.0, max(0.0, area))
+
+
 def mann_whitney_auc(actual, scores) -> float:
     """Pairwise rank AUC: P(score_pos > score_neg) + half-credit ties."""
     actual = np.asarray(actual)

@@ -20,6 +20,7 @@ from oracles import (
     gini_two_counts,
     reference_grow,
     route_rows,
+    tied_reference,
 )
 from solvency import cart
 from solvency.cart import (
@@ -1131,6 +1132,33 @@ def test_tied_categorical_agreement_property(seed):
     columns whose codes share proportions, all of them or in groups."""
     assert_agrees_with_oracle(
         random_tied_dataset(np.random.default_rng(seed)))
+
+
+def test_tied_matches_the_table_reference():
+    """_tied's bitset subset sums give the boolean-table reference's
+    decrease, bit for bit, and left ranks, on random code counts that
+    share one class-1 proportion or not, in nodes of up to ~90k rows."""
+    rng = np.random.default_rng(41)
+    for trial in range(300):
+        levels = int(rng.integers(2, 13))
+        most = 100_000 // levels if trial % 7 == 0 else 40
+        count = rng.integers(1, most, levels)
+        count[rng.random(levels) < 0.3] = 0  # ranks absent from the node
+        if trial % 2:  # every code holds class-1 rows in one ratio
+            ones, zeros = RATIOS[trial % 3]
+            count -= count % (ones + zeros)
+            c1 = count.sum() // (ones + zeros) * ones
+        else:
+            c1 = rng.integers(1, max(2, count.sum()))
+        if np.count_nonzero(count) < 2:
+            continue
+        n, c1 = np.intp(count.sum()), float(c1)
+        parent = cart._impurity(float(n), c1)
+        dec, left = cart._LevelScorer._tied(count.astype(float), parent, n,
+                                            c1)
+        want_dec, want_left = tied_reference(count, parent, int(n), c1)
+        assert dec == want_dec
+        assert left.tolist() == want_left.tolist()
 
 
 def test_grow_then_serialize_is_deterministic():

@@ -1044,6 +1044,33 @@ class TestPipelineCommand:
         assert not out.exists()
         assert capsys.readouterr().err == f"solvency pipeline: {message}\n"
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [
+        "alpha", "r-threshold", "tol", "iqr-multiplier", "z-threshold",
+        "min-gini-decrease", "holdout"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_non_finite_setting_refused_before_any_stage(
+            self, workdir, capsys, key, value, given):
+        """Every float setting must be a finite number, from a flag or a
+        config file; the settings with a range keep its message."""
+        message = {
+            "alpha": "alpha must lie inside (0, 1)",
+            "r-threshold": "r-threshold must lie inside (0, 1]",
+            "holdout": "holdout fraction must lie inside (0, 1)",
+        }.get(key, f"{key} must be a finite number, not {value}")
+        if (key, value) == ("tol", "-inf"):
+            message = "tol must be positive"
+        source = make_synthetic(workdir, rows=200, seed=3)
+        extra = [f"--{key}={value}"]
+        if given == "config":
+            config = workdir / "settings.json"
+            config.write_text(json.dumps({key: float(value)}))
+            extra = ["--config", str(config)]
+        out = workdir / "run"
+        assert run_pipeline_into(out, source, extra) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"solvency pipeline: {message}\n"
+
 
 def counted_deserialize(monkeypatch):
     """The texts cart.deserialize is called on from now on."""
@@ -1181,11 +1208,14 @@ class TestConfigResolution:
         assert main(["synth", "--config", str(cfg),
                      "--out", str(workdir)]) == 2
 
-    def test_config_must_be_json(self, workdir):
+    def test_config_must_be_json(self, workdir, capsys):
         cfg = workdir / "cfg.json"
         cfg.write_text("alpha = 0.01")
         assert main(["synth", "--config", str(cfg),
                      "--out", str(workdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"solvency synth: config file {cfg} is not valid JSON: "
+            "Expecting value: line 1 column 1 (char 0)\n")
 
     def test_invalid_alpha_flag_exits_2(self, workdir, capsys):
         source = make_synthetic(workdir)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import mann_whitney_auc
+from oracles import mann_whitney_auc, roc_reference
 from solvency.errors import (
     DegenerateClassError,
     EmptyInputError,
@@ -291,3 +291,40 @@ def test_roc_curve_properties(rows):
     assert 0.0 <= curve.auc <= 1.0
     assert abs(curve.auc - mann_whitney_auc(actual, scores)) < 1e-9
     assert curve.ci_low <= curve.auc <= curve.ci_high
+
+
+@st.composite
+def scored_rows(draw):
+    """Classes and scores in [0, 1]: many ties, no ties, or the same
+    class mix at every distinct score."""
+    shape = draw(st.sampled_from(["ties", "distinct", "mixed"]))
+    if shape == "mixed":
+        values = draw(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=12,
+                               unique=True))
+        cell = [1] * draw(st.integers(1, 3)) + [0] * draw(st.integers(1, 3))
+        actual = cell * len(values)
+        scores = [v for v in values for _ in cell]
+    else:
+        values = (st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])
+                  if shape == "ties" else st.floats(0.0, 1.0))
+        scores = draw(st.lists(values, min_size=2, max_size=80,
+                               unique=shape == "distinct"))
+        actual = draw(st.lists(st.integers(0, 1), min_size=len(scores),
+                               max_size=len(scores)))
+    order = draw(st.permutations(range(len(scores))))
+    return [actual[i] for i in order], [scores[i] for i in order]
+
+
+@given(scored_rows())
+def test_roc_matches_the_row_by_row_sweep(rows):
+    """Every point and the area equal the reference sweep's, bit for
+    bit."""
+    actual, scores = rows
+    if len(set(actual)) < 2:
+        return
+    points, area = roc_reference(actual, scores)
+    curve = roc(actual, scores)
+    assert curve.points == points
+    assert all(type(x) is float and type(y) is float
+               for x, y in curve.points)
+    assert curve.auc == area
