@@ -723,6 +723,9 @@ def deserialize(text: str) -> CartTree:
     except json.JSONDecodeError as exc:
         raise MalformedDocumentError(
             f"not valid JSON at position {exc.pos}: {exc.msg}") from None
+    except ValueError as exc:
+        # an integer past Python's int-string limit
+        raise MalformedDocumentError(f"not valid JSON: {exc}") from None
     except RecursionError:
         raise MalformedDocumentError("JSON nests too deeply to read") from None
     if not isinstance(doc, dict):
@@ -803,7 +806,7 @@ def deserialize(text: str) -> CartTree:
                         f"{c} give {assign_leaf(c)}")
             else:
                 for child in (left, r):
-                    if not (isinstance(child, int)
+                    if not (type(child) is int
                             and i < child < len(records)):
                         raise MalformedDocumentError(
                             f"node {i} child index {child!r} out of range")

@@ -32,6 +32,7 @@ from .dataset import (
     class_distribution,
     clean,
     csv_text,
+    json_number,
     load_csv,
     read_back,
     read_header,
@@ -40,10 +41,8 @@ from .dataset import (
 )
 from .errors import (
     ConfigError,
-    DataError,
     DegenerateClassError,
     MalformedDocumentError,
-    NumericError,
     SolvencyError,
     SolvencyWarning,
     VersionMismatchError,
@@ -154,7 +153,8 @@ def load_config_file(path: str) -> dict:
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
+            # JSONDecodeError, or an integer past Python's int-string limit
             raise ConfigError(
                 f"config file {path} is not valid JSON: {exc}") from None
         except RecursionError:
@@ -186,6 +186,8 @@ def _config_value(key: str, value, annotation: str):
     types, words = CONFIG_TYPES[kind]
     fits = isinstance(value, types) and (kind == "bool"
                                          or not isinstance(value, bool))
+    if fits and kind == "float" and isinstance(value, int):
+        fits = json_number(value)
     if fits and kind == "tuple[str, ...]":
         fits = all(isinstance(item, str) for item in value)
         value = tuple(value)
@@ -214,6 +216,11 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
             if name in ("missing_tokens", "variables"):
                 value = tuple(value)
             cfg = replace(cfg, **{name: value})
+    if args.command == "synth":
+        # synth's own flags override its config object's values
+        flags = {"n_rows": args.rows, "noise": args.noise, "seed": args.seed}
+        cfg = replace(cfg, synth={**cfg.synth, **{
+            key: value for key, value in flags.items() if value is not None}})
     cfg.validate()
     return cfg
 
@@ -230,11 +237,11 @@ def _load(cfg: PipelineConfig, path: str, encoded: bool = True) -> Dataset:
                     codebook=None if encoded else book)
 
 
-def _stage_data(cfg: PipelineConfig, data: Dataset | None) -> Dataset:
+def _stage_data(cfg: PipelineConfig, handed: dict) -> Dataset:
     """The dataset pipeline hands a stage, else the --input file, else
     the out directory's encoded.csv."""
-    if data is not None:
-        return data
+    if "data" in handed:
+        return handed["data"]
     return _load(cfg, cfg.input if cfg.input else cfg.path(ENCODED_CSV))
 
 
@@ -244,11 +251,14 @@ def _write(path: str, text: str) -> None:
 
 
 # -- stages ------------------------------------------------------------------
+# Each is stage_<name>(cfg, handed) -> the artifacts it wrote.  handed
+# is the dict a pipeline run passes along ({} for a single command):
+# encode's dataset under "data", train's tree under "tree".
 
 
-def stage_encode(cfg: PipelineConfig) -> tuple[list[str], Dataset]:
-    """Write encoded.csv and cleaning.log; also return the dataset that
-    the later stages would read back from encoded.csv."""
+def stage_encode(cfg: PipelineConfig, handed: dict) -> list[str]:
+    """Write encoded.csv and cleaning.log; hand on the dataset the
+    later stages would read back from encoded.csv."""
     if not cfg.input:
         raise ConfigError("encode needs an input CSV (--input)")
     data = _load(cfg, cfg.input, encoded=cfg.skip_codebook)
@@ -257,12 +267,12 @@ def stage_encode(cfg: PipelineConfig) -> tuple[list[str], Dataset]:
     _write(cfg.path(CLEANING_LOG), log.to_text())
     print(f"encode: kept {cleaned.n} of {data.n} rows, "
           f"class counts {class_distribution(cleaned)}")
-    return [ENCODED_CSV, CLEANING_LOG], read_back(cleaned, cfg.missing_tokens)
+    handed["data"] = read_back(cleaned, cfg.missing_tokens)
+    return [ENCODED_CSV, CLEANING_LOG]
 
 
-def stage_screen(cfg: PipelineConfig, data: Dataset | None = None
-                 ) -> list[str]:
-    data = _stage_data(cfg, data)
+def stage_screen(cfg: PipelineConfig, handed: dict) -> list[str]:
+    data = _stage_data(cfg, handed)
     if cfg.holdout is not None:
         data, _ = data.split(cfg.holdout, cfg.seed)
     names = data.schema.names
@@ -322,11 +332,10 @@ def _screened_variables(cfg: PipelineConfig, data: Dataset) -> list[str]:
     return names
 
 
-def stage_train(cfg: PipelineConfig, data: Dataset | None = None
-                ) -> tuple[list[str], cart.CartTree]:
-    """Write model.json, tree.dot and tree.txt; also return the tree
-    that eval would read back from model.json."""
-    data = _stage_data(cfg, data)
+def stage_train(cfg: PipelineConfig, handed: dict) -> list[str]:
+    """Write model.json, tree.dot and tree.txt; hand on the tree eval
+    would read back from model.json."""
+    data = _stage_data(cfg, handed)
     variables = _screened_variables(cfg, data)
     if cfg.holdout is not None:
         data, _ = data.split(cfg.holdout, cfg.seed)
@@ -337,16 +346,16 @@ def stage_train(cfg: PipelineConfig, data: Dataset | None = None
     _write(cfg.path(TREE_TXT), cart.export_text(tree, labels))
     print(f"train: {tree.node_count()} nodes, depth {tree.depth()}, "
           f"{data.n} training rows")
-    return [MODEL_JSON, TREE_DOT, TREE_TXT], tree
+    handed["tree"] = tree
+    return [MODEL_JSON, TREE_DOT, TREE_TXT]
 
 
-def _load_model(cfg: PipelineConfig, tree: cart.CartTree | None = None
-                ) -> cart.CartTree:
+def _load_model(cfg: PipelineConfig, handed: dict) -> cart.CartTree:
     """The --model file, else the tree pipeline hands on, else the out
     directory's model.json; a file deserialize refuses is named in the
     error."""
-    if tree is not None and not cfg.model:
-        return tree
+    if "tree" in handed and not cfg.model:
+        return handed["tree"]
     path = cfg.model if cfg.model else cfg.path(MODEL_JSON)
     if not os.path.exists(path):
         raise ConfigError(f"model file not found: {path}")
@@ -358,12 +367,11 @@ def _load_model(cfg: PipelineConfig, tree: cart.CartTree | None = None
         raise type(exc)(f"model {path}: {exc}") from None
 
 
-def stage_eval(cfg: PipelineConfig, data: Dataset | None = None,
-               tree: cart.CartTree | None = None) -> list[str]:
-    data = _stage_data(cfg, data)
+def stage_eval(cfg: PipelineConfig, handed: dict) -> list[str]:
+    data = _stage_data(cfg, handed)
     if cfg.holdout is not None:
         _, data = data.split(cfg.holdout, cfg.seed)
-    tree = _load_model(cfg, tree)
+    tree = _load_model(cfg, handed)
     classes, scores = cart.predict_dataset(tree, data)
     actual = data.binary_target()
     cm = evaluation.confusion(actual, classes)
@@ -389,10 +397,10 @@ def stage_eval(cfg: PipelineConfig, data: Dataset | None = None,
     return artifacts
 
 
-def stage_predict(cfg: PipelineConfig) -> list[str]:
+def stage_predict(cfg: PipelineConfig, handed: dict) -> list[str]:
     if not cfg.input:
         raise ConfigError("predict needs an input CSV (--input)")
-    tree = _load_model(cfg)
+    tree = _load_model(cfg, handed)
     schema, target = tree.schema, tree.schema.target
     has_target = target in read_header(cfg.input)
     data = load_csv(cfg.input, schema, missing_tokens=cfg.missing_tokens,
@@ -415,7 +423,7 @@ def stage_predict(cfg: PipelineConfig) -> list[str]:
     return [PREDICTIONS_CSV]
 
 
-def stage_synth(cfg: PipelineConfig) -> list[str]:
+def stage_synth(cfg: PipelineConfig, handed: dict) -> list[str]:
     doc = dict(cfg.synth)
     doc.setdefault("seed", cfg.seed)
     spec = synth.spec_from_doc(doc)
@@ -426,59 +434,35 @@ def stage_synth(cfg: PipelineConfig) -> list[str]:
     return [SYNTHETIC_CSV]
 
 
-PIPELINE_STAGES = (
-    ("encode", stage_encode),
-    ("screen", stage_screen),
-    ("train", stage_train),
-    ("eval", stage_eval),
-)
+PIPELINE_STAGES = ("encode", "screen", "train", "eval")
 
 
 def run_pipeline(cfg: PipelineConfig) -> int:
     """Chain the four stages, writing a manifest whatever happens."""
     manifest = {"stages": [], "config": cfg.to_doc()}
     exit_code = 0
-    failed = False
-    # Encode reads the input and hands the later stages, in memory, the
-    # dataset they would read back from encoded.csv, and train hands
-    # eval the tree it would read back from model.json, so every
-    # artifact is the one a manual run of the four commands writes.
-    data = tree = None
-    for name, func in PIPELINE_STAGES:
+    # later stages take in memory what they would read back from earlier
+    # ones' artifacts, so each artifact is the one a manual run writes
+    handed = {}
+    for name in PIPELINE_STAGES:
         entry = {"name": name, "status": "skipped", "artifacts": [],
                  "seconds": 0.0}
         manifest["stages"].append(entry)
-        if failed:
+        if exit_code:
             continue
         started = time.perf_counter()
         try:
-            if name == "encode":
-                entry["artifacts"], data = func(cfg)
-            elif name == "train":
-                entry["artifacts"], tree = func(cfg, data)
-            elif name == "eval":
-                entry["artifacts"] = func(cfg, data, tree)
-            else:
-                entry["artifacts"] = func(cfg, data)
+            entry["artifacts"] = COMMANDS[name][0](cfg, handed)
             entry["status"] = "completed"
         except SolvencyError as exc:
             entry["status"] = "failed"
             entry["error"] = str(exc)
             print(f"pipeline: {name} failed: {exc}", file=sys.stderr)
-            exit_code = exit_code_for(exc)
-            failed = True
+            exit_code = exc.exit_code
         finally:
             entry["seconds"] = round(time.perf_counter() - started, 6)
     _write(cfg.path(MANIFEST_JSON), json.dumps(manifest, indent=2) + "\n")
     return exit_code
-
-
-def exit_code_for(exc: SolvencyError) -> int:
-    if isinstance(exc, ConfigError):
-        return 2
-    if isinstance(exc, NumericError):
-        return 4
-    return 3
 
 
 # -- argument parsing --------------------------------------------------------
@@ -537,19 +521,22 @@ FLAG_GROUPS = {
     ],
 }
 
-#: subcommand -> (help, flag groups)
-SUBCOMMANDS = {
-    "encode": ("encode labels and clean rows", ("common", "data", "encode")),
-    "screen": ("significance and correlation screen",
+#: subcommand -> (stage, help, flag groups); pipeline has no stage of
+#: its own and chains PIPELINE_STAGES.
+COMMANDS = {
+    "encode": (stage_encode, "encode labels and clean rows",
+               ("common", "data", "encode")),
+    "screen": (stage_screen, "significance and correlation screen",
                ("common", "data", "screen", "holdout")),
-    "train": ("grow the decision tree",
+    "train": (stage_train, "grow the decision tree",
               ("common", "data", "variables", "tree", "holdout")),
-    "eval": ("confusion, rates, and ROC report",
+    "eval": (stage_eval, "confusion, rates, and ROC report",
              ("common", "data", "model", "holdout", "roc")),
-    "predict": ("append predictions to feature rows",
+    "predict": (stage_predict, "append predictions to feature rows",
                 ("common", "data", "model")),
-    "synth": ("generate seeded synthetic data", ("common", "synth")),
-    "pipeline": ("encode, screen, train, eval",
+    "synth": (stage_synth, "generate seeded synthetic data",
+              ("common", "synth")),
+    "pipeline": (None, "encode, screen, train, eval",
                  ("common", "data", "encode", "screen", "tree", "holdout",
                   "roc")),
 }
@@ -560,22 +547,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="solvency",
         description="Credit solvency scoring with screened CART trees.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (text, groups) in SUBCOMMANDS.items():
+    for name, (_, text, groups) in COMMANDS.items():
         p = sub.add_parser(name, help=text)
         for group in groups:
             for flag, options in FLAG_GROUPS[group]:
                 p.add_argument(flag, **options)
     return parser
-
-
-COMMANDS = {
-    "encode": stage_encode,
-    "screen": stage_screen,
-    "train": stage_train,
-    "eval": stage_eval,
-    "predict": stage_predict,
-    "synth": stage_synth,
-}
 
 
 @contextmanager
@@ -604,23 +581,14 @@ def main(argv: list[str] | None = None) -> int:
     with _warning_lines(args.command):
         try:
             cfg = resolve_config(args)
-            if args.command == "synth":
-                doc = dict(cfg.synth)
-                if args.rows is not None:
-                    doc["n_rows"] = args.rows
-                if args.noise is not None:
-                    doc["noise"] = args.noise
-                if args.seed is not None:
-                    doc["seed"] = args.seed
-                cfg = replace(cfg, synth=doc)
             os.makedirs(cfg.out, exist_ok=True)
             if args.command == "pipeline":
                 return run_pipeline(cfg)
-            COMMANDS[args.command](cfg)
+            COMMANDS[args.command][0](cfg, {})
             return 0
         except SolvencyError as exc:
             print(f"solvency {args.command}: {exc}", file=sys.stderr)
-            return exit_code_for(exc)
+            return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -2,17 +2,23 @@
 
 Three families matter to the command line front end: configuration
 problems, data/schema problems, and numerical failures.  Each family
-maps to one process exit code, so new exceptions should subclass the
-family they belong to rather than Exception directly.
+maps to one process exit code, its class's ``exit_code``, so new
+exceptions should subclass the family they belong to rather than
+Exception directly.
 """
 
 
 class SolvencyError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; its
+    exit_code is the one the command line exits with."""
+
+    exit_code = 3
 
 
 class ConfigError(SolvencyError):
-    """Invalid configuration or command usage (exit code 2)."""
+    """Invalid configuration or command usage."""
+
+    exit_code = 2
 
 
 class DataError(SolvencyError):
@@ -20,7 +26,9 @@ class DataError(SolvencyError):
 
 
 class NumericError(SolvencyError):
-    """Numerical failure such as a singular system (exit code 4)."""
+    """Numerical failure such as a singular system."""
+
+    exit_code = 4
 
 
 class SolvencyWarning(UserWarning):

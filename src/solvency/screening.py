@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import Dataset
+from .dataset import Dataset, _quoted
 from .errors import (
     DataError,
     SingularMatrixError,
@@ -261,9 +261,9 @@ def per_variable_wald(
 def wald_rows_to_text(rows: list[WaldRow]) -> str:
     """Delimited table: variable,B,SE,wald,ddl,sig."""
     lines = ["variable,B,SE,wald,ddl,sig"]
-    for r in rows:
-        lines.append(
-            f"{r.variable},{r.b!r},{r.se!r},{r.wald!r},{r.ddl},{r.sig!r}")
+    names = _quoted([r.variable for r in rows])
+    for name, r in zip(names, rows):
+        lines.append(f"{name},{r.b!r},{r.se!r},{r.wald!r},{r.ddl},{r.sig!r}")
     return "\n".join(lines) + "\n"
 
 
@@ -284,8 +284,9 @@ class CorrelationMatrix:
                 yield self.names[i], self.names[j], float(self.values[i, j])
 
     def to_text(self) -> str:
-        lines = ["," + ",".join(self.names)]
-        for i, name in enumerate(self.names):
+        names = _quoted(self.names)
+        lines = ["," + ",".join(names)]
+        for i, name in enumerate(names):
             cells = ",".join(repr(float(v)) for v in self.values[i])
             lines.append(f"{name},{cells}")
         return "\n".join(lines) + "\n"

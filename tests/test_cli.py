@@ -6,6 +6,7 @@ these tests double as integration coverage of the whole package.
 """
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -95,6 +96,27 @@ class TestSynthCommand:
                      "--out", str(workdir)]) == 0
         assert len((workdir / "synthetic.csv")
                    .read_text().splitlines()) == 41
+
+    @pytest.mark.parametrize("doc, flags, same", [
+        ({"seed": 5, "synth": {"n_rows": 30, "noise": 0.3, "seed": 9}},
+         ["--rows", "40", "--noise", "0.1", "--seed", "2"],
+         ["--rows", "40", "--noise", "0.1", "--seed", "2"]),
+        ({"seed": 5, "synth": {"n_rows": 30, "seed": 9}}, ["--noise", "0.1"],
+         ["--rows", "30", "--noise", "0.1", "--seed", "9"]),
+        ({"seed": 5, "synth": {"n_rows": 30}}, [], ["--rows", "30",
+                                                    "--seed", "5"]),
+    ], ids=["flags", "synth-seed", "top-level-seed"])
+    def test_flag_then_synth_object_then_file_seed(self, workdir, doc, flags,
+                                                   same):
+        """A synth flag beats the config's synth object, whose seed beats
+        the config's top-level seed."""
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert main(["synth", "--config", str(cfg), *flags,
+                     "--out", str(workdir / "a")]) == 0
+        assert main(["synth", *same, "--out", str(workdir / "b")]) == 0
+        assert ((workdir / "a" / "synthetic.csv").read_bytes()
+                == (workdir / "b" / "synthetic.csv").read_bytes())
 
     def test_digests_pinned(self, workdir):
         """synthetic.csv of a noisy run and of the README's config
@@ -300,6 +322,26 @@ class TestScreenCommand:
         assert wald[-1].startswith("constant,")
         corr = (workdir / "correlation.csv").read_text().splitlines()
         assert len(corr) == 14  # header + one line per feature
+
+    def test_variable_names_are_quoted(self, workdir):
+        """A name holding a comma is quoted in wald.csv and
+        correlation.csv, as in encoded.csv's header."""
+        source = make_synthetic(workdir, rows=200, seed=3)
+        text = source.read_text().replace("AMT_CREDIT", '"amt, credit"', 1)
+        source.write_text(text)
+        assert main(["screen", "--input", str(source),
+                     "--out", str(workdir)]) == 0
+        names = next(csv.reader(text.splitlines()))[:-1]
+        assert "amt, credit" in names
+        with open(workdir / "wald.csv", newline="") as fh:
+            wald = list(csv.reader(fh))
+        assert {len(row) for row in wald} == {6}
+        assert [row[0] for row in wald[1:]] == names + ["constant"]
+        with open(workdir / "correlation.csv", newline="") as fh:
+            corr = list(csv.reader(fh))
+        assert {len(row) for row in corr} == {len(names) + 1}
+        assert corr[0] == [""] + names
+        assert [row[0] for row in corr[1:]] == names
 
     def test_alpha_flag_recorded(self, workdir):
         source = make_synthetic(workdir, rows=200, seed=3)
@@ -582,7 +624,9 @@ class TestEvalCommand:
         (lambda doc: doc["nodes"][0].update(counts=None),
          "node 0 has n 200 and counts None, not a whole number and two "
          "whole numbers"),
-    ], ids=["foreign-format", "null-counts"])
+        (lambda doc: doc["nodes"][0].update(left=True),
+         "node 0 child index True out of range"),
+    ], ids=["foreign-format", "null-counts", "boolean-child"])
     def test_refused_model_names_its_file(self, workdir, capsys, command,
                                           edit, message):
         source = self.trained(workdir)
@@ -1070,6 +1114,55 @@ class TestPipelineCommand:
         assert run_pipeline_into(out, source, extra) == 2
         assert not out.exists()
         assert capsys.readouterr().err == f"solvency pipeline: {message}\n"
+
+    @pytest.mark.parametrize("key", [
+        "alpha", "r-threshold", "tol", "iqr-multiplier", "z-threshold",
+        "min-gini-decrease", "holdout"])
+    def test_integer_past_the_float_range_refused_before_any_stage(
+            self, workdir, capsys, key):
+        """A config file's JSON integer too large for a float is no
+        number for a float setting."""
+        source = make_synthetic(workdir, rows=200, seed=3)
+        config = workdir / "settings.json"
+        # zscore, so that clean would use z-threshold
+        config.write_text(json.dumps({key: 10 ** 400,
+                                      "outlier-method": "zscore"}))
+        out = workdir / "run"
+        assert run_pipeline_into(out, source, ["--config", str(config)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == (
+            f"solvency pipeline: config key {key!r} must be a number, "
+            f"not 1{'0' * 400}\n")
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python reads JSON integers of any length")
+@pytest.mark.parametrize("command", ["pipeline", "synth", "predict"])
+def test_integer_past_the_digit_limit_names_the_file(workdir, capsys,
+                                                     command):
+    """json reads an integer longer than Python's int-string limit as a
+    ValueError, which the config and model readers refuse as invalid
+    JSON naming the file."""
+    source = make_synthetic(workdir, rows=200, seed=3)
+    huge = "1" + "0" * 5000
+    bad = workdir / "bad.json"
+    if command == "predict":
+        assert main(["train", "--input", str(source),
+                     "--out", str(workdir)]) == 0
+        text = (workdir / "model.json").read_text()
+        bad.write_text(text.replace('"n_training_rows": 200',
+                                    f'"n_training_rows": {huge}'))
+        assert huge in bad.read_text()
+        argv, code = ["--input", str(source), "--model", str(bad)], 3
+    else:
+        bad.write_text(f'{{"seed": {huge}}}')
+        argv, code = ["--config", str(bad)], 2
+        if command == "pipeline":
+            argv += ["--input", str(source)]
+    out = workdir / "run"
+    assert main([command, *argv, "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert str(bad) in err and "not valid JSON" in err
 
 
 def counted_deserialize(monkeypatch):
