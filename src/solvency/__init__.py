@@ -40,8 +40,6 @@ from .errors import (
 )
 from .evaluation import (
     ConfusionMatrix,
-    ErrorRates,
-    Metrics,
     RocCurve,
     auc_se_ci,
     confusion,
@@ -54,7 +52,6 @@ from .evaluation import (
 from .screening import (
     CorrelationMatrix,
     LogisticFit,
-    ScreeningOutcome,
     WaldRow,
     chi_square_sf_1df,
     fit_logistic,
@@ -76,10 +73,10 @@ __all__ = [
     "write_csv",
     "ConfigError", "DataError", "NumericError", "SolvencyError",
     "SolvencyWarning",
-    "ConfusionMatrix", "ErrorRates", "Metrics", "RocCurve", "auc_se_ci",
+    "ConfusionMatrix", "RocCurve", "auc_se_ci",
     "confusion", "error_rates", "metrics", "report_json", "report_table",
     "roc",
-    "CorrelationMatrix", "LogisticFit", "ScreeningOutcome", "WaldRow",
+    "CorrelationMatrix", "LogisticFit", "WaldRow",
     "chi_square_sf_1df", "fit_logistic", "pearson_matrix",
     "per_variable_wald", "screen", "wald_table",
     "SynthSpec", "default_spec", "generate",

@@ -34,7 +34,9 @@ from .dataset import (
     csv_text,
     json_number,
     load_csv,
+    open_output,
     read_back,
+    read_errors,
     read_header,
     schema_from_header,
     write_csv,
@@ -148,9 +150,7 @@ class PipelineConfig:
 
 
 def load_config_file(path: str) -> dict:
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
+    with read_errors(path, "config"), open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
         except ValueError as exc:
@@ -246,7 +246,7 @@ def _stage_data(cfg: PipelineConfig, handed: dict) -> Dataset:
 
 
 def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_output(path) as fh:
         fh.write(text)
 
 
@@ -286,22 +286,10 @@ def stage_screen(cfg: PipelineConfig, handed: dict) -> list[str]:
     _write(cfg.path(WALD_CSV), screening.wald_rows_to_text(rows))
     corr = screening.pearson_matrix(data, names)
     _write(cfg.path(CORRELATION_CSV), corr.to_text())
-    variable_rows = [r for r in rows if r.variable != screening.CONSTANT_ROW]
-    outcome = screening.screen(variable_rows, corr, alpha=cfg.alpha,
-                               r_threshold=cfg.r_threshold)
-    doc = {
-        "alpha": cfg.alpha,
-        "r-threshold": cfg.r_threshold,
-        "kept": outcome.kept,
-        "dropped": [
-            {k: v for k, v in (
-                ("name", d.name), ("reason", d.reason), ("sig", d.sig),
-                ("partner", d.partner), ("r", d.r)) if v is not None}
-            for d in outcome.dropped
-        ],
-    }
+    doc = screening.screen(rows, corr, alpha=cfg.alpha,
+                           r_threshold=cfg.r_threshold)
     _write(cfg.path(SCREENING_JSON), json.dumps(doc, indent=2) + "\n")
-    print(f"screen: kept {len(outcome.kept)} of {len(names)} variables")
+    print(f"screen: kept {len(doc['kept'])} of {len(names)} variables")
     return [WALD_CSV, CORRELATION_CSV, SCREENING_JSON]
 
 
@@ -312,11 +300,10 @@ def _screened_variables(cfg: PipelineConfig, data: Dataset) -> list[str]:
         # the screen stage's kept list feeds training; fall back to the
         # one in the output directory so pipeline and manual runs match
         path = cfg.screening if cfg.screening else cfg.path(SCREENING_JSON)
-        if cfg.screening and not os.path.exists(path):
-            raise ConfigError(f"screening file not found: {path}")
-        if not os.path.exists(path):
+        if not cfg.screening and not os.path.exists(path):
             return data.schema.names
-        with open(path, encoding="utf-8") as fh:
+        with read_errors(path, "screening"), \
+                open(path, encoding="utf-8") as fh:
             try:
                 names = json.load(fh)["kept"]
             except (ValueError, TypeError, KeyError, RecursionError):
@@ -357,14 +344,13 @@ def _load_model(cfg: PipelineConfig, handed: dict) -> cart.CartTree:
     if "tree" in handed and not cfg.model:
         return handed["tree"]
     path = cfg.model if cfg.model else cfg.path(MODEL_JSON)
-    if not os.path.exists(path):
-        raise ConfigError(f"model file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
-    try:
-        return cart.deserialize(text)
-    except (MalformedDocumentError, VersionMismatchError) as exc:
-        raise type(exc)(f"model {path}: {exc}") from None
+    with read_errors(path, "model"), open(path, encoding="utf-8") as fh:
+        try:
+            return cart.deserialize(fh.read())
+        except UnicodeDecodeError as exc:
+            raise MalformedDocumentError(f"model {path}: {exc}") from None
+        except (MalformedDocumentError, VersionMismatchError) as exc:
+            raise type(exc)(f"model {path}: {exc}") from None
 
 
 def stage_eval(cfg: PipelineConfig, handed: dict) -> list[str]:
@@ -392,7 +378,7 @@ def stage_eval(cfg: PipelineConfig, handed: dict) -> list[str]:
         _write(cfg.path(ROC_TSV), evaluation.roc_dump(curve))
         artifacts.append(ROC_TSV)
     auc_text = f"{curve.auc:.6f}" if curve else "n/a"
-    print(f"eval: {data.n} rows, accuracy {mets.accuracy:.6f}, "
+    print(f"eval: {data.n} rows, accuracy {mets['accuracy']:.6f}, "
           f"auc {auc_text}")
     return artifacts
 
@@ -415,8 +401,7 @@ def stage_predict(cfg: PipelineConfig, handed: dict) -> list[str]:
     score_text = np.array(list(map(repr, bits.view(float).tolist())),
                           dtype=object)[which]
     columns = [data.column(name) for name in names] + [classes, score_text]
-    with open(cfg.path(PREDICTIONS_CSV), "w", encoding="utf-8",
-              newline="") as fh:
+    with open_output(cfg.path(PREDICTIONS_CSV)) as fh:
         fh.writelines(csv_text(names + ["predicted_class", "score"], columns,
                                "\n"))
     print(f"predict: wrote {data.n} predictions")
@@ -581,7 +566,11 @@ def main(argv: list[str] | None = None) -> int:
     with _warning_lines(args.command):
         try:
             cfg = resolve_config(args)
-            os.makedirs(cfg.out, exist_ok=True)
+            try:
+                os.makedirs(cfg.out, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot make output directory {cfg.out}: "
+                                  f"{exc.strerror}") from None
             if args.command == "pipeline":
                 return run_pipeline(cfg)
             COMMANDS[args.command][0](cfg, {})

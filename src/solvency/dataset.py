@@ -10,7 +10,6 @@ the modelling stages only see dense columns.
 from __future__ import annotations
 
 import csv
-import os
 import re
 import sys
 from contextlib import closing, contextmanager
@@ -22,6 +21,7 @@ import numpy as np
 
 from .errors import (
     CodeBookError,
+    ConfigError,
     DataError,
     EmptyDatasetError,
     EmptyResultError,
@@ -160,10 +160,8 @@ class CodeBook:
 
     @classmethod
     def load(cls, path: str) -> "CodeBook":
-        if not os.path.exists(path):
-            raise MissingFileError(f"codebook file not found: {path}")
         mappings: dict[str, dict[str, int]] = {}
-        with _csv_reader(path, csv.DictReader) as reader:
+        with _csv_reader(path, csv.DictReader, "codebook") as reader:
             expected = {"feature", "label", "code"}
             if reader.fieldnames is None or set(reader.fieldnames) != expected:
                 raise HeaderMismatchError(
@@ -405,8 +403,6 @@ def load_csv(
     lines that np.loadtxt or a split on commas reads as the csv path
     would is read by it (see _plain_blocks).
     """
-    if not os.path.exists(path):
-        raise MissingFileError(f"input file not found: {path}")
     # a cell that is exactly a token reads as "nan"; float() would read
     # a token that is a finite number as a value, so such a token turns
     # the fast paths off
@@ -504,8 +500,8 @@ def _row_blocks(path: str, numeric: bool) -> Iterator:
 def _plain_text(path: str) -> str | None:
     """The text of path if each of its lines holds one csv row, which
     holds when it has no quote and no CR outside a CRLF; else None."""
-    with open(path, newline="", encoding="utf-8-sig") as fh, \
-            _read_errors(path):
+    with read_errors(path), \
+            open(path, newline="", encoding="utf-8-sig") as fh:
         text = fh.read()
     if '"' in text or ("\r" in text
                        and text.count("\r") != text.count("\r\n")):
@@ -576,7 +572,7 @@ def _split(lines: list[str], width: int) -> list[str] | None:
 def _csv_rows(path: str, lines: list[str], offset: int) -> list[list[str]]:
     """The csv rows of lines, which follow line offset of path."""
     reader = csv.reader(lines)
-    with _read_errors(path, lambda: offset + reader.line_num):
+    with read_errors(path, line_num=lambda: offset + reader.line_num):
         return list(reader)
 
 
@@ -605,19 +601,20 @@ def _parse_cells(cells: Sequence[str], missing: dict[str, str],
     NaN where a cell is missing, not a number, or not finite.
 
     fast, which needs that no missing token is a finite number, first
-    tries one float() per cell, then, if float() refuses a cell, once
-    more with each cell that is exactly a token read as "nan".  A cell
-    float() accepts reads as its stripped text would.  If float() still
-    refuses one (a padded token, text), the exact path reads the column.
+    tries one float() per cell, each cell that is exactly a token read
+    as "nan" (a token float() reads is not finite, so the cell reads
+    NaN either way).  A cell float() accepts reads as its stripped text
+    would.  If float() refuses one (a padded token, text), the exact
+    path reads the column.
     """
     if fast:
-        for texts in (cells, map(missing.get, cells, cells)):
-            try:
-                values = np.fromiter(map(float, texts), float, len(cells))
-            except ValueError:
-                continue
+        try:
+            values = np.fromiter(map(float, map(missing.get, cells, cells)),
+                                 float, len(cells))
             values[~np.isfinite(values)] = np.nan
             return values
+        except ValueError:
+            pass
     stripped = np.array(list(map(str.strip, cells)), dtype=object)
     absent = np.fromiter(map(missing.__contains__, stripped), bool,
                          len(stripped))
@@ -646,9 +643,20 @@ def write_csv(data: Dataset, path: str) -> None:
     """Write header plus rows as csv.writer would, each cell as
     csv_text renders it."""
     names = data.schema.names + [data.schema.target]
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         fh.writelines(csv_text(names, [data.column(name) for name in names],
                                "\r\n"))
+
+
+@contextmanager
+def open_output(path: str):
+    """path opened to write UTF-8 text with no newline translation; an
+    OSError raises ConfigError naming the file."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def read_back(data: Dataset,
@@ -811,8 +819,6 @@ def schema_from_header(
 
 
 def read_header(path: str) -> list[str]:
-    if not os.path.exists(path):
-        raise MissingFileError(f"input file not found: {path}")
     with _csv_reader(path) as reader:
         return _header(reader, path)
 
@@ -826,24 +832,31 @@ def _header(reader, path: str) -> list[str]:
 
 
 @contextmanager
-def _csv_reader(path: str, kind=csv.reader):
+def _csv_reader(path: str, kind=csv.reader, what: str = "input"):
     """A csv reader of the given kind over the UTF-8 text of path, less
-    a byte-order mark, whose read errors raise as _read_errors raises
-    them."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    a byte-order mark, whose open and read errors raise as read_errors
+    raises them."""
+    # a DictReader counts a line only once it has parsed it
+    with read_errors(path, what,
+                     lambda: getattr(reader, "reader", reader).line_num), \
+            open(path, newline="", encoding="utf-8-sig") as fh:
         reader = kind(fh)
-        # a DictReader counts a line only once it has parsed it
-        with _read_errors(
-                path, lambda: getattr(reader, "reader", reader).line_num):
-            yield reader
+        yield reader
 
 
 @contextmanager
-def _read_errors(path: str, line_num=None):
-    """A byte that is not UTF-8, or a line the csv module rejects (the
-    line line_num() numbers), raises DataError naming the file."""
+def read_errors(path: str, what: str = "input", line_num=None):
+    """A path that cannot be opened or read raises MissingFileError (a
+    ConfigError) naming it as the what file; a byte that is not UTF-8,
+    or a line the csv module rejects (the line line_num() numbers),
+    raises DataError naming the file."""
     try:
         yield
+    except FileNotFoundError:
+        raise MissingFileError(f"{what} file not found: {path}") from None
+    except OSError as exc:
+        raise MissingFileError(
+            f"{what} file {path} cannot be read: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DataError(
             f"{path} is not UTF-8 text: byte "

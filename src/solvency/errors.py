@@ -39,8 +39,9 @@ class SolvencyWarning(UserWarning):
 # -- dataset --------------------------------------------------------------
 
 class MissingFileError(ConfigError):
-    """A configured path points at nothing (exit code 2, not 3: the
-    file system state is part of the invocation, not of the data)."""
+    """A configured path points at nothing or at what cannot be read
+    (exit code 2, not 3: the file system state is part of the
+    invocation, not of the data)."""
 
 
 class HeaderMismatchError(DataError):

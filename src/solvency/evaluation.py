@@ -65,38 +65,23 @@ def confusion(actual: Sequence[int], predicted: Sequence[int]
     return ConfusionMatrix(vp=vp, vn=vn, fp=fp, fn=fn)
 
 
-@dataclass(frozen=True)
-class ErrorRates:
-    e1: float  # missed positives / actual positives
-    e2: float  # false alarms / actual negatives
-    e3: float  # all errors / all rows
-
-
-def error_rates(cm: ConfusionMatrix) -> ErrorRates:
+def error_rates(cm: ConfusionMatrix) -> dict[str, float]:
+    """eval.json's e1 (missed positives / actual positives), e2 (false
+    alarms / actual negatives) and e3 (all errors / all rows)."""
     if cm.actual_positives == 0 or cm.actual_negatives == 0:
         raise DegenerateClassError("both classes must be present for rates")
-    return ErrorRates(
-        e1=cm.fn / cm.actual_positives,
-        e2=cm.fp / cm.actual_negatives,
-        e3=(cm.fn + cm.fp) / cm.n,
-    )
+    return {"e1": cm.fn / cm.actual_positives,
+            "e2": cm.fp / cm.actual_negatives,
+            "e3": (cm.fn + cm.fp) / cm.n}
 
 
-@dataclass(frozen=True)
-class Metrics:
-    accuracy: float
-    sensitivity: float
-    specificity: float
-
-
-def metrics(cm: ConfusionMatrix) -> Metrics:
+def metrics(cm: ConfusionMatrix) -> dict[str, float]:
+    """eval.json's accuracy, sensitivity and specificity."""
     if cm.actual_positives == 0 or cm.actual_negatives == 0:
         raise DegenerateClassError("both classes must be present for metrics")
-    return Metrics(
-        accuracy=(cm.vp + cm.vn) / cm.n,
-        sensitivity=cm.vp / cm.actual_positives,
-        specificity=cm.vn / cm.actual_negatives,
-    )
+    return {"accuracy": (cm.vp + cm.vn) / cm.n,
+            "sensitivity": cm.vp / cm.actual_positives,
+            "specificity": cm.vn / cm.actual_negatives}
 
 
 @dataclass
@@ -176,14 +161,14 @@ REPORT_FIELDS = (
 )
 
 
-def report_json(cm: ConfusionMatrix, rates: ErrorRates, mets: Metrics,
-                curve: RocCurve | None) -> str:
+def report_json(cm: ConfusionMatrix, rates: dict[str, float],
+                mets: dict[str, float], curve: RocCurve | None) -> str:
     """Machine-readable summary; identical inputs give identical bytes.
 
     When no curve is available (degenerate scores) the four auc fields
     are null.
     """
-    cells = {**vars(cm), **vars(rates), **vars(mets)}
+    cells = {**vars(cm), **rates, **mets}
     # the auc fields are the curve's auc, se, ci_low and ci_high
     doc = {name: cells[name] if name in cells
            else curve and getattr(curve, name.removeprefix("auc_"))
@@ -191,20 +176,20 @@ def report_json(cm: ConfusionMatrix, rates: ErrorRates, mets: Metrics,
     return json.dumps(doc, indent=2) + "\n"
 
 
-def report_table(cm: ConfusionMatrix, rates: ErrorRates, mets: Metrics,
-                 curve: RocCurve | None) -> str:
+def report_table(cm: ConfusionMatrix, rates: dict[str, float],
+                 mets: dict[str, float], curve: RocCurve | None) -> str:
     """Fixed-width table for humans."""
     lines = [
         "                 predicted 0   predicted 1",
         f"actual 0   {cm.vn:13d} {cm.fp:13d}",
         f"actual 1   {cm.fn:13d} {cm.vp:13d}",
         "",
-        f"e1 (missed positives)   {rates.e1:.8f}",
-        f"e2 (false alarms)       {rates.e2:.8f}",
-        f"e3 (overall errors)     {rates.e3:.8f}",
-        f"accuracy                {mets.accuracy:.8f}",
-        f"sensitivity             {mets.sensitivity:.8f}",
-        f"specificity             {mets.specificity:.8f}",
+        f"e1 (missed positives)   {rates['e1']:.8f}",
+        f"e2 (false alarms)       {rates['e2']:.8f}",
+        f"e3 (overall errors)     {rates['e3']:.8f}",
+        f"accuracy                {mets['accuracy']:.8f}",
+        f"sensitivity             {mets['sensitivity']:.8f}",
+        f"specificity             {mets['specificity']:.8f}",
     ]
     if curve is None:
         lines.append("roc                     unavailable")

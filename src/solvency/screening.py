@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -325,40 +325,23 @@ REASON_NOT_SIGNIFICANT = "not_significant"
 REASON_CORRELATED = "correlated"
 
 
-@dataclass(frozen=True)
-class DroppedVariable:
-    name: str
-    reason: str
-    sig: float | None = None
-    partner: str | None = None
-    r: float | None = None
-
-
-@dataclass
-class ScreeningOutcome:
-    """Partition of the candidates into kept and dropped variables."""
-
-    kept: list[str]
-    dropped: list[DroppedVariable] = field(default_factory=list)
-
-    @property
-    def dropped_names(self) -> set[str]:
-        return {d.name for d in self.dropped}
-
-
 def screen(
     wald_rows: list[WaldRow],
     corr: CorrelationMatrix,
     *,
     alpha: float = 0.05,
     r_threshold: float = 0.8,
-) -> ScreeningOutcome:
-    """Apply the two elimination passes.
+) -> dict:
+    """Apply the two elimination passes; return the screening.json
+    object: alpha, r-threshold, the kept names in matrix order, and one
+    record per dropped variable in the order it was dropped,
+    {"name", "reason", "sig"} or {"name", "reason", "partner", "r"}.
 
-    Significance first: sig > alpha drops the variable.  Then each
-    surviving pair with |r| >= r_threshold drops its second member in
-    the matrix order (pairs are visited in upper-triangle order, and a
-    pair is skipped when either member is already gone).
+    Significance first: sig > alpha drops the variable (so a NaN sig
+    keeps it).  Then each surviving pair with |r| >= r_threshold drops
+    its second member in the matrix order (pairs are visited in
+    upper-triangle order, and a pair is skipped when either member is
+    already gone).
     """
     sig_by_name = {row.variable: row.sig for row in wald_rows
                    if row.variable != CONSTANT_ROW}
@@ -367,19 +350,16 @@ def screen(
             "wald rows and correlation matrix cover different variables: "
             f"{sorted(set(sig_by_name) ^ set(corr.names))}")
 
-    dropped: list[DroppedVariable] = []
-    alive = {name: True for name in corr.names}
-    for name in corr.names:
-        if sig_by_name[name] > alpha:
-            alive[name] = False
-            dropped.append(DroppedVariable(
-                name, REASON_NOT_SIGNIFICANT, sig=sig_by_name[name]))
-
+    dropped = [{"name": name, "reason": REASON_NOT_SIGNIFICANT,
+                "sig": sig_by_name[name]}
+               for name in corr.names if sig_by_name[name] > alpha]
+    alive = dict.fromkeys(corr.names, True)
+    alive.update((d["name"], False) for d in dropped)
     for a, b, r in corr.pairs():
         if alive[a] and alive[b] and abs(r) >= r_threshold:
             alive[b] = False
-            dropped.append(DroppedVariable(
-                b, REASON_CORRELATED, partner=a, r=r))
-
-    kept = [name for name in corr.names if alive[name]]
-    return ScreeningOutcome(kept=kept, dropped=dropped)
+            dropped.append({"name": b, "reason": REASON_CORRELATED,
+                            "partner": a, "r": r})
+    return {"alpha": alpha, "r-threshold": r_threshold,
+            "kept": [name for name in corr.names if alive[name]],
+            "dropped": dropped}

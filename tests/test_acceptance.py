@@ -49,12 +49,12 @@ def test_01_error_rates_from_reference_confusion_matrix(solvency_confusion):
     started = time.perf_counter()
     rates = error_rates(solvency_confusion)
     mets = metrics(solvency_confusion)
-    assert abs(rates.e1 - 0.31112224) < 5e-7
-    assert abs(rates.e2 - 0.25953815) < 5e-7
-    assert abs(rates.e3 - 0.285356) < 5e-7
-    assert 0.714 <= mets.accuracy <= 0.715
-    assert 0.688 <= mets.sensitivity <= 0.690
-    assert 0.740 <= mets.specificity <= 0.741
+    assert abs(rates["e1"] - 0.31112224) < 5e-7
+    assert abs(rates["e2"] - 0.25953815) < 5e-7
+    assert abs(rates["e3"] - 0.285356) < 5e-7
+    assert 0.714 <= mets["accuracy"] <= 0.715
+    assert 0.688 <= mets["sensitivity"] <= 0.690
+    assert 0.740 <= mets["specificity"] <= 0.741
     assert time.perf_counter() - started < 1.0
 
 
@@ -119,8 +119,9 @@ def test_04_correlation_screen_drops_redundant_partners():
             assert abs(r) < 0.5, (a, b)
     rows = [WaldRow(n, 1.0, 0.2, 25.0, 1, 0.001) for n in names]
     outcome = screen(rows, corr, alpha=0.05, r_threshold=0.8)
-    assert outcome.dropped_names == {"AMT_GOODS_PRICE", "CNT_FAM_MEMBERS"}
-    assert set(outcome.kept) == set(names) - outcome.dropped_names
+    dropped = {d["name"] for d in outcome["dropped"]}
+    assert dropped == {"AMT_GOODS_PRICE", "CNT_FAM_MEMBERS"}
+    assert set(outcome["kept"]) == set(names) - dropped
 
 
 def _random_split_case(rng):

@@ -839,6 +839,90 @@ class TestUnreadableFiles:
         assert read_header(str(source)) == ["x", "y"]
 
 
+class TestUnusablePaths:
+    """A path that cannot be read or written exits 2 naming it and the
+    operating system's reason, not with a traceback."""
+
+    # (command, flag): each flag names a file its command opens
+    READERS = [("encode", "--input"), ("pipeline", "--codebook"),
+               ("pipeline", "--config"), ("predict", "--model"),
+               ("train", "--screening")]
+    WHAT = {"--input": "input", "--codebook": "codebook",
+            "--config": "config", "--model": "model",
+            "--screening": "screening"}
+
+    def args(self, workdir, command, flag, path):
+        args = [command, flag, str(path), "--out", str(workdir / "out")]
+        if flag != "--input":
+            args += ["--input", str(make_synthetic(workdir))]
+        return args
+
+    @pytest.mark.parametrize("command, flag", READERS,
+                             ids=[flag[2:] for _, flag in READERS])
+    def test_directory_as_input_exits_2(self, workdir, capsys, command,
+                                        flag):
+        folder = workdir / "folder"
+        folder.mkdir()
+        assert main(self.args(workdir, command, flag, folder)) == 2
+        assert (f"{self.WHAT[flag]} file {folder} cannot be read: "
+                "Is a directory\n") in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, flag", READERS,
+                             ids=[flag[2:] for _, flag in READERS])
+    def test_missing_file_message_kept(self, workdir, capsys, command,
+                                       flag):
+        missing = workdir / "nope"
+        assert main(self.args(workdir, command, flag, missing)) == 2
+        assert (f"{self.WHAT[flag]} file not found: {missing}\n"
+                in capsys.readouterr().err)
+
+    def test_model_not_utf8_exits_3_naming_the_model(self, workdir, capsys):
+        model = workdir / "model.json"
+        model.write_bytes(b'{"format": "\xff"}')
+        assert main(self.args(workdir, "predict", "--model", model)) == 3
+        assert capsys.readouterr().err.startswith(
+            f"solvency predict: model {model}: 'utf-8' codec can't decode "
+            "byte 0xff")
+
+    @pytest.mark.parametrize("sub, reason", [
+        ("", "File exists"), ("sub", "Not a directory")],
+        ids=["existing-file", "below-a-file"])
+    def test_out_that_cannot_be_made_exits_2(self, workdir, capsys, sub,
+                                             reason):
+        make_synthetic(workdir)
+        out = workdir / "synthetic.csv" / sub if sub else (
+            workdir / "synthetic.csv")
+        before = (workdir / "synthetic.csv").read_bytes()
+        assert main(synth_args(out)) == 2
+        assert capsys.readouterr().err == (
+            f"solvency synth: cannot make output directory {out}: "
+            f"{reason}\n")
+        assert (workdir / "synthetic.csv").read_bytes() == before
+
+    def test_artifact_that_cannot_be_written_fails_its_stage(self, workdir,
+                                                              capsys):
+        out = workdir / "out"
+        (out / "model.json").mkdir(parents=True)
+        assert main(["pipeline", "--input", str(make_synthetic(workdir)),
+                     "--out", str(out)]) == 2
+        error = f"cannot write {out / 'model.json'}: Is a directory"
+        assert (f"pipeline: train failed: {error}\n"
+                in capsys.readouterr().err)
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert [s["status"] for s in stages] == [
+            "completed", "completed", "failed", "skipped"]
+        assert stages[2]["error"] == error
+
+    def test_manifest_that_cannot_be_written_exits_2(self, workdir, capsys):
+        out = workdir / "out"
+        (out / "manifest.json").mkdir(parents=True)
+        assert main(["pipeline", "--input", str(make_synthetic(workdir)),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err.endswith(
+            f"solvency pipeline: cannot write {out / 'manifest.json'}: "
+            "Is a directory\n")
+
+
 @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
 @pytest.mark.parametrize("command", ["train", "predict"])
 def test_blank_line_in_coded_input_exits_3(workdir, capsys, command,

@@ -69,15 +69,15 @@ class TestConfusionMatrix:
 class TestErrorRates:
     def test_exact_fractions(self, solvency_confusion):
         rates = error_rates(solvency_confusion)
-        assert rates.e1 == 621 / 1996
-        assert rates.e2 == 517 / 1992
-        assert rates.e3 == 1138 / 3988
+        assert rates["e1"] == 621 / 1996
+        assert rates["e2"] == 517 / 1992
+        assert rates["e3"] == 1138 / 3988
 
     def test_rational_oracle(self, solvency_confusion):
         rates = error_rates(solvency_confusion)
-        assert math.isclose(rates.e1, Fraction(621, 1996), rel_tol=1e-15)
-        assert math.isclose(rates.e2, Fraction(517, 1992), rel_tol=1e-15)
-        assert math.isclose(rates.e3, Fraction(1138, 3988), rel_tol=1e-15)
+        assert math.isclose(rates["e1"], Fraction(621, 1996), rel_tol=1e-15)
+        assert math.isclose(rates["e2"], Fraction(517, 1992), rel_tol=1e-15)
+        assert math.isclose(rates["e3"], Fraction(1138, 3988), rel_tol=1e-15)
 
     def test_degenerate_class(self):
         with pytest.raises(DegenerateClassError):
@@ -89,16 +89,16 @@ class TestErrorRates:
 class TestMetrics:
     def test_exact_fractions(self, solvency_confusion):
         mets = metrics(solvency_confusion)
-        assert mets.accuracy == 2850 / 3988
-        assert mets.sensitivity == 1375 / 1996
-        assert mets.specificity == 1475 / 1992
+        assert mets["accuracy"] == 2850 / 3988
+        assert mets["sensitivity"] == 1375 / 1996
+        assert mets["specificity"] == 1475 / 1992
 
     def test_complementarity_with_rates(self, solvency_confusion):
         rates = error_rates(solvency_confusion)
         mets = metrics(solvency_confusion)
-        assert abs(mets.sensitivity - (1.0 - rates.e1)) < 1e-15
-        assert abs(mets.specificity - (1.0 - rates.e2)) < 1e-15
-        assert abs(mets.accuracy - (1.0 - rates.e3)) < 1e-15
+        assert abs(mets["sensitivity"] - (1.0 - rates["e1"])) < 1e-15
+        assert abs(mets["specificity"] - (1.0 - rates["e2"])) < 1e-15
+        assert abs(mets["accuracy"] - (1.0 - rates["e3"])) < 1e-15
 
     def test_degenerate_class(self):
         with pytest.raises(DegenerateClassError):
@@ -136,7 +136,7 @@ class TestRocSweep:
                   + [0.0] * cm.vn + [1.0] * cm.fp)
         curve = roc(actual, scores)
         mets = metrics(cm)
-        expected = (mets.sensitivity + mets.specificity) / 2.0
+        expected = (mets["sensitivity"] + mets["specificity"]) / 2.0
         assert abs(curve.auc - expected) < 1e-12
         assert curve.auc == pytest.approx(0.7146698014502901, abs=1e-15)
 
@@ -232,8 +232,8 @@ class TestReports:
         doc = json.loads(report_json(cm, rates, mets, curve))
         assert tuple(doc) == REPORT_FIELDS
         assert doc["vp"] == 1375 and doc["fn"] == 621
-        assert doc["e1"] == rates.e1
-        assert doc["accuracy"] == mets.accuracy
+        assert doc["e1"] == rates["e1"]
+        assert doc["accuracy"] == mets["accuracy"]
         assert doc["auc"] == curve.auc
         assert doc["auc_ci_high"] == curve.ci_high
 
@@ -253,7 +253,7 @@ class TestReports:
         cm, rates, mets, curve = self.build(solvency_confusion)
         table = report_table(cm, rates, mets, curve)
         assert "predicted 0" in table
-        assert f"{rates.e1:.8f}" in table
+        assert f"{rates['e1']:.8f}" in table
         assert f"{curve.auc:.8f}" in table
         assert table.endswith("\n")
 

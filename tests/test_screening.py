@@ -298,8 +298,8 @@ class TestScreen:
         rows = _rows({"a": 0.01, "b": 0.40, "c": 0.002})
         corr = _corr(names, [("a", "c", 0.95)])
         outcome = screen(rows, corr)
-        assert outcome.kept == ["a"]
-        reasons = {d.name: d.reason for d in outcome.dropped}
+        assert outcome["kept"] == ["a"]
+        reasons = {d["name"]: d["reason"] for d in outcome["dropped"]}
         assert reasons == {"b": REASON_NOT_SIGNIFICANT,
                            "c": REASON_CORRELATED}
 
@@ -307,17 +307,17 @@ class TestScreen:
         names = ["a", "b"]
         rows = _rows({"a": 0.001, "b": 0.001})
         outcome = screen(rows, _corr(names, [("a", "b", 0.9)]))
-        assert outcome.kept == ["a"]
-        dropped = outcome.dropped[0]
-        assert dropped.name == "b" and dropped.partner == "a"
-        assert dropped.r == 0.9
+        assert outcome["kept"] == ["a"]
+        dropped = outcome["dropped"][0]
+        assert dropped["name"] == "b" and dropped["partner"] == "a"
+        assert dropped["r"] == 0.9
 
     def test_threshold_is_inclusive_on_magnitude(self):
         names = ["a", "b", "c"]
         rows = _rows({n: 0.001 for n in names})
         outcome = screen(rows, _corr(names, [("a", "b", -0.8),
                                              ("a", "c", 0.79)]))
-        assert outcome.kept == ["a", "c"]
+        assert outcome["kept"] == ["a", "c"]
 
     def test_pair_skipped_when_earlier_member_already_gone(self):
         # b falls with a; the (b, c) pair is then moot and c survives
@@ -325,14 +325,14 @@ class TestScreen:
         rows = _rows({n: 0.001 for n in names})
         outcome = screen(rows, _corr(names, [("a", "b", 0.97),
                                              ("b", "c", 0.92)]))
-        assert outcome.kept == ["a", "c"]
+        assert outcome["kept"] == ["a", "c"]
 
     def test_alpha_boundary_keeps_exact_hits(self):
         names = ["a", "b"]
         rows = _rows({"a": 0.05, "b": 0.051})
         outcome = screen(rows, _corr(names, []))
-        assert outcome.kept == ["a"]
-        assert outcome.dropped[0].name == "b"
+        assert outcome["kept"] == ["a"]
+        assert outcome["dropped"][0]["name"] == "b"
 
     def test_variable_sets_must_agree(self):
         rows = _rows({"a": 0.01})
@@ -347,8 +347,8 @@ class TestScreen:
         rows = _rows({"a": 0.01}) + [
             WaldRow(CONSTANT_ROW, 1.0, 0.3, 11.1, 1, 0.9)]
         outcome = screen(rows, _corr(["a"], []))
-        assert outcome.kept == ["a"]
-        assert outcome.dropped == []
+        assert outcome["kept"] == ["a"]
+        assert outcome["dropped"] == []
 
     def test_planted_near_duplicates_eliminated(self):
         data = correlated_pair_dataset()
@@ -358,9 +358,9 @@ class TestScreen:
         assert abs(corr.r("CNT_CHILDREN", "CNT_FAM_MEMBERS") - 0.888) < 1e-9
         rows = _rows({n: 0.001 for n in names})
         outcome = screen(rows, corr)
-        assert set(outcome.kept) == {
+        assert set(outcome["kept"]) == {
             "CNT_CHILDREN", "AMT_INCOME_TOTAL", "AMT_CREDIT", "AMT_ANNUITY"}
-        dropped = {d.name: d.partner for d in outcome.dropped}
+        dropped = {d["name"]: d["partner"] for d in outcome["dropped"]}
         assert dropped == {"AMT_GOODS_PRICE": "AMT_CREDIT",
                            "CNT_FAM_MEMBERS": "CNT_CHILDREN"}
 
@@ -392,8 +392,8 @@ def test_informative_independent_variables_all_kept():
     rows = [r for r in wald_table(fit_logistic(data))
             if r.variable != CONSTANT_ROW]
     outcome = screen(rows, pearson_matrix(data))
-    assert outcome.kept == names
-    assert outcome.dropped == []
+    assert outcome["kept"] == names
+    assert outcome["dropped"] == []
 
 
 def test_chi_square_quadrature_against_erfc_form():
