@@ -585,6 +585,23 @@ class TestEvalCommand:
             outs.append((out / "eval.json").read_bytes())
         assert outs[0] == outs[1]
 
+    def test_one_class_exits_3_before_any_report(self, workdir, capsys):
+        # error_rates refuses a one-class set before roc runs, so eval
+        # never reports a missing ROC
+        source = self.trained(workdir)
+        lines = source.read_text().splitlines()
+        positives = workdir / "positives.csv"
+        positives.write_text("\n".join(
+            [lines[0]] + [line.rpartition(",")[0] + ",1"
+                          for line in lines[1:]]) + "\n")
+        out = workdir / "one-class"
+        assert main(["eval", "--input", str(positives),
+                     "--model", str(workdir / "model.json"),
+                     "--out", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "solvency eval: both classes must be present for rates\n")
+        assert os.listdir(out) == []
+
     def test_missing_model_exits_2(self, workdir):
         source = make_synthetic(workdir)
         rc = main(["eval", "--input", str(source), "--out", str(workdir)])

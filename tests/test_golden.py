@@ -1,4 +1,4 @@
-"""Golden SHA-256 digests of the dataset-layer artifacts.
+"""Golden SHA-256 digests of the artifacts.
 
 The inputs hold the awkward cells the CSV reader and writer must treat
 exactly as before: default and custom missing tokens, unparsable,
@@ -8,7 +8,15 @@ and a scoring file without a target column.  The digests were recorded
 from the row-list dataset layer, so any change to the bytes of
 encoded.csv, cleaning.log or predictions.csv shows up here.  The
 library calls that encode does, made by hand, write the same bytes.
+
+The screening and evaluation artifacts are pinned on seeded synthetic
+data run through pipeline four ways: correlation.csv, eval.json,
+eval.txt, roc.tsv, and screening.json's kept list with each dropped
+variable's name, reason and partner.  wald.csv and every sig are left
+out, because they come from LAPACK and differ between numpy builds.
 """
+
+import json
 
 import hashlib
 
@@ -162,3 +170,92 @@ def test_golden_digests(tmp_path):
         "raw/cleaning.log": _digest(tmp_path / "raw.log"),
     }
     assert found == DIGESTS
+
+
+#: pipeline flags of each run on the noisy synthetic file, all with
+#: --alpha 0.999999 so no variable drops on a sig; the last one's low
+#: r-threshold drops four as correlated
+PIPELINE_RUNS = {
+    "joint": [],
+    "per-variable": ["--per-variable", "--holdout", "0.3"],
+    "hard": ["--roc-scores", "hard"],
+    "correlated": ["--r-threshold", "0.05"],
+}
+
+PIPELINE_ARTIFACTS = ("correlation.csv", "eval.json", "eval.txt", "roc.tsv")
+
+PIPELINE_DIGESTS = {
+    "joint/correlation.csv":
+        "7ecf0e082182e8ef2907e3f7a55afed55e084895eb2ebbde92937da679e3c090",
+    "joint/eval.json":
+        "da7d0324a2c8d68d2f10e17362c26e4d52b32bd89536067c13c024c2c320b677",
+    "joint/eval.txt":
+        "9ee6cf5929320eeb38cc04ad3cadfd02a58fb2ceeb9223322e5f6eafaad66229",
+    "joint/roc.tsv":
+        "aa28681b18a8c309101e9ac841721d50c6615f814940d8150458e6b9172e45a9",
+    "per-variable/correlation.csv":
+        "089a9a2a15fd17d49a3e8bba57f39d5e8c67c82212896e18b43d4a5367741650",
+    "per-variable/eval.json":
+        "f1efd57e1e555daa48fb3f986028113aa5ed478708cc0a80b2accba02c3a3542",
+    "per-variable/eval.txt":
+        "4a391069809592531574377aa4ee7897ed464838e7c5ce1b26d4608df4ce78eb",
+    "per-variable/roc.tsv":
+        "f5ee575dfcedfe6a6f44d42451f74b682fe67770511e842f7be23c15aaea5402",
+    "hard/correlation.csv":
+        "7ecf0e082182e8ef2907e3f7a55afed55e084895eb2ebbde92937da679e3c090",
+    "hard/eval.json":
+        "b521f01eccc38f0009d0bb80540c1704047e3334d933057ab89dd110da7d160d",
+    "hard/eval.txt":
+        "3a039f99ec19c776e2acb329475e54e6bcdc9c328b14ec6f274b26e6345b0ec5",
+    "hard/roc.tsv":
+        "abca033b2eb4f7c4791d0fc2049859371966f0f13ccd8ef4e5296c933e1a2f20",
+    "correlated/correlation.csv":
+        "7ecf0e082182e8ef2907e3f7a55afed55e084895eb2ebbde92937da679e3c090",
+    "correlated/eval.json":
+        "5f196f25cab850e44fa7ae08755a16d4872a7e24e739b0fca145c27676a4c10c",
+    "correlated/eval.txt":
+        "2b68c1313dd375e5f5de8e0a61f1984cdda0db120dd41136ec121309bc1247fd",
+    "correlated/roc.tsv":
+        "adce6ea9b6882c510802c9f8b9895f2156dd783a1b32162fed5ae34e2c9456a3",
+}
+
+ALL_KEPT = [
+    "NAME_CONTRACT_TYPE", "CODE_GENDER", "FLAG_OWN_CAR", "CNT_CHILDREN",
+    "AMT_INCOME_TOTAL", "AMT_CREDIT", "AMT_ANNUITY", "AMT_GOODS_PRICE",
+    "NAME_INCOME_TYPE", "NAME_EDUCATION_TYPE", "NAME_FAMILY_STATUS",
+    "NAME_HOUSING_TYPE", "CNT_FAM_MEMBERS",
+]
+
+#: run -> (kept, [(name, reason, partner), ...]) from screening.json
+PIPELINE_SCREENING = {
+    "joint": (ALL_KEPT, []),
+    "per-variable": (ALL_KEPT, []),
+    "hard": (ALL_KEPT, []),
+    "correlated": (
+        [name for name in ALL_KEPT if name not in (
+            "AMT_GOODS_PRICE", "CNT_FAM_MEMBERS", "NAME_EDUCATION_TYPE",
+            "NAME_HOUSING_TYPE")],
+        [("AMT_GOODS_PRICE", "correlated", "NAME_CONTRACT_TYPE"),
+         ("CNT_FAM_MEMBERS", "correlated", "CNT_CHILDREN"),
+         ("NAME_EDUCATION_TYPE", "correlated", "AMT_INCOME_TOTAL"),
+         ("NAME_HOUSING_TYPE", "correlated", "NAME_INCOME_TYPE")]),
+}
+
+
+def test_golden_pipeline_digests(tmp_path):
+    assert main(["synth", "--rows", "1500", "--seed", "11", "--noise", "0.2",
+                 "--out", str(tmp_path)]) == 0
+    source = str(tmp_path / "synthetic.csv")
+    digests, screening = {}, {}
+    for run, flags in PIPELINE_RUNS.items():
+        out = tmp_path / run
+        assert main(["pipeline", "--input", source, "--alpha", "0.999999",
+                     *flags, "--out", str(out)]) == 0
+        for name in PIPELINE_ARTIFACTS:
+            digests[f"{run}/{name}"] = _digest(out / name)
+        doc = json.loads((out / "screening.json").read_text())
+        screening[run] = (doc["kept"], [
+            (d["name"], d["reason"], d.get("partner"))
+            for d in doc["dropped"]])
+    assert screening == PIPELINE_SCREENING
+    assert digests == PIPELINE_DIGESTS
