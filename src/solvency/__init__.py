@@ -18,7 +18,6 @@ from .cart import (
 )
 from .dataset import (
     DEFAULT_CODEBOOK,
-    CleaningLog,
     CodeBook,
     Dataset,
     FeatureSpec,
@@ -39,8 +38,6 @@ from .errors import (
     SolvencyWarning,
 )
 from .evaluation import (
-    ConfusionMatrix,
-    RocCurve,
     auc_se_ci,
     confusion,
     error_rates,
@@ -50,11 +47,10 @@ from .evaluation import (
     roc,
 )
 from .screening import (
-    CorrelationMatrix,
     LogisticFit,
-    WaldRow,
     chi_square_sf_1df,
     fit_logistic,
+    correlation_text,
     pearson_matrix,
     per_variable_wald,
     screen,
@@ -67,18 +63,15 @@ __version__ = "0.1.0"
 __all__ = [
     "CartConfig", "CartTree", "best_split", "deserialize",
     "export_dot", "export_text", "grow", "predict_dataset", "serialize",
-    "DEFAULT_CODEBOOK", "CleaningLog", "CodeBook",
-    "Dataset", "FeatureSpec", "OutlierRule", "Schema", "apply_codebook",
-    "class_distribution", "clean", "load_csv", "schema_from_header",
-    "write_csv",
+    "DEFAULT_CODEBOOK", "CodeBook", "Dataset", "FeatureSpec", "OutlierRule",
+    "Schema", "apply_codebook", "class_distribution", "clean", "load_csv",
+    "schema_from_header", "write_csv",
     "ConfigError", "DataError", "NumericError", "SolvencyError",
     "SolvencyWarning",
-    "ConfusionMatrix", "RocCurve", "auc_se_ci",
-    "confusion", "error_rates", "metrics", "report_json", "report_table",
-    "roc",
-    "CorrelationMatrix", "LogisticFit", "WaldRow",
-    "chi_square_sf_1df", "fit_logistic", "pearson_matrix",
-    "per_variable_wald", "screen", "wald_table",
+    "auc_se_ci", "confusion", "error_rates", "metrics", "report_json",
+    "report_table", "roc",
+    "LogisticFit", "chi_square_sf_1df", "correlation_text", "fit_logistic",
+    "pearson_matrix", "per_variable_wald", "screen", "wald_table",
     "SynthSpec", "default_spec", "generate",
     "cart", "dataset", "evaluation", "screening", "synth",
 ]

@@ -43,7 +43,6 @@ from .dataset import (
 )
 from .errors import (
     ConfigError,
-    DegenerateClassError,
     MalformedDocumentError,
     SolvencyError,
     SolvencyWarning,
@@ -264,7 +263,8 @@ def stage_encode(cfg: PipelineConfig, handed: dict) -> list[str]:
     data = _load(cfg, cfg.input, encoded=cfg.skip_codebook)
     cleaned, log = clean(data, cfg.outlier_rule())
     write_csv(cleaned, cfg.path(ENCODED_CSV))
-    _write(cfg.path(CLEANING_LOG), log.to_text())
+    _write(cfg.path(CLEANING_LOG),
+           "".join(f"{row}\t{reason}\n" for row, reason in log))
     print(f"encode: kept {cleaned.n} of {data.n} rows, "
           f"class counts {class_distribution(cleaned)}")
     handed["data"] = read_back(cleaned, cfg.missing_tokens)
@@ -285,7 +285,8 @@ def stage_screen(cfg: PipelineConfig, handed: dict) -> list[str]:
         rows = screening.wald_table(fit)
     _write(cfg.path(WALD_CSV), screening.wald_rows_to_text(rows))
     corr = screening.pearson_matrix(data, names)
-    _write(cfg.path(CORRELATION_CSV), corr.to_text())
+    _write(cfg.path(CORRELATION_CSV),
+           screening.correlation_text(names, corr))
     doc = screening.screen(rows, corr, alpha=cfg.alpha,
                            r_threshold=cfg.r_threshold)
     _write(cfg.path(SCREENING_JSON), json.dumps(doc, indent=2) + "\n")
@@ -365,22 +366,15 @@ def stage_eval(cfg: PipelineConfig, handed: dict) -> list[str]:
     mets = evaluation.metrics(cm)
     roc_scores = scores if cfg.roc_scores == "proportion" else (
         classes.astype(float))
-    try:
-        curve = evaluation.roc(actual, roc_scores)
-    except DegenerateClassError:
-        curve = None
+    curve = evaluation.roc(actual, roc_scores)
     _write(cfg.path(EVAL_JSON),
            evaluation.report_json(cm, rates, mets, curve))
     _write(cfg.path(EVAL_TXT),
            evaluation.report_table(cm, rates, mets, curve))
-    artifacts = [EVAL_JSON, EVAL_TXT]
-    if curve is not None:
-        _write(cfg.path(ROC_TSV), evaluation.roc_dump(curve))
-        artifacts.append(ROC_TSV)
-    auc_text = f"{curve.auc:.6f}" if curve else "n/a"
+    _write(cfg.path(ROC_TSV), evaluation.roc_dump(curve))
     print(f"eval: {data.n} rows, accuracy {mets['accuracy']:.6f}, "
-          f"auc {auc_text}")
-    return artifacts
+          f"auc {curve['auc']:.6f}")
+    return [EVAL_JSON, EVAL_TXT, ROC_TSV]
 
 
 def stage_predict(cfg: PipelineConfig, handed: dict) -> list[str]:

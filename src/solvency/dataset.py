@@ -13,7 +13,7 @@ import csv
 import re
 import sys
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import islice, repeat
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -316,19 +316,6 @@ class Dataset:
         perm = rng.permutation(self.n)
         k = int(round(fraction * self.n))
         return self.select(np.sort(perm[k:])), self.select(np.sort(perm[:k]))
-
-
-@dataclass
-class CleaningLog:
-    """Per-row drop records: (original row index, reason)."""
-
-    entries: list[tuple[int, str]] = field(default_factory=list)
-
-    def to_text(self) -> str:
-        return "".join(f"{i}\t{reason}\n" for i, reason in self.entries)
-
-    def __len__(self):
-        return len(self.entries)
 
 
 @dataclass(frozen=True)
@@ -742,8 +729,9 @@ def _format_cells(values: np.ndarray) -> list[str]:
 def clean(
     data: Dataset,
     rule: OutlierRule = OutlierRule(),
-) -> tuple[Dataset, CleaningLog]:
-    """Drop rows with missing values, then rows with numeric outliers.
+) -> tuple[Dataset, list[tuple[int, str]]]:
+    """Drop rows with missing values, then rows with numeric outliers;
+    return the kept rows and cleaning.log's (row, reason) records.
 
     Outlier fences are recomputed and reapplied until no row is
     dropped, which makes cleaning idempotent: running clean on its own
@@ -777,8 +765,7 @@ def clean(
 
     rows, reasons = np.concatenate(rows), np.concatenate(reasons)
     order = np.argsort(rows)
-    log = CleaningLog(list(zip(rows[order].tolist(),
-                               reasons[order].tolist())))
+    log = list(zip(rows[order].tolist(), reasons[order].tolist()))
     if not kept.size:
         raise EmptyResultError("cleaning removed every row")
     return data.select(kept), log

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -22,35 +21,10 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    vp: int
-    vn: int
-    fp: int
-    fn: int
-
-    def __post_init__(self):
-        if min(self.vp, self.vn, self.fp, self.fn) < 0:
-            raise ValueError("confusion counts cannot be negative")
-        if self.n == 0:
-            raise EmptyInputError("confusion matrix over 0 rows")
-
-    @property
-    def n(self) -> int:
-        return self.vp + self.vn + self.fp + self.fn
-
-    @property
-    def actual_positives(self) -> int:
-        return self.vp + self.fn
-
-    @property
-    def actual_negatives(self) -> int:
-        return self.vn + self.fp
-
-
 def confusion(actual: Sequence[int], predicted: Sequence[int]
-              ) -> ConfusionMatrix:
-    """Tally the four cells from parallel 0/1 vectors."""
+              ) -> dict[str, int]:
+    """eval.json's four cells, {"vp", "vn", "fp", "fn"}, tallied from
+    parallel 0/1 vectors."""
     a = np.asarray(actual)
     p = np.asarray(predicted)
     if a.shape[0] == 0:
@@ -62,47 +36,46 @@ def confusion(actual: Sequence[int], predicted: Sequence[int]
             raise ValueError(f"{which} values must all be 0 or 1")
     vn, fp, fn, vp = np.bincount((2 * a + p).astype(np.intp),
                                  minlength=4).tolist()
-    return ConfusionMatrix(vp=vp, vn=vn, fp=fp, fn=fn)
+    return {"vp": vp, "vn": vn, "fp": fp, "fn": fn}
 
 
-def error_rates(cm: ConfusionMatrix) -> dict[str, float]:
+def _class_totals(cm: dict[str, int], what: str) -> tuple[int, int]:
+    """Actual positives and negatives; DegenerateClassError unless
+    both classes are present."""
+    positives, negatives = cm["vp"] + cm["fn"], cm["vn"] + cm["fp"]
+    if positives == 0 or negatives == 0:
+        raise DegenerateClassError(f"both classes must be present for {what}")
+    return positives, negatives
+
+
+def error_rates(cm: dict[str, int]) -> dict[str, float]:
     """eval.json's e1 (missed positives / actual positives), e2 (false
     alarms / actual negatives) and e3 (all errors / all rows)."""
-    if cm.actual_positives == 0 or cm.actual_negatives == 0:
-        raise DegenerateClassError("both classes must be present for rates")
-    return {"e1": cm.fn / cm.actual_positives,
-            "e2": cm.fp / cm.actual_negatives,
-            "e3": (cm.fn + cm.fp) / cm.n}
+    positives, negatives = _class_totals(cm, "rates")
+    return {"e1": cm["fn"] / positives,
+            "e2": cm["fp"] / negatives,
+            "e3": (cm["fn"] + cm["fp"]) / (positives + negatives)}
 
 
-def metrics(cm: ConfusionMatrix) -> dict[str, float]:
+def metrics(cm: dict[str, int]) -> dict[str, float]:
     """eval.json's accuracy, sensitivity and specificity."""
-    if cm.actual_positives == 0 or cm.actual_negatives == 0:
-        raise DegenerateClassError("both classes must be present for metrics")
-    return {"accuracy": (cm.vp + cm.vn) / cm.n,
-            "sensitivity": cm.vp / cm.actual_positives,
-            "specificity": cm.vn / cm.actual_negatives}
+    positives, negatives = _class_totals(cm, "metrics")
+    return {"accuracy": (cm["vp"] + cm["vn"]) / (positives + negatives),
+            "sensitivity": cm["vp"] / positives,
+            "specificity": cm["vn"] / negatives}
 
 
-@dataclass
-class RocCurve:
-    """Operating points from sweeping the decision threshold downward.
+def roc(actual: Sequence[int], scores: Sequence[float]) -> dict:
+    """The operating points from sweeping the decision threshold
+    downward over actual classes and scores in [0, 1], with eval.json's
+    auc fields: {"auc", "auc_se", "auc_ci_low", "auc_ci_high",
+    "points"}.
 
     points runs from (0, 0) to (1, 1) as (fpr, tpr) pairs; tied scores
-    contribute a single step.  auc is the trapezoid area, se the
-    Hanley-McNeil standard error, and ci the 1.96-se interval clipped
-    to [0, 1].
+    contribute a single step.  auc is the trapezoid area, auc_se the
+    Hanley-McNeil standard error, and the interval 1.96 auc_se either
+    side, clipped to [0, 1].
     """
-
-    points: list[tuple[float, float]]
-    auc: float
-    se: float
-    ci_low: float
-    ci_high: float
-
-
-def roc(actual: Sequence[int], scores: Sequence[float]) -> RocCurve:
-    """Build the curve from actual classes and scores in [0, 1]."""
     a = np.asarray(actual)
     s = np.asarray(scores, dtype=float)
     if a.shape[0] == 0:
@@ -129,7 +102,8 @@ def roc(actual: Sequence[int], scores: Sequence[float]) -> RocCurve:
         area += (x1 - x0) * (y0 + y1) / 2.0
     area = min(1.0, max(0.0, area))
     se, (low, high) = auc_se_ci(area, n1, n0)
-    return RocCurve(points=points, auc=area, se=se, ci_low=low, ci_high=high)
+    return {"auc": area, "auc_se": se, "auc_ci_low": low, "auc_ci_high": high,
+            "points": points}
 
 
 def auc_se_ci(auc: float, n1: int, n0: int
@@ -161,28 +135,21 @@ REPORT_FIELDS = (
 )
 
 
-def report_json(cm: ConfusionMatrix, rates: dict[str, float],
-                mets: dict[str, float], curve: RocCurve | None) -> str:
-    """Machine-readable summary; identical inputs give identical bytes.
-
-    When no curve is available (degenerate scores) the four auc fields
-    are null.
-    """
-    cells = {**vars(cm), **rates, **mets}
-    # the auc fields are the curve's auc, se, ci_low and ci_high
-    doc = {name: cells[name] if name in cells
-           else curve and getattr(curve, name.removeprefix("auc_"))
-           for name in REPORT_FIELDS}
+def report_json(cm: dict[str, int], rates: dict[str, float],
+                mets: dict[str, float], curve: dict) -> str:
+    """Machine-readable summary; identical inputs give identical bytes."""
+    cells = {**cm, **rates, **mets, **curve}
+    doc = {name: cells[name] for name in REPORT_FIELDS}
     return json.dumps(doc, indent=2) + "\n"
 
 
-def report_table(cm: ConfusionMatrix, rates: dict[str, float],
-                 mets: dict[str, float], curve: RocCurve | None) -> str:
+def report_table(cm: dict[str, int], rates: dict[str, float],
+                 mets: dict[str, float], curve: dict) -> str:
     """Fixed-width table for humans."""
     lines = [
         "                 predicted 0   predicted 1",
-        f"actual 0   {cm.vn:13d} {cm.fp:13d}",
-        f"actual 1   {cm.fn:13d} {cm.vp:13d}",
+        f"actual 0   {cm['vn']:13d} {cm['fp']:13d}",
+        f"actual 1   {cm['fn']:13d} {cm['vp']:13d}",
         "",
         f"e1 (missed positives)   {rates['e1']:.8f}",
         f"e2 (false alarms)       {rates['e2']:.8f}",
@@ -190,17 +157,14 @@ def report_table(cm: ConfusionMatrix, rates: dict[str, float],
         f"accuracy                {mets['accuracy']:.8f}",
         f"sensitivity             {mets['sensitivity']:.8f}",
         f"specificity             {mets['specificity']:.8f}",
+        f"auc                     {curve['auc']:.8f}",
+        f"auc se                  {curve['auc_se']:.8f}",
+        f"auc 95% ci              [{curve['auc_ci_low']:.8f}, "
+        f"{curve['auc_ci_high']:.8f}]",
     ]
-    if curve is None:
-        lines.append("roc                     unavailable")
-    else:
-        lines.append(f"auc                     {curve.auc:.8f}")
-        lines.append(f"auc se                  {curve.se:.8f}")
-        lines.append(f"auc 95% ci              [{curve.ci_low:.8f}, "
-                     f"{curve.ci_high:.8f}]")
     return "\n".join(lines) + "\n"
 
 
-def roc_dump(curve: RocCurve) -> str:
+def roc_dump(curve: dict) -> str:
     """One fpr<TAB>tpr line per operating point."""
-    return "".join(f"{x!r}\t{y!r}\n" for x, y in curve.points)
+    return "".join(f"{x!r}\t{y!r}\n" for x, y in curve["points"])

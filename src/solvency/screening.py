@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
@@ -197,18 +198,6 @@ def fit_logistic(
 CONSTANT_ROW = "constant"
 
 
-@dataclass(frozen=True)
-class WaldRow:
-    """One line of the significance table."""
-
-    variable: str
-    b: float
-    se: float
-    wald: float
-    ddl: int
-    sig: float
-
-
 def chi_square_sf_1df(x: float) -> float:
     """Survival function of a chi-square with one degree of freedom.
 
@@ -220,20 +209,15 @@ def chi_square_sf_1df(x: float) -> float:
     return math.erfc(math.sqrt(x / 2.0))
 
 
-def wald_table(fit: LogisticFit) -> list[WaldRow]:
-    """Wald statistic and p-value per coefficient, intercept row last."""
+def wald_table(fit: LogisticFit) -> list[dict]:
+    """wald.csv's rows, {"variable", "B", "SE", "wald", "ddl", "sig"},
+    one per coefficient, intercept row last."""
     rows = []
     names = fit.variables + [CONSTANT_ROW]
     for name, b, se in zip(names, fit.coefficients, fit.standard_errors):
-        wald = 0.0 if b == 0.0 else (b / se) ** 2
-        rows.append(WaldRow(
-            variable=name,
-            b=float(b),
-            se=float(se),
-            wald=float(wald),
-            ddl=1,
-            sig=chi_square_sf_1df(float(wald)),
-        ))
+        wald = 0.0 if b == 0.0 else float((b / se) ** 2)
+        rows.append({"variable": name, "B": float(b), "SE": float(se),
+                     "wald": wald, "ddl": 1, "sig": chi_square_sf_1df(wald)})
     return rows
 
 
@@ -243,7 +227,7 @@ def per_variable_wald(
     *,
     max_iter: int = 50,
     tol: float = 1e-8,
-) -> list[WaldRow]:
+) -> list[dict]:
     """One single-variable fit per candidate, slope rows only.
 
     Alternative to the joint fit for comparing against outputs produced
@@ -258,43 +242,20 @@ def per_variable_wald(
     return rows
 
 
-def wald_rows_to_text(rows: list[WaldRow]) -> str:
+def wald_rows_to_text(rows: list[dict]) -> str:
     """Delimited table: variable,B,SE,wald,ddl,sig."""
     lines = ["variable,B,SE,wald,ddl,sig"]
-    names = _quoted([r.variable for r in rows])
+    names = _quoted([r["variable"] for r in rows])
     for name, r in zip(names, rows):
-        lines.append(f"{name},{r.b!r},{r.se!r},{r.wald!r},{r.ddl},{r.sig!r}")
+        lines.append(f"{name},{r['B']!r},{r['SE']!r},{r['wald']!r},"
+                     f"{r['ddl']},{r['sig']!r}")
     return "\n".join(lines) + "\n"
 
 
-@dataclass
-class CorrelationMatrix:
-    """Pairwise Pearson correlations over a fixed variable order."""
-
-    names: list[str]
-    values: np.ndarray
-
-    def r(self, a: str, b: str) -> float:
-        return float(self.values[self.names.index(a), self.names.index(b)])
-
-    def pairs(self):
-        """(name_i, name_j, r) over the upper triangle, i < j."""
-        for i in range(len(self.names)):
-            for j in range(i + 1, len(self.names)):
-                yield self.names[i], self.names[j], float(self.values[i, j])
-
-    def to_text(self) -> str:
-        names = _quoted(self.names)
-        lines = ["," + ",".join(names)]
-        for i, name in enumerate(names):
-            cells = ",".join(repr(float(v)) for v in self.values[i])
-            lines.append(f"{name},{cells}")
-        return "\n".join(lines) + "\n"
-
-
 def pearson_matrix(data: Dataset, variables: list[str] | None = None,
-                   ) -> CorrelationMatrix:
-    """Population-moment Pearson correlations between feature columns.
+                   ) -> np.ndarray:
+    """Population-moment Pearson correlations between feature columns,
+    as the k x k array in the order of the variables given.
 
     The upper triangle is computed once and mirrored, the diagonal is
     written as exactly 1, and rounding excursions are clipped back into
@@ -310,15 +271,27 @@ def pearson_matrix(data: Dataset, variables: list[str] | None = None,
     for j, name in enumerate(names):
         if sd[j] == 0.0:
             raise ZeroVarianceError(name)
+    # each pair's product reads two contiguous rows of the transpose;
+    # the mean and sd above stay on X's layout, which sets their
+    # summation order and so their bits
+    columns = centered.T.copy()
     values = np.eye(k)
     for i in range(k):
         for j in range(i + 1, k):
-            r = float(np.mean(centered[:, i] * centered[:, j])
-                      / (sd[i] * sd[j]))
+            r = float(np.mean(columns[i] * columns[j]) / (sd[i] * sd[j]))
             r = min(1.0, max(-1.0, r))
             values[i, j] = r
             values[j, i] = r
-    return CorrelationMatrix(names, values)
+    return values
+
+
+def correlation_text(names: list[str], values: np.ndarray) -> str:
+    """correlation.csv: a header of the names, then one row per name."""
+    names = _quoted(names)
+    lines = ["," + ",".join(names)]
+    for name, row in zip(names, values.tolist()):
+        lines.append(f"{name}," + ",".join(map(repr, row)))
+    return "\n".join(lines) + "\n"
 
 
 REASON_NOT_SIGNIFICANT = "not_significant"
@@ -326,40 +299,40 @@ REASON_CORRELATED = "correlated"
 
 
 def screen(
-    wald_rows: list[WaldRow],
-    corr: CorrelationMatrix,
+    wald_rows: list[dict],
+    corr: np.ndarray,
     *,
     alpha: float = 0.05,
     r_threshold: float = 0.8,
 ) -> dict:
     """Apply the two elimination passes; return the screening.json
-    object: alpha, r-threshold, the kept names in matrix order, and one
+    object: alpha, r-threshold, the kept names in row order, and one
     record per dropped variable in the order it was dropped,
     {"name", "reason", "sig"} or {"name", "reason", "partner", "r"}.
 
+    The candidates are the Wald rows' variables (the constant row
+    aside), and corr is their correlation matrix in that order.
     Significance first: sig > alpha drops the variable (so a NaN sig
     keeps it).  Then each surviving pair with |r| >= r_threshold drops
-    its second member in the matrix order (pairs are visited in
-    upper-triangle order, and a pair is skipped when either member is
-    already gone).
+    its second member (pairs are visited in upper-triangle order, and a
+    pair is skipped when either member is already gone).
     """
-    sig_by_name = {row.variable: row.sig for row in wald_rows
-                   if row.variable != CONSTANT_ROW}
-    if set(sig_by_name) != set(corr.names):
-        raise ValueError(
-            "wald rows and correlation matrix cover different variables: "
-            f"{sorted(set(sig_by_name) ^ set(corr.names))}")
+    rows = [row for row in wald_rows if row["variable"] != CONSTANT_ROW]
+    names = [row["variable"] for row in rows]
+    k = len(names)
+    if np.shape(corr) != (k, k):
+        raise ValueError(f"{k} wald rows need a {k} x {k} correlation "
+                         f"matrix, not {np.shape(corr)}")
 
-    dropped = [{"name": name, "reason": REASON_NOT_SIGNIFICANT,
-                "sig": sig_by_name[name]}
-               for name in corr.names if sig_by_name[name] > alpha]
-    alive = dict.fromkeys(corr.names, True)
-    alive.update((d["name"], False) for d in dropped)
-    for a, b, r in corr.pairs():
-        if alive[a] and alive[b] and abs(r) >= r_threshold:
-            alive[b] = False
-            dropped.append({"name": b, "reason": REASON_CORRELATED,
-                            "partner": a, "r": r})
+    dropped = [{"name": row["variable"], "reason": REASON_NOT_SIGNIFICANT,
+                "sig": row["sig"]} for row in rows if row["sig"] > alpha]
+    alive = [not row["sig"] > alpha for row in rows]
+    for i, j in combinations(range(k), 2):
+        r = float(corr[i, j])
+        if alive[i] and alive[j] and abs(r) >= r_threshold:
+            alive[j] = False
+            dropped.append({"name": names[j], "reason": REASON_CORRELATED,
+                            "partner": names[i], "r": r})
     return {"alpha": alpha, "r-threshold": r_threshold,
-            "kept": [name for name in corr.names if alive[name]],
+            "kept": [name for name, keep in zip(names, alive) if keep],
             "dropped": dropped}

@@ -15,7 +15,6 @@ from solvency.dataset import (
     FeatureSpec,
     Schema,
 )
-from solvency.evaluation import ConfusionMatrix
 
 pytest_plugins = ["pytester"]
 
@@ -71,7 +70,7 @@ def rows(data):
 def solvency_confusion():
     """The roughly 4000-row holdout cross-tabulation used as the
     evaluation fixture throughout."""
-    return ConfusionMatrix(vp=1375, vn=1475, fp=517, fn=621)
+    return {"vp": 1375, "vn": 1475, "fp": 517, "fn": 621}
 
 
 # Published-style univariate significance table: one row per candidate

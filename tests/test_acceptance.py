@@ -8,6 +8,7 @@ one pass/fail line per check.
 import json
 import os
 import time
+from itertools import combinations
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from solvency.cli import main
 from solvency.dataset import CATEGORICAL
 from solvency.evaluation import auc_se_ci, error_rates, metrics, roc
 from solvency.screening import (
-    WaldRow,
     chi_square_sf_1df,
     fit_logistic_xy,
     logistic_gradient,
@@ -63,14 +63,15 @@ def test_02_hard_label_roc_auc_and_uncertainty(solvency_confusion):
     reported level and its Hanley-McNeil error near 0.008."""
     started = time.perf_counter()
     cm = solvency_confusion
-    actual = [1] * cm.vp + [1] * cm.fn + [0] * cm.vn + [0] * cm.fp
-    scores = ([1.0] * cm.vp + [0.0] * cm.fn
-              + [0.0] * cm.vn + [1.0] * cm.fp)
+    actual = ([1] * cm["vp"] + [1] * cm["fn"]
+              + [0] * cm["vn"] + [0] * cm["fp"])
+    scores = ([1.0] * cm["vp"] + [0.0] * cm["fn"]
+              + [0.0] * cm["vn"] + [1.0] * cm["fp"])
     curve = roc(actual, scores)
-    assert 0.714 <= curve.auc <= 0.716
-    se, _ = auc_se_ci(curve.auc, 1996, 1992)
+    assert 0.714 <= curve["auc"] <= 0.716
+    se, _ = auc_se_ci(curve["auc"], 1996, 1992)
     assert 0.006 <= se <= 0.010
-    assert curve.se == se
+    assert curve["auc_se"] == se
     assert time.perf_counter() - started < 1.0
 
 
@@ -110,14 +111,17 @@ def test_04_correlation_screen_drops_redundant_partners():
     data = correlated_pair_dataset()
     names = data.schema.names
     corr = pearson_matrix(data)
-    assert abs(corr.r("AMT_CREDIT", "AMT_GOODS_PRICE") - 0.986) < 1e-9
-    assert abs(corr.r("CNT_CHILDREN", "CNT_FAM_MEMBERS") - 0.888) < 1e-9
+    at = names.index
+    assert abs(corr[at("AMT_CREDIT"), at("AMT_GOODS_PRICE")] - 0.986) < 1e-9
+    assert abs(corr[at("CNT_CHILDREN"), at("CNT_FAM_MEMBERS")] - 0.888) < 1e-9
     planted = ({"AMT_CREDIT", "AMT_GOODS_PRICE"},
                {"CNT_CHILDREN", "CNT_FAM_MEMBERS"})
-    for a, b, r in corr.pairs():
+    for i, j in combinations(range(len(names)), 2):
+        a, b, r = names[i], names[j], corr[i, j]
         if {a, b} not in planted:
             assert abs(r) < 0.5, (a, b)
-    rows = [WaldRow(n, 1.0, 0.2, 25.0, 1, 0.001) for n in names]
+    rows = [{"variable": n, "B": 1.0, "SE": 0.2, "wald": 25.0, "ddl": 1,
+             "sig": 0.001} for n in names]
     outcome = screen(rows, corr, alpha=0.05, r_threshold=0.8)
     dropped = {d["name"] for d in outcome["dropped"]}
     assert dropped == {"AMT_GOODS_PRICE", "CNT_FAM_MEMBERS"}
@@ -202,7 +206,7 @@ def test_07_trapezoid_auc_equals_rank_statistic():
             actual[0] = 1 - actual[0]
         scores = rng.integers(0, 7, n) / 6.0
         curve = roc(actual, scores)
-        assert abs(curve.auc - mann_whitney_auc(actual, scores)) < 1e-9
+        assert abs(curve["auc"] - mann_whitney_auc(actual, scores)) < 1e-9
 
 
 def test_08_logistic_fit_gradient_and_coverage():

@@ -330,13 +330,13 @@ class TestClean:
         )
         cleaned, log = clean(data, OutlierRule("off"))
         assert cleaned.n == 1
-        assert log.entries == [(1, "missing:a"), (2, "missing:b")]
+        assert log == [(1, "missing:a"), (2, "missing:b")]
 
     def test_missing_target_logged(self):
         data = make_dataset({"a": [1.0, 2.0]}, [0, None])
         cleaned, log = clean(data, OutlierRule("off"))
         assert cleaned.n == 1
-        assert log.entries == [(1, "missing:TARGET")]
+        assert log == [(1, "missing:TARGET")]
 
     def test_planted_outlier_dropped_by_iqr_fences(self):
         # 12 evenly spread values plus one far excursion; quartiles of
@@ -345,7 +345,7 @@ class TestClean:
         data = make_dataset({"a": values}, [0, 1] * 6 + [0])
         cleaned, log = clean(data)
         assert cleaned.n == 12
-        assert log.entries == [(12, "outlier:a")]
+        assert log == [(12, "outlier:a")]
 
     def test_clean_is_idempotent(self):
         rng = np.random.default_rng(5)
@@ -363,7 +363,7 @@ class TestClean:
         values = [10.0, 10.2, 10.4, 10.6, 10.8, 11.0, 25.0, 3000.0]
         data = make_dataset({"a": values}, [0, 1, 0, 1, 0, 1, 0, 1])
         cleaned, log = clean(data)
-        reasons = {i for i, _ in log.entries}
+        reasons = {i for i, _ in log}
         assert reasons == {6, 7}
         assert cleaned.n == 6
 

@@ -18,7 +18,6 @@ from solvency.errors import (
 )
 from solvency.evaluation import (
     REPORT_FIELDS,
-    ConfusionMatrix,
     auc_se_ci,
     confusion,
     error_rates,
@@ -31,25 +30,11 @@ from solvency.evaluation import (
 
 
 class TestConfusionMatrix:
-    def test_totals(self, solvency_confusion):
-        cm = solvency_confusion
-        assert cm.n == 3988
-        assert cm.actual_positives == 1996
-        assert cm.actual_negatives == 1992
-
-    def test_negative_cell_rejected(self):
-        with pytest.raises(ValueError):
-            ConfusionMatrix(vp=1, vn=1, fp=-1, fn=1)
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(EmptyInputError):
-            ConfusionMatrix(vp=0, vn=0, fp=0, fn=0)
-
     def test_tally_from_vectors(self):
         actual = [1, 1, 1, 0, 0, 0, 1, 0]
         predicted = [1, 0, 1, 0, 1, 0, 0, 0]
         cm = confusion(actual, predicted)
-        assert (cm.vp, cm.vn, cm.fp, cm.fn) == (2, 3, 1, 2)
+        assert cm == {"vp": 2, "vn": 3, "fp": 1, "fn": 2}
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -81,9 +66,9 @@ class TestErrorRates:
 
     def test_degenerate_class(self):
         with pytest.raises(DegenerateClassError):
-            error_rates(ConfusionMatrix(vp=3, vn=0, fp=0, fn=2))
+            error_rates({"vp": 3, "vn": 0, "fp": 0, "fn": 2})
         with pytest.raises(DegenerateClassError):
-            error_rates(ConfusionMatrix(vp=0, vn=3, fp=2, fn=0))
+            error_rates({"vp": 0, "vn": 3, "fp": 2, "fn": 0})
 
 
 class TestMetrics:
@@ -102,43 +87,44 @@ class TestMetrics:
 
     def test_degenerate_class(self):
         with pytest.raises(DegenerateClassError):
-            metrics(ConfusionMatrix(vp=3, vn=0, fp=0, fn=2))
+            metrics({"vp": 3, "vn": 0, "fp": 0, "fn": 2})
 
 
 class TestRocSweep:
     def test_perfect_separation(self):
         curve = roc([0, 0, 1, 1], [0.1, 0.2, 0.8, 0.9])
-        assert curve.auc == 1.0
-        assert curve.points == [
+        assert curve["auc"] == 1.0
+        assert curve["points"] == [
             (0.0, 0.0), (0.0, 0.5), (0.0, 1.0), (0.5, 1.0), (1.0, 1.0)]
 
     def test_reversed_scores(self):
         curve = roc([0, 0, 1, 1], [0.9, 0.8, 0.2, 0.1])
-        assert curve.auc == 0.0
+        assert curve["auc"] == 0.0
 
     def test_constant_scores_give_diagonal(self):
         curve = roc([0, 1, 0, 1], [0.5, 0.5, 0.5, 0.5])
-        assert curve.points == [(0.0, 0.0), (1.0, 1.0)]
-        assert curve.auc == 0.5
+        assert curve["points"] == [(0.0, 0.0), (1.0, 1.0)]
+        assert curve["auc"] == 0.5
 
     def test_tie_group_collapses_to_one_step(self):
         # the two 0.8 rows move diagonally in a single step
         curve = roc([1, 0, 1, 0], [0.8, 0.8, 0.6, 0.2])
-        assert curve.points == [
+        assert curve["points"] == [
             (0.0, 0.0), (0.5, 0.5), (0.5, 1.0), (1.0, 1.0)]
-        assert curve.auc == 0.625
+        assert curve["auc"] == 0.625
         assert mann_whitney_auc([1, 0, 1, 0], [0.8, 0.8, 0.6, 0.2]) == 0.625
 
     def test_hard_labels_give_balanced_accuracy(self, solvency_confusion):
         cm = solvency_confusion
-        actual = [1] * cm.vp + [1] * cm.fn + [0] * cm.vn + [0] * cm.fp
-        scores = ([1.0] * cm.vp + [0.0] * cm.fn
-                  + [0.0] * cm.vn + [1.0] * cm.fp)
+        actual = ([1] * cm["vp"] + [1] * cm["fn"]
+                  + [0] * cm["vn"] + [0] * cm["fp"])
+        scores = ([1.0] * cm["vp"] + [0.0] * cm["fn"]
+                  + [0.0] * cm["vn"] + [1.0] * cm["fp"])
         curve = roc(actual, scores)
         mets = metrics(cm)
         expected = (mets["sensitivity"] + mets["specificity"]) / 2.0
-        assert abs(curve.auc - expected) < 1e-12
-        assert curve.auc == pytest.approx(0.7146698014502901, abs=1e-15)
+        assert abs(curve["auc"] - expected) < 1e-12
+        assert curve["auc"] == pytest.approx(0.7146698014502901, abs=1e-15)
 
     def test_matches_pairwise_ranking_on_random_ties(self):
         rng = np.random.default_rng(30)
@@ -150,7 +136,7 @@ class TestRocSweep:
             # coarse grid forces plenty of tied scores
             scores = rng.integers(0, 6, n) / 5.0
             curve = roc(actual, scores)
-            assert abs(curve.auc - mann_whitney_auc(actual, scores)) < 1e-9
+            assert abs(curve["auc"] - mann_whitney_auc(actual, scores)) < 1e-9
 
     def test_score_out_of_range(self):
         for bad in (1.2, -0.1, float("nan"), float("inf")):
@@ -219,12 +205,11 @@ class TestAucUncertainty:
 
 
 class TestReports:
-    def build(self, solvency_confusion, with_curve=True):
+    def build(self, solvency_confusion):
         cm = solvency_confusion
         rates = error_rates(cm)
         mets = metrics(cm)
-        curve = roc([0, 0, 1, 1], [0.1, 0.6, 0.4, 0.9]) if with_curve \
-            else None
+        curve = roc([0, 0, 1, 1], [0.1, 0.6, 0.4, 0.9])
         return cm, rates, mets, curve
 
     def test_json_round_trip(self, solvency_confusion):
@@ -234,15 +219,8 @@ class TestReports:
         assert doc["vp"] == 1375 and doc["fn"] == 621
         assert doc["e1"] == rates["e1"]
         assert doc["accuracy"] == mets["accuracy"]
-        assert doc["auc"] == curve.auc
-        assert doc["auc_ci_high"] == curve.ci_high
-
-    def test_json_nulls_without_curve(self, solvency_confusion):
-        cm, rates, mets, _ = self.build(solvency_confusion,
-                                        with_curve=False)
-        doc = json.loads(report_json(cm, rates, mets, None))
-        for field in ("auc", "auc_se", "auc_ci_low", "auc_ci_high"):
-            assert doc[field] is None
+        assert doc["auc"] == curve["auc"]
+        assert doc["auc_ci_high"] == curve["auc_ci_high"]
 
     def test_json_is_deterministic(self, solvency_confusion):
         cm, rates, mets, curve = self.build(solvency_confusion)
@@ -254,21 +232,14 @@ class TestReports:
         table = report_table(cm, rates, mets, curve)
         assert "predicted 0" in table
         assert f"{rates['e1']:.8f}" in table
-        assert f"{curve.auc:.8f}" in table
+        assert f"{curve['auc']:.8f}" in table
         assert table.endswith("\n")
-
-    def test_table_without_curve(self, solvency_confusion):
-        cm, rates, mets, _ = self.build(solvency_confusion,
-                                        with_curve=False)
-        table = report_table(cm, rates, mets, None)
-        assert "unavailable" in table
-        assert "auc se" not in table
 
     def test_roc_dump_round_trips_floats(self):
         curve = roc([1, 0, 1, 0], [0.8, 0.8, 0.6, 0.2])
         lines = roc_dump(curve).splitlines()
-        assert len(lines) == len(curve.points)
-        for line, (x, y) in zip(lines, curve.points):
+        assert len(lines) == len(curve["points"])
+        for line, (x, y) in zip(lines, curve["points"]):
             sx, sy = line.split("\t")
             assert float(sx) == x and float(sy) == y
 
@@ -284,13 +255,13 @@ def test_roc_curve_properties(rows):
         return
     scores = [s / 8.0 for _, s in rows]
     curve = roc(actual, scores)
-    assert curve.points[0] == (0.0, 0.0)
-    assert curve.points[-1] == (1.0, 1.0)
-    for (x0, y0), (x1, y1) in zip(curve.points, curve.points[1:]):
+    assert curve["points"][0] == (0.0, 0.0)
+    assert curve["points"][-1] == (1.0, 1.0)
+    for (x0, y0), (x1, y1) in zip(curve["points"], curve["points"][1:]):
         assert x1 >= x0 and y1 >= y0
-    assert 0.0 <= curve.auc <= 1.0
-    assert abs(curve.auc - mann_whitney_auc(actual, scores)) < 1e-9
-    assert curve.ci_low <= curve.auc <= curve.ci_high
+    assert 0.0 <= curve["auc"] <= 1.0
+    assert abs(curve["auc"] - mann_whitney_auc(actual, scores)) < 1e-9
+    assert curve["auc_ci_low"] <= curve["auc"] <= curve["auc_ci_high"]
 
 
 @st.composite
@@ -324,7 +295,7 @@ def test_roc_matches_the_row_by_row_sweep(rows):
         return
     points, area = roc_reference(actual, scores)
     curve = roc(actual, scores)
-    assert curve.points == points
+    assert curve["points"] == points
     assert all(type(x) is float and type(y) is float
-               for x, y in curve.points)
-    assert curve.auc == area
+               for x, y in curve["points"])
+    assert curve["auc"] == area

@@ -155,7 +155,9 @@ def test_golden_digests(tmp_path):
                     codebook=CodeBook.load(str(book)))
     kept, log = clean(data, OutlierRule("zscore", z_threshold=2.0))
     write_csv(kept, str(tmp_path / "raw.out.csv"))
-    (tmp_path / "raw.log").write_text(log.to_text(), encoding="utf-8")
+    (tmp_path / "raw.log").write_text(
+        "".join(f"{row}\t{reason}\n" for row, reason in log),
+        encoding="utf-8")
 
     found = {
         "zscore/encoded.csv": _digest(out["zscore"] / "encoded.csv"),

@@ -15,9 +15,7 @@ from solvency.screening import (
     CONSTANT_ROW,
     REASON_CORRELATED,
     REASON_NOT_SIGNIFICANT,
-    CorrelationMatrix,
     SeparationWarning,
-    WaldRow,
     chi_square_sf_1df,
     fit_logistic,
     fit_logistic_xy,
@@ -172,23 +170,23 @@ class TestChiSquareSurvival:
 class TestWaldTable:
     def test_statistic_from_printed_style_coefficients(self):
         rows = wald_table(_fixed_fit(["v"], [0.429], [0.132]))
-        assert abs(rows[0].wald - 10.5625) < 1e-12
-        assert abs(rows[0].wald - 10.56) < 5e-3
-        assert rows[0].ddl == 1
+        assert abs(rows[0]["wald"] - 10.5625) < 1e-12
+        assert abs(rows[0]["wald"] - 10.56) < 5e-3
+        assert rows[0]["ddl"] == 1
 
     def test_second_printed_style_row(self):
         rows = wald_table(_fixed_fit(["v"], [-1.604], [0.165]))
-        assert abs(rows[0].wald - 94.49) < 2e-2
+        assert abs(rows[0]["wald"] - 94.49) < 2e-2
 
     def test_zero_coefficient_gives_unit_p_value(self):
         rows = wald_table(_fixed_fit(["v"], [0.0], [0.371]))
-        assert rows[0].wald == 0.0
-        assert rows[0].sig == 1.0
+        assert rows[0]["wald"] == 0.0
+        assert rows[0]["sig"] == 1.0
 
     def test_intercept_row_comes_last(self):
         rows = wald_table(_fixed_fit(["a", "b"], [0.5, -0.5], [0.1, 0.1],
                                      intercept=1.0, intercept_se=0.2))
-        assert [r.variable for r in rows] == ["a", "b", CONSTANT_ROW]
+        assert [r["variable"] for r in rows] == ["a", "b", CONSTANT_ROW]
 
     def test_invariant_under_label_flip(self):
         X, y, _ = seeded_logistic_data(11)
@@ -196,8 +194,8 @@ class TestWaldTable:
         direct = wald_table(fit_logistic_xy(X, y, names))
         flipped = wald_table(fit_logistic_xy(X, 1.0 - y, names))
         for row_d, row_f in zip(direct, flipped):
-            assert abs(row_d.b + row_f.b) < 1e-6
-            np.testing.assert_allclose(row_d.wald, row_f.wald,
+            assert abs(row_d["B"] + row_f["B"]) < 1e-6
+            np.testing.assert_allclose(row_d["wald"], row_f["wald"],
                                        rtol=1e-5, atol=1e-9)
 
     def test_text_rendering(self):
@@ -212,7 +210,7 @@ class TestWaldTable:
         data = make_dataset({"a": X[:, 0].tolist(), "b": X[:, 1].tolist()},
                             y.astype(int).tolist())
         rows = per_variable_wald(data)
-        assert [r.variable for r in rows] == ["a", "b"]
+        assert [r["variable"] for r in rows] == ["a", "b"]
         lone = wald_table(fit_logistic(data, ["a"]))[0]
         assert rows[0] == lone
 
@@ -236,7 +234,7 @@ class TestPearson:
         data = make_dataset(cols, rng.integers(0, 2, 50).tolist())
         corr = pearson_matrix(data)
         expected = np.corrcoef(data.feature_array().T)
-        np.testing.assert_allclose(corr.values, expected, atol=1e-12)
+        np.testing.assert_allclose(corr, expected, atol=1e-12)
 
     def test_exact_half_on_constructed_vectors(self):
         # ten 1s then ten 0s against a vector agreeing on 4 of the 1s:
@@ -245,7 +243,7 @@ class TestPearson:
         y = [1.0] * 4 + [0.0] * 16
         data = make_dataset({"x": x, "y": y}, [0, 1] * 10)
         corr = pearson_matrix(data)
-        assert corr.r("x", "y") == 0.5
+        assert corr[0, 1] == 0.5
 
     def test_diagonal_exactly_one_and_symmetric(self):
         rng = np.random.default_rng(14)
@@ -253,8 +251,8 @@ class TestPearson:
             {name: rng.normal(size=30).tolist() for name in "abc"},
             rng.integers(0, 2, 30).tolist())
         corr = pearson_matrix(data)
-        assert np.all(np.diag(corr.values) == 1.0)
-        assert np.array_equal(corr.values, corr.values.T)
+        assert np.all(np.diag(corr) == 1.0)
+        assert np.array_equal(corr, corr.T)
 
     def test_perfectly_linear_columns_clip_to_unit(self):
         x = np.linspace(0, 1, 25)
@@ -262,8 +260,8 @@ class TestPearson:
                              "z": (-x).tolist()},
                             [0, 1] * 12 + [0])
         corr = pearson_matrix(data)
-        assert corr.r("x", "y") == 1.0
-        assert corr.r("x", "z") == -1.0
+        assert corr[0, 1] == 1.0
+        assert corr[0, 2] == -1.0
 
     def test_zero_variance_named(self):
         data = make_dataset({"a": [1.0, 1.0, 1.0], "b": [1.0, 2.0, 3.0]},
@@ -273,15 +271,17 @@ class TestPearson:
         assert err.value.variable == "a"
 
     def test_pairs_iterate_upper_triangle_in_order(self):
-        values = np.eye(3)
-        corr = CorrelationMatrix(["a", "b", "c"], values)
-        names = [(i, j) for i, j, _ in corr.pairs()]
-        assert names == [("a", "b"), ("a", "c"), ("b", "c")]
+        # (a, d) comes before (b, c) row by row, after it column by column
+        names = ["a", "b", "c", "d"]
+        corr = _corr(names, [("a", "d", 0.9), ("b", "c", 0.9)])
+        outcome = screen(_rows({n: 0.001 for n in names}), corr)
+        pairs = [(d["partner"], d["name"]) for d in outcome["dropped"]]
+        assert pairs == [("a", "d"), ("b", "c")]
 
 
 def _rows(sig_by_name):
-    return [WaldRow(name, 0.3, 0.1, 9.0, 1, sig)
-            for name, sig in sig_by_name.items()]
+    return [{"variable": name, "B": 0.3, "SE": 0.1, "wald": 9.0, "ddl": 1,
+             "sig": sig} for name, sig in sig_by_name.items()]
 
 
 def _corr(names, entries):
@@ -289,7 +289,7 @@ def _corr(names, entries):
     for a, b, r in entries:
         i, j = names.index(a), names.index(b)
         values[i, j] = values[j, i] = r
-    return CorrelationMatrix(list(names), values)
+    return values
 
 
 class TestScreen:
@@ -345,7 +345,8 @@ class TestScreen:
         # intercept is never a screening candidate even when its
         # p-value is large
         rows = _rows({"a": 0.01}) + [
-            WaldRow(CONSTANT_ROW, 1.0, 0.3, 11.1, 1, 0.9)]
+            {"variable": CONSTANT_ROW, "B": 1.0, "SE": 0.3, "wald": 11.1,
+             "ddl": 1, "sig": 0.9}]
         outcome = screen(rows, _corr(["a"], []))
         assert outcome["kept"] == ["a"]
         assert outcome["dropped"] == []
@@ -354,8 +355,11 @@ class TestScreen:
         data = correlated_pair_dataset()
         names = data.schema.names
         corr = pearson_matrix(data)
-        assert abs(corr.r("AMT_CREDIT", "AMT_GOODS_PRICE") - 0.986) < 1e-9
-        assert abs(corr.r("CNT_CHILDREN", "CNT_FAM_MEMBERS") - 0.888) < 1e-9
+        at = names.index
+        assert abs(corr[at("AMT_CREDIT"), at("AMT_GOODS_PRICE")]
+                   - 0.986) < 1e-9
+        assert abs(corr[at("CNT_CHILDREN"), at("CNT_FAM_MEMBERS")]
+                   - 0.888) < 1e-9
         rows = _rows({n: 0.001 for n in names})
         outcome = screen(rows, corr)
         assert set(outcome["kept"]) == {
@@ -375,7 +379,7 @@ def test_pure_noise_variable_fails_the_gate_in_most_seeds():
         eta = 1.2 * X[:, 0] - 0.9 * X[:, 1]  # the third column is noise
         y = (rng.random(400) < 1.0 / (1.0 + np.exp(-eta))).astype(float)
         fit = fit_logistic_xy(X, y, ["a", "b", "noise"])
-        sig = {r.variable: r.sig for r in wald_table(fit)}
+        sig = {r["variable"]: r["sig"] for r in wald_table(fit)}
         if sig["noise"] > 0.05:
             flagged += 1
     assert flagged >= 18
@@ -390,7 +394,7 @@ def test_informative_independent_variables_all_kept():
     data = make_dataset({n: X[:, j].tolist() for j, n in enumerate(names)},
                         y.tolist())
     rows = [r for r in wald_table(fit_logistic(data))
-            if r.variable != CONSTANT_ROW]
+            if r["variable"] != CONSTANT_ROW]
     outcome = screen(rows, pearson_matrix(data))
     assert outcome["kept"] == names
     assert outcome["dropped"] == []
