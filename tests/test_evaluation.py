@@ -30,6 +30,21 @@ from solvency.evaluation import (
 
 
 class TestConfusionMatrix:
+    def test_totals(self, solvency_confusion):
+        cm = solvency_confusion
+        assert sum(cm.values()) == 3988
+        assert cm["vp"] + cm["fn"] == 1996
+        assert cm["vn"] + cm["fp"] == 1992
+
+    def test_all_zero_rejected(self):
+        # a table over no rows holds neither class, so nothing is
+        # computed from it
+        zero = {"vp": 0, "vn": 0, "fp": 0, "fn": 0}
+        with pytest.raises(DegenerateClassError):
+            error_rates(zero)
+        with pytest.raises(DegenerateClassError):
+            metrics(zero)
+
     def test_tally_from_vectors(self):
         actual = [1, 1, 1, 0, 0, 0, 1, 0]
         predicted = [1, 0, 1, 0, 1, 0, 0, 0]

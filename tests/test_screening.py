@@ -17,6 +17,7 @@ from solvency.screening import (
     REASON_NOT_SIGNIFICANT,
     SeparationWarning,
     chi_square_sf_1df,
+    correlation_text,
     fit_logistic,
     fit_logistic_xy,
     logistic_gradient,
@@ -270,6 +271,15 @@ class TestPearson:
             pearson_matrix(data)
         assert err.value.variable == "a"
 
+    def test_text_quotes_names_and_round_trips_values(self):
+        names = ["a", "b, c"]
+        values = np.array([[1.0, 0.1 + 0.2], [0.1 + 0.2, 1.0]])
+        lines = correlation_text(names, values).split("\n")
+        assert lines[0] == ',a,"b, c"'
+        assert lines[1].startswith("a,") and lines[2].startswith('"b, c",')
+        assert lines[3:] == [""]
+        assert float(lines[1].split(",")[-1]) == 0.1 + 0.2
+
     def test_pairs_iterate_upper_triangle_in_order(self):
         # (a, d) comes before (b, c) row by row, after it column by column
         names = ["a", "b", "c", "d"]
@@ -339,6 +349,11 @@ class TestScreen:
         corr = _corr(["a", "b"], [])
         with pytest.raises(ValueError):
             screen(rows, corr)
+
+    def test_non_square_matrix_refused(self):
+        rows = _rows({"a": 0.01, "b": 0.01})
+        with pytest.raises(ValueError, match="2 x 2"):
+            screen(rows, np.zeros((2, 3)))
 
     def test_intercept_row_ignored(self):
         # a full table including the intercept line is accepted; the
