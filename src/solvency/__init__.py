@@ -18,7 +18,6 @@ from .cart import (
 )
 from .dataset import (
     DEFAULT_CODEBOOK,
-    CodeBook,
     Dataset,
     FeatureSpec,
     OutlierRule,
@@ -26,6 +25,7 @@ from .dataset import (
     apply_codebook,
     class_distribution,
     clean,
+    load_codebook,
     load_csv,
     schema_from_header,
     write_csv,
@@ -63,9 +63,9 @@ __version__ = "0.1.0"
 __all__ = [
     "CartConfig", "CartTree", "best_split", "deserialize",
     "export_dot", "export_text", "grow", "predict_dataset", "serialize",
-    "DEFAULT_CODEBOOK", "CodeBook", "Dataset", "FeatureSpec", "OutlierRule",
-    "Schema", "apply_codebook", "class_distribution", "clean", "load_csv",
-    "schema_from_header", "write_csv",
+    "DEFAULT_CODEBOOK", "Dataset", "FeatureSpec", "OutlierRule", "Schema",
+    "apply_codebook", "class_distribution", "clean", "load_codebook",
+    "load_csv", "schema_from_header", "write_csv",
     "ConfigError", "DataError", "NumericError", "SolvencyError",
     "SolvencyWarning",
     "auc_se_ci", "confusion", "error_rates", "metrics", "report_json",

@@ -26,13 +26,13 @@ import numpy as np
 from . import cart, evaluation, screening, synth
 from .dataset import (
     DEFAULT_MISSING_TOKENS,
-    CodeBook,
     Dataset,
     OutlierRule,
     class_distribution,
     clean,
     csv_text,
     json_number,
+    load_codebook,
     load_csv,
     open_output,
     read_back,
@@ -230,7 +230,7 @@ def resolve_config(args: argparse.Namespace) -> PipelineConfig:
 def _load(cfg: PipelineConfig, path: str, encoded: bool = True) -> Dataset:
     """Read a dataset whose categorical cells hold codes when encoded,
     else labels, which the codebook (if any) turns into codes."""
-    book = CodeBook.load(cfg.codebook) if cfg.codebook else None
+    book = load_codebook(cfg.codebook) if cfg.codebook else None
     schema = schema_from_header(read_header(path), cfg.target, book, path)
     return load_csv(path, schema, missing_tokens=cfg.missing_tokens,
                     codebook=None if encoded else book)

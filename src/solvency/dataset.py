@@ -108,89 +108,58 @@ class Schema:
         return f"Schema({kinds} -> {self.target})"
 
 
-class CodeBook:
-    """Label -> integer code maps for the categorical features.
+def load_codebook(path: str) -> dict[str, dict[str, int]]:
+    """A codebook file's {feature: {label: code}}, labels in file order.
 
-    Insertion order of labels is preserved; codes within one feature
-    must be distinct so decoding is exact.
+    The header names feature, label and code once each, in any order,
+    and every row holds three cells.  Feature names, labels and header
+    names are stripped, as load_csv strips cells and header names.  A
+    code that is not an integer, a label listed twice, duplicate codes,
+    fewer than 2 labels, or a code beyond 2**53, which a float64 column
+    would not hold exactly, raises CodeBookError naming the file.
     """
-
-    def __init__(self, mappings: dict[str, dict[str, int]]):
-        self.mappings = {k: dict(v) for k, v in mappings.items()}
-        for feature, table in self.mappings.items():
-            if len(set(table.values())) != len(table):
-                raise ValueError(f"duplicate codes for feature {feature!r}")
-            if len(table) < 2:
-                raise ValueError(f"feature {feature!r} has fewer than 2 labels")
-            # float64 columns hold integers exactly up to 2**53
-            if any(abs(code) > 2 ** 53 for code in table.values()):
-                raise ValueError(
-                    f"feature {feature!r} has a code outside [-2**53, 2**53]")
-        self._inverse = {
-            feature: {code: label for label, code in table.items()}
-            for feature, table in self.mappings.items()
-        }
-
-    def features(self) -> list[str]:
-        return list(self.mappings)
-
-    def levels(self, feature: str) -> int:
-        return len(self.mappings[feature])
-
-    def encode(self, feature: str, label: str) -> int:
-        return self.mappings[feature][label]
-
-    def decode(self, feature: str, code: int) -> str:
-        return self._inverse[feature][code]
-
-    def __contains__(self, feature: str) -> bool:
-        return feature in self.mappings
-
-    def __eq__(self, other):
-        return isinstance(other, CodeBook) and self.mappings == other.mappings
-
-    def save(self, path: str) -> None:
-        """Write one (feature, label, code) record per row."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["feature", "label", "code"])
-            for feature, table in self.mappings.items():
-                for label, code in table.items():
-                    writer.writerow([feature, label, code])
-
-    @classmethod
-    def load(cls, path: str) -> "CodeBook":
-        mappings: dict[str, dict[str, int]] = {}
-        with _csv_reader(path, csv.DictReader, "codebook") as reader:
-            expected = {"feature", "label", "code"}
-            if reader.fieldnames is None or set(reader.fieldnames) != expected:
-                raise HeaderMismatchError(
-                    f"codebook header must be {sorted(expected)}, "
-                    f"found {reader.fieldnames}")
-            for record in reader:
-                feature, code = record["feature"], record["code"]
-                try:
-                    code = int(code)
-                except (TypeError, ValueError):
-                    raise CodeBookError(
-                        f"{path} line {reader.line_num}: code {code!r} of "
-                        f"feature {feature!r} is not an integer") from None
-                labels = mappings.setdefault(feature, {})
-                # load_csv strips each cell before the lookup
-                label = record["label"].strip()
-                if label in labels:
-                    raise CodeBookError(
-                        f"{path} line {reader.line_num}: label {label!r} of "
-                        f"feature {feature!r} is listed twice")
-                labels[label] = code
-        try:
-            return cls(mappings)
-        except ValueError as exc:
-            raise CodeBookError(f"{path}: {exc}") from None
+    book: dict[str, dict[str, int]] = {}
+    expected = ["code", "feature", "label"]
+    with _csv_reader(path, "codebook") as reader:
+        header = _header(reader, path)
+        if sorted(header) != expected:
+            raise HeaderMismatchError(
+                f"{path}: codebook header must be {expected}, "
+                f"found {header}")
+        order = [header.index(name) for name in ("feature", "label", "code")]
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            if len(row) != 3:
+                raise CodeBookError(f"{where}: {len(row)} cells, expected 3")
+            feature, label, code = (row[j] for j in order)
+            feature, label = feature.strip(), label.strip()
+            try:
+                code = int(code)
+            except ValueError:
+                raise CodeBookError(
+                    f"{where}: code {code!r} of feature {feature!r} is not "
+                    "an integer") from None
+            labels = book.setdefault(feature, {})
+            if label in labels:
+                raise CodeBookError(f"{where}: label {label!r} of feature "
+                                    f"{feature!r} is listed twice")
+            labels[label] = code
+    for feature, labels in book.items():
+        codes = labels.values()
+        if len(set(codes)) != len(codes):
+            problem = f"duplicate codes for feature {feature!r}"
+        elif len(codes) < 2:
+            problem = f"feature {feature!r} has fewer than 2 labels"
+        elif max(map(abs, codes)) > 2 ** 53:
+            problem = f"feature {feature!r} has a code outside [-2**53, 2**53]"
+        else:
+            continue
+        raise CodeBookError(f"{path}: {problem}")
+    return book
 
 
 #: Codes for the seven nominal variables of the bundled credit schema.
-DEFAULT_CODEBOOK = CodeBook({
+DEFAULT_CODEBOOK = {
     "NAME_CONTRACT_TYPE": {"Cash loans": 1, "Revolving loans": 0},
     "CODE_GENDER": {"F": 1, "M": 0},
     "FLAG_OWN_CAR": {"Y": 1, "N": 0},
@@ -221,7 +190,7 @@ DEFAULT_CODEBOOK = CodeBook({
         "Secondary / secondary special": 3,
         "Lower secondary": 4,
     },
-})
+}
 
 
 def json_number(value) -> bool:
@@ -368,7 +337,7 @@ def load_csv(
     schema: Schema,
     *,
     missing_tokens: Sequence[str] = DEFAULT_MISSING_TOKENS,
-    codebook: CodeBook | None = None,
+    codebook: Mapping[str, Mapping[str, int]] | None = None,
     target_optional: bool = False,
 ) -> Dataset:
     """Read a comma-separated file into a Dataset.
@@ -439,7 +408,8 @@ def load_csv(
     return Dataset(schema, X, y)
 
 
-def apply_codebook(cells: Mapping[str, Sequence[str]], book: CodeBook,
+def apply_codebook(cells: Mapping[str, Sequence[str]],
+                   book: Mapping[str, Mapping[str, int]],
                    missing: Iterable[str], start: int
                    ) -> tuple[dict[str, np.ndarray], UnknownLabelError | None]:
     """The codes of one block's label cells, by feature, and the error
@@ -454,7 +424,7 @@ def apply_codebook(cells: Mapping[str, Sequence[str]], book: CodeBook,
     codes, unknown = {}, []
     for j, (name, column) in enumerate(cells.items()):
         # codes are finite, so inf marks a label the book lacks
-        table = {**book.mappings[name], **dict.fromkeys(missing, np.nan)}
+        table = {**book[name], **dict.fromkeys(missing, np.nan)}
         codes[name] = np.fromiter(map(table.get, map(str.strip, column),
                                       repeat(np.inf)), float, len(column))
         if np.isinf(codes[name]).any():
@@ -782,7 +752,7 @@ def class_distribution(data: Dataset) -> tuple[int, int]:
 def schema_from_header(
     header: Sequence[str],
     target: str,
-    book: CodeBook | None = None,
+    book: Mapping[str, Mapping[str, int]] | None = None,
     path: str = "header",
 ) -> Schema:
     """Build a schema from CSV column names.
@@ -799,7 +769,7 @@ def schema_from_header(
     if target not in header:
         raise HeaderMismatchError(
             f"target column {target!r} not in header {list(header)}")
-    return Schema([FeatureSpec(name, CATEGORICAL, levels=book.levels(name))
+    return Schema([FeatureSpec(name, CATEGORICAL, levels=len(book[name]))
                    if book is not None and name in book
                    else FeatureSpec(name, NUMERIC)
                    for name in header if name != target], target)
@@ -819,15 +789,13 @@ def _header(reader, path: str) -> list[str]:
 
 
 @contextmanager
-def _csv_reader(path: str, kind=csv.reader, what: str = "input"):
-    """A csv reader of the given kind over the UTF-8 text of path, less
-    a byte-order mark, whose open and read errors raise as read_errors
-    raises them."""
-    # a DictReader counts a line only once it has parsed it
-    with read_errors(path, what,
-                     lambda: getattr(reader, "reader", reader).line_num), \
+def _csv_reader(path: str, what: str = "input"):
+    """A csv reader over the UTF-8 text of path, less a byte-order mark,
+    whose open and read errors raise as read_errors raises them, naming
+    path as the what file."""
+    with read_errors(path, what, lambda: reader.line_num), \
             open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = kind(fh)
+        reader = csv.reader(fh)
         yield reader
 
 

@@ -283,6 +283,50 @@ class TestEncodeCommand:
                 "twice") in capsys.readouterr().err
         assert not (workdir / "encoded.csv").exists()
 
+    @pytest.mark.parametrize("book, found", [
+        ("feature,label,code,code\ncolor,red,1,5\ncolor,green,2,6\n"
+         "color,blue,3,7\nflag,N,0,0\nflag,Y,1,1\n",
+         ": codebook header must be ['code', 'feature', 'label'], found "
+         "['feature', 'label', 'code', 'code']"),
+        (CODEBOOK_CSV.replace("color,red,1", "color,red,1,9"),
+         " line 2: 4 cells, expected 3"),
+        (CODEBOOK_CSV.replace("color,red,1", "color,red"),
+         " line 2: 2 cells, expected 3"),
+        (CODEBOOK_CSV.replace("color,red,1", "\ncolor,red,1"),
+         " line 2: 0 cells, expected 3"),
+    ], ids=["column-twice", "long-row", "short-row", "blank-line"])
+    def test_malformed_codebook_exits_3(self, workdir, capsys, book, found):
+        """Before, the last code column won, a long row lost its extra
+        cells, a short one was refused as a code None, and a blank line
+        was skipped."""
+        self.setup_inputs(workdir)
+        path = workdir / "book.csv"
+        path.write_text(book)
+        rc = main(["encode", "--input", str(workdir / "raw.csv"),
+                   "--codebook", str(path), "--target", "y",
+                   "--out", str(workdir)])
+        assert rc == 3
+        assert capsys.readouterr().err == f"solvency encode: {path}{found}\n"
+        assert not (workdir / "encoded.csv").exists()
+
+    def test_padded_codebook_names_match_the_unpadded(self, workdir):
+        """Feature and header names are stripped, as labels are; before,
+        a padded feature name matched no column."""
+        self.setup_inputs(workdir)
+        assert main(["encode", "--input", str(workdir / "raw.csv"),
+                     "--codebook", str(workdir / "book.csv"), "--target",
+                     "y", "--out", str(workdir / "plain")]) == 0
+        (workdir / "book.csv").write_text(
+            CODEBOOK_CSV.replace("feature,label,code", " feature, label, code")
+            .replace("color,", " color ,"))
+        assert main(["encode", "--input", str(workdir / "raw.csv"),
+                     "--codebook", str(workdir / "book.csv"), "--target",
+                     "y", "--out", str(workdir / "padded")]) == 0
+        encoded = [(workdir / out / "encoded.csv").read_bytes()
+                   for out in ("plain", "padded")]
+        assert encoded[0] == encoded[1]
+        assert encoded[0].splitlines()[1] == b"1,0,10,0"
+
     def test_code_at_2_to_the_53_is_kept(self, workdir):
         self.setup_inputs(workdir)
         (workdir / "book.csv").write_text(

@@ -26,11 +26,11 @@ from solvency.cli import main
 from solvency.dataset import (
     CATEGORICAL,
     NUMERIC,
-    CodeBook,
     FeatureSpec,
     OutlierRule,
     Schema,
     clean,
+    load_codebook,
     load_csv,
     write_csv,
 )
@@ -152,7 +152,7 @@ def test_golden_digests(tmp_path):
                      FeatureSpec("count", NUMERIC),
                      FeatureSpec("ratio", NUMERIC)], "TARGET")
     data = load_csv(str(raw), schema, missing_tokens=("NA", "-999"),
-                    codebook=CodeBook.load(str(book)))
+                    codebook=load_codebook(str(book)))
     kept, log = clean(data, OutlierRule("zscore", z_threshold=2.0))
     write_csv(kept, str(tmp_path / "raw.out.csv"))
     (tmp_path / "raw.log").write_text(

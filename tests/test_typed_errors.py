@@ -46,7 +46,11 @@ def base(tmp_path_factory):
     """The bytes of a 40-row coded CSV, the bundled codebook, the same
     rows with labels, and the model pipeline grows from them."""
     out = tmp_path_factory.mktemp("base")
-    DEFAULT_CODEBOOK.save(str(out / "book.csv"))
+    book = ["feature,label,code"] + [
+        f"{feature},{label},{code}"
+        for feature, labels in DEFAULT_CODEBOOK.items()
+        for label, code in labels.items()]
+    (out / "book.csv").write_bytes(text(book))
     assert run({}, ["synth", "--rows", "40", "--seed", "5",
                     "--out", str(out)]) == 0
     assert run({}, ["pipeline", "--input", str(out / "synthetic.csv"),
@@ -54,15 +58,15 @@ def base(tmp_path_factory):
                     "--out", str(out)]) == 0
     coded = (out / "synthetic.csv").read_text().splitlines()
     header = coded[0].split(",")
+    decode = {feature: {code: label for label, code in labels.items()}
+              for feature, labels in DEFAULT_CODEBOOK.items()}
     labelled = [coded[0]]
     for line in coded[1:]:
         cells = line.split(",")
         labelled.append(",".join(
-            DEFAULT_CODEBOOK.decode(name, int(float(cell)))
-            if name in DEFAULT_CODEBOOK else cell
+            decode[name][int(float(cell))] if name in decode else cell
             for name, cell in zip(header, cells)))
-    return {"coded": coded, "labelled": labelled,
-            "book": (out / "book.csv").read_text().splitlines(),
+    return {"coded": coded, "labelled": labelled, "book": book,
             "model": json.loads((out / "model.json").read_text())}
 
 
