@@ -39,15 +39,7 @@ from .dataset import (
     not_whole,
     whole_codes,
 )
-from .errors import (
-    ConfigError,
-    DataError,
-    EmptyDatasetError,
-    MalformedDocumentError,
-    SchemaMismatchError,
-    SolvencyWarning,
-    VersionMismatchError,
-)
+from .errors import ConfigError, DataError, SolvencyWarning
 
 FORMAT_VERSION = "cart-model/1"
 
@@ -413,7 +405,7 @@ def grow(
     left child first.
     """
     if data.n == 0:
-        raise EmptyDatasetError("cannot grow a tree on 0 rows")
+        raise DataError("cannot grow a tree on 0 rows")
     scorer = _LevelScorer(data, variables)
     y = scorer.y
     smallest = max(config.min_node_size, 2)
@@ -559,7 +551,7 @@ def _leaf_index(tree: CartTree, data: Dataset) -> np.ndarray:
     UnseenCategoryWarning per feature and code, at the first (row, node).
     """
     if data.schema != tree.schema:
-        raise SchemaMismatchError(
+        raise DataError(
             "dataset schema differs from the tree's training schema: "
             + _schema_difference(data.schema, tree.schema))
     names = tree.schema.names
@@ -707,38 +699,36 @@ def _schema_from_doc(doc) -> Schema:
                             "whole numbers")
         return Schema([FeatureSpec(*spec) for spec in specs], target)
     except (KeyError, TypeError, ValueError) as exc:
-        raise MalformedDocumentError(f"bad schema section: {exc}") from None
+        raise DataError(f"bad schema section: {exc}") from None
 
 
 def deserialize(text: str) -> CartTree:
     """Rebuild a tree from serialize() output.
 
-    Raises VersionMismatchError for a foreign format tag and
-    MalformedDocumentError for anything structurally wrong, a mode other
-    than classification included, naming the offending node index where
-    one exists.
+    Raises DataError for a foreign format tag and for anything
+    structurally wrong, a mode other than classification included,
+    naming the offending node index where one exists.
     """
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise MalformedDocumentError(
+        raise DataError(
             f"not valid JSON at position {exc.pos}: {exc.msg}") from None
     except ValueError as exc:
         # an integer past Python's int-string limit
-        raise MalformedDocumentError(f"not valid JSON: {exc}") from None
+        raise DataError(f"not valid JSON: {exc}") from None
     except RecursionError:
-        raise MalformedDocumentError("JSON nests too deeply to read") from None
+        raise DataError("JSON nests too deeply to read") from None
     if not isinstance(doc, dict):
-        raise MalformedDocumentError("document root must be an object")
+        raise DataError("document root must be an object")
     version = doc.get("format")
     if version is None:
-        raise MalformedDocumentError("missing format field")
+        raise DataError("missing format field")
     if version != FORMAT_VERSION:
-        raise VersionMismatchError(
-            f"expected {FORMAT_VERSION!r}, found {version!r}")
+        raise DataError(f"expected {FORMAT_VERSION!r}, found {version!r}")
     for key in ("config", "schema", "n_training_rows", "nodes"):
         if key not in doc:
-            raise MalformedDocumentError(f"missing {key} field")
+            raise DataError(f"missing {key} field")
     cfg = doc["config"]
     try:
         limits = cfg["min_node_size"], cfg["max_depth"]
@@ -752,15 +742,14 @@ def deserialize(text: str) -> CartTree:
         config = CartConfig(*limits, cfg["min_gini_decrease"],
                             allow_large_min_node=True)
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
-        raise MalformedDocumentError(f"bad config section: {exc}") from None
+        raise DataError(f"bad config section: {exc}") from None
     schema = _schema_from_doc(doc["schema"])
     rows = doc["n_training_rows"]
     if type(rows) is not int:
-        raise MalformedDocumentError(
-            f"n_training_rows is {rows!r}, not a whole number")
+        raise DataError(f"n_training_rows is {rows!r}, not a whole number")
     records = doc["nodes"]
     if not isinstance(records, list) or not records:
-        raise MalformedDocumentError("nodes must be a nonempty list")
+        raise DataError("nodes must be a nonempty list")
 
     feature, threshold, named, right, counts = [], [], [], [], []
     # A depth-first walk, left child first, must meet every node once
@@ -769,38 +758,36 @@ def deserialize(text: str) -> CartTree:
     pending = [0]
     for i, rec in enumerate(records):
         if not pending:
-            raise MalformedDocumentError("node list is not a single tree")
+            raise DataError("node list is not a single tree")
         if pending.pop() != i:
-            raise MalformedDocumentError(f"node {i} is out of preorder")
+            raise DataError(f"node {i} is out of preorder")
         if not isinstance(rec, dict):
-            raise MalformedDocumentError(f"node {i} is not an object")
+            raise DataError(f"node {i} is not an object")
         left, r = rec.get("left"), rec.get("right")
         if (left is None) != (r is None):
-            raise MalformedDocumentError(
-                f"node {i} has only one child index")
+            raise DataError(f"node {i} has only one child index")
         try:
             count, c = rec["n"], rec["counts"]
             if type(count) is not int or not (
                     type(c) is list and len(c) == 2
                     and type(c[0]) is type(c[1]) is int):
-                raise MalformedDocumentError(
+                raise DataError(
                     f"node {i} has n {count!r} and counts {c!r}, not a whole "
                     "number and two whole numbers")
             if count < 1 or not 0 <= c[0] <= count or c[0] + c[1] != count:
-                raise MalformedDocumentError(
+                raise DataError(
                     f"node {i} has n {count} and counts {c}, not n of at "
                     "least 1 and two non-negative counts summing to it")
             if count > 2 ** 53:
                 # beyond it int64 counts and float p1 need not be exact
-                raise MalformedDocumentError(
-                    f"node {i} has n {count}, above 2**53")
+                raise DataError(f"node {i} has n {count}, above 2**53")
             counts.append(c)
             if left is None:
                 j, t, triples = -1, math.nan, []
                 leaf = (_value(rec, "class", i, "classification leaf"),
                         _value(rec, "p1", i, "classification leaf"))
                 if leaf != assign_leaf(c):
-                    raise MalformedDocumentError(
+                    raise DataError(
                         f"node {i} is a leaf whose class and p1 are "
                         f"{leaf[0]!r} and {leaf[1]!r}, where its counts "
                         f"{c} give {assign_leaf(c)}")
@@ -808,21 +795,21 @@ def deserialize(text: str) -> CartTree:
                 for child in (left, r):
                     if not (type(child) is int
                             and i < child < len(records)):
-                        raise MalformedDocumentError(
+                        raise DataError(
                             f"node {i} child index {child!r} out of range")
                 pending += [r, left]
                 j, t, triples = _record_rule(rec, i, schema.features)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise MalformedDocumentError(f"node {i}: {exc}") from None
+            raise DataError(f"node {i}: {exc}") from None
         feature.append(j)
         threshold.append(t)
         named += triples
         right.append(-1 if r is None else r)
     if pending:
-        raise MalformedDocumentError(f"node {pending[-1]} referenced twice")
+        raise DataError(f"node {pending[-1]} referenced twice")
     if rows != sum(counts[0]):
-        raise MalformedDocumentError(f"n_training_rows is {rows}, where the "
-                                     f"root holds {sum(counts[0])} rows")
+        raise DataError(f"n_training_rows is {rows}, where the "
+                        f"root holds {sum(counts[0])} rows")
     counts = np.array(counts, dtype=np.int64)
     right = np.array(right, dtype=np.intp)
     parent = np.flatnonzero(right >= 0)
@@ -830,7 +817,7 @@ def deserialize(text: str) -> CartTree:
                   + counts[right[parent]]).any(axis=1)]
     if bad.shape[0]:
         i, r = bad[0], right[bad[0]]
-        raise MalformedDocumentError(
+        raise DataError(
             f"node {i} has counts {counts[i].tolist()}, where its children "
             f"have {counts[i + 1].tolist()} and {counts[r].tolist()}")
     return CartTree(feature=np.array(feature, dtype=np.intp),
@@ -857,7 +844,7 @@ def _value(rec: dict, key: str, i: int, node: str):
     value = rec.get(key)
     what, valid = _VALUES[key]
     if not valid(value):
-        raise MalformedDocumentError(
+        raise DataError(
             f"node {i} is a {node} whose {key!r} is {value!r}, not {what}")
     return value
 
@@ -870,12 +857,12 @@ def _record_rule(rec: dict, i: int, features: tuple) -> tuple:
     name, j = rec["feature"], rec["feature_index"]
     if type(j) is not int or not 0 <= j < len(features) or (
             features[j].name != name):
-        raise MalformedDocumentError(
+        raise DataError(
             f"node {i} routes on feature {name!r} at index {j}, "
             "which the schema does not hold")
     if rec["threshold"] is not None:
         if rec.get("subset") is not None or rec.get("complement") is not None:
-            raise MalformedDocumentError(
+            raise DataError(
                 f"node {i}: rule needs exactly one of threshold/subset")
         kind, triples = NUMERIC, []
         threshold = float(_value(rec, "threshold", i, "rule"))
@@ -886,19 +873,17 @@ def _record_rule(rec: dict, i: int, features: tuple) -> tuple:
         for key, codes in (("subset", subset), ("complement", complement)):
             if codes != sorted(set(codes)) or codes and not (
                     -2 ** 53 <= codes[0] and codes[-1] <= 2 ** 53):
-                raise MalformedDocumentError(
+                raise DataError(
                     f"node {i} is a rule whose {key!r} is {codes!r}, not "
                     "strictly ascending codes within 2**53")
         if not (subset and complement):
-            raise MalformedDocumentError(
-                f"node {i}: categorical rule needs nonempty sides")
+            raise DataError(f"node {i}: categorical rule needs nonempty sides")
         if not set(subset).isdisjoint(complement):
-            raise MalformedDocumentError(
-                f"node {i}: subset and complement overlap")
+            raise DataError(f"node {i}: subset and complement overlap")
         kind, threshold = CATEGORICAL, math.nan
         triples = [(i, c, 1) for c in subset] + [(i, c, 2) for c in complement]
     if features[j].kind != kind:
-        raise MalformedDocumentError(
+        raise DataError(
             f"node {i} has a {kind} rule on {features[j].kind} feature "
             f"{name!r}")
     return j, threshold, triples

@@ -41,13 +41,7 @@ from .dataset import (
     schema_from_header,
     write_csv,
 )
-from .errors import (
-    ConfigError,
-    MalformedDocumentError,
-    SolvencyError,
-    SolvencyWarning,
-    VersionMismatchError,
-)
+from .errors import ConfigError, DataError, SolvencyError, SolvencyWarning
 
 ENCODED_CSV = "encoded.csv"
 CLEANING_LOG = "cleaning.log"
@@ -148,18 +142,26 @@ class PipelineConfig:
         return doc
 
 
-def load_config_file(path: str) -> dict:
-    with read_errors(path, "config"), open(path, encoding="utf-8") as fh:
+def _read_json(path: str, what: str):
+    """The JSON value the what file at path holds; ConfigError naming
+    the file if it cannot be read, is not UTF-8 JSON, or nests too
+    deeply to read."""
+    with read_errors(path, what), open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:
-            # JSONDecodeError, or an integer past Python's int-string limit
+            # JSONDecodeError, a byte that is not UTF-8, or an integer
+            # past Python's int-string limit
             raise ConfigError(
-                f"config file {path} is not valid JSON: {exc}") from None
+                f"{what} file {path} is not valid JSON: {exc}") from None
         except RecursionError:
-            raise ConfigError(f"config file {path} nests too deeply") from None
+            raise ConfigError(f"{what} file {path} nests too deeply") from None
+
+
+def load_config_file(path: str) -> dict:
+    doc = _read_json(path, "config")
     if not isinstance(doc, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ConfigError(f"config file {path} must hold a JSON object")
     return doc
 
 
@@ -303,12 +305,8 @@ def _screened_variables(cfg: PipelineConfig, data: Dataset) -> list[str]:
         path = cfg.screening if cfg.screening else cfg.path(SCREENING_JSON)
         if not cfg.screening and not os.path.exists(path):
             return data.schema.names
-        with read_errors(path, "screening"), \
-                open(path, encoding="utf-8") as fh:
-            try:
-                names = json.load(fh)["kept"]
-            except (ValueError, TypeError, KeyError, RecursionError):
-                names = None
+        doc = _read_json(path, "screening")
+        names = doc.get("kept") if isinstance(doc, dict) else None
         if not (isinstance(names, list)
                 and all(isinstance(name, str) for name in names)):
             raise ConfigError(f"screening file {path} holds no JSON object "
@@ -348,10 +346,8 @@ def _load_model(cfg: PipelineConfig, handed: dict) -> cart.CartTree:
     with read_errors(path, "model"), open(path, encoding="utf-8") as fh:
         try:
             return cart.deserialize(fh.read())
-        except UnicodeDecodeError as exc:
-            raise MalformedDocumentError(f"model {path}: {exc}") from None
-        except (MalformedDocumentError, VersionMismatchError) as exc:
-            raise type(exc)(f"model {path}: {exc}") from None
+        except (UnicodeDecodeError, DataError) as exc:
+            raise DataError(f"model {path}: {exc}") from None
 
 
 def stage_eval(cfg: PipelineConfig, handed: dict) -> list[str]:

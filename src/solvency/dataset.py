@@ -19,17 +19,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .errors import (
-    CodeBookError,
-    ConfigError,
-    DataError,
-    EmptyDatasetError,
-    EmptyResultError,
-    HeaderMismatchError,
-    MissingFileError,
-    RaggedRowError,
-    UnknownLabelError,
-)
+from .errors import ConfigError, DataError
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -116,33 +106,33 @@ def load_codebook(path: str) -> dict[str, dict[str, int]]:
     names are stripped, as load_csv strips cells and header names.  A
     code that is not an integer, a label listed twice, duplicate codes,
     fewer than 2 labels, or a code beyond 2**53, which a float64 column
-    would not hold exactly, raises CodeBookError naming the file.
+    would not hold exactly, raises DataError naming the file.
     """
     book: dict[str, dict[str, int]] = {}
     expected = ["code", "feature", "label"]
     with _csv_reader(path, "codebook") as reader:
         header = _header(reader, path)
         if sorted(header) != expected:
-            raise HeaderMismatchError(
+            raise DataError(
                 f"{path}: codebook header must be {expected}, "
                 f"found {header}")
         order = [header.index(name) for name in ("feature", "label", "code")]
         for row in reader:
             where = f"{path} line {reader.line_num}"
             if len(row) != 3:
-                raise CodeBookError(f"{where}: {len(row)} cells, expected 3")
+                raise DataError(f"{where}: {len(row)} cells, expected 3")
             feature, label, code = (row[j] for j in order)
             feature, label = feature.strip(), label.strip()
             try:
                 code = int(code)
             except ValueError:
-                raise CodeBookError(
+                raise DataError(
                     f"{where}: code {code!r} of feature {feature!r} is not "
                     "an integer") from None
             labels = book.setdefault(feature, {})
             if label in labels:
-                raise CodeBookError(f"{where}: label {label!r} of feature "
-                                    f"{feature!r} is listed twice")
+                raise DataError(f"{where}: label {label!r} of feature "
+                                f"{feature!r} is listed twice")
             labels[label] = code
     for feature, labels in book.items():
         codes = labels.values()
@@ -154,7 +144,7 @@ def load_codebook(path: str) -> dict[str, dict[str, int]]:
             problem = f"feature {feature!r} has a code outside [-2**53, 2**53]"
         else:
             continue
-        raise CodeBookError(f"{path}: {problem}")
+        raise DataError(f"{path}: {problem}")
     return book
 
 
@@ -234,7 +224,7 @@ class Dataset:
         self.y = np.asarray(self.y, dtype=float)
         shape = (self.y.shape[0], len(self.schema))
         if self.X.shape != shape or self.y.ndim != 1:
-            raise RaggedRowError(
+            raise DataError(
                 f"columns do not form {shape[0]} rows of {shape[1]} "
                 "features plus a target")
 
@@ -349,7 +339,7 @@ def load_csv(
     or reads as non-finite is missing too.  Given a codebook,
     categorical cells hold labels, which apply_codebook turns into
     codes block by block; once every block has been read, a label the
-    book lacks raises UnknownLabelError naming its first row and, in
+    book lacks raises DataError naming its first row and, in
     it, the first such feature.  Without one, categorical cells are
     read as numeric codes.  With target_optional=True the target column
     may be absent, in which case every row gets a missing target
@@ -373,12 +363,13 @@ def load_csv(
         expected = set(schema.names) | ({schema.target} if has_target
                                         else set())
         if set(found) != expected or len(found) != len(expected):
-            raise HeaderMismatchError(
+            raise DataError(
                 f"header mismatch: expected columns {sorted(expected)}, "
                 f"found {found}")
         for name in labelled:
             if name not in codebook:
-                raise UnknownLabelError(name, "<no mapping>", -1)
+                raise DataError(
+                    f"codebook has no labels for feature {name!r}")
         names = schema.names + ([schema.target] if has_target else [])
         parts = {name: [np.empty(0)] for name in names}
         start = 0
@@ -411,7 +402,7 @@ def load_csv(
 def apply_codebook(cells: Mapping[str, Sequence[str]],
                    book: Mapping[str, Mapping[str, int]],
                    missing: Iterable[str], start: int
-                   ) -> tuple[dict[str, np.ndarray], UnknownLabelError | None]:
+                   ) -> tuple[dict[str, np.ndarray], DataError | None]:
     """The codes of one block's label cells, by feature, and the error
     for the block's first label the book lacks, or None.
 
@@ -433,7 +424,8 @@ def apply_codebook(cells: Mapping[str, Sequence[str]],
     if not unknown:
         return codes, None
     row, _, name, label = min(unknown)
-    return codes, UnknownLabelError(name, label, start + row)
+    return codes, DataError(f"unknown label {label!r} for feature {name!r} "
+                            f"at row {start + row}")
 
 
 def _row_blocks(path: str, numeric: bool) -> Iterator:
@@ -535,12 +527,12 @@ def _csv_rows(path: str, lines: list[str], offset: int) -> list[list[str]]:
 
 def _columns(rows: list[list[str]], width: int, start: int) -> list:
     """The columns of csv rows, the first of which is data row start;
-    a row of other than width cells raises RaggedRowError naming it."""
+    a row of other than width cells raises DataError naming it."""
     widths = np.fromiter(map(len, rows), np.intp, len(rows))
     ragged = np.flatnonzero(widths != width)
     if ragged.size:
         i = ragged[0]
-        raise RaggedRowError(
+        raise DataError(
             f"row {start + i} has {widths[i]} cells, expected {width}")
     return list(zip(*rows))
 
@@ -709,6 +701,8 @@ def clean(
     rows in their original order.  The log records each dropped row's
     original position and the first offending column in schema order
     (the target comes last).  Surviving rows keep their relative order.
+    If no row is kept, DataError names the first column, if any, that
+    has no value in any row.
     """
     names = data.schema.names + [data.schema.target]
     holes = np.isnan(np.column_stack([data.X, data.y]))
@@ -737,14 +731,17 @@ def clean(
     order = np.argsort(rows)
     log = list(zip(rows[order].tolist(), reasons[order].tolist()))
     if not kept.size:
-        raise EmptyResultError("cleaning removed every row")
+        empty = np.flatnonzero(holes.all(axis=0)) if data.n else []
+        detail = (f"; column {names[empty[0]]!r} has no value in any row"
+                  if len(empty) else "")
+        raise DataError(f"cleaning removed every row{detail}")
     return data.select(kept), log
 
 
 def class_distribution(data: Dataset) -> tuple[int, int]:
     """Counts of target classes 0 and 1."""
     if data.n == 0:
-        raise EmptyDatasetError("cannot take class distribution of 0 rows")
+        raise DataError("cannot take class distribution of 0 rows")
     y = data.binary_target()
     return int(np.sum(y == 0)), int(np.sum(y == 1))
 
@@ -759,15 +756,14 @@ def schema_from_header(
 
     Columns present in the codebook become categorical with the book's
     modality count; everything else is numeric.  A column named twice
-    raises HeaderMismatchError naming path, the file the header is from.
+    raises DataError naming path, the file the header is from.
     """
     header = list(header)
     for i, name in enumerate(header):
         if name in header[:i]:
-            raise HeaderMismatchError(
-                f"{path} names column {name!r} more than once")
+            raise DataError(f"{path} names column {name!r} more than once")
     if target not in header:
-        raise HeaderMismatchError(
+        raise DataError(
             f"target column {target!r} not in header {list(header)}")
     return Schema([FeatureSpec(name, CATEGORICAL, levels=len(book[name]))
                    if book is not None and name in book
@@ -785,7 +781,7 @@ def _header(reader, path: str) -> list[str]:
     try:
         return [h.strip() for h in next(reader)]
     except StopIteration:
-        raise HeaderMismatchError(f"{path} is empty, no header row")
+        raise DataError(f"{path} is empty, no header row")
 
 
 @contextmanager
@@ -801,16 +797,17 @@ def _csv_reader(path: str, what: str = "input"):
 
 @contextmanager
 def read_errors(path: str, what: str = "input", line_num=None):
-    """A path that cannot be opened or read raises MissingFileError (a
-    ConfigError) naming it as the what file; a byte that is not UTF-8,
-    or a line the csv module rejects (the line line_num() numbers),
-    raises DataError naming the file."""
+    """A path that cannot be opened or read raises ConfigError naming it
+    as the what file (the file system is part of the invocation, not of
+    the data); a byte that is not UTF-8, or a line the csv module
+    rejects (the line line_num() numbers), raises DataError naming the
+    file."""
     try:
         yield
     except FileNotFoundError:
-        raise MissingFileError(f"{what} file not found: {path}") from None
+        raise ConfigError(f"{what} file not found: {path}") from None
     except OSError as exc:
-        raise MissingFileError(
+        raise ConfigError(
             f"{what} file {path} cannot be read: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise DataError(

@@ -14,11 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateClassError,
-    EmptyInputError,
-    ScoreOutOfRangeError,
-)
+from .errors import DataError
 
 
 def confusion(actual: Sequence[int], predicted: Sequence[int]
@@ -28,7 +24,7 @@ def confusion(actual: Sequence[int], predicted: Sequence[int]
     a = np.asarray(actual)
     p = np.asarray(predicted)
     if a.shape[0] == 0:
-        raise EmptyInputError("no rows to evaluate")
+        raise DataError("no rows to evaluate")
     if a.shape != p.shape:
         raise ValueError("actual and predicted lengths differ")
     for vec, which in ((a, "actual"), (p, "predicted")):
@@ -40,11 +36,11 @@ def confusion(actual: Sequence[int], predicted: Sequence[int]
 
 
 def _class_totals(cm: dict[str, int], what: str) -> tuple[int, int]:
-    """Actual positives and negatives; DegenerateClassError unless
-    both classes are present."""
+    """Actual positives and negatives; DataError unless both classes
+    are present."""
     positives, negatives = cm["vp"] + cm["fn"], cm["vn"] + cm["fp"]
     if positives == 0 or negatives == 0:
-        raise DegenerateClassError(f"both classes must be present for {what}")
+        raise DataError(f"both classes must be present for {what}")
     return positives, negatives
 
 
@@ -79,13 +75,13 @@ def roc(actual: Sequence[int], scores: Sequence[float]) -> dict:
     a = np.asarray(actual)
     s = np.asarray(scores, dtype=float)
     if a.shape[0] == 0:
-        raise EmptyInputError("no rows for the ROC sweep")
+        raise DataError("no rows for the ROC sweep")
     if a.shape != s.shape:
         raise ValueError("actual and score lengths differ")
     if not np.all((a == 0) | (a == 1)):
         raise ValueError("actual values must all be 0 or 1")
     if np.any(~np.isfinite(s)) or s.min() < 0.0 or s.max() > 1.0:
-        raise ScoreOutOfRangeError("scores must lie inside [0, 1]")
+        raise DataError("scores must lie inside [0, 1]")
     order = np.argsort(-s, kind="mergesort")
     # the last row of each run of tied scores, and the class-1 and
     # class-0 rows up to it; fp / n0 and tp / n1 divide exact integers
@@ -95,7 +91,7 @@ def roc(actual: Sequence[int], scores: Sequence[float]) -> dict:
     fp = ends + 1 - tp
     n1, n0 = int(tp[-1]), int(fp[-1])
     if n1 == 0 or n0 == 0:
-        raise DegenerateClassError("ROC needs both classes present")
+        raise DataError("ROC needs both classes present")
     points = [(0.0, 0.0)] + list(zip((fp / n0).tolist(), (tp / n1).tolist()))
     area = 0.0
     for (x0, y0), (x1, y1) in zip(points, points[1:]):
@@ -116,7 +112,7 @@ def auc_se_ci(auc: float, n1: int, n0: int
     if not 0.0 <= auc <= 1.0:
         raise ValueError(f"auc must lie in [0, 1], got {auc}")
     if n1 < 1 or n0 < 1:
-        raise DegenerateClassError("need at least one row of each class")
+        raise DataError("need at least one row of each class")
     q1 = auc / (2.0 - auc)
     q2 = 2.0 * auc * auc / (1.0 + auc)
     variance = (auc * (1.0 - auc)

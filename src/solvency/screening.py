@@ -22,12 +22,7 @@ from itertools import combinations
 import numpy as np
 
 from .dataset import Dataset, _quoted
-from .errors import (
-    DataError,
-    SingularMatrixError,
-    SolvencyWarning,
-    ZeroVarianceError,
-)
+from .errors import DataError, NumericError, SolvencyWarning
 
 #: |coefficient| above which the fit is treated as quasi-separated.
 SEPARATION_GUARD = 15.0
@@ -170,12 +165,12 @@ def _check_invertible(info: np.ndarray) -> None:
     """
     diag = np.diag(info)
     if not np.all(np.isfinite(diag)) or np.any(diag <= 0.0):
-        raise SingularMatrixError(
+        raise NumericError(
             "information matrix is singular (all-zero column?)")
     d = 1.0 / np.sqrt(diag)
     cond = np.linalg.cond(info * np.outer(d, d))
     if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularMatrixError(
+        raise NumericError(
             "information matrix is singular (constant or duplicated column?)")
 
 
@@ -265,12 +260,13 @@ def pearson_matrix(data: Dataset, variables: list[str] | None = None,
     X = data.feature_array(names)
     n, k = X.shape
     if n < 2:
-        raise ZeroVarianceError(names[0] if names else "<none>")
+        name = names[0] if names else "<none>"
+        raise NumericError(f"variable {name!r} has zero variance")
     centered = X - X.mean(axis=0)
     sd = np.sqrt(np.mean(centered ** 2, axis=0))
     for j, name in enumerate(names):
         if sd[j] == 0.0:
-            raise ZeroVarianceError(name)
+            raise NumericError(f"variable {name!r} has zero variance")
     # each pair's product reads two contiguous rows of the transpose;
     # the mean and sd above stay on X's layout, which sets their
     # summation order and so their bits

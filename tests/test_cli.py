@@ -327,6 +327,23 @@ class TestEncodeCommand:
         assert encoded[0] == encoded[1]
         assert encoded[0].splitlines()[1] == b"1,0,10,0"
 
+    def test_a_column_the_book_lacks_is_named(self, workdir, capsys):
+        """A labelled column whose feature the book does not hold reads
+        as numeric, so each of its cells is missing; before, encode said
+        only that cleaning removed every row."""
+        (workdir / "raw.csv").write_text(
+            "color,x,TARGET\nred,1.0,0\nblue,2.0,1\nred,3.0,0\n")
+        (workdir / "book.csv").write_text(
+            "feature,label,code\nshade,red,1\nshade,blue,2\n")
+        rc = main(["encode", "--input", str(workdir / "raw.csv"),
+                   "--codebook", str(workdir / "book.csv"),
+                   "--out", str(workdir)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            "solvency encode: cleaning removed every row; column 'color' "
+            "has no value in any row\n")
+        assert not (workdir / "encoded.csv").exists()
+
     def test_code_at_2_to_the_53_is_kept(self, workdir):
         self.setup_inputs(workdir)
         (workdir / "book.csv").write_text(
@@ -535,19 +552,24 @@ class TestTrainCommand:
                    "--out", str(workdir)])
         assert rc == 2
 
-    @pytest.mark.parametrize("text", [
-        "kept: [AMT_CREDIT]",
-        '{"dropped": []}',
-        '{"kept": ["AMT_CREDIT", "NO_SUCH_COLUMN"]}',
+    @pytest.mark.parametrize("text, found", [
+        ("kept: [AMT_CREDIT]", "screening file {} is not valid JSON: "
+         "Expecting value: line 1 column 1 (char 0)"),
+        ('{"dropped": []}', "screening file {} holds no JSON object with a "
+         "'kept' list of variable names"),
+        ('{"kept": ["AMT_CREDIT", "NO_SUCH_COLUMN"]}',
+         "unknown variables in screening file {}: ['NO_SUCH_COLUMN']"),
     ], ids=["not-json", "no-kept-list", "unknown-variable"])
-    def test_malformed_screening_file_exits_2(self, workdir, capsys, text):
+    def test_malformed_screening_file_exits_2(self, workdir, capsys, text,
+                                              found):
         source = self.encoded(workdir)
         path = workdir / "screen.json"
         path.write_text(text)
         rc = main(["train", "--input", str(source), "--screening", str(path),
                    "--out", str(workdir)])
         assert rc == 2
-        assert str(path) in capsys.readouterr().err
+        assert capsys.readouterr().err == \
+            f"solvency train: {found.format(path)}\n"
 
     def test_non_integer_categorical_code_exits_3(self, workdir, capsys):
         book = workdir / "book.csv"
@@ -1012,8 +1034,7 @@ def test_repeated_header_column_exits_3(workdir, capsys, command):
 
 @pytest.mark.parametrize("command, flag, code, found", [
     ("synth", "--config", 2, "config file {} nests too deeply"),
-    ("train", "--screening", 2, "screening file {} holds no JSON object "
-     "with a 'kept' list of variable names"),
+    ("train", "--screening", 2, "screening file {} nests too deeply"),
     ("predict", "--model", 3, "model {}: JSON nests too deeply to read"),
 ], ids=["config", "screening", "model"])
 def test_deeply_nested_json_refused(workdir, capsys, command, flag, code,
@@ -1440,11 +1461,13 @@ class TestConfigResolution:
         (key,) = doc
         assert repr(key) in capsys.readouterr().err
 
-    def test_config_must_be_object(self, workdir):
+    def test_config_must_be_object(self, workdir, capsys):
         cfg = workdir / "cfg.json"
         cfg.write_text("[1, 2]")
         assert main(["synth", "--config", str(cfg),
                      "--out", str(workdir)]) == 2
+        assert capsys.readouterr().err == (
+            f"solvency synth: config file {cfg} must hold a JSON object\n")
 
     def test_config_must_be_json(self, workdir, capsys):
         cfg = workdir / "cfg.json"

@@ -1,6 +1,8 @@
 """The typed-error contract as a standing property: whatever the input
 files hold, ``cli.main`` returns 0, 2, 3 or 4 and lets no exception
-escape (it turns each SolvencyError into its exit code).
+escape (it turns each SolvencyError into its exit code).  A refused
+``--screening`` file, and a config file that is not a JSON object, is
+named in the message.
 
 Each property mutates one kind of input: CSV headers, cells and row
 widths; codebooks; JSON configs; ``--screening`` files; ``model.json``
@@ -52,10 +54,10 @@ def base(tmp_path_factory):
         for label, code in labels.items()]
     (out / "book.csv").write_bytes(text(book))
     assert run({}, ["synth", "--rows", "40", "--seed", "5",
-                    "--out", str(out)]) == 0
+                    "--out", str(out)])[0] == 0
     assert run({}, ["pipeline", "--input", str(out / "synthetic.csv"),
                     "--codebook", str(out / "book.csv"), "--skip-codebook",
-                    "--out", str(out)]) == 0
+                    "--out", str(out)])[0] == 0
     coded = (out / "synthetic.csv").read_text().splitlines()
     header = coded[0].split(",")
     decode = {feature: {code: label for label, code in labels.items()}
@@ -70,9 +72,10 @@ def base(tmp_path_factory):
             "model": json.loads((out / "model.json").read_text())}
 
 
-def run(files: dict, argv: list[str]) -> int:
+def run(files: dict, argv: list[str]) -> tuple[int, str]:
     """main(argv) in a fresh directory holding files (name -> bytes, or
-    DIRECTORY); an argument "@name" is the path of name there."""
+    DIRECTORY), and its stderr; an argument "@name" is the path of name
+    there, which stderr shows as "@name" too."""
     with tempfile.TemporaryDirectory() as root:
         for name, data in files.items():
             path = os.path.join(root, name)
@@ -84,21 +87,26 @@ def run(files: dict, argv: list[str]) -> int:
                     fh.write(data)
         args = [os.path.join(root, a[1:]) if a.startswith("@") else a
                 for a in argv]
+        err = io.StringIO()
         with warnings.catch_warnings(), redirect_stdout(io.StringIO()), \
-                redirect_stderr(io.StringIO()):
+                redirect_stderr(err):
             warnings.simplefilter("ignore")
-            return main(args)
+            code = main(args)
+        return code, err.getvalue().replace(root + os.sep, "@")
 
 
 def text(lines: list[str]) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def check(base: dict, files: dict, argv: list[str]) -> None:
-    """Run argv with files over the base inputs; exit codes 0/2/3/4."""
+def check(base: dict, files: dict, argv: list[str]) -> tuple[int, str]:
+    """Run argv with files over the base inputs; exit codes 0/2/3/4.
+    Returns the exit code and stderr."""
     inputs = {"data.csv": text(base["coded"]), "book.csv": text(base["book"]),
               "model.json": json.dumps(base["model"]).encode(), **files}
-    assert run(inputs, argv + ["--out", "@out"]) in (0, 2, 3, 4)
+    code, err = run(inputs, argv + ["--out", "@out"])
+    assert code in (0, 2, 3, 4)
+    return code, err
 
 
 PROPERTY = settings(suppress_health_check=[HealthCheck.too_slow,
@@ -181,6 +189,15 @@ CONFIGS = st.one_of(
     JSON_VALUES).map(lambda doc: json.dumps(doc).encode())
 
 
+def _json_or_none(data):
+    """The JSON value data holds, or None where it is DIRECTORY or does
+    not parse."""
+    try:
+        return None if data is DIRECTORY else json.loads(data)
+    except (ValueError, RecursionError):
+        return None
+
+
 @PROPERTY
 @given(command=st.sampled_from(["synth", "pipeline", "train", "eval"]),
        config=CONFIGS)
@@ -193,14 +210,18 @@ CONFIGS = st.one_of(
 @example(command="pipeline", config=b"[" * 100_000 + b"]" * 100_000)
 @example(command="pipeline", config=b"\xff{}")
 @example(command="pipeline", config=DIRECTORY)
+@example(command="synth", config=b"[1]")
 def test_mutated_config(base, command, config):
-    """JSON configs, the synth object's among them."""
+    """JSON configs, the synth object's among them; one that cannot be
+    read, does not parse or is not an object is named."""
     argv = [command, "--config", "@config.json"]
     if command == "synth":
         argv += ["--rows", "30"]
     else:
         argv += READS.get(command, READS["screen"])
-    check(base, {"config.json": config}, argv)
+    code, err = check(base, {"config.json": config}, argv)
+    if not isinstance(_json_or_none(config), dict):
+        assert code != 0 and "@config.json" in err
 
 
 SCREENINGS = st.one_of(
@@ -217,9 +238,11 @@ SCREENINGS = st.one_of(
 @example(screening=b'{"kept": []}')
 @example(screening=DIRECTORY)
 def test_mutated_screening(base, screening):
-    """--screening files read by train."""
-    check(base, {"screening.json": screening},
-          ["train", "--screening", "@screening.json"] + READS["train"])
+    """--screening files read by train; a refused one is named."""
+    code, err = check(base, {"screening.json": screening},
+                      ["train", "--screening", "@screening.json"]
+                      + READS["train"])
+    assert code == 0 or "@screening.json" in err
 
 
 def _mutate_model(model: dict, edits) -> bytes:
