@@ -56,7 +56,7 @@ from .screening import (
     screen,
     wald_table,
 )
-from .synth import SynthSpec, default_spec, generate
+from .synth import generate
 
 __version__ = "0.1.0"
 
@@ -72,6 +72,6 @@ __all__ = [
     "report_table", "roc",
     "LogisticFit", "chi_square_sf_1df", "correlation_text", "fit_logistic",
     "pearson_matrix", "per_variable_wald", "screen", "wald_table",
-    "SynthSpec", "default_spec", "generate",
+    "generate",
     "cart", "dataset", "evaluation", "screening", "synth",
 ]

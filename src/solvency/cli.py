@@ -146,7 +146,7 @@ def _read_json(path: str, what: str):
     """The JSON value the what file at path holds; ConfigError naming
     the file if it cannot be read, is not UTF-8 JSON, or nests too
     deeply to read."""
-    with read_errors(path, what), open(path, encoding="utf-8") as fh:
+    with read_errors(path, what), open(path, encoding="utf-8-sig") as fh:
         try:
             return json.load(fh)
         except ValueError as exc:
@@ -343,7 +343,7 @@ def _load_model(cfg: PipelineConfig, handed: dict) -> cart.CartTree:
     if "tree" in handed and not cfg.model:
         return handed["tree"]
     path = cfg.model if cfg.model else cfg.path(MODEL_JSON)
-    with read_errors(path, "model"), open(path, encoding="utf-8") as fh:
+    with read_errors(path, "model"), open(path, encoding="utf-8-sig") as fh:
         try:
             return cart.deserialize(fh.read())
         except (UnicodeDecodeError, DataError) as exc:
@@ -399,13 +399,11 @@ def stage_predict(cfg: PipelineConfig, handed: dict) -> list[str]:
 
 
 def stage_synth(cfg: PipelineConfig, handed: dict) -> list[str]:
-    doc = dict(cfg.synth)
-    doc.setdefault("seed", cfg.seed)
-    spec = synth.spec_from_doc(doc)
-    data = synth.generate(spec)
+    doc = {"seed": cfg.seed, **cfg.synth}
+    data = synth.generate(doc)
     write_csv(data, cfg.path(SYNTHETIC_CSV))
-    print(f"synth: wrote {data.n} rows, seed {spec.seed}, "
-          f"noise {spec.noise}")
+    print(f"synth: wrote {data.n} rows, seed {doc['seed']}, "
+          f"noise {float(doc.get('noise', 0.0))}")
     return [SYNTHETIC_CSV]
 
 

@@ -2,19 +2,18 @@
 
 Labels are the planted rule's verdict XORed with Bernoulli(noise)
 flips.  All randomness comes from numpy's default PCG64 generator
-seeded with the single spec seed; feature columns are drawn in schema
-order, then the flip vector, so equal specs give byte-equal datasets.
-The planted rule is held in its JSON form (see check_rule).
+seeded with the synth object's one seed; feature columns are drawn in
+schema order, then the flip vector, so equal objects give byte-equal
+datasets.  A synth object is the JSON form README documents, and so is
+its planted rule (see check_rule).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .dataset import (CATEGORICAL, NUMERIC, Dataset, FeatureSpec, Schema,
-                      json_number)
+from .dataset import (CATEGORICAL, DEFAULT_CODEBOOK, NUMERIC, Dataset,
+                      FeatureSpec, Schema, json_number, schema_from_header)
 from .errors import ConfigError
 
 
@@ -82,54 +81,9 @@ def planted_labels(rule, columns: dict[str, np.ndarray],
                     planted_labels(rule["right"], columns, n))
 
 
-@dataclass
-class SynthSpec:
-    """Everything generate() needs; validated on construction."""
-
-    n_rows: int
-    schema: Schema
-    rule: dict | int
-    noise: float = 0.0
-    seed: int = 0
-    ranges: dict[str, tuple[float, float]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.n_rows < 1:
-            raise ConfigError("n_rows must be positive")
-        if not 0.0 <= self.noise < 0.5:
-            raise ConfigError("noise must lie in [0, 0.5)")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed must fit in 64 unsigned bits")
-        check_rule(self.rule, self.schema)
-        for name, (low, high) in self.ranges.items():
-            spec = self.schema[name]
-            if spec.kind != NUMERIC:
-                raise ConfigError(f"range given for categorical {name!r}")
-            if not low < high:
-                raise ConfigError(f"empty range for {name!r}")
-
-
 def _codes_for(spec: FeatureSpec) -> range:
     """Two-level features use boolean codes 0/1, wider ones 1..levels."""
     return range(0, 2) if spec.levels == 2 else range(1, spec.levels + 1)
-
-
-def generate(spec: SynthSpec) -> Dataset:
-    """Draw the dataset described by spec."""
-    rng = np.random.default_rng(spec.seed)
-    n = spec.n_rows
-    X = np.empty((n, len(spec.schema)))
-    for f in spec.schema.features:
-        if f.kind == NUMERIC:
-            low, high = spec.ranges.get(f.name, (0.0, 1.0))
-            X[:, f.index] = rng.uniform(low, high, n)
-        else:
-            codes = _codes_for(f)
-            X[:, f.index] = rng.integers(codes.start, codes.stop, n)
-    base = planted_labels(spec.rule, {f.name: X[:, f.index]
-                                      for f in spec.schema.features}, n)
-    flips = rng.random(n) < spec.noise
-    return Dataset(spec.schema, X, np.where(flips, 1 - base, base))
 
 
 #: Numeric value ranges for the bundled credit-shaped schema.
@@ -142,44 +96,20 @@ DEFAULT_RANGES = {
     "CNT_FAM_MEMBERS": (1.0, 7.0),
 }
 
+#: Column order of the bundled credit-shaped schema; DEFAULT_CODEBOOK
+#: makes the nominal ones categorical with its levels.
+DEFAULT_COLUMNS = (
+    "NAME_CONTRACT_TYPE", "CODE_GENDER", "FLAG_OWN_CAR", "CNT_CHILDREN",
+    "AMT_INCOME_TOTAL", "AMT_CREDIT", "AMT_ANNUITY", "AMT_GOODS_PRICE",
+    "NAME_INCOME_TYPE", "NAME_EDUCATION_TYPE", "NAME_FAMILY_STATUS",
+    "NAME_HOUSING_TYPE", "CNT_FAM_MEMBERS",
+)
 
-def default_schema() -> Schema:
-    """Thirteen features shaped like a credit application table."""
-    return Schema([
-        FeatureSpec("NAME_CONTRACT_TYPE", CATEGORICAL, levels=2),
-        FeatureSpec("CODE_GENDER", CATEGORICAL, levels=2),
-        FeatureSpec("FLAG_OWN_CAR", CATEGORICAL, levels=2),
-        FeatureSpec("CNT_CHILDREN", NUMERIC),
-        FeatureSpec("AMT_INCOME_TOTAL", NUMERIC),
-        FeatureSpec("AMT_CREDIT", NUMERIC),
-        FeatureSpec("AMT_ANNUITY", NUMERIC),
-        FeatureSpec("AMT_GOODS_PRICE", NUMERIC),
-        FeatureSpec("NAME_INCOME_TYPE", CATEGORICAL, levels=4),
-        FeatureSpec("NAME_EDUCATION_TYPE", CATEGORICAL, levels=4),
-        FeatureSpec("NAME_FAMILY_STATUS", CATEGORICAL, levels=5),
-        FeatureSpec("NAME_HOUSING_TYPE", CATEGORICAL, levels=6),
-        FeatureSpec("CNT_FAM_MEMBERS", NUMERIC),
-    ], target="TARGET")
-
-
-def default_rule() -> dict:
-    """Depth-2 planted rule: modest income and modest credit mean 1."""
-    return {"feature": "AMT_INCOME_TOTAL", "threshold": 137_500.0,
-            "left": {"feature": "AMT_CREDIT", "threshold": 522_500.0,
-                     "left": 1, "right": 0},
-            "right": 0}
-
-
-def default_spec(n_rows: int = 4000, seed: int = 0,
-                 noise: float = 0.0) -> SynthSpec:
-    return SynthSpec(
-        n_rows=n_rows,
-        schema=default_schema(),
-        rule=default_rule(),
-        noise=noise,
-        seed=seed,
-        ranges=dict(DEFAULT_RANGES),
-    )
+#: Depth-2 planted rule: modest income and modest credit mean 1.
+DEFAULT_RULE = {"feature": "AMT_INCOME_TOTAL", "threshold": 137_500.0,
+                "left": {"feature": "AMT_CREDIT", "threshold": 522_500.0,
+                         "left": 1, "right": 0},
+                "right": 0}
 
 
 def _value(doc: dict, key: str, default, kind: type, owner: str = "synth"):
@@ -194,38 +124,65 @@ def _value(doc: dict, key: str, default, kind: type, owner: str = "synth"):
     return value
 
 
-def spec_from_doc(doc: dict) -> SynthSpec:
-    """SynthSpec from a JSON object, each value of its JSON type; omitted
-    parts fall back to the bundled credit-shaped defaults."""
+def _schema(doc: dict) -> tuple[Schema, dict[str, tuple[float, float]]]:
+    """The schema of a synth object's features and the value range of
+    each numeric one given low or high; the bundled credit-shaped
+    schema and DEFAULT_RANGES when it lists none."""
+    if "features" not in doc:
+        return (schema_from_header([*DEFAULT_COLUMNS, "TARGET"], "TARGET",
+                                   DEFAULT_CODEBOOK), DEFAULT_RANGES)
+    features, ranges = [], {}
+    try:
+        for f in _value(doc, "features", None, list):
+            if not isinstance(f, dict):
+                raise ConfigError(f"bad feature entry: {f!r}")
+            name = _value(f, "name", None, str, "synth feature")
+            owner = f"synth feature {name!r}"
+            if any(g.name == name for g in features):
+                raise ConfigError(f"{owner} is listed twice")
+            kind = f.get("kind")
+            if kind == NUMERIC and ("low" in f or "high" in f):
+                ranges[name] = (float(_value(f, "low", 0.0, float, owner)),
+                                float(_value(f, "high", 1.0, float, owner)))
+            levels = (_value(f, "levels", 2, int, owner)
+                      if kind == CATEGORICAL else None)
+            features.append(FeatureSpec(name, kind, levels))
+        return Schema(features, _value(doc, "target", "TARGET", str)), ranges
+    except ValueError as exc:  # FeatureSpec's or Schema's refusal
+        raise ConfigError(str(exc)) from None
+
+
+def generate(doc: dict) -> Dataset:
+    """Draw the dataset a synth object describes, each value of its JSON
+    type; omitted parts fall back to the bundled credit-shaped schema,
+    DEFAULT_RANGES and DEFAULT_RULE.  A value it refuses raises
+    ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError("synth spec must be a JSON object")
-    schema, ranges = default_schema(), dict(DEFAULT_RANGES)
-    if "features" in doc:
-        features, ranges = [], {}
-        try:
-            for f in _value(doc, "features", None, list):
-                if not isinstance(f, dict):
-                    raise ConfigError(f"bad feature entry: {f!r}")
-                name = _value(f, "name", None, str, "synth feature")
-                owner = f"synth feature {name!r}"
-                if any(g.name == name for g in features):
-                    raise ConfigError(f"{owner} is listed twice")
-                kind = f.get("kind")
-                if kind == NUMERIC and ("low" in f or "high" in f):
-                    ranges[name] = (
-                        float(_value(f, "low", 0.0, float, owner)),
-                        float(_value(f, "high", 1.0, float, owner)))
-                levels = (_value(f, "levels", 2, int, owner)
-                          if kind == CATEGORICAL else None)
-                features.append(FeatureSpec(name, kind, levels))
-            schema = Schema(features, _value(doc, "target", "TARGET", str))
-        except ValueError as exc:  # FeatureSpec's or Schema's refusal
-            raise ConfigError(str(exc)) from None
-    return SynthSpec(
-        n_rows=_value(doc, "n_rows", 4000, int),
-        schema=schema,
-        rule=doc.get("rule", default_rule()),
-        noise=float(_value(doc, "noise", 0.0, float)),
-        seed=_value(doc, "seed", 0, int),
-        ranges=ranges,
-    )
+    schema, ranges = _schema(doc)
+    n = _value(doc, "n_rows", 4000, int)
+    noise = float(_value(doc, "noise", 0.0, float))
+    seed = _value(doc, "seed", 0, int)
+    rule = doc.get("rule", DEFAULT_RULE)
+    if n < 1:
+        raise ConfigError("n_rows must be positive")
+    if not 0.0 <= noise < 0.5:
+        raise ConfigError("noise must lie in [0, 0.5)")
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError("seed must fit in 64 unsigned bits")
+    check_rule(rule, schema)
+    for name, (low, high) in ranges.items():
+        if not low < high:
+            raise ConfigError(f"empty range for {name!r}")
+    rng = np.random.default_rng(seed)
+    X = np.empty((n, len(schema)))
+    for f in schema.features:
+        if f.kind == NUMERIC:
+            X[:, f.index] = rng.uniform(*ranges.get(f.name, (0.0, 1.0)), n)
+        else:
+            codes = _codes_for(f)
+            X[:, f.index] = rng.integers(codes.start, codes.stop, n)
+    base = planted_labels(rule, {f.name: X[:, f.index]
+                                 for f in schema.features}, n)
+    flips = rng.random(n) < noise
+    return Dataset(schema, X, np.where(flips, 1 - base, base))

@@ -1532,6 +1532,55 @@ def test_byte_order_mark_gives_the_same_artifacts(workdir, marked):
     assert outs[1]["encoded.csv"].startswith(b"color,flag,amount,y\r\n")
 
 
+def marked_copy(path):
+    """A copy of path beside it, prefixed with a UTF-8 byte-order mark."""
+    copy = path.with_name("marked-" + path.name)
+    copy.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    return copy
+
+
+def test_byte_order_mark_on_a_config_is_read(workdir):
+    cfg = workdir / "cfg.json"
+    cfg.write_text('{"alpha": 0.1}')
+    for out, path in (("plain", cfg), ("marked", marked_copy(cfg))):
+        assert main(["synth", "--config", str(path), "--rows", "30",
+                     "--out", str(workdir / out)]) == 0
+    assert ((workdir / "plain" / "synthetic.csv").read_bytes()
+            == (workdir / "marked" / "synthetic.csv").read_bytes())
+
+
+def test_config_byte_that_is_not_utf8_exits_2(workdir, capsys):
+    cfg = workdir / "cfg.json"
+    cfg.write_bytes(b"\xff{}")
+    assert main(["synth", "--config", str(cfg),
+                 "--out", str(workdir / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"solvency synth: config file {cfg} is not valid JSON: 'utf-8' "
+        "codec can't decode byte 0xff in position 0: invalid start byte\n")
+
+
+def test_byte_order_mark_on_a_model_is_read(workdir):
+    source = TestEvalCommand().trained(workdir)
+    model = workdir / "model.json"
+    for out, path in (("plain", model), ("marked", marked_copy(model))):
+        assert main(["predict", "--input", str(source), "--model", str(path),
+                     "--out", str(workdir / out)]) == 0
+    assert ((workdir / "plain" / "predictions.csv").read_bytes()
+            == (workdir / "marked" / "predictions.csv").read_bytes())
+
+
+def test_byte_order_mark_on_a_screening_file_is_read(workdir):
+    source = make_synthetic(workdir)
+    screening = workdir / "kept.json"
+    screening.write_text('{"kept": ["AMT_INCOME_TOTAL", "AMT_CREDIT"]}')
+    for out, path in (("plain", screening), ("marked",
+                                             marked_copy(screening))):
+        assert main(["train", "--input", str(source), "--screening",
+                     str(path), "--out", str(workdir / out)]) == 0
+    assert ((workdir / "plain" / "model.json").read_bytes()
+            == (workdir / "marked" / "model.json").read_bytes())
+
+
 def test_schema_mismatch_names_the_feature(workdir, capsys):
     """A model trained through a codebook, evaluated on labelled input
     without it, names the first feature whose kind differs."""

@@ -14,6 +14,11 @@ data run through pipeline four ways: correlation.csv, eval.json,
 eval.txt, roc.tsv, and screening.json's kept list with each dropped
 variable's name, reason and partner.  wald.csv and every sig are left
 out, because they come from LAPACK and differ between numpy builds.
+
+synthetic.csv and synth's stdout line are pinned for the bundled
+schema and for a config whose synth object takes every custom-features
+path: integer low/high, 2 and 3 levels, a numeric feature without a
+range, a named target and a nested subset rule.
 """
 
 import json
@@ -21,6 +26,7 @@ import json
 import hashlib
 
 import numpy as np
+import pytest
 
 from solvency.cli import main
 from solvency.dataset import (
@@ -261,3 +267,43 @@ def test_golden_pipeline_digests(tmp_path):
             for d in doc["dropped"]])
     assert screening == PIPELINE_SCREENING
     assert digests == PIPELINE_DIGESTS
+
+
+#: a synth object of custom features, planting a rule three splits deep
+CUSTOM_SYNTH = {
+    "n_rows": 300, "seed": 7, "noise": 0.1, "target": "label",
+    "features": [
+        {"name": "x", "kind": "numeric", "low": -2, "high": 5},
+        {"name": "c", "kind": "categorical", "levels": 3},
+        {"name": "b", "kind": "categorical"},
+        {"name": "z", "kind": "numeric"},
+    ],
+    "rule": {"feature": "c", "subset": [1, 3],
+             "left": {"feature": "b", "subset": [0],
+                      "left": {"feature": "x", "threshold": 1.5,
+                               "left": 1, "right": 0},
+                      "right": 0},
+             "right": {"label": 1}},
+}
+
+#: run -> (synth flags, stdout, synthetic.csv digest)
+SYNTH_RUNS = {
+    "default": (["--rows", "500", "--seed", "11", "--noise", "0.2"],
+                "synth: wrote 500 rows, seed 11, noise 0.2\n",
+                "e2c5f9352f592fd89c642445ababcec0"
+                "09230543e4a5168af74ac03d3349ae18"),
+    "custom": (["--config", "cfg.json"],
+               "synth: wrote 300 rows, seed 7, noise 0.1\n",
+               "97d7db8013f6295fb333255975d9cf91"
+               "56b91d3f3acbad6d9bddb5f855139a8b"),
+}
+
+
+@pytest.mark.parametrize("run", SYNTH_RUNS)
+def test_golden_synth_digests(tmp_path, monkeypatch, capsys, run):
+    flags, stdout, digest = SYNTH_RUNS[run]
+    (tmp_path / "cfg.json").write_text(json.dumps({"synth": CUSTOM_SYNTH}))
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", *flags, "--out", "out"]) == 0
+    assert capsys.readouterr().out == stdout
+    assert _digest(tmp_path / "out" / "synthetic.csv") == digest

@@ -6,18 +6,23 @@ import numpy as np
 import pytest
 
 from conftest import rows
-from solvency.dataset import CATEGORICAL, NUMERIC, FeatureSpec, Schema, write_csv
+from solvency.dataset import (
+    CATEGORICAL,
+    DEFAULT_CODEBOOK,
+    NUMERIC,
+    FeatureSpec,
+    Schema,
+    schema_from_header,
+    write_csv,
+)
 from solvency.errors import ConfigError
 from solvency.synth import (
+    DEFAULT_COLUMNS,
     DEFAULT_RANGES,
-    SynthSpec,
+    DEFAULT_RULE,
     check_rule,
-    default_rule,
-    default_schema,
-    default_spec,
     generate,
     planted_labels,
-    spec_from_doc,
 )
 
 
@@ -39,55 +44,57 @@ def depth(rule):
     return 1 + max(depth(rule["left"]), depth(rule["right"]))
 
 
-def tiny_spec(**overrides):
-    params = dict(
-        n_rows=200,
-        schema=tiny_schema(),
-        rule=split("income", threshold=0.5),
-        ranges={"income": (0.0, 1.0)},
-    )
-    params.update(overrides)
-    return SynthSpec(**params)
+def tiny_doc(low=0.0, high=1.0, **overrides):
+    """A synth object over tiny_schema's features, income drawn from
+    [low, high)."""
+    return {
+        "n_rows": 200,
+        "features": [
+            {"name": "income", "kind": "numeric", "low": low, "high": high},
+            {"name": "region", "kind": "categorical", "levels": 3},
+        ],
+        "target": "y",
+        "rule": split("income", threshold=0.5),
+        **overrides,
+    }
 
 
 class TestDeterminism:
     def test_equal_seeds_give_byte_equal_csv(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_csv(generate(default_spec(n_rows=500, seed=11)), a)
-        write_csv(generate(default_spec(n_rows=500, seed=11)), b)
+        write_csv(generate({"n_rows": 500, "seed": 11}), a)
+        write_csv(generate({"n_rows": 500, "seed": 11}), b)
         assert a.read_bytes() == b.read_bytes()
 
     def test_different_seeds_differ(self):
-        a = generate(default_spec(n_rows=100, seed=1))
-        b = generate(default_spec(n_rows=100, seed=2))
+        a = generate({"n_rows": 100, "seed": 1})
+        b = generate({"n_rows": 100, "seed": 2})
         assert rows(a) != rows(b)
 
     def test_noise_seeded_too(self):
-        a = generate(default_spec(n_rows=300, seed=5, noise=0.3))
-        b = generate(default_spec(n_rows=300, seed=5, noise=0.3))
+        a = generate({"n_rows": 300, "seed": 5, "noise": 0.3})
+        b = generate({"n_rows": 300, "seed": 5, "noise": 0.3})
         assert rows(a) == rows(b)
 
 
 class TestLabels:
     def test_noise_free_labels_follow_rule_exactly(self):
-        spec = default_spec(n_rows=1000, seed=3)
-        data = generate(spec)
+        data = generate({"n_rows": 1000, "seed": 3})
         columns = {f.name: data.X[:, f.index].copy()
-                   for f in spec.schema.features}
-        expected = planted_labels(spec.rule, columns, spec.n_rows)
+                   for f in data.schema.features}
+        expected = planted_labels(DEFAULT_RULE, columns, 1000)
         actual = data.y
         assert np.array_equal(actual, expected)
 
     def test_flip_rate_tracks_noise(self):
-        noisy = generate(default_spec(n_rows=10_000, seed=4, noise=0.2))
-        clean = generate(default_spec(n_rows=10_000, seed=4, noise=0.0))
+        noisy = generate({"n_rows": 10_000, "seed": 4, "noise": 0.2})
+        clean = generate({"n_rows": 10_000, "seed": 4, "noise": 0.0})
         flips = int(np.sum(noisy.y != clean.y))
         assert abs(flips / 10_000 - 0.2) < 0.01
 
     def test_rows_outside_rule_are_zero(self):
-        spec = default_spec(n_rows=2000, seed=6)
-        data = generate(spec)
-        schema = spec.schema
+        data = generate({"n_rows": 2000, "seed": 6})
+        schema = data.schema
         income = schema["AMT_INCOME_TOTAL"].index
         credit = schema["AMT_CREDIT"].index
         for row in rows(data):
@@ -97,7 +104,7 @@ class TestLabels:
 
 class TestDrawnValues:
     def test_numeric_columns_stay_in_their_ranges(self):
-        data = generate(default_spec(n_rows=500, seed=7))
+        data = generate({"n_rows": 500, "seed": 7})
         schema = data.schema
         for name, (low, high) in DEFAULT_RANGES.items():
             i = schema[name].index
@@ -105,8 +112,7 @@ class TestDrawnValues:
             assert low <= min(values) and max(values) < high
 
     def test_categorical_codes_match_convention(self):
-        data = generate(default_spec(n_rows=500, seed=8))
-        schema = data.schema
+        data = generate({"n_rows": 500, "seed": 8})
         binary = data.column("CODE_GENDER").tolist()
         assert set(binary) <= {0, 1}
         wide = data.column("NAME_HOUSING_TYPE").tolist()
@@ -114,33 +120,39 @@ class TestDrawnValues:
         assert all(v.is_integer() for v in wide)
 
     def test_default_schema_shape(self):
-        schema = default_schema()
-        assert len(schema.features) == 13
+        """The bundled schema is the default columns' header read with
+        DEFAULT_CODEBOOK: thirteen features, seven of them categorical."""
+        schema = generate({"n_rows": 1}).schema
+        assert schema == schema_from_header(
+            [*DEFAULT_COLUMNS, "TARGET"], "TARGET", DEFAULT_CODEBOOK)
         assert schema.target == "TARGET"
         assert schema.features[0].name == "NAME_CONTRACT_TYPE"
-        assert depth(default_rule()) == 2
-        check_rule(default_rule(), schema)
+        assert [f.levels for f in schema.features] == [
+            2, 2, 2, None, None, None, None, None, 4, 4, 5, 6, None]
+        assert depth(DEFAULT_RULE) == 2
+        check_rule(DEFAULT_RULE, schema)
 
 
 class TestValidation:
     def test_bad_row_count(self):
-        with pytest.raises(ConfigError):
-            tiny_spec(n_rows=0)
+        with pytest.raises(ConfigError, match="^n_rows must be positive$"):
+            generate(tiny_doc(n_rows=0))
 
     def test_noise_bounds(self):
-        with pytest.raises(ConfigError):
-            tiny_spec(noise=0.5)
-        with pytest.raises(ConfigError):
-            tiny_spec(noise=-0.01)
-        tiny_spec(noise=0.49)  # accepted
+        found = re.escape("noise must lie in [0, 0.5)")
+        with pytest.raises(ConfigError, match=found):
+            generate(tiny_doc(noise=0.5))
+        with pytest.raises(ConfigError, match=found):
+            generate(tiny_doc(noise=-0.01))
+        generate(tiny_doc(noise=0.49))  # accepted
 
     def test_rule_depth_capped(self):
         node = 1
         for _ in range(4):
             node = split("income", left=node, threshold=0.5)
         with pytest.raises(ConfigError, match="depth cannot exceed 3"):
-            tiny_spec(rule=node)
-        tiny_spec(rule=node["left"])  # depth 3 is accepted
+            generate(tiny_doc(rule=node))
+        generate(tiny_doc(rule=node["left"]))  # depth 3 is accepted
 
     def test_depth_check_stops_past_the_limit(self):
         """A rule nested far past the limit is refused, not recursed
@@ -149,27 +161,31 @@ class TestValidation:
         for _ in range(100_000):
             node = split("income", left=node, threshold=0.5)
         with pytest.raises(ConfigError, match="depth cannot exceed 3"):
-            tiny_spec(rule=node)
+            generate(tiny_doc(rule=node))
 
     def test_rule_unknown_feature(self):
-        with pytest.raises(ConfigError):
-            tiny_spec(rule=split("balance", threshold=1.0))
+        with pytest.raises(ConfigError,
+                           match="unknown feature 'balance'"):
+            generate(tiny_doc(rule=split("balance", threshold=1.0)))
 
     def test_threshold_on_categorical_rejected(self):
-        with pytest.raises(ConfigError):
-            tiny_spec(rule=split("region", threshold=1.5))
+        with pytest.raises(ConfigError,
+                           match="threshold rule on categorical 'region'"):
+            generate(tiny_doc(rule=split("region", threshold=1.5)))
 
     def test_subset_on_numeric_rejected(self):
-        with pytest.raises(ConfigError):
-            tiny_spec(rule=split("income", subset=[1]))
+        with pytest.raises(ConfigError,
+                           match="subset rule on numeric 'income'"):
+            generate(tiny_doc(rule=split("income", subset=[1])))
 
     def test_subset_codes_outside_levels_rejected(self):
-        with pytest.raises(ConfigError):
-            tiny_spec(rule=split("region", subset=[4]))
+        with pytest.raises(ConfigError,
+                           match=re.escape("codes 1..3, not [4]")):
+            generate(tiny_doc(rule=split("region", subset=[4])))
 
     def test_leaf_label_must_be_binary(self):
-        with pytest.raises(ConfigError):
-            tiny_spec(rule=split("income", left=2, threshold=0.5))
+        with pytest.raises(ConfigError, match="class 0 or 1, not 2"):
+            generate(tiny_doc(rule=split("income", left=2, threshold=0.5)))
 
     @pytest.mark.parametrize("rule, found", [
         (True, "class 0 or 1, not True"),
@@ -199,14 +215,16 @@ class TestValidation:
         with pytest.raises(ConfigError, match=re.escape(found)):
             check_rule(rule, tiny_schema())
 
-    def test_range_on_categorical_rejected(self):
-        with pytest.raises(ConfigError):
-            tiny_spec(ranges={"income": (0.0, 1.0),
-                              "region": (0.0, 3.0)})
-
     def test_empty_range_rejected(self):
-        with pytest.raises(ConfigError):
-            tiny_spec(ranges={"income": (1.0, 1.0)})
+        with pytest.raises(ConfigError, match="^empty range for 'income'$"):
+            generate(tiny_doc(low=1.0, high=1.0))
+
+    def test_empty_range_refused_after_the_rule(self):
+        """Every other value is checked before a range is found
+        empty."""
+        with pytest.raises(ConfigError, match="unknown feature 'balance'"):
+            generate(tiny_doc(low=1.0, high=1.0,
+                              rule=split("balance", threshold=1.0)))
 
 
 class TestDocs:
@@ -233,15 +251,25 @@ class TestDocs:
             check_rule({"threshold": 0.5}, tiny_schema())
 
     def test_spec_defaults(self):
-        spec = spec_from_doc({})
-        assert spec.n_rows == 4000
-        assert spec.seed == 0
-        assert spec.noise == 0.0
-        assert len(spec.schema.features) == 13
-        assert spec.ranges == DEFAULT_RANGES
+        """{} draws what the bundled schema, spelled out as features
+        with DEFAULT_RANGES, draws under DEFAULT_RULE."""
+        features = [
+            {"name": name, "kind": "categorical",
+             "levels": len(DEFAULT_CODEBOOK[name])}
+            if name in DEFAULT_CODEBOOK else
+            {"name": name, "kind": "numeric", "low": DEFAULT_RANGES[name][0],
+             "high": DEFAULT_RANGES[name][1]}
+            for name in DEFAULT_COLUMNS]
+        data = generate({})
+        spelled = generate({"n_rows": 4000, "seed": 0, "noise": 0.0,
+                            "features": features, "rule": DEFAULT_RULE})
+        assert data.n == 4000
+        assert data.schema == spelled.schema
+        assert np.array_equal(data.X, spelled.X)
+        assert np.array_equal(data.y, spelled.y)
 
     def test_spec_with_custom_features(self):
-        spec = spec_from_doc({
+        data = generate({
             "n_rows": 50,
             "seed": 9,
             "features": [
@@ -252,21 +280,23 @@ class TestDocs:
             "rule": {"feature": "x", "threshold": 3.0,
                      "left": 1, "right": 0},
         })
-        data = generate(spec)
         assert data.schema.target == "label"
         assert all(2.0 <= row[0] < 4.0 for row in rows(data))
         assert all(row[-1] == (1 if row[0] <= 3.0 else 0)
                    for row in rows(data))
 
     def test_spec_doc_validation(self):
-        with pytest.raises(ConfigError):
-            spec_from_doc([])
-        with pytest.raises(ConfigError):
-            spec_from_doc({"features": [{"name": "x", "kind": "text"}]})
-        with pytest.raises(ConfigError):
-            spec_from_doc({"features": ["x"]})
-        with pytest.raises(ConfigError):
-            spec_from_doc({"n_rows": "many"})
+        with pytest.raises(ConfigError,
+                           match="^synth spec must be a JSON object$"):
+            generate([])
+        with pytest.raises(ConfigError,
+                           match="^unknown feature kind 'text'$"):
+            generate({"features": [{"name": "x", "kind": "text"}]})
+        with pytest.raises(ConfigError, match="^bad feature entry: 'x'$"):
+            generate({"features": ["x"]})
+        with pytest.raises(ConfigError,
+                           match="'n_rows' must be an integer, not 'many'"):
+            generate({"n_rows": "many"})
 
     @pytest.mark.parametrize("doc, found", [
         ({"n_rows": True}, "'n_rows' must be an integer, not True"),
@@ -285,19 +315,28 @@ class TestDocs:
         ({"features": [{"name": "x"}]}, "unknown feature kind None"),
         ({"features": [{"name": "x", "kind": "numeric"}], "target": "x"},
          "target 'x' collides with a feature"),
+        ({"n_rows": 0, "noise": "x"}, "'noise' must be a finite number"),
+        ({"seed": -1, "noise": 0.7}, "noise must lie in [0, 0.5)"),
     ], ids=["rows-bool", "seed-float", "seed-too-big", "noise-text",
             "noise-nan", "features-object", "high-null", "low-inf",
-            "levels-bool", "no-kind", "target-feature"])
+            "levels-bool", "no-kind", "target-feature", "types-first",
+            "noise-before-seed"])
     def test_value_of_wrong_type_names_its_key(self, doc, found):
         with pytest.raises(ConfigError, match=re.escape(found)):
-            spec_from_doc(doc)
+            generate(doc)
 
     def test_whole_numbers_serve_as_numbers(self):
-        spec = spec_from_doc({
+        whole = generate({
             "noise": 0, "features": [
                 {"name": "x", "kind": "numeric", "low": 1, "high": 3}],
             "rule": {"feature": "x", "threshold": 2, "left": 1, "right": 0},
         })
-        assert spec.noise == 0.0 and spec.ranges == {"x": (1.0, 3.0)}
-        data = generate(spec)
-        assert data.y.tolist() == [1 if x <= 2 else 0 for x in data.X[:, 0]]
+        floats = generate({
+            "noise": 0.0, "features": [
+                {"name": "x", "kind": "numeric", "low": 1.0, "high": 3.0}],
+            "rule": {"feature": "x", "threshold": 2.0, "left": 1,
+                     "right": 0},
+        })
+        assert np.array_equal(whole.X, floats.X)
+        assert ((1.0 <= whole.X) & (whole.X < 3.0)).all()
+        assert whole.y.tolist() == [1 if x <= 2 else 0 for x in whole.X[:, 0]]
