@@ -47,11 +47,6 @@ FORMAT_VERSION = "cart-model/1"
 CLASSIFICATION = "classification"
 
 
-class UnseenCategoryWarning(SolvencyWarning):
-    """Prediction met a categorical code that no training row of the
-    node testing it held; such a row goes right."""
-
-
 @dataclass(frozen=True)
 class CartConfig:
     """Growing limits.
@@ -548,7 +543,7 @@ def _leaf_index(tree: CartTree, data: Dataset) -> np.ndarray:
     then names the lowest such node and there the lowest row, a missing
     value first: what a preorder walk would meet first.  A code that no
     training row of its node held routes right, with one
-    UnseenCategoryWarning per feature and code, at the first (row, node).
+    SolvencyWarning per feature and code, at the first (row, node).
     """
     if data.schema != tree.schema:
         raise DataError(
@@ -606,7 +601,7 @@ def _leaf_index(tree: CartTree, data: Dataset) -> np.ndarray:
     for i in order[np.sort(first)].tolist():
         warnings.warn(f"code {code[i]} of {names[tree.feature[node[i]]]!r} "
                       f"is absent from the training rows of node {node[i]}; "
-                      "routing right", UnseenCategoryWarning)
+                      "routing right", SolvencyWarning)
     return leaf
 
 
@@ -698,7 +693,7 @@ def _schema_from_doc(doc) -> Schema:
             raise TypeError("names must be strings and levels null or "
                             "whole numbers")
         return Schema([FeatureSpec(*spec) for spec in specs], target)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ConfigError) as exc:
         raise DataError(f"bad schema section: {exc}") from None
 
 

@@ -112,10 +112,7 @@ class PipelineConfig:
         # raise now what train and encode would raise after earlier
         # stages had written their artifacts
         self.cart_config()
-        try:
-            self.outlier_rule()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        self.outlier_rule()
 
     def cart_config(self) -> cart.CartConfig:
         return cart.CartConfig(

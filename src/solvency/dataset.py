@@ -55,10 +55,10 @@ class FeatureSpec:
 
     def __post_init__(self):
         if self.kind not in (NUMERIC, CATEGORICAL):
-            raise ValueError(f"unknown feature kind {self.kind!r}")
+            raise ConfigError(f"unknown feature kind {self.kind!r}")
         if self.kind == CATEGORICAL:
             if self.levels is None or self.levels < 2:
-                raise ValueError(
+                raise ConfigError(
                     f"categorical feature {self.name!r} needs >= 2 levels")
 
 
@@ -68,9 +68,9 @@ class Schema:
     def __init__(self, features: Sequence[FeatureSpec], target: str):
         names = [f.name for f in features]
         if len(set(names)) != len(names):
-            raise ValueError("duplicate feature names in schema")
+            raise ConfigError("duplicate feature names in schema")
         if target in names:
-            raise ValueError(f"target {target!r} collides with a feature")
+            raise ConfigError(f"target {target!r} collides with a feature")
         self.features = tuple(
             replace(f, index=i) for i, f in enumerate(features))
         self.target = target
@@ -268,9 +268,10 @@ class Dataset:
         return Dataset(self.schema, self.X[idx], self.y[idx])
 
     def split(self, fraction: float, seed: int) -> tuple["Dataset", "Dataset"]:
-        """Seeded (train, holdout) partition; both keep original row order."""
+        """Seeded (train, holdout) partition; both keep original row order.
+        A fraction outside (0, 1) raises ConfigError."""
         if not 0.0 < fraction < 1.0:
-            raise ValueError("holdout fraction must be inside (0, 1)")
+            raise ConfigError("holdout fraction must lie inside (0, 1)")
         rng = np.random.default_rng(seed)
         perm = rng.permutation(self.n)
         k = int(round(fraction * self.n))
@@ -284,7 +285,8 @@ class OutlierRule:
     method "iqr" uses Tukey fences at multiplier * IQR beyond the
     quartiles (linear-interpolation quartiles).  method "zscore" cuts
     at z_threshold population standard deviations from the mean.
-    method "off" disables outlier removal.
+    method "off" disables outlier removal.  An unknown method or a
+    cutoff that is not positive raises ConfigError.
     """
 
     method: str = "iqr"
@@ -293,9 +295,9 @@ class OutlierRule:
 
     def __post_init__(self):
         if self.method not in ("iqr", "zscore", "off"):
-            raise ValueError(f"unknown outlier method {self.method!r}")
+            raise ConfigError(f"unknown outlier method {self.method!r}")
         if self.multiplier <= 0 or self.z_threshold <= 0:
-            raise ValueError("outlier cutoffs must be positive")
+            raise ConfigError("outlier cutoffs must be positive")
 
     def fences(self, values: np.ndarray) -> tuple[float, float]:
         """Inclusive [low, high] range of acceptable values."""

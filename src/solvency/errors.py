@@ -34,5 +34,5 @@ class NumericError(SolvencyError):
 
 
 class SolvencyWarning(UserWarning):
-    """Base class for every warning issued by this package; the command
-    line prints these as it prints errors, without source locations."""
+    """The one warning class this package issues; the command line
+    prints these as it prints errors, without source locations."""

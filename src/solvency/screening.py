@@ -34,14 +34,6 @@ SEPARATION_GUARD = 15.0
 _COND_LIMIT = 1e12
 
 
-class SeparationWarning(SolvencyWarning):
-    """A logistic coefficient ran away; the data are likely separable."""
-
-
-class ConvergenceWarning(SolvencyWarning):
-    """IRLS used up its iterations before the coefficients settled."""
-
-
 @dataclass
 class LogisticFit:
     """Result of an IRLS logistic regression.
@@ -90,7 +82,6 @@ def fit_logistic_xy(
     *,
     max_iter: int = 50,
     tol: float = 1e-8,
-    guard: float = SEPARATION_GUARD,
 ) -> LogisticFit:
     """IRLS on an explicit design matrix (intercept column appended here).
 
@@ -124,11 +115,10 @@ def fit_logistic_xy(
         _check_invertible(info)
         step = np.linalg.solve(info, design.T @ (y - p))
         beta = beta + step
-        if np.any(np.abs(beta) > guard):
+        if np.any(np.abs(beta) > SEPARATION_GUARD):
             separated = True
-            warnings.warn(
-                "coefficient magnitude exceeded "
-                f"{guard}; data look quasi-separated", SeparationWarning)
+            warnings.warn(f"coefficient magnitude exceeded {SEPARATION_GUARD};"
+                          " data look quasi-separated", SolvencyWarning)
             break
         if float(np.max(np.abs(step))) < tol:
             converged = True
@@ -136,7 +126,7 @@ def fit_logistic_xy(
     if not converged and not separated:
         warnings.warn(
             f"IRLS did not converge in {iterations} iterations; the "
-            "coefficients are not final", ConvergenceWarning)
+            "coefficients are not final", SolvencyWarning)
 
     p = _expit(design @ beta)
     w = p * (1.0 - p)
@@ -180,14 +170,12 @@ def fit_logistic(
     *,
     max_iter: int = 50,
     tol: float = 1e-8,
-    guard: float = SEPARATION_GUARD,
 ) -> LogisticFit:
     """Fit the binary target on the named feature columns jointly."""
     names = list(variables) if variables is not None else data.schema.names
     X = data.feature_array(names)
     y = data.binary_target().astype(float)
-    return fit_logistic_xy(X, y, names, max_iter=max_iter, tol=tol,
-                           guard=guard)
+    return fit_logistic_xy(X, y, names, max_iter=max_iter, tol=tol)
 
 
 CONSTANT_ROW = "constant"

@@ -25,18 +25,30 @@ def _label(rule):
     return rule["label"] if isinstance(rule, dict) else rule
 
 
+def _known_keys(doc: dict, known, owner: str) -> None:
+    """ConfigError naming owner and the first key of doc not in known."""
+    for key in doc:
+        if key not in known:
+            raise ConfigError(f"unknown key {key!r} in {owner}")
+
+
 def check_rule(rule, schema: Schema, depth: int = 0) -> None:
     """Refuse with ConfigError a planted rule not in its JSON form over
     schema's features, or stacking more than 3 splits on a path.  A leaf
     is 0, 1 or {"label": 0 | 1}; a split {"feature", "threshold" |
     "subset", "left", "right"} sends left the rows whose value is at
-    most the threshold, or is a code in the subset."""
+    most the threshold, or is a code in the subset.  A node with any
+    other key is refused."""
     if _is_leaf(rule):
+        if isinstance(rule, dict):
+            _known_keys(rule, ("label",), "rule leaf")
         label = _label(rule)
         if not (type(label) is int and label in (0, 1)):
             raise ConfigError(
                 f"rule leaves must be class 0 or 1, not {label!r}")
         return
+    _known_keys(rule, ("feature", "threshold", "subset", "left", "right"),
+                f"rule split on {rule.get('feature')!r}")
     if depth == 3:
         raise ConfigError("planted rule depth cannot exceed 3")
     name = rule.get("feature")
@@ -132,33 +144,37 @@ def _schema(doc: dict) -> tuple[Schema, dict[str, tuple[float, float]]]:
         return (schema_from_header([*DEFAULT_COLUMNS, "TARGET"], "TARGET",
                                    DEFAULT_CODEBOOK), DEFAULT_RANGES)
     features, ranges = [], {}
-    try:
-        for f in _value(doc, "features", None, list):
-            if not isinstance(f, dict):
-                raise ConfigError(f"bad feature entry: {f!r}")
-            name = _value(f, "name", None, str, "synth feature")
-            owner = f"synth feature {name!r}"
-            if any(g.name == name for g in features):
-                raise ConfigError(f"{owner} is listed twice")
-            kind = f.get("kind")
-            if kind == NUMERIC and ("low" in f or "high" in f):
-                ranges[name] = (float(_value(f, "low", 0.0, float, owner)),
-                                float(_value(f, "high", 1.0, float, owner)))
-            levels = (_value(f, "levels", 2, int, owner)
-                      if kind == CATEGORICAL else None)
-            features.append(FeatureSpec(name, kind, levels))
-        return Schema(features, _value(doc, "target", "TARGET", str)), ranges
-    except ValueError as exc:  # FeatureSpec's or Schema's refusal
-        raise ConfigError(str(exc)) from None
+    for f in _value(doc, "features", None, list):
+        if not isinstance(f, dict):
+            raise ConfigError(f"bad feature entry: {f!r}")
+        kind = f.get("kind")
+        # an entry of unknown kind is refused for its kind, by FeatureSpec
+        reads = (("low", "high") if kind == NUMERIC else ("levels",)
+                 if kind == CATEGORICAL else tuple(f))
+        _known_keys(f, ("name", "kind", *reads),
+                    f"synth feature {f.get('name')!r}")
+        name = _value(f, "name", None, str, "synth feature")
+        owner = f"synth feature {name!r}"
+        if any(g.name == name for g in features):
+            raise ConfigError(f"{owner} is listed twice")
+        if kind == NUMERIC and ("low" in f or "high" in f):
+            ranges[name] = (float(_value(f, "low", 0.0, float, owner)),
+                            float(_value(f, "high", 1.0, float, owner)))
+        levels = (_value(f, "levels", 2, int, owner)
+                  if kind == CATEGORICAL else None)
+        features.append(FeatureSpec(name, kind, levels))
+    return Schema(features, _value(doc, "target", "TARGET", str)), ranges
 
 
 def generate(doc: dict) -> Dataset:
     """Draw the dataset a synth object describes, each value of its JSON
     type; omitted parts fall back to the bundled credit-shaped schema,
-    DEFAULT_RANGES and DEFAULT_RULE.  A value it refuses raises
+    DEFAULT_RANGES and DEFAULT_RULE.  A value or key it refuses raises
     ConfigError."""
     if not isinstance(doc, dict):
         raise ConfigError("synth spec must be a JSON object")
+    _known_keys(doc, ("n_rows", "noise", "seed", "features", "target", "rule"),
+                "synth object")
     schema, ranges = _schema(doc)
     n = _value(doc, "n_rows", 4000, int)
     noise = float(_value(doc, "noise", 0.0, float))

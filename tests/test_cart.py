@@ -26,7 +26,6 @@ from solvency import cart
 from solvency.cart import (
     FORMAT_VERSION,
     CartConfig,
-    UnseenCategoryWarning,
     assign_leaf,
     best_split,
     deserialize,
@@ -38,7 +37,7 @@ from solvency.cart import (
     serialize,
 )
 from solvency.dataset import CATEGORICAL, Dataset, Schema
-from solvency.errors import ConfigError, DataError
+from solvency.errors import ConfigError, DataError, SolvencyWarning
 
 
 def random_mixed_dataset(rng, max_rows=60, max_features=4, max_levels=5):
@@ -840,7 +839,8 @@ class TestPredict:
         tree = grow(data, config=CartConfig(min_node_size=1))
         fresh = make_dataset({"c": [3]}, [None],
                              kinds={"c": CATEGORICAL}, levels={"c": 3})
-        with pytest.warns(UnseenCategoryWarning):
+        with pytest.warns(SolvencyWarning, match="^code 3 of 'c' is absent "
+                          "from the training rows of node 0; routing right$"):
             predicted, _ = predict_dataset(tree, fresh)
         right = assign_leaf(tree.counts[tree.right[0]])[0]
         assert predicted.tolist() == [right]
@@ -872,7 +872,7 @@ class TestPredict:
         tree = grow(data, config=CartConfig(min_node_size=1))
         fresh = make_dataset({"c": [4, 3, 1, 3]}, [0, 0, 0, 0],
                              kinds={"c": CATEGORICAL}, levels={"c": 4})
-        with pytest.warns(UnseenCategoryWarning) as caught:
+        with pytest.warns(SolvencyWarning, match="routing right$") as caught:
             classes, _ = predict_dataset(tree, fresh)
         assert [str(w.message) for w in caught] == [
             "code 4 of 'c' is absent from the training rows of node 0; "
@@ -890,7 +890,7 @@ class TestPredict:
         fresh = make_dataset({"x": [9.0, 1.0, 1.0], "c": [3, 3, 3]},
                              [None] * 3, kinds={"c": CATEGORICAL},
                              levels={"c": 3})
-        with pytest.warns(UnseenCategoryWarning) as caught:
+        with pytest.warns(SolvencyWarning, match="routing right$") as caught:
             classes, _ = predict_dataset(tree, fresh)
         assert [str(w.message) for w in caught] == [
             "code 3 of 'c' is absent from the training rows of node 1; "
@@ -912,7 +912,7 @@ class TestPredict:
         fresh = make_dataset({"a": [7, 1, 7], "b": [2, 9, 1]}, [None] * 3,
                              kinds={"a": CATEGORICAL, "b": CATEGORICAL},
                              levels={"a": 2, "b": 2})
-        with pytest.warns(UnseenCategoryWarning) as caught:
+        with pytest.warns(SolvencyWarning, match="routing right$") as caught:
             predict_dataset(tree, fresh)
         assert [str(w.message) for w in caught] == [
             f"code {code} of {name!r} is absent from the training rows of "

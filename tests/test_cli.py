@@ -20,6 +20,7 @@ from solvency import cart, cli, screening
 from solvency.cart import deserialize
 from solvency.cli import build_parser, main
 from solvency.dataset import load_csv, read_header, schema_from_header
+from solvency.errors import SolvencyWarning
 
 PLANTED = {"AMT_INCOME_TOTAL", "AMT_CREDIT"}
 
@@ -180,10 +181,18 @@ class TestSynthCommand:
                    "left": 0, "right": 1}},
          "rule split on 'AMT_CREDIT' needs 'left', 'right' and one of "
          "'threshold' and 'subset'"),
+        ({"nrows": 30, "seed": 4}, "unknown key 'nrows' in synth object"),
+        ({"features": [{"name": "c", "kind": "categorical", "levels": 3,
+                        "high": 9}], "rule": 0},
+         "unknown key 'high' in synth feature 'c'"),
+        ({"rule": {"feature": "AMT_CREDIT", "threshold": 1, "left": 0,
+                   "right": {"label": 1, "colour": 1}}},
+         "unknown key 'colour' in rule leaf"),
     ], ids=["no-right", "subset-text", "subset-number", "features-number",
             "name-number", "low-text", "one-level", "twice-named",
             "negative-seed", "fractional-label", "bool-rule", "levels-text",
-            "target-number", "fractional-rows", "threshold-and-subset"])
+            "target-number", "fractional-rows", "threshold-and-subset",
+            "misspelled-key", "categorical-high", "leaf-key"])
     def test_malformed_spec_exits_2(self, workdir, capsys, spec, found):
         """Each value is refused with one line naming it, before any
         file is written, and never coerced."""
@@ -428,7 +437,7 @@ class TestScreenCommand:
         source = make_synthetic(workdir, rows=4000, seed=3, noise=0.2)
         args = ["screen", "--input", str(source), "--max-iter", "2",
                 "--out", str(workdir)]
-        with pytest.warns(screening.ConvergenceWarning,
+        with pytest.warns(SolvencyWarning,
                           match="did not converge in 2 iterations"):
             assert main(args) == 0
         proc = run_module(*args, warnings="default")
@@ -1236,13 +1245,18 @@ class TestPipelineCommand:
         ("max-depth", -1, "max_depth cannot be negative"),
         ("min-gini-decrease", -1, "min_gini_decrease cannot be negative"),
         ("alpha", 2, "alpha must lie inside (0, 1)"),
+        ("iqr-multiplier", 0, "outlier cutoffs must be positive"),
+        ("z-threshold", -1, "outlier cutoffs must be positive"),
+        ("max-iter", 0, "max-iter must be positive"),
+        ("seed", -1, "seed must fit in 64 unsigned bits"),
+        ("seed", 2 ** 64, "seed must fit in 64 unsigned bits"),
     ])
     @pytest.mark.parametrize("given", ["flag", "config"])
     def test_bad_setting_refused_before_any_stage(self, workdir, capsys, key,
                                                   value, message, given):
-        """A tree setting train would refuse stops pipeline, as a bad
-        screen setting does, before encode runs or the out directory is
-        made."""
+        """A tree, screen or outlier setting a stage would refuse, or a
+        seed outside 64 bits, stops pipeline before encode runs or the
+        out directory is made."""
         source = make_synthetic(workdir, rows=200, seed=3)
         extra = [f"--{key}", str(value)]
         if given == "config":
@@ -1251,6 +1265,22 @@ class TestPipelineCommand:
             extra = ["--config", str(config)]
         out = workdir / "run"
         assert run_pipeline_into(out, source, extra) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err == f"solvency pipeline: {message}\n"
+
+    @pytest.mark.parametrize("key, value, message", [
+        ("outlier-method", "bogus", "unknown outlier method 'bogus'"),
+        ("roc-scores", "x", "roc-scores must be 'proportion' or 'hard'"),
+    ])
+    def test_setting_outside_its_flag_choices_refused_before_any_stage(
+            self, workdir, capsys, key, value, message):
+        """A config file can give a value the flag's choices exclude;
+        it stops pipeline as a bad flag value would."""
+        source = make_synthetic(workdir, rows=200, seed=3)
+        config = workdir / "settings.json"
+        config.write_text(json.dumps({key: value}))
+        out = workdir / "run"
+        assert run_pipeline_into(out, source, ["--config", str(config)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err == f"solvency pipeline: {message}\n"
 

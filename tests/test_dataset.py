@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -46,12 +47,14 @@ def write_lines(path, lines):
 
 class TestSchema:
     def test_duplicate_feature_names_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError,
+                           match="^duplicate feature names in schema$"):
             Schema([FeatureSpec("a", NUMERIC), FeatureSpec("a", NUMERIC)],
                    "TARGET")
 
     def test_target_cannot_be_a_feature(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError,
+                           match="^target 'a' collides with a feature$"):
             Schema([FeatureSpec("a", NUMERIC)], "a")
 
     def test_indices_follow_declaration_order(self):
@@ -66,8 +69,13 @@ class TestSchema:
         assert a != b
 
     def test_categorical_needs_two_levels(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError,
+                           match="^categorical feature 'a' needs >= 2 levels$"):
             FeatureSpec("a", CATEGORICAL, levels=1)
+
+    def test_unknown_kind_refused(self):
+        with pytest.raises(ConfigError, match="^unknown feature kind 'text'$"):
+            FeatureSpec("a", "text")
 
 
 class TestCodeBook:
@@ -331,6 +339,15 @@ class TestClean:
         assert cleaned.n == 1
         assert log == [(1, "missing:TARGET")]
 
+    @pytest.mark.parametrize("args, found", [
+        (("bogus",), "^unknown outlier method 'bogus'$"),
+        (("iqr", 0.0), "^outlier cutoffs must be positive$"),
+        (("zscore", 1.5, -1.0), "^outlier cutoffs must be positive$"),
+    ])
+    def test_bad_outlier_rule_refused(self, args, found):
+        with pytest.raises(ConfigError, match=found):
+            OutlierRule(*args)
+
     def test_planted_outlier_dropped_by_iqr_fences(self):
         # 12 evenly spread values plus one far excursion; quartiles of
         # the bulk put the fence well inside 500
@@ -431,6 +448,13 @@ class TestSplitAndDistribution:
         train, hold = data.split(0.3, seed=0)
         assert cells(train.X[:, 0]) == sorted(cells(train.X[:, 0]))
         assert cells(hold.X[:, 0]) == sorted(cells(hold.X[:, 0]))
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, -0.5])
+    def test_split_fraction_outside_0_1_refused(self, fraction):
+        data = make_dataset({"a": [1.0, 2.0]}, [0, 1])
+        with pytest.raises(ConfigError, match=re.escape(
+                "holdout fraction must lie inside (0, 1)")):
+            data.split(fraction, seed=0)
 
     def test_class_distribution_counts(self):
         data = make_dataset({"a": [1.0, 2.0, 3.0]}, [0, 1, 1])

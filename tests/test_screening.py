@@ -2,6 +2,7 @@
 two-pass variable screen."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from solvency.screening import (
     CONSTANT_ROW,
     REASON_CORRELATED,
     REASON_NOT_SIGNIFICANT,
-    SeparationWarning,
     chi_square_sf_1df,
     correlation_text,
     fit_logistic,
@@ -28,7 +28,7 @@ from solvency.screening import (
     wald_rows_to_text,
     wald_table,
 )
-from solvency.errors import DataError, NumericError
+from solvency.errors import DataError, NumericError, SolvencyWarning
 
 
 def seeded_logistic_data(seed, n=400, k=3, scale=1.0):
@@ -122,7 +122,9 @@ class TestIrls:
     def test_separation_warns_and_flags(self):
         x = np.linspace(-2, 2, 80)
         y = (x > 0).astype(float)
-        with pytest.warns(SeparationWarning):
+        with pytest.warns(SolvencyWarning, match=re.escape(
+                "coefficient magnitude exceeded 15.0; data look "
+                "quasi-separated")):
             fit = fit_logistic_xy(x[:, None], y, ["x"])
         assert fit.separation
 

@@ -206,11 +206,17 @@ class TestValidation:
         (split("region", subset=[0, 3]), "codes 1..3, not [0, 3]"),
         ({"feature": "income", "threshold": 0.5, "right": 0},
          "needs 'left', 'right' and one of"),
+        ({"label": 0, "colour": 1}, "unknown key 'colour' in rule leaf"),
+        (split("income", threshold=0.5, note="x"),
+         "unknown key 'note' in rule split on 'income'"),
+        (split("balance", note="x"),
+         "unknown key 'note' in rule split on 'balance'"),
     ], ids=["bool-leaf", "float-label", "nested-label", "null-leaf",
             "feature-number", "no-feature", "both-tests", "no-test",
             "threshold-text", "threshold-nan", "threshold-huge",
             "threshold-bool", "subset-float", "subset-bool", "subset-text",
-            "subset-code", "no-left"])
+            "subset-code", "no-left", "leaf-key", "split-key",
+            "keys-first"])
     def test_malformed_rule_refused(self, rule, found):
         with pytest.raises(ConfigError, match=re.escape(found)):
             check_rule(rule, tiny_schema())
@@ -323,6 +329,31 @@ class TestDocs:
             "noise-before-seed"])
     def test_value_of_wrong_type_names_its_key(self, doc, found):
         with pytest.raises(ConfigError, match=re.escape(found)):
+            generate(doc)
+
+    @pytest.mark.parametrize("doc, found", [
+        ({"n_rows": 30, "seeed": 4}, "unknown key 'seeed' in synth object"),
+        ({"nrows": 30, "noise": "x"}, "unknown key 'nrows' in synth object"),
+        ({"features": [{"name": "x", "kind": "numeric", "colour": 1}]},
+         "unknown key 'colour' in synth feature 'x'"),
+        ({"features": [{"name": "c", "kind": "categorical", "low": 0}]},
+         "unknown key 'low' in synth feature 'c'"),
+        ({"features": [{"name": "x", "kind": "numeric", "levels": 3}]},
+         "unknown key 'levels' in synth feature 'x'"),
+        ({"features": [{"name": 5, "kind": "numeric", "high": 2,
+                        "colour": 1}]},
+         "unknown key 'colour' in synth feature 5"),
+        ({"features": [{"name": "c", "kind": "categorial", "levels": 3}]},
+         "unknown feature kind 'categorial'"),
+        ({"rule": {"label": 0, "colour": 1}},
+         "unknown key 'colour' in rule leaf"),
+    ], ids=["synth", "synth-first", "feature", "categorical-low",
+            "numeric-levels", "feature-first", "unknown-kind", "leaf"])
+    def test_unknown_key_refused(self, doc, found):
+        """A key its object does not read is refused, before any other
+        check of that object; an entry of unknown kind is refused for
+        its kind."""
+        with pytest.raises(ConfigError, match=f"^{re.escape(found)}$"):
             generate(doc)
 
     def test_whole_numbers_serve_as_numbers(self):
