@@ -19,7 +19,6 @@ import sys
 import time
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -59,84 +58,72 @@ SYNTHETIC_CSV = "synthetic.csv"
 MANIFEST_JSON = "manifest.json"
 
 
-@dataclass
-class PipelineConfig:
-    """Effective settings for every stage; see README for the fields."""
+#: Every setting and its default, in the order manifest.json lists
+#: them; README's "Config file" section documents the keys.
+DEFAULTS = {
+    "input": None, "codebook": None, "skip-codebook": False,
+    "target": "TARGET", "out": ".", "seed": 0,
+    "missing-tokens": list(DEFAULT_MISSING_TOKENS),
+    "outlier-method": "iqr", "iqr-multiplier": 1.5, "z-threshold": 3.0,
+    "alpha": 0.05, "r-threshold": 0.8, "max-iter": 50, "tol": 1e-8,
+    "per-variable": False, "variables": None, "screening": None,
+    "min-node-size": 5, "max-depth": 10, "min-gini-decrease": 0.0,
+    "allow-large-min-node": False, "holdout": None, "model": None,
+    "roc-scores": "proportion", "synth": {},
+}
 
-    input: str | None = None
-    codebook: str | None = None
-    skip_codebook: bool = False
-    target: str = "TARGET"
-    out: str = "."
-    seed: int = 0
-    missing_tokens: tuple[str, ...] = DEFAULT_MISSING_TOKENS
-    outlier_method: str = "iqr"
-    iqr_multiplier: float = 1.5
-    z_threshold: float = 3.0
-    alpha: float = 0.05
-    r_threshold: float = 0.8
-    max_iter: int = 50
-    tol: float = 1e-8
-    per_variable: bool = False
-    variables: tuple[str, ...] | None = None
-    screening: str | None = None
-    min_node_size: int = 5
-    max_depth: int = 10
-    min_gini_decrease: float = 0.0
-    allow_large_min_node: bool = False
-    holdout: float | None = None
-    model: str | None = None
-    roc_scores: str = "proportion"
-    synth: dict = field(default_factory=dict)
+#: The JSON type of each setting whose default is null; the others
+#: take their default's type.
+NULL_DEFAULT_TYPES = {"input": str, "codebook": str, "variables": list,
+                      "screening": str, "holdout": float, "model": str}
 
-    def validate(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ConfigError("alpha must lie inside (0, 1)")
-        if not 0.0 < self.r_threshold <= 1.0:
-            raise ConfigError("r-threshold must lie inside (0, 1]")
-        if self.max_iter < 1:
-            raise ConfigError("max-iter must be positive")
-        if self.tol <= 0:
-            raise ConfigError("tol must be positive")
-        if self.holdout is not None and not 0.0 < self.holdout < 1.0:
-            raise ConfigError("holdout fraction must lie inside (0, 1)")
-        if self.roc_scores not in ("proportion", "hard"):
-            raise ConfigError("roc-scores must be 'proportion' or 'hard'")
-        if not 0 <= self.seed < 2 ** 64:
-            raise ConfigError("seed must fit in 64 unsigned bits")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, float) and not np.isfinite(value):
-                raise ConfigError(f"{f.name.replace('_', '-')} must be a "
-                                  f"finite number, not {value!r}")
-        # raise now what train and encode would raise after earlier
-        # stages had written their artifacts
-        self.cart_config()
-        self.outlier_rule()
+#: How a refusal names each JSON type; a list setting holds strings.
+TYPE_WORDS = {str: "a string", int: "an integer", float: "a number",
+              bool: "true or false", dict: "an object",
+              list: "a list of strings"}
 
-    def cart_config(self) -> cart.CartConfig:
-        return cart.CartConfig(
-            min_node_size=self.min_node_size,
-            max_depth=self.max_depth,
-            min_gini_decrease=self.min_gini_decrease,
-            allow_large_min_node=self.allow_large_min_node,
-        )
 
-    def outlier_rule(self) -> OutlierRule:
-        return OutlierRule(self.outlier_method, self.iqr_multiplier,
-                           self.z_threshold)
+def validate(cfg: dict) -> None:
+    """ConfigError for any setting out of its range, including those
+    train and encode would refuse after earlier stages had written their
+    artifacts."""
+    if not 0.0 < cfg["alpha"] < 1.0:
+        raise ConfigError("alpha must lie inside (0, 1)")
+    if not 0.0 < cfg["r-threshold"] <= 1.0:
+        raise ConfigError("r-threshold must lie inside (0, 1]")
+    if cfg["max-iter"] < 1:
+        raise ConfigError("max-iter must be positive")
+    if cfg["tol"] <= 0:
+        raise ConfigError("tol must be positive")
+    if cfg["holdout"] is not None and not 0.0 < cfg["holdout"] < 1.0:
+        raise ConfigError("holdout fraction must lie inside (0, 1)")
+    if cfg["roc-scores"] not in ("proportion", "hard"):
+        raise ConfigError("roc-scores must be 'proportion' or 'hard'")
+    if not 0 <= cfg["seed"] < 2 ** 64:
+        raise ConfigError("seed must fit in 64 unsigned bits")
+    for key, value in cfg.items():
+        if isinstance(value, float) and not np.isfinite(value):
+            raise ConfigError(f"{key} must be a finite number, not {value!r}")
+    cart_config(cfg)
+    outlier_rule(cfg)
 
-    def path(self, name: str) -> str:
-        return os.path.join(self.out, name)
 
-    def to_doc(self) -> dict:
-        doc = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            doc[f.name.replace("_", "-")] = value
-        return doc
+def cart_config(cfg: dict) -> cart.CartConfig:
+    return cart.CartConfig(
+        min_node_size=cfg["min-node-size"],
+        max_depth=cfg["max-depth"],
+        min_gini_decrease=cfg["min-gini-decrease"],
+        allow_large_min_node=cfg["allow-large-min-node"],
+    )
+
+
+def outlier_rule(cfg: dict) -> OutlierRule:
+    return OutlierRule(cfg["outlier-method"], cfg["iqr-multiplier"],
+                       cfg["z-threshold"])
+
+
+def out_path(cfg: dict, name: str) -> str:
+    return os.path.join(cfg["out"], name)
 
 
 def _read_json(path: str, what: str):
@@ -155,92 +142,78 @@ def _read_json(path: str, what: str):
             raise ConfigError(f"{what} file {path} nests too deeply") from None
 
 
-def load_config_file(path: str) -> dict:
-    doc = _read_json(path, "config")
-    if not isinstance(doc, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return doc
-
-
-#: The JSON values a config file may give a field of each annotated
-#: type, and how to name them.
-CONFIG_TYPES = {
-    "str": (str, "a string"),
-    "int": (int, "an integer"),
-    "float": ((int, float), "a number"),
-    "bool": (bool, "true or false"),
-    "dict": (dict, "an object"),
-    "tuple[str, ...]": (list, "a list of strings"),
-}
-
-
-def _config_value(key: str, value, annotation: str):
-    """A config file's value for a field of the given annotated type, as
-    the field holds it; ConfigError naming the key if it has the wrong
-    JSON type."""
-    kind, _, other = annotation.partition(" | ")
-    if value is None and other == "None":
-        return None
-    types, words = CONFIG_TYPES[kind]
-    fits = isinstance(value, types) and (kind == "bool"
-                                         or not isinstance(value, bool))
-    if fits and kind == "float" and isinstance(value, int):
-        fits = json_number(value)
-    if fits and kind == "tuple[str, ...]":
-        fits = all(isinstance(item, str) for item in value)
-        value = tuple(value)
+def _setting(key: str, value) -> str:
+    """The setting a config file's key names, its dashes spelled as
+    dashes or as the underscores of the flags' dest names; ConfigError
+    naming key if it names none or value has not the JSON type of its
+    setting, null only where the default is null."""
+    name = key.replace("_", "-")
+    if name not in DEFAULTS:
+        raise ConfigError(f"unknown config key {key!r}")
+    if value is None and DEFAULTS[name] is None:
+        return name
+    kind = NULL_DEFAULT_TYPES.get(name, type(DEFAULTS[name]))
+    if kind is float:
+        # a float that is not finite gets validate's own message
+        fits = type(value) is float or json_number(value)
+    elif kind is list:
+        fits = type(value) is list and all(type(v) is str for v in value)
+    else:
+        fits = type(value) is kind
     if not fits:
-        raise ConfigError(f"config key {key!r} must be {words}, "
+        # the refusal shows a list's items in parentheses
+        if kind is list and isinstance(value, list):
+            value = tuple(value)
+        raise ConfigError(f"config key {key!r} must be {TYPE_WORDS[kind]}, "
                           f"not {value!r}")
-    return value
+    return name
 
 
-def resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    """Merge defaults, the config file, and command line flags."""
-    cfg = PipelineConfig()
-    annotations = {f.name: f.type for f in fields(PipelineConfig)}
-    if getattr(args, "config", None):
-        doc = load_config_file(args.config)
-        updates = {}
+def resolve_config(args: argparse.Namespace) -> dict:
+    """The settings: DEFAULTS, then the config file's, then the flags'."""
+    cfg = dict(DEFAULTS)
+    if args.config:
+        doc = _read_json(args.config, "config")
+        if not isinstance(doc, dict):
+            raise ConfigError(f"config file {args.config} must hold a JSON "
+                              "object")
         for key, value in doc.items():
-            name = key.replace("-", "_")
-            if name not in annotations:
-                raise ConfigError(f"unknown config key {key!r}")
-            updates[name] = _config_value(key, value, annotations[name])
-        cfg = replace(cfg, **updates)
-    for name in annotations:
-        if hasattr(args, name) and getattr(args, name) is not None:
-            value = getattr(args, name)
-            if name in ("missing_tokens", "variables"):
-                value = tuple(value)
-            cfg = replace(cfg, **{name: value})
+            cfg[_setting(key, value)] = value
+    for key in DEFAULTS:
+        value = getattr(args, key.replace("-", "_"), None)
+        if value is not None:
+            cfg[key] = value
     if args.command == "synth":
         # synth's own flags override its config object's values
         flags = {"n_rows": args.rows, "noise": args.noise, "seed": args.seed}
-        cfg = replace(cfg, synth={**cfg.synth, **{
-            key: value for key, value in flags.items() if value is not None}})
-    cfg.validate()
+        cfg["synth"] = {**cfg["synth"], **{
+            key: value for key, value in flags.items() if value is not None}}
+    validate(cfg)
     return cfg
 
 
 # -- shared stage helpers ---------------------------------------------------
 
 
-def _load(cfg: PipelineConfig, path: str, encoded: bool = True) -> Dataset:
+def _load(cfg: dict, path: str, encoded: bool = True) -> Dataset:
     """Read a dataset whose categorical cells hold codes when encoded,
     else labels, which the codebook (if any) turns into codes."""
-    book = load_codebook(cfg.codebook) if cfg.codebook else None
-    schema = schema_from_header(read_header(path), cfg.target, book, path)
-    return load_csv(path, schema, missing_tokens=cfg.missing_tokens,
+    book = load_codebook(cfg["codebook"]) if cfg["codebook"] else None
+    schema = schema_from_header(read_header(path), cfg["target"], book, path)
+    return load_csv(path, schema, missing_tokens=cfg["missing-tokens"],
                     codebook=None if encoded else book)
 
 
-def _stage_data(cfg: PipelineConfig, handed: dict) -> Dataset:
-    """The dataset pipeline hands a stage, else the --input file, else
-    the out directory's encoded.csv."""
-    if "data" in handed:
-        return handed["data"]
-    return _load(cfg, cfg.input if cfg.input else cfg.path(ENCODED_CSV))
+def _stage_data(cfg: dict, handed: dict) -> tuple[Dataset, Dataset]:
+    """The rows a stage fits and the rows it scores, of the dataset
+    pipeline hands it, else of the --input file, else of the out
+    directory's encoded.csv: the two parts of the seeded --holdout
+    split, else all rows for both."""
+    data = handed["data"] if "data" in handed else _load(
+        cfg, cfg["input"] or out_path(cfg, ENCODED_CSV))
+    if cfg["holdout"] is None:
+        return data, data
+    return data.split(cfg["holdout"], cfg["seed"])
 
 
 def _write(path: str, text: str) -> None:
@@ -254,53 +227,51 @@ def _write(path: str, text: str) -> None:
 # encode's dataset under "data", train's tree under "tree".
 
 
-def stage_encode(cfg: PipelineConfig, handed: dict) -> list[str]:
+def stage_encode(cfg: dict, handed: dict) -> list[str]:
     """Write encoded.csv and cleaning.log; hand on the dataset the
     later stages would read back from encoded.csv."""
-    if not cfg.input:
+    if not cfg["input"]:
         raise ConfigError("encode needs an input CSV (--input)")
-    data = _load(cfg, cfg.input, encoded=cfg.skip_codebook)
-    cleaned, log = clean(data, cfg.outlier_rule())
-    write_csv(cleaned, cfg.path(ENCODED_CSV))
-    _write(cfg.path(CLEANING_LOG),
+    data = _load(cfg, cfg["input"], encoded=cfg["skip-codebook"])
+    cleaned, log = clean(data, outlier_rule(cfg))
+    write_csv(cleaned, out_path(cfg, ENCODED_CSV))
+    _write(out_path(cfg, CLEANING_LOG),
            "".join(f"{row}\t{reason}\n" for row, reason in log))
     print(f"encode: kept {cleaned.n} of {data.n} rows, "
           f"class counts {class_distribution(cleaned)}")
-    handed["data"] = read_back(cleaned, cfg.missing_tokens)
+    handed["data"] = read_back(cleaned, cfg["missing-tokens"])
     return [ENCODED_CSV, CLEANING_LOG]
 
 
-def stage_screen(cfg: PipelineConfig, handed: dict) -> list[str]:
-    data = _stage_data(cfg, handed)
-    if cfg.holdout is not None:
-        data, _ = data.split(cfg.holdout, cfg.seed)
+def stage_screen(cfg: dict, handed: dict) -> list[str]:
+    data, _ = _stage_data(cfg, handed)
     names = data.schema.names
-    if cfg.per_variable:
+    if cfg["per-variable"]:
         rows = screening.per_variable_wald(
-            data, names, max_iter=cfg.max_iter, tol=cfg.tol)
+            data, names, max_iter=cfg["max-iter"], tol=cfg["tol"])
     else:
         fit = screening.fit_logistic(
-            data, names, max_iter=cfg.max_iter, tol=cfg.tol)
+            data, names, max_iter=cfg["max-iter"], tol=cfg["tol"])
         rows = screening.wald_table(fit)
-    _write(cfg.path(WALD_CSV), screening.wald_rows_to_text(rows))
+    _write(out_path(cfg, WALD_CSV), screening.wald_rows_to_text(rows))
     corr = screening.pearson_matrix(data, names)
-    _write(cfg.path(CORRELATION_CSV),
+    _write(out_path(cfg, CORRELATION_CSV),
            screening.correlation_text(names, corr))
-    doc = screening.screen(rows, corr, alpha=cfg.alpha,
-                           r_threshold=cfg.r_threshold)
-    _write(cfg.path(SCREENING_JSON), json.dumps(doc, indent=2) + "\n")
+    doc = screening.screen(rows, corr, alpha=cfg["alpha"],
+                           r_threshold=cfg["r-threshold"])
+    _write(out_path(cfg, SCREENING_JSON), json.dumps(doc, indent=2) + "\n")
     print(f"screen: kept {len(doc['kept'])} of {len(names)} variables")
     return [WALD_CSV, CORRELATION_CSV, SCREENING_JSON]
 
 
-def _screened_variables(cfg: PipelineConfig, data: Dataset) -> list[str]:
-    if cfg.variables is not None:
-        names, source = list(cfg.variables), "requested"
+def _screened_variables(cfg: dict, data: Dataset) -> list[str]:
+    if cfg["variables"] is not None:
+        names, source = cfg["variables"], "requested"
     else:
         # the screen stage's kept list feeds training; fall back to the
         # one in the output directory so pipeline and manual runs match
-        path = cfg.screening if cfg.screening else cfg.path(SCREENING_JSON)
-        if not cfg.screening and not os.path.exists(path):
+        path = cfg["screening"] or out_path(cfg, SCREENING_JSON)
+        if not cfg["screening"] and not os.path.exists(path):
             return data.schema.names
         doc = _read_json(path, "screening")
         names = doc.get("kept") if isinstance(doc, dict) else None
@@ -315,31 +286,29 @@ def _screened_variables(cfg: PipelineConfig, data: Dataset) -> list[str]:
     return names
 
 
-def stage_train(cfg: PipelineConfig, handed: dict) -> list[str]:
+def stage_train(cfg: dict, handed: dict) -> list[str]:
     """Write model.json, tree.dot and tree.txt; hand on the tree eval
     would read back from model.json."""
-    data = _stage_data(cfg, handed)
+    data, _ = _stage_data(cfg, handed)
     variables = _screened_variables(cfg, data)
-    if cfg.holdout is not None:
-        data, _ = data.split(cfg.holdout, cfg.seed)
-    tree = cart.grow(data, variables, cfg.cart_config())
+    tree = cart.grow(data, variables, cart_config(cfg))
     labels = cart.node_labels(tree)
-    _write(cfg.path(MODEL_JSON), cart.serialize(tree))
-    _write(cfg.path(TREE_DOT), cart.export_dot(tree, labels))
-    _write(cfg.path(TREE_TXT), cart.export_text(tree, labels))
+    _write(out_path(cfg, MODEL_JSON), cart.serialize(tree))
+    _write(out_path(cfg, TREE_DOT), cart.export_dot(tree, labels))
+    _write(out_path(cfg, TREE_TXT), cart.export_text(tree, labels))
     print(f"train: {tree.node_count()} nodes, depth {tree.depth()}, "
           f"{data.n} training rows")
     handed["tree"] = tree
     return [MODEL_JSON, TREE_DOT, TREE_TXT]
 
 
-def _load_model(cfg: PipelineConfig, handed: dict) -> cart.CartTree:
+def _load_model(cfg: dict, handed: dict) -> cart.CartTree:
     """The --model file, else the tree pipeline hands on, else the out
     directory's model.json; a file deserialize refuses is named in the
     error."""
-    if "tree" in handed and not cfg.model:
+    if "tree" in handed and not cfg["model"]:
         return handed["tree"]
-    path = cfg.model if cfg.model else cfg.path(MODEL_JSON)
+    path = cfg["model"] or out_path(cfg, MODEL_JSON)
     with read_errors(path, "model"), open(path, encoding="utf-8-sig") as fh:
         try:
             return cart.deserialize(fh.read())
@@ -347,37 +316,35 @@ def _load_model(cfg: PipelineConfig, handed: dict) -> cart.CartTree:
             raise DataError(f"model {path}: {exc}") from None
 
 
-def stage_eval(cfg: PipelineConfig, handed: dict) -> list[str]:
-    data = _stage_data(cfg, handed)
-    if cfg.holdout is not None:
-        _, data = data.split(cfg.holdout, cfg.seed)
+def stage_eval(cfg: dict, handed: dict) -> list[str]:
+    _, data = _stage_data(cfg, handed)
     tree = _load_model(cfg, handed)
     classes, scores = cart.predict_dataset(tree, data)
     actual = data.binary_target()
     cm = evaluation.confusion(actual, classes)
     rates = evaluation.error_rates(cm)
     mets = evaluation.metrics(cm)
-    roc_scores = scores if cfg.roc_scores == "proportion" else (
+    roc_scores = scores if cfg["roc-scores"] == "proportion" else (
         classes.astype(float))
     curve = evaluation.roc(actual, roc_scores)
-    _write(cfg.path(EVAL_JSON),
+    _write(out_path(cfg, EVAL_JSON),
            evaluation.report_json(cm, rates, mets, curve))
-    _write(cfg.path(EVAL_TXT),
+    _write(out_path(cfg, EVAL_TXT),
            evaluation.report_table(cm, rates, mets, curve))
-    _write(cfg.path(ROC_TSV), evaluation.roc_dump(curve))
+    _write(out_path(cfg, ROC_TSV), evaluation.roc_dump(curve))
     print(f"eval: {data.n} rows, accuracy {mets['accuracy']:.6f}, "
           f"auc {curve['auc']:.6f}")
     return [EVAL_JSON, EVAL_TXT, ROC_TSV]
 
 
-def stage_predict(cfg: PipelineConfig, handed: dict) -> list[str]:
-    if not cfg.input:
+def stage_predict(cfg: dict, handed: dict) -> list[str]:
+    if not cfg["input"]:
         raise ConfigError("predict needs an input CSV (--input)")
     tree = _load_model(cfg, handed)
     schema, target = tree.schema, tree.schema.target
-    has_target = target in read_header(cfg.input)
-    data = load_csv(cfg.input, schema, missing_tokens=cfg.missing_tokens,
-                    target_optional=True)
+    has_target = target in read_header(cfg["input"])
+    data = load_csv(cfg["input"], schema,
+                    missing_tokens=cfg["missing-tokens"], target_optional=True)
     classes, scores = cart.predict_dataset(tree, data)
     names = schema.names + ([target] if has_target else [])
     # A score keeps repr's decimal part even when whole, so it goes in
@@ -388,17 +355,17 @@ def stage_predict(cfg: PipelineConfig, handed: dict) -> list[str]:
     score_text = np.array(list(map(repr, bits.view(float).tolist())),
                           dtype=object)[which]
     columns = [data.column(name) for name in names] + [classes, score_text]
-    with open_output(cfg.path(PREDICTIONS_CSV)) as fh:
+    with open_output(out_path(cfg, PREDICTIONS_CSV)) as fh:
         fh.writelines(csv_text(names + ["predicted_class", "score"], columns,
                                "\n"))
     print(f"predict: wrote {data.n} predictions")
     return [PREDICTIONS_CSV]
 
 
-def stage_synth(cfg: PipelineConfig, handed: dict) -> list[str]:
-    doc = {"seed": cfg.seed, **cfg.synth}
+def stage_synth(cfg: dict, handed: dict) -> list[str]:
+    doc = {"seed": cfg["seed"], **cfg["synth"]}
     data = synth.generate(doc)
-    write_csv(data, cfg.path(SYNTHETIC_CSV))
+    write_csv(data, out_path(cfg, SYNTHETIC_CSV))
     print(f"synth: wrote {data.n} rows, seed {doc['seed']}, "
           f"noise {float(doc.get('noise', 0.0))}")
     return [SYNTHETIC_CSV]
@@ -407,9 +374,9 @@ def stage_synth(cfg: PipelineConfig, handed: dict) -> list[str]:
 PIPELINE_STAGES = ("encode", "screen", "train", "eval")
 
 
-def run_pipeline(cfg: PipelineConfig) -> int:
+def run_pipeline(cfg: dict) -> int:
     """Chain the four stages, writing a manifest whatever happens."""
-    manifest = {"stages": [], "config": cfg.to_doc()}
+    manifest = {"stages": [], "config": cfg}
     exit_code = 0
     # later stages take in memory what they would read back from earlier
     # ones' artifacts, so each artifact is the one a manual run writes
@@ -431,7 +398,8 @@ def run_pipeline(cfg: PipelineConfig) -> int:
             exit_code = exc.exit_code
         finally:
             entry["seconds"] = round(time.perf_counter() - started, 6)
-    _write(cfg.path(MANIFEST_JSON), json.dumps(manifest, indent=2) + "\n")
+    _write(out_path(cfg, MANIFEST_JSON),
+           json.dumps(manifest, indent=2) + "\n")
     return exit_code
 
 
@@ -470,7 +438,7 @@ FLAG_GROUPS = {
     ],
     "variables": [
         ("--screening", dict(help="screening.json from the screen step")),
-        ("--variables", dict(type=lambda s: tuple(s.split(",")),
+        ("--variables", dict(type=lambda s: s.split(","),
                              help="comma-separated variable names "
                                   "(overrides --screening)")),
     ],
@@ -552,10 +520,10 @@ def main(argv: list[str] | None = None) -> int:
         try:
             cfg = resolve_config(args)
             try:
-                os.makedirs(cfg.out, exist_ok=True)
+                os.makedirs(cfg["out"], exist_ok=True)
             except OSError as exc:
-                raise ConfigError(f"cannot make output directory {cfg.out}: "
-                                  f"{exc.strerror}") from None
+                raise ConfigError("cannot make output directory "
+                                  f"{cfg['out']}: {exc.strerror}") from None
             if args.command == "pipeline":
                 return run_pipeline(cfg)
             COMMANDS[args.command][0](cfg, {})

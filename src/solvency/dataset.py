@@ -296,8 +296,10 @@ class OutlierRule:
     def __post_init__(self):
         if self.method not in ("iqr", "zscore", "off"):
             raise ConfigError(f"unknown outlier method {self.method!r}")
-        if self.multiplier <= 0 or self.z_threshold <= 0:
-            raise ConfigError("outlier cutoffs must be positive")
+        if self.multiplier <= 0:
+            raise ConfigError("iqr-multiplier must be positive")
+        if self.z_threshold <= 0:
+            raise ConfigError("z-threshold must be positive")
 
     def fences(self, values: np.ndarray) -> tuple[float, float]:
         """Inclusive [low, high] range of acceptable values."""

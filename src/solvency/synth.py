@@ -137,12 +137,14 @@ def _value(doc: dict, key: str, default, kind: type, owner: str = "synth"):
 
 
 def _schema(doc: dict) -> tuple[Schema, dict[str, tuple[float, float]]]:
-    """The schema of a synth object's features and the value range of
-    each numeric one given low or high; the bundled credit-shaped
-    schema and DEFAULT_RANGES when it lists none."""
+    """The schema of a synth object's features and target, and the value
+    range of each numeric feature given low or high; the bundled
+    credit-shaped features and DEFAULT_RANGES when it lists none."""
     if "features" not in doc:
-        return (schema_from_header([*DEFAULT_COLUMNS, "TARGET"], "TARGET",
-                                   DEFAULT_CODEBOOK), DEFAULT_RANGES)
+        features = schema_from_header([*DEFAULT_COLUMNS, "TARGET"], "TARGET",
+                                      DEFAULT_CODEBOOK).features
+        return (Schema(features, _value(doc, "target", "TARGET", str)),
+                DEFAULT_RANGES)
     features, ranges = [], {}
     for f in _value(doc, "features", None, list):
         if not isinstance(f, dict):

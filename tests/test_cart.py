@@ -495,6 +495,44 @@ class TestSerialization:
         with pytest.raises(DataError, match="^missing format field$"):
             deserialize("{}")
 
+    def stump_doc(self):
+        data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
+        return json.loads(serialize(grow(data, config=CartConfig(
+            min_node_size=1))))
+
+    @pytest.mark.parametrize("text", ["[]", "1", '"model"', "null"])
+    def test_root_that_is_no_object_rejected(self, text):
+        with pytest.raises(DataError,
+                           match="^document root must be an object$"):
+            deserialize(text)
+
+    @pytest.mark.parametrize("key", [
+        "config", "schema", "n_training_rows", "nodes"])
+    def test_missing_section_rejected(self, key):
+        doc = self.stump_doc()
+        del doc[key]
+        with pytest.raises(DataError, match=f"^missing {key} field$"):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("nodes", [{}, []], ids=["object", "empty"])
+    def test_nodes_not_a_nonempty_list_rejected(self, nodes):
+        doc = self.stump_doc()
+        doc["nodes"] = nodes
+        with pytest.raises(DataError, match="^nodes must be a nonempty list$"):
+            deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("nodes, message", [
+        (lambda n: ["x"], "node 0 is not an object"),
+        (lambda n: [dict(n[0], right=1), n[1]], "node 1 referenced twice"),
+        (lambda n: [{k: v for k, v in n[0].items() if k != "n"}, *n[1:]],
+         "node 0: 'n'"),
+    ], ids=["not-object", "twice", "no-n"])
+    def test_malformed_node_table_rejected(self, nodes, message):
+        doc = self.stump_doc()
+        doc["nodes"] = nodes(doc["nodes"])
+        with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+            deserialize(json.dumps(doc))
+
     def test_non_json_rejected_with_position(self):
         with pytest.raises(DataError, match="^not valid JSON ") as err:
             deserialize("{this is not json")

@@ -378,6 +378,22 @@ class TestEncodeCommand:
         assert rc == 2
 
 
+@pytest.mark.parametrize("command", ["encode", "predict"])
+def test_command_without_input_exits_2(workdir, capsys, command):
+    assert main([command, "--out", str(workdir)]) == 2
+    assert capsys.readouterr().err == (
+        f"solvency {command}: {command} needs an input CSV (--input)\n")
+
+
+@pytest.mark.parametrize("command", ["encode", "screen", "train"])
+def test_empty_input_exits_3(workdir, capsys, command):
+    empty = workdir / "empty.csv"
+    empty.write_text("")
+    assert main([command, "--input", str(empty), "--out", str(workdir)]) == 3
+    assert capsys.readouterr().err == (
+        f"solvency {command}: {empty} is empty, no header row\n")
+
+
 class TestScreenCommand:
     def test_artifacts_and_kept_list(self, workdir):
         source = make_synthetic(workdir, rows=200, seed=3)
@@ -1245,8 +1261,8 @@ class TestPipelineCommand:
         ("max-depth", -1, "max_depth cannot be negative"),
         ("min-gini-decrease", -1, "min_gini_decrease cannot be negative"),
         ("alpha", 2, "alpha must lie inside (0, 1)"),
-        ("iqr-multiplier", 0, "outlier cutoffs must be positive"),
-        ("z-threshold", -1, "outlier cutoffs must be positive"),
+        ("iqr-multiplier", 0, "iqr-multiplier must be positive"),
+        ("z-threshold", -1, "z-threshold must be positive"),
         ("max-iter", 0, "max-iter must be positive"),
         ("seed", -1, "seed must fit in 64 unsigned bits"),
         ("seed", 2 ** 64, "seed must fit in 64 unsigned bits"),
@@ -1478,18 +1494,48 @@ class TestConfigResolution:
         assert rc == 2
         assert "alhpa" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("doc", [
-        {"missing-tokens": 5}, {"alpha": "x"}, {"max-depth": "deep"},
-    ], ids=["missing-tokens", "alpha", "max-depth"])
-    def test_wrongly_typed_config_value_exits_2(self, workdir, capsys, doc):
+    @pytest.mark.parametrize("doc, message", [
+        ({"missing-tokens": 5},
+         "config key 'missing-tokens' must be a list of strings, not 5"),
+        ({"alpha": "x"}, "config key 'alpha' must be a number, not 'x'"),
+        ({"max-depth": "deep"},
+         "config key 'max-depth' must be an integer, not 'deep'"),
+        ({"variables": [1]},
+         "config key 'variables' must be a list of strings, not (1,)"),
+        ({"missing-tokens": "NA"},
+         "config key 'missing-tokens' must be a list of strings, not 'NA'"),
+    ], ids=["missing-tokens", "alpha", "max-depth", "variables-items",
+            "missing-tokens-string"])
+    def test_wrongly_typed_config_value_exits_2(self, workdir, capsys, doc,
+                                                message):
         source = make_synthetic(workdir)
         cfg = workdir / "cfg.json"
         cfg.write_text(json.dumps(doc))
+        out = workdir / "run"
         rc = main(["train", "--config", str(cfg), "--input", str(source),
-                   "--out", str(workdir)])
+                   "--out", str(out)])
         assert rc == 2
-        (key,) = doc
-        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+        assert capsys.readouterr().err == f"solvency train: {message}\n"
+
+    def test_manifest_records_the_merged_settings(self, workdir):
+        """manifest.json's config holds every setting in one fixed order:
+        the flag's value, else the config file's, else the default."""
+        source = make_synthetic(workdir, rows=400, seed=3, noise=0.1)
+        cfg = workdir / "cfg.json"
+        cfg.write_text(json.dumps({
+            "input": None, "missing-tokens": ["NA", "?"],
+            "variables": ["AMT_CREDIT", "AMT_INCOME_TOTAL"],
+            "holdout": 0.25, "iqr-multiplier": 2}))
+        out = workdir / "run"
+        assert run_pipeline_into(out, source, [
+            "--config", str(cfg), "--missing-token", "-",
+            "--missing-token", "NA", "--alpha", "0.1"]) == 0
+        manifest = read_manifest(out)
+        for stage in manifest["stages"]:
+            stage["seconds"] = 0.0
+        text = json.dumps(manifest, indent=2).replace(str(workdir), "<dir>")
+        assert text == MANIFEST_TEXT
 
     def test_config_must_be_object(self, workdir, capsys):
         cfg = workdir / "cfg.json"
@@ -1636,3 +1682,84 @@ def test_missing_target_at_eval_names_the_row(workdir, capsys):
     assert main(["eval", "--input", str(holey), "--out", str(workdir)]) == 3
     assert capsys.readouterr().err == (
         "solvency eval: target 'TARGET' of row 5 is missing, not 0 or 1\n")
+
+
+#: manifest.json of TestConfigResolution's merged-settings run, stage
+#: timings zeroed and its temporary directory written <dir>.
+MANIFEST_TEXT = """\
+{
+  "stages": [
+    {
+      "name": "encode",
+      "status": "completed",
+      "artifacts": [
+        "encoded.csv",
+        "cleaning.log"
+      ],
+      "seconds": 0.0
+    },
+    {
+      "name": "screen",
+      "status": "completed",
+      "artifacts": [
+        "wald.csv",
+        "correlation.csv",
+        "screening.json"
+      ],
+      "seconds": 0.0
+    },
+    {
+      "name": "train",
+      "status": "completed",
+      "artifacts": [
+        "model.json",
+        "tree.dot",
+        "tree.txt"
+      ],
+      "seconds": 0.0
+    },
+    {
+      "name": "eval",
+      "status": "completed",
+      "artifacts": [
+        "eval.json",
+        "eval.txt",
+        "roc.tsv"
+      ],
+      "seconds": 0.0
+    }
+  ],
+  "config": {
+    "input": "<dir>/synthetic.csv",
+    "codebook": null,
+    "skip-codebook": true,
+    "target": "TARGET",
+    "out": "<dir>/run",
+    "seed": 0,
+    "missing-tokens": [
+      "-",
+      "NA"
+    ],
+    "outlier-method": "iqr",
+    "iqr-multiplier": 2,
+    "z-threshold": 3.0,
+    "alpha": 0.1,
+    "r-threshold": 0.8,
+    "max-iter": 50,
+    "tol": 1e-08,
+    "per-variable": false,
+    "variables": [
+      "AMT_CREDIT",
+      "AMT_INCOME_TOTAL"
+    ],
+    "screening": null,
+    "min-node-size": 5,
+    "max-depth": 10,
+    "min-gini-decrease": 0.0,
+    "allow-large-min-node": false,
+    "holdout": 0.25,
+    "model": null,
+    "roc-scores": "proportion",
+    "synth": {}
+  }
+}"""

@@ -341,8 +341,8 @@ class TestClean:
 
     @pytest.mark.parametrize("args, found", [
         (("bogus",), "^unknown outlier method 'bogus'$"),
-        (("iqr", 0.0), "^outlier cutoffs must be positive$"),
-        (("zscore", 1.5, -1.0), "^outlier cutoffs must be positive$"),
+        (("iqr", 0.0), "^iqr-multiplier must be positive$"),
+        (("zscore", 1.5, -1.0), "^z-threshold must be positive$"),
     ])
     def test_bad_outlier_rule_refused(self, args, found):
         with pytest.raises(ConfigError, match=found):

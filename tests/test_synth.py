@@ -291,6 +291,16 @@ class TestDocs:
         assert all(row[-1] == (1 if row[0] <= 3.0 else 0)
                    for row in rows(data))
 
+    def test_target_without_features_names_the_bundled_target(self):
+        """target renames the bundled schema's target; its features and
+        every drawn value stay."""
+        data = generate({"n_rows": 5, "target": "label"})
+        default = generate({"n_rows": 5})
+        assert data.schema == schema_from_header(
+            [*DEFAULT_COLUMNS, "label"], "label", DEFAULT_CODEBOOK)
+        assert np.array_equal(data.X, default.X)
+        assert np.array_equal(data.y, default.y)
+
     def test_spec_doc_validation(self):
         with pytest.raises(ConfigError,
                            match="^synth spec must be a JSON object$"):
@@ -321,11 +331,17 @@ class TestDocs:
         ({"features": [{"name": "x"}]}, "unknown feature kind None"),
         ({"features": [{"name": "x", "kind": "numeric"}], "target": "x"},
          "target 'x' collides with a feature"),
+        ({"target": "AMT_CREDIT"},
+         "target 'AMT_CREDIT' collides with a feature"),
+        ({"target": 3}, "synth key 'target' must be a string, not 3"),
+        ({"features": 5, "target": 3}, "'features' must be a list, not 5"),
         ({"n_rows": 0, "noise": "x"}, "'noise' must be a finite number"),
         ({"seed": -1, "noise": 0.7}, "noise must lie in [0, 0.5)"),
     ], ids=["rows-bool", "seed-float", "seed-too-big", "noise-text",
             "noise-nan", "features-object", "high-null", "low-inf",
-            "levels-bool", "no-kind", "target-feature", "types-first",
+            "levels-bool", "no-kind", "target-feature",
+            "target-bundled-feature", "target-int", "features-then-target",
+            "types-first",
             "noise-before-seed"])
     def test_value_of_wrong_type_names_its_key(self, doc, found):
         with pytest.raises(ConfigError, match=re.escape(found)):

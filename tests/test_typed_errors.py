@@ -22,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from solvency.cli import PipelineConfig, main
+from solvency.cli import DEFAULTS, main
 from solvency.dataset import DEFAULT_CODEBOOK
 
 #: A file entry that is made as a directory.
@@ -177,9 +177,8 @@ def test_mutated_codebook(base, command, book, cells):
 
 
 #: Config keys naming no file: a fuzzed path could name any file.
-CONFIG_KEYS = sorted(
-    {f.replace("_", "-") for f in PipelineConfig.__dataclass_fields__}
-    - {"input", "codebook", "out", "model", "screening"}) + ["bogus"]
+CONFIG_KEYS = sorted(set(DEFAULTS) - {
+    "input", "codebook", "out", "model", "screening"}) + ["bogus"]
 SYNTH_KEYS = ["noise", "seed", "rule", "features", "target", "bogus"]
 
 CONFIGS = st.one_of(
