@@ -279,21 +279,26 @@ class _LevelScorer:
             key = table[1] / table[0]  # nan at absent ranks, which sort last
             order = np.argsort(key, axis=2, kind="stable")
             cut = np.diff(np.take_along_axis(key, order, axis=2), axis=2) > 0
-            # sides[i, c, j]: left ranks of the pair cut after position j
-            head = (np.argsort(order, axis=2)[:, :, None]
-                    <= np.arange(levels - 1)[:, None])
-            sides = present[:, :, None] & (head == np.take_along_axis(
-                head, present.argmax(axis=2)[..., None, None], axis=3))
-            nl, left = np.where(sides, table[:, :, :, None], 0.0).sum(-1)
+            # rows and class-1 rows before each cut; the other side's exact
+            # counts would only swap the two terms of _decrease's addition
+            nl, left = np.take_along_axis(table, order[None], axis=3).cumsum(
+                axis=3)[..., :-1]
             dec = np.where(cut, _decrease(
                 parent[:, None, None], sizes[:, None, None], nl, left,
                 ones[:, None, None]), -np.inf)
         top, pick = dec.max(axis=2), dec.argmax(axis=2)
+        # a cut after place j of order sends left the present ranks on
+        # the first present rank's side of it
+        place = np.argsort(order, axis=2)
+        first = np.take_along_axis(place, present.argmax(axis=2)[..., None], 2)
+
+        def sides(j, at=...):
+            return present[at] & ((place[at] <= j) == (first[at] <= j))
         for i, c in np.argwhere(((dec == top[..., None]).sum(axis=2) > 1)
                                 & (top > -np.inf)):
             pick[i, c] = min(np.flatnonzero(dec[i, c] == top[i, c]), key=(
-                lambda j: tuple(np.flatnonzero(sides[i, c, j]))))
-        left = sides[np.arange(a)[:, None], np.arange(k), pick]
+                lambda j: tuple(np.flatnonzero(sides(j, (i, c))))))
+        left = sides(pick[..., None])
         # pairs without a cut; those of a homogeneous node are never used
         for i, c in np.argwhere((present.sum(axis=2) > 1) & ~cut.any(axis=2)
                                 & (parent > 0.0)[:, None]):

@@ -142,17 +142,15 @@ def _read_json(path: str, what: str):
             raise ConfigError(f"{what} file {path} nests too deeply") from None
 
 
-def _setting(key: str, value) -> str:
-    """The setting a config file's key names, its dashes spelled as
-    dashes or as the underscores of the flags' dest names; ConfigError
-    naming key if it names none or value has not the JSON type of its
-    setting, null only where the default is null."""
-    name = key.replace("_", "-")
-    if name not in DEFAULTS:
+def _check_setting(key: str, value) -> None:
+    """ConfigError naming a config file's key if it is not a setting's
+    kebab-case name or value has not the JSON type of that setting,
+    null only where the default is null."""
+    if key not in DEFAULTS:
         raise ConfigError(f"unknown config key {key!r}")
-    if value is None and DEFAULTS[name] is None:
-        return name
-    kind = NULL_DEFAULT_TYPES.get(name, type(DEFAULTS[name]))
+    if value is None and DEFAULTS[key] is None:
+        return
+    kind = NULL_DEFAULT_TYPES.get(key, type(DEFAULTS[key]))
     if kind is float:
         # a float that is not finite gets validate's own message
         fits = type(value) is float or json_number(value)
@@ -161,12 +159,8 @@ def _setting(key: str, value) -> str:
     else:
         fits = type(value) is kind
     if not fits:
-        # the refusal shows a list's items in parentheses
-        if kind is list and isinstance(value, list):
-            value = tuple(value)
         raise ConfigError(f"config key {key!r} must be {TYPE_WORDS[kind]}, "
                           f"not {value!r}")
-    return name
 
 
 def resolve_config(args: argparse.Namespace) -> dict:
@@ -178,7 +172,8 @@ def resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"config file {args.config} must hold a JSON "
                               "object")
         for key, value in doc.items():
-            cfg[_setting(key, value)] = value
+            _check_setting(key, value)
+            cfg[key] = value
     for key in DEFAULTS:
         value = getattr(args, key.replace("-", "_"), None)
         if value is not None:

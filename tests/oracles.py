@@ -8,6 +8,7 @@ so that agreement with the library can be asserted bit for bit.
 """
 
 import math
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -73,6 +74,42 @@ def brute_force_best_split(data, variables=None):
             best = cand
     if best is None or best[0] < 0.0:
         return None
+    return best
+
+
+def ordered_scan_split(values, y):
+    """Breiman's ordered scan of one categorical column at one node,
+    one cut at a time.
+
+    values holds the node's codes and y its 0/1 targets.  The codes are
+    sorted by exact class-1 proportion, then by code, and cut only
+    between distinct proportions; a cut's canonical side is the one
+    holding the smallest code.  Returns (decrease, sorted canonical
+    code tuple) of the best cut, ties going to the smallest tuple, or
+    None when every code shares one proportion.
+    """
+    values = np.asarray(values, dtype=float)
+    y = np.asarray(y, dtype=float)
+    rows, ones = {}, {}
+    for code, target in zip(values.astype(int).tolist(), y.tolist()):
+        rows[code] = rows.get(code, 0) + 1
+        ones[code] = ones.get(code, 0) + int(target)
+    share = {code: Fraction(ones[code], rows[code]) for code in rows}
+    ranked = sorted(rows, key=lambda code: (share[code], code))
+    n = float(y.shape[0])
+    c1 = float(y.sum())
+    c0 = n - c1
+    parent = gini_two_counts(c1, c0, n)
+    best = None  # (decrease, code tuple)
+    for j in range(1, len(ranked)):
+        if share[ranked[j - 1]] == share[ranked[j]]:
+            continue
+        side = ranked[:j] if min(rows) in ranked[:j] else ranked[j:]
+        subset = tuple(sorted(side))
+        dec = _decrease(y, np.isin(values, subset), parent, c1, c0, n)
+        if (best is None or dec > best[0]
+                or (dec == best[0] and subset < best[1])):
+            best = (dec, subset)
     return best
 
 

@@ -5,12 +5,13 @@ import hashlib
 import json
 import re
 import time
+import tracemalloc
 import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_dataset
@@ -18,6 +19,7 @@ from oracles import (
     _decrease,
     brute_force_best_split,
     gini_two_counts,
+    ordered_scan_split,
     reference_grow,
     route_rows,
     tied_reference,
@@ -1196,6 +1198,68 @@ def test_tied_matches_the_table_reference():
         want_dec, want_left = tied_reference(count, parent, int(n), c1)
         assert dec == want_dec
         assert left.tolist() == want_left.tolist()
+
+
+def random_many_level_dataset(rng):
+    """One categorical column of 20 to 300 sparse, partly negative
+    codes, one to six rows each, every code drawing its targets at one
+    of a few class-1 rates, so proportions tie.  In half the examples
+    the last half of the codes mirror the first with the classes
+    swapped, so mirrored cuts often tie in decrease."""
+    m = int(rng.integers(20, 301))
+    half = m // 2 if rng.random() < 0.5 else 0
+    codes = rng.choice(np.arange(-500, 1000), m, replace=False)
+    sizes = rng.integers(1, 7, m)
+    ones = rng.binomial(sizes, rng.choice(
+        [0.0, 0.25, 0.5, 0.75, 1.0, rng.random()], m))
+    sizes[m - half:] = sizes[:half]
+    ones[m - half:] = sizes[:half] - ones[:half]
+    column = np.repeat(codes, sizes)
+    target = np.concatenate([np.arange(s) < k for s, k in zip(sizes, ones)])
+    order = rng.permutation(column.shape[0])
+    return make_dataset({"c": column[order].tolist()},
+                        target[order].astype(int).tolist(),
+                        kinds={"c": CATEGORICAL}, levels={"c": m})
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+def test_many_level_split_matches_the_ordered_scan_reference(seed):
+    """best_split on one column of 20 to 300 codes, too many for the
+    exhaustive oracle, matches a cut-by-cut ordered scan bit for bit.
+    Codes that all share one proportion are left to the exhaustive and
+    _tied properties."""
+    data = random_many_level_dataset(np.random.default_rng(seed))
+    expected = ordered_scan_split(data.X[:, 0], data.binary_target())
+    assume(expected is not None)
+    rule, decrease = best_split(data)
+    assert decrease == expected[0]  # bit-for-bit
+    assert rule["subset"] == list(expected[1])
+    codes = {int(c) for c in data.X[:, 0]}
+    assert rule["complement"] == sorted(codes - set(expected[1]))
+
+
+def test_many_level_grow_traces_little_memory():
+    """The ordered scan's memory follows the level count, not its
+    square: a deep tree over three 150-level columns traces a peak
+    under 16 MB, where a levels x levels subset mask per (node, column)
+    pair would reach about 65."""
+    rng = np.random.default_rng(61)
+    n, levels = 5000, 150
+    columns = {"x": rng.random(n).round(3).tolist()}
+    for name in "abc":
+        columns[name] = rng.integers(1, levels + 1, n).tolist()
+    signal = (np.array(columns["a"]) % 3 == 0) ^ (np.array(columns["x"]) > 0.5)
+    target = (signal ^ (rng.random(n) < 0.2)).astype(int).tolist()
+    data = make_dataset(columns, target,
+                        kinds=dict.fromkeys("abc", CATEGORICAL),
+                        levels=dict.fromkeys("abc", levels))
+    tracemalloc.start()
+    try:
+        grow(data, config=CartConfig(min_node_size=1, max_depth=64))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 def test_grow_then_serialize_is_deterministic():

@@ -1487,12 +1487,20 @@ class TestConfigResolution:
         assert doc["alpha"] == 0.2  # flag wins
         assert doc["r-threshold"] == 0.9  # file beats default
 
-    def test_unknown_config_key_exits_2(self, workdir, capsys):
+    # keys are the kebab-case names only, so no file gives one setting
+    # under two spellings
+    @pytest.mark.parametrize("doc, key", [
+        ({"alhpa": 0.01}, "alhpa"),
+        ({"min_node_size": 2}, "min_node_size"),
+        ({"min-node-size": 3, "min_node_size": 2}, "min_node_size"),
+    ], ids=["misspelled", "underscores", "both-spellings"])
+    def test_unknown_config_key_exits_2(self, workdir, capsys, doc, key):
         cfg = workdir / "cfg.json"
-        cfg.write_text(json.dumps({"alhpa": 0.01}))
+        cfg.write_text(json.dumps(doc))
         rc = main(["synth", "--config", str(cfg), "--out", str(workdir)])
         assert rc == 2
-        assert "alhpa" in capsys.readouterr().err
+        assert capsys.readouterr().err == (
+            f"solvency synth: unknown config key {key!r}\n")
 
     @pytest.mark.parametrize("doc, message", [
         ({"missing-tokens": 5},
@@ -1501,7 +1509,7 @@ class TestConfigResolution:
         ({"max-depth": "deep"},
          "config key 'max-depth' must be an integer, not 'deep'"),
         ({"variables": [1]},
-         "config key 'variables' must be a list of strings, not (1,)"),
+         "config key 'variables' must be a list of strings, not [1]"),
         ({"missing-tokens": "NA"},
          "config key 'missing-tokens' must be a list of strings, not 'NA'"),
     ], ids=["missing-tokens", "alpha", "max-depth", "variables-items",
