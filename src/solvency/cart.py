@@ -51,24 +51,18 @@ CLASSIFICATION = "classification"
 class CartConfig:
     """Growing limits.
 
-    min_node_size in [1, 5] unless allow_large_min_node is set; a node
-    with fewer rows is never split.  max_depth bounds the root-to-leaf
-    rule count.  A split is kept only when its impurity decrease is at
-    least min_gini_decrease.
+    A node with fewer than min_node_size rows, at least 1, is never
+    split.  max_depth bounds the root-to-leaf rule count.  A split is
+    kept only when its impurity decrease is at least min_gini_decrease.
     """
 
     min_node_size: int = 5
     max_depth: int = 10
     min_gini_decrease: float = 0.0
-    allow_large_min_node: bool = False
 
     def __post_init__(self):
         if self.min_node_size < 1:
             raise ConfigError("min_node_size must be at least 1")
-        if self.min_node_size > 5 and not self.allow_large_min_node:
-            raise ConfigError(
-                f"min_node_size {self.min_node_size} exceeds 5; "
-                "pass the large-min-node override to allow it")
         if self.max_depth < 0:
             raise ConfigError("max_depth cannot be negative")
         if self.min_gini_decrease < 0:
@@ -739,8 +733,7 @@ def deserialize(text: str) -> CartTree:
         if cfg["mode"] != CLASSIFICATION:
             raise ValueError(f"mode is {cfg['mode']!r}, not "
                              f"{CLASSIFICATION!r}")
-        config = CartConfig(*limits, cfg["min_gini_decrease"],
-                            allow_large_min_node=True)
+        config = CartConfig(*limits, cfg["min_gini_decrease"])
     except (KeyError, TypeError, ValueError, ConfigError) as exc:
         raise DataError(f"bad config section: {exc}") from None
     schema = _schema_from_doc(doc["schema"])

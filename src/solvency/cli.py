@@ -104,6 +104,10 @@ def validate(cfg: dict) -> None:
     for key, value in cfg.items():
         if isinstance(value, float) and not np.isfinite(value):
             raise ConfigError(f"{key} must be a finite number, not {value!r}")
+    if cfg["min-node-size"] > 5 and not cfg["allow-large-min-node"]:
+        raise ConfigError(
+            f"min_node_size {cfg['min-node-size']} exceeds 5; "
+            "pass the large-min-node override to allow it")
     cart_config(cfg)
     outlier_rule(cfg)
 
@@ -113,7 +117,6 @@ def cart_config(cfg: dict) -> cart.CartConfig:
         min_node_size=cfg["min-node-size"],
         max_depth=cfg["max-depth"],
         min_gini_decrease=cfg["min-gini-decrease"],
-        allow_large_min_node=cfg["allow-large-min-node"],
     )
 
 

@@ -10,6 +10,7 @@ the modelling stages only see dense columns.
 from __future__ import annotations
 
 import csv
+import io
 import re
 import sys
 from contextlib import closing, contextmanager
@@ -30,6 +31,9 @@ DEFAULT_MISSING_TOKENS = ("", "NA", "N/A")
 #: Rows converted per block while reading or writing a CSV, which
 #: bounds the cell text held at once.
 _BLOCK_ROWS = 4096
+
+#: Characters of a text that is not plain split into lines at once.
+_TEXT_CHUNK = 2 ** 20
 
 #: Text of the whole numbers below 1024, which most coded and 0/1 cells
 #: are: one gather renders a column of them.
@@ -349,9 +353,9 @@ def load_csv(
     may be absent, in which case every row gets a missing target
     (useful for scoring unlabeled rows).
 
-    When the text has no quote and no CR outside a CRLF, a block of
-    lines that np.loadtxt or a split on commas reads as the csv path
-    would is read by it (see _plain_blocks).
+    The file is read once.  A plain text, whose every line is one csv
+    row (see _plain_lines), is read block by block by np.loadtxt or a
+    split on commas (see _plain_blocks); any other by the csv module.
     """
     # a cell that is exactly a token reads as "nan"; float() would read
     # a token that is a finite number as a value, so such a token turns
@@ -436,12 +440,16 @@ def _row_blocks(path: str, numeric: bool) -> Iterator:
     """The header row of path, then its data rows in blocks of
     _BLOCK_ROWS, each as (row count, columns): the cells of each
     column or, from _plain_blocks if numeric is set and the text allows
-    it, a float matrix with one row per column."""
-    text = _plain_text(path)
-    if text is not None:
-        yield from _plain_blocks(path, text.split("\n"), numeric)
-        return
-    with _csv_reader(path) as reader:
+    it, a float matrix with one row per column.  A text that is not
+    plain goes to the csv module whole."""
+    with read_errors(path, line_num=lambda: reader.line_num):
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            text = fh.read()
+        lines = _plain_lines(text)
+        if lines is not None:
+            yield from _plain_blocks(lines, numeric)
+            return
+        reader = csv.reader(_text_lines(text))
         header = _header(reader, path)
         yield header
         start = 0
@@ -450,55 +458,66 @@ def _row_blocks(path: str, numeric: bool) -> Iterator:
             start += len(block)
 
 
-def _plain_text(path: str) -> str | None:
-    """The text of path if each of its lines holds one csv row, which
-    holds when it has no quote and no CR outside a CRLF; else None."""
-    with read_errors(path), \
-            open(path, newline="", encoding="utf-8-sig") as fh:
-        text = fh.read()
-    if '"' in text or ("\r" in text
-                       and text.count("\r") != text.count("\r\n")):
+def _plain_lines(text: str) -> list[str] | None:
+    """The lines of text if each holds one csv row that a split on
+    commas reads as csv does, else None.  That holds when the text has
+    no quote, no CR but at a line's end, no NUL (which csv refuses
+    before Python 3.11), no blank line (a row of no cells) and no line
+    over csv's field limit."""
+    if '"' in text or "\0" in text or (
+            "\r" in text and text.count("\r") != text.count("\r\n")):
         return None
-    return text
-
-
-def _plain_blocks(path: str, lines: list[str], numeric: bool) -> Iterator:
-    """_row_blocks of the lines of a _plain_text: the header row, then
-    each block of lines as the first of these reads it: _loadtxt, if
-    numeric is set (every column numeric, no missing token a finite
-    number), _split, and the csv module.  Each block's lines leave the
-    list as it is read, so they are freed block by block."""
+    lines = text.split("\n")
     if not lines[-1]:
         lines.pop()  # the empty string after a final newline
-    header = _csv_rows(path, lines[:1], 0)
-    del lines[:1]
-    yield _header(iter(header), path)
-    width = len(header[0])
-    start = 1  # the index of the block's first line in the file
+    if (not lines or "" in lines or "\r" in lines
+            or max(map(len, lines)) > csv.field_size_limit()):
+        return None
+    return lines
+
+
+def _text_lines(text: str) -> Iterator[str]:
+    """The lines of text as a file opened with newline="" reads them,
+    split by io.StringIO about _TEXT_CHUNK characters at a time: it
+    holds four bytes a character, four times an ASCII text whole."""
+    start = 0
+    while start < len(text):
+        # a cut after an LF splits no CRLF and no line
+        stop = text.find("\n", start + _TEXT_CHUNK) + 1 or len(text)
+        yield from io.StringIO(text[start:stop], newline="")
+        start = stop
+
+
+def _plain_blocks(lines: list[str], numeric: bool) -> Iterator:
+    """_row_blocks of the lines of a plain text: the header row, then
+    each block of lines as _loadtxt reads it, if numeric is set (every
+    column numeric, no missing token a finite number) and it can, else
+    as a split on commas does.  Each block's lines leave the list as
+    it is read, so they are freed block by block."""
+    header = [name.strip() for name in lines.pop(0).split(",")]
+    yield header
+    width = len(header)
+    start = 0
     while lines:
         block = lines[:_BLOCK_ROWS]
         del lines[:_BLOCK_ROWS]
         values = _loadtxt(block, width) if numeric else None
         if values is not None:
             yield len(block), values.T
-        elif (cells := _split(block, width)) is not None:
-            yield len(block), [cells[j::width] for j in range(width)]
         else:
-            yield len(block), _columns(_csv_rows(path, block, start), width,
-                                       start - 1)
+            _check_widths(np.fromiter(map(str.count, block, repeat(",")),
+                                      np.intp, len(block)) + 1, width, start)
+            cells = ",".join(block).replace("\r", "").split(",")
+            yield len(block), [cells[j::width] for j in range(width)]
         start += len(block)
 
 
 def _loadtxt(lines: list[str], width: int) -> np.ndarray | None:
-    """The cells of lines as np.loadtxt reads them, or None where it
-    refuses them or could read them otherwise than csv and float() do.
-    loadtxt refuses what float() would read differently (1_000,
-    non-ASCII digits, quoted or empty cells, tokens such as NA) and
-    ragged rows.  It skips a blank line, where csv reads a row of no
-    cells, and warns when it reads no rows; it has no field limit."""
-    if ("" in lines or "\r" in lines
-            or max(map(len, lines)) > csv.field_size_limit()):
-        return None
+    """The cells of plain lines as np.loadtxt reads them, or None where
+    it refuses them or could read them otherwise than csv and float()
+    do.  loadtxt refuses what float() would read differently (1_000,
+    non-ASCII digits, empty cells, tokens such as NA) and ragged
+    rows."""
     try:
         values = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2,
                             dtype=float)
@@ -507,38 +526,21 @@ def _loadtxt(lines: list[str], width: int) -> np.ndarray | None:
     return values if values.shape == (len(lines), width) else None
 
 
-def _split(lines: list[str], width: int) -> list[str] | None:
-    """The cells of lines, row after row, as csv reads lines that hold
-    no quote and no CR but at their end, or None where a comma split
-    could read them otherwise.  csv reads a blank line as a row of no
-    cells, names a ragged row (a line without width - 1 commas) in its
-    error, refuses a field over its limit, and, before Python 3.11, a
-    NUL.  It drops the CR of a CRLF, as the split does."""
-    text = ",".join(lines)
-    if ("" in lines or "\r" in lines or "\0" in text
-            or max(map(len, lines)) > csv.field_size_limit()
-            or set(map(str.count, lines, repeat(","))) != {width - 1}):
-        return None
-    return text.replace("\r", "").split(",")
-
-
-def _csv_rows(path: str, lines: list[str], offset: int) -> list[list[str]]:
-    """The csv rows of lines, which follow line offset of path."""
-    reader = csv.reader(lines)
-    with read_errors(path, line_num=lambda: offset + reader.line_num):
-        return list(reader)
-
-
 def _columns(rows: list[list[str]], width: int, start: int) -> list:
-    """The columns of csv rows, the first of which is data row start;
-    a row of other than width cells raises DataError naming it."""
-    widths = np.fromiter(map(len, rows), np.intp, len(rows))
+    """The columns of csv rows, the first of which is data row start."""
+    _check_widths(np.fromiter(map(len, rows), np.intp, len(rows)), width,
+                  start)
+    return list(zip(*rows))
+
+
+def _check_widths(widths: np.ndarray, width: int, start: int) -> None:
+    """DataError naming the first row of other than width cells, given
+    the cell counts of rows from data row start on."""
     ragged = np.flatnonzero(widths != width)
     if ragged.size:
         i = ragged[0]
         raise DataError(
             f"row {start + i} has {widths[i]} cells, expected {width}")
-    return list(zip(*rows))
 
 
 def _finite_number(text: str) -> bool:

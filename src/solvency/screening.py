@@ -47,7 +47,6 @@ class LogisticFit:
     standard_errors: np.ndarray
     iterations: int
     converged: bool
-    log_likelihood: float
     separation: bool = False
 
 
@@ -140,7 +139,6 @@ def fit_logistic_xy(
         standard_errors=se,
         iterations=iterations,
         converged=converged,
-        log_likelihood=logistic_log_likelihood(design, y, beta),
         separation=separated,
     )
 

@@ -346,13 +346,12 @@ class TestOrderedScan:
 
 
 class TestCartConfig:
-    def test_min_node_size_capped_without_override(self):
-        with pytest.raises(ConfigError):
-            CartConfig(min_node_size=6)
-
-    def test_override_lifts_cap(self):
-        assert CartConfig(min_node_size=6,
-                          allow_large_min_node=True).min_node_size == 6
+    def test_min_node_size_has_no_cap(self):
+        """The cap of 5 is the CLI's rule (allow-large-min-node)."""
+        data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
+        tree = grow(data, config=CartConfig(min_node_size=6))
+        assert tree.config.min_node_size == 6
+        assert tree.feature.tolist() == [-1]
 
     def test_bounds(self):
         with pytest.raises(ConfigError):
@@ -472,6 +471,13 @@ class TestSerialization:
         c2, s2 = predict_dataset(again, data)
         assert c1.tolist() == c2.tolist()
         assert s1.tolist() == s2.tolist()
+
+    def test_config_round_trips(self):
+        data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
+        config = CartConfig(min_node_size=9, max_depth=3,
+                            min_gini_decrease=0.01)
+        tree = grow(data, config=config)
+        assert deserialize(serialize(tree)).config == tree.config == config
 
     def test_thresholds_survive_at_full_precision(self):
         data = make_dataset({"x": [0.1, 0.2, 0.30000000000000004, 0.4]},
@@ -1064,8 +1070,8 @@ def test_tree_agreement_property(seed, min_node_size, max_depth, min_decrease):
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 5))
 def test_loaded_tree_renders_and_predicts_as_grown(seed, min_node_size):
     """deserialize(serialize(t)) holds t's node table: it holds the same
-    counts and schema, renders the same bytes and predicts the same
-    arrays."""
+    counts, schema and config, renders the same bytes and predicts the
+    same arrays."""
     rng = np.random.default_rng(seed)
     data = random_mixed_dataset(rng, max_rows=40)
     tree = grow(data, config=CartConfig(min_node_size=min_node_size))
@@ -1074,6 +1080,7 @@ def test_loaded_tree_renders_and_predicts_as_grown(seed, min_node_size):
     assert loaded.counts.shape == tree.counts.shape
     assert loaded.counts.tolist() == tree.counts.tolist()
     assert loaded.schema == tree.schema
+    assert loaded.config == tree.config
     for render in (serialize, export_dot, export_text):
         assert render(loaded) == render(tree)
     pairs = zip(predict_dataset(tree, data), predict_dataset(loaded, data))

@@ -27,10 +27,11 @@ from solvency.dataset import (
     class_distribution,
     clean,
     csv_text,
-    _csv_rows,
+    _columns,
     _format_cells,
     _parse_cells,
     _quartiles,
+    _text_lines,
     load_codebook,
     load_csv,
     read_back,
@@ -764,7 +765,7 @@ def test_first_pass_reads_as_the_csv_path(data, n, block, newline, tokens):
         Path(path).write_bytes((newline.join(lines) + ending).encode())
         with mock.patch("solvency.dataset._BLOCK_ROWS", block):
             outcome = load_outcome(path, schema, tokens)
-            with mock.patch("solvency.dataset._plain_text",
+            with mock.patch("solvency.dataset._plain_lines",
                             return_value=None):
                 expected = load_outcome(path, schema, tokens)
     assert outcome == expected
@@ -923,7 +924,7 @@ def test_split_pass_reads_labelled_files_as_the_csv_path(data, n, block,
         book = label_book(path)
         with mock.patch("solvency.dataset._BLOCK_ROWS", block):
             outcome = labelled_outcome(path, schema, tokens, book)
-            with mock.patch("solvency.dataset._plain_text",
+            with mock.patch("solvency.dataset._plain_lines",
                             return_value=None):
                 expected = labelled_outcome(path, schema, tokens, book)
     assert outcome == expected
@@ -941,39 +942,49 @@ class TestSplitPass:
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
     def test_clean_files_never_reach_the_csv_path(self, tmp_path, newline):
-        """Only the header line goes through the csv module; the CR of a
-        CRLF is not part of a cell."""
+        """No line goes through the csv module; the CR of a CRLF is not
+        part of a cell."""
         p = tmp_path / "d.csv"
         p.write_bytes((newline.join(self.lines) + newline).encode())
         with mock.patch("solvency.dataset._BLOCK_ROWS", 3), \
-                mock.patch("solvency.dataset._csv_rows",
-                           wraps=_csv_rows) as csv_rows:
+                mock.patch("solvency.dataset._columns",
+                           side_effect=AssertionError("csv path")):
             data = load_csv(str(p), self.schema, codebook=self.book)
-        assert [(len(call.args[1]), call.args[2])
-                for call in csv_rows.call_args_list] == [(1, 0)]
         assert rows(data) == [
             [None if i == 4 else i / 4, (None if i % 3 == 2 else i % 3 + 1),
              float(i % 2)] for i in range(10)]
 
-    def test_a_refused_block_alone_takes_the_csv_path(self, tmp_path):
-        """A NUL sends its block, and only it, to the csv module, which
-        reads it as a character from Python 3.11 on and refuses it
-        before."""
+    def test_a_nul_sends_the_whole_text_to_csv(self, tmp_path):
+        """A text holding a NUL is read by the csv module, every block
+        of it, which reads the NUL as a character from Python 3.11 on
+        and refuses it before."""
         p = tmp_path / "d.csv"
         lines = list(self.lines)
         lines[5] = "re\x00d,1.0,1"
         write_lines(p, lines)
         with mock.patch("solvency.dataset._BLOCK_ROWS", 3), \
-                mock.patch("solvency.dataset._csv_rows",
-                           wraps=_csv_rows) as csv_rows:
+                mock.patch("solvency.dataset._columns",
+                           wraps=_columns) as columns:
             if sys.version_info < (3, 11):
                 with pytest.raises(DataError, match="line 6: line contains "
                                                     "NUL"):
                     load_csv(str(p), self.schema, codebook=self.book)
                 return
             data = load_csv(str(p), self.schema, codebook=self.book)
-        assert [call.args[2] for call in csv_rows.call_args_list] == [0, 4]
+        assert [call.args[2] for call in columns.call_args_list] == [
+            0, 3, 6, 9]
         assert data.X[4, 1] == 3
+
+    def test_a_quoted_file_is_opened_once(self, tmp_path):
+        """A text that is not plain goes to the csv module from the
+        text already read, not from the file opened again."""
+        p = tmp_path / "d.csv"
+        p.write_bytes(b'c,a,TARGET\n"red",1.5,1\n"green",2,0\n')
+        with mock.patch("solvency.dataset.open", wraps=open,
+                        create=True) as opened:
+            data = load_csv(str(p), self.schema, codebook=self.book)
+        assert opened.call_count == 1
+        assert rows(data) == [[1.5, 1.0, 1.0], [2.0, 2.0, 0.0]]
 
     @pytest.mark.parametrize("text, message", [
         ("a,c,TARGET\nred,1,0\n\ngreen,2,1\n", "row 1 has 0 cells"),
@@ -1008,6 +1019,17 @@ class TestSplitPass:
             load_csv(str(p), self.schema, codebook=self.book)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.text(st.sampled_from('a,"\r\n'), max_size=40),
+       st.integers(min_value=0, max_value=8))
+def test_text_lines_split_as_a_file_does(text, chunk):
+    """_text_lines, which splits a text a chunk at a time, gives the
+    lines that a file opened with newline="" gives, wherever a chunk
+    ends."""
+    with mock.patch("solvency.dataset._TEXT_CHUNK", chunk):
+        assert list(_text_lines(text)) == list(io.StringIO(text, newline=""))
+
+
 class TestByteOrderMark:
     """A UTF-8 byte-order mark, as spreadsheet programs write it, is not
     part of the first column name."""
@@ -1024,7 +1046,7 @@ class TestByteOrderMark:
         for path in (plain, marked):
             data = load_csv(str(path), schema, codebook=book)
             assert rows(data) == [[1.5, 1.0, 1.0], [2.0, None, 0.0]]
-        with mock.patch("solvency.dataset._plain_text", return_value=None):
+        with mock.patch("solvency.dataset._plain_lines", return_value=None):
             assert rows(load_csv(str(marked), schema,
                                  codebook=book)) == rows(data)
 

@@ -226,7 +226,6 @@ def _fixed_fit(names, coefficients, ses, intercept=0.0, intercept_se=1.0):
         standard_errors=np.array(list(ses) + [intercept_se]),
         iterations=1,
         converged=True,
-        log_likelihood=0.0,
     )
 
 
