@@ -68,8 +68,7 @@ DEFAULTS = {
     "alpha": 0.05, "r-threshold": 0.8, "max-iter": 50, "tol": 1e-8,
     "per-variable": False, "variables": None, "screening": None,
     "min-node-size": 5, "max-depth": 10, "min-gini-decrease": 0.0,
-    "allow-large-min-node": False, "holdout": None, "model": None,
-    "roc-scores": "proportion", "synth": {},
+    "holdout": None, "model": None, "roc-scores": "proportion", "synth": {},
 }
 
 #: The JSON type of each setting whose default is null; the others
@@ -104,10 +103,6 @@ def validate(cfg: dict) -> None:
     for key, value in cfg.items():
         if isinstance(value, float) and not np.isfinite(value):
             raise ConfigError(f"{key} must be a finite number, not {value!r}")
-    if cfg["min-node-size"] > 5 and not cfg["allow-large-min-node"]:
-        raise ConfigError(
-            f"min_node_size {cfg['min-node-size']} exceeds 5; "
-            "pass the large-min-node override to allow it")
     cart_config(cfg)
     outlier_rule(cfg)
 
@@ -444,8 +439,6 @@ FLAG_GROUPS = {
         ("--min-node-size", dict(type=int)),
         ("--max-depth", dict(type=int)),
         ("--min-gini-decrease", dict(type=float)),
-        ("--allow-large-min-node", dict(action="store_true", default=None,
-                                        help="permit min-node-size above 5")),
     ],
     "holdout": [("--holdout", dict(
         type=float, help="seeded held-out row fraction (off by default)"))],

@@ -273,12 +273,16 @@ class Dataset:
 
     def split(self, fraction: float, seed: int) -> tuple["Dataset", "Dataset"]:
         """Seeded (train, holdout) partition; both keep original row order.
-        A fraction outside (0, 1) raises ConfigError."""
+        A fraction outside (0, 1) raises ConfigError, and one that leaves
+        either part without rows raises DataError."""
         if not 0.0 < fraction < 1.0:
             raise ConfigError("holdout fraction must lie inside (0, 1)")
-        rng = np.random.default_rng(seed)
-        perm = rng.permutation(self.n)
         k = int(round(fraction * self.n))
+        if k in (0, self.n):
+            empty = "holdout" if k == 0 else "training"
+            raise DataError(f"holdout fraction {fraction!r} of {self.n} rows "
+                            f"leaves no {empty} rows")
+        perm = np.random.default_rng(seed).permutation(self.n)
         return self.select(np.sort(perm[k:])), self.select(np.sort(perm[:k]))
 
 

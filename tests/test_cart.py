@@ -347,7 +347,8 @@ class TestOrderedScan:
 
 class TestCartConfig:
     def test_min_node_size_has_no_cap(self):
-        """The cap of 5 is the CLI's rule (allow-large-min-node)."""
+        """A min_node_size above the rows grown on is kept and stops
+        the root from splitting; only a size below 1 is refused."""
         data = make_dataset({"x": [1.0, 2.0, 3.0, 4.0]}, [0, 0, 1, 1])
         tree = grow(data, config=CartConfig(min_node_size=6))
         assert tree.config.min_node_size == 6

@@ -543,15 +543,19 @@ class TestTrainCommand:
         model = json.loads((workdir / "model.json").read_text())
         assert len(model["nodes"]) == 2399
 
-    def test_min_node_size_guard(self, workdir):
+    def test_min_node_size_has_no_cap(self, workdir):
+        """min-node-size takes any size from 1 up, as CartConfig does,
+        and --allow-large-min-node is no flag."""
         source = self.encoded(workdir)
         rc = main(["train", "--input", str(source),
                    "--min-node-size", "6", "--out", str(workdir)])
-        assert rc == 2
-        rc = main(["train", "--input", str(source),
-                   "--min-node-size", "6", "--allow-large-min-node",
-                   "--out", str(workdir)])
         assert rc == 0
+        model = json.loads((workdir / "model.json").read_text())
+        assert model["config"]["min_node_size"] == 6
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--input", str(source), "--allow-large-min-node",
+                  "--out", str(workdir)])
+        assert exc.value.code == 2
 
     def test_variables_flag_restricts_model(self, workdir):
         source = self.encoded(workdir)
@@ -1254,10 +1258,53 @@ class TestPipelineCommand:
         assert not out.exists()
         assert "unknown config key 'mode'" in capsys.readouterr().err
 
+    def test_large_min_node_key_in_config_refused_before_any_stage(
+            self, workdir, capsys):
+        """allow-large-min-node is no setting: a config file naming it,
+        as a manifest's config object from before its removal does,
+        stops pipeline before encode runs or the out directory is
+        made."""
+        source = make_synthetic(workdir, rows=200, seed=3)
+        config = workdir / "old.json"
+        config.write_text(json.dumps({"allow-large-min-node": True}))
+        out = workdir / "run"
+        assert run_pipeline_into(out, source, ["--config", str(config)]) == 2
+        assert not out.exists()
+        assert "unknown config key 'allow-large-min-node'" in \
+            capsys.readouterr().err
+
+    def test_spss_min_node_size_grows_a_tree(self, workdir):
+        """SPSS CRT's default of 100 cases per parent node runs as any
+        other min-node-size: no node under 100 rows is split."""
+        source = make_synthetic(workdir, rows=2000, seed=3)
+        out = workdir / "run"
+        assert run_pipeline_into(out, source,
+                                 ["--min-node-size", "100"]) == 0
+        text = (out / "model.json").read_text()
+        assert '"min_node_size": 100' in text
+        internal = [node["n"] for node in json.loads(text)["nodes"]
+                    if node["left"] is not None]
+        assert internal and min(internal) >= 100
+
+    @pytest.mark.parametrize("fraction, empty", [
+        ("0.001", "holdout"), ("0.999", "training")])
+    def test_holdout_leaving_a_part_empty_fails_at_screen(
+            self, workdir, fraction, empty):
+        """A --holdout that rounds either part to no rows fails the
+        first stage that splits, naming the fraction, the row count and
+        the empty part, and no later stage runs."""
+        source = make_synthetic(workdir, rows=300, seed=3)
+        out = workdir / "run"
+        assert run_pipeline_into(out, source, ["--holdout", fraction]) == 3
+        stages = read_manifest(out)["stages"]
+        assert [s["status"] for s in stages] == \
+            ["completed", "failed", "skipped", "skipped"]
+        n = len((out / "encoded.csv").read_text().splitlines()) - 1
+        assert stages[1]["error"] == (f"holdout fraction {fraction} of {n} "
+                                      f"rows leaves no {empty} rows")
+
     @pytest.mark.parametrize("key, value, message", [
         ("min-node-size", 0, "min_node_size must be at least 1"),
-        ("min-node-size", 9, "min_node_size 9 exceeds 5; pass the "
-                             "large-min-node override to allow it"),
         ("max-depth", -1, "max_depth cannot be negative"),
         ("min-gini-decrease", -1, "min_gini_decrease cannot be negative"),
         ("alpha", 2, "alpha must lie inside (0, 1)"),
@@ -1430,8 +1477,7 @@ ENCODE = {"--skip-codebook", "--outlier-method", "--iqr-multiplier",
           "--z-threshold"}
 SCREEN = {"--alpha", "--r-threshold", "--max-iter", "--tol",
           "--per-variable"}
-TREE = {"--min-node-size", "--max-depth", "--min-gini-decrease",
-        "--allow-large-min-node"}
+TREE = {"--min-node-size", "--max-depth", "--min-gini-decrease"}
 OPTIONS = {
     "encode": COMMON | DATA | ENCODE,
     "screen": COMMON | DATA | SCREEN | {"--holdout"},
@@ -1764,7 +1810,6 @@ MANIFEST_TEXT = """\
     "min-node-size": 5,
     "max-depth": 10,
     "min-gini-decrease": 0.0,
-    "allow-large-min-node": false,
     "holdout": 0.25,
     "model": null,
     "roc-scores": "proportion",

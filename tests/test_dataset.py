@@ -457,6 +457,17 @@ class TestSplitAndDistribution:
                 "holdout fraction must lie inside (0, 1)")):
             data.split(fraction, seed=0)
 
+    @pytest.mark.parametrize("fraction, empty", [
+        (0.001, "holdout"), (0.999, "training")])
+    def test_split_leaving_a_part_empty_refused(self, fraction, empty):
+        data = make_dataset({"a": [float(i) for i in range(300)]},
+                            [i % 2 for i in range(300)])
+        with pytest.raises(DataError) as exc:
+            data.split(fraction, seed=0)
+        assert str(exc.value) == (f"holdout fraction {fraction} of 300 rows "
+                                  f"leaves no {empty} rows")
+        assert exc.value.exit_code == 3
+
     def test_class_distribution_counts(self):
         data = make_dataset({"a": [1.0, 2.0, 3.0]}, [0, 1, 1])
         assert class_distribution(data) == (1, 2)
