@@ -390,7 +390,7 @@ def grow(
     """Grow a tree level by level from one presort of the rows.
 
     All nodes of one depth that may split are scored in one pass over
-    the level's attribute lists; each list is then partitioned stably by
+    the level's attribute lists; each list is then sorted stably by
     child, so a node's rows keep the order a stable sort of that node
     alone would give them.  A node becomes a leaf when it is
     homogeneous, no admissible split remains (none when no variable is
@@ -410,7 +410,6 @@ def grow(
     sizes = [data.n]
     ones = [float(y.sum())]
     splits, named = [], []
-    goes = np.empty(data.n, dtype=bool)  # each row's side at this level
     # The nodes of one depth that may split: ids, row and class-1 counts.
     level, level_n = np.array([0]), np.array([data.n])
     level_ones = np.array(ones)
@@ -442,27 +441,20 @@ def grow(
         depth += 1
         opened = (split[:, None] & mixed & (group_n >= smallest)
                   & (depth < config.max_depth)).ravel()
-        # Partition every list stably by child.  Each (node, side) group
-        # gets a region, those of children that may split first, in child
-        # order, and the rest after, where they drop out.  A row's place
-        # is its group's start plus the rows of its group before it,
-        # counted from the running total of rows sent left.
+        # Sort every list stably by child.  Each (node, side) group gets
+        # a rank, those of children that may split first, in child order,
+        # and the rest one rank after, where they drop out.  A key of 16
+        # bits or fewer makes the stable argsort a radix sort.
         group_n = group_n.ravel()
-        order = np.argsort(~opened, kind="stable")
-        region = np.empty(group_n.shape[0], dtype=np.intp)
-        region[order] = np.cumsum(group_n[order]) - group_n[order]
-        lefts_before = np.cumsum(nl) - nl
-        to_left = (region[0::2] - lefts_before)[seg]
-        to_right = ((region[1::2] - starts + lefts_before)[seg]
-                    + np.arange(seg.shape[0]))
-        goes[lists[0]] = left
-        kept = int(group_n[opened].sum())
+        n_open, kept = int(opened.sum()), int(group_n[opened].sum())
+        rank = np.full(group_n.shape[0], n_open,
+                       dtype=np.min_scalar_type(n_open))
+        rank[opened] = np.arange(n_open)
+        rank_of_row = np.empty(data.n, dtype=rank.dtype)
+        rank_of_row[lists[0]] = rank[2 * seg + ~left]
         for j, rows in enumerate(lists):
-            flag = goes[rows]
-            before = np.cumsum(flag) - flag
-            out = np.empty_like(rows)
-            out[np.where(flag, to_left + before, to_right - before)] = rows
-            lists[j] = out[:kept]
+            order = np.argsort(rank_of_row[rows], kind="stable")
+            lists[j] = rows[order[:kept]]
         level = np.stack([child, child + 1], axis=1).ravel()[opened]
         level_n = group_n[opened]
         level_ones = group_ones.ravel()[opened]

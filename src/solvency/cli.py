@@ -126,11 +126,20 @@ def out_path(cfg: dict, name: str) -> str:
 
 def _read_json(path: str, what: str):
     """The JSON value the what file at path holds; ConfigError naming
-    the file if it cannot be read, is not UTF-8 JSON, or nests too
-    deeply to read."""
+    the file if it cannot be read, is not UTF-8 JSON, nests too deeply
+    to read, or names a key twice in one object."""
+    def unique(pairs):
+        doc = {}
+        for key, value in pairs:
+            if key in doc:
+                raise ConfigError(
+                    f"{what} file {path} names the key {key!r} twice")
+            doc[key] = value
+        return doc
+
     with read_errors(path, what), open(path, encoding="utf-8-sig") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=unique)
         except ValueError as exc:
             # JSONDecodeError, a byte that is not UTF-8, or an integer
             # past Python's int-string limit
@@ -406,12 +415,15 @@ FLAG_GROUPS = {
         ("--out", dict(help="output directory (default .)")),
         ("--seed", dict(type=int, help="64-bit RNG seed")),
     ],
-    "data": [
+    "input": [
         ("--input", dict(help="input CSV path")),
-        ("--codebook", dict(help="codebook CSV path")),
-        ("--target", dict(help="target column name")),
         ("--missing-token", dict(dest="missing_tokens", action="append",
                                  help="missing-value token (repeatable)")),
+    ],
+    # predict takes neither: the model fixes the schema and the target
+    "schema": [
+        ("--codebook", dict(help="codebook CSV path")),
+        ("--target", dict(help="target column name")),
     ],
     "encode": [
         ("--skip-codebook", dict(
@@ -454,20 +466,20 @@ FLAG_GROUPS = {
 #: its own and chains PIPELINE_STAGES.
 COMMANDS = {
     "encode": (stage_encode, "encode labels and clean rows",
-               ("common", "data", "encode")),
+               ("common", "input", "schema", "encode")),
     "screen": (stage_screen, "significance and correlation screen",
-               ("common", "data", "screen", "holdout")),
+               ("common", "input", "schema", "screen", "holdout")),
     "train": (stage_train, "grow the decision tree",
-              ("common", "data", "variables", "tree", "holdout")),
+              ("common", "input", "schema", "variables", "tree", "holdout")),
     "eval": (stage_eval, "confusion, rates, and ROC report",
-             ("common", "data", "model", "holdout", "roc")),
+             ("common", "input", "schema", "model", "holdout", "roc")),
     "predict": (stage_predict, "append predictions to feature rows",
-                ("common", "data", "model")),
+                ("common", "input", "model")),
     "synth": (stage_synth, "generate seeded synthetic data",
               ("common", "synth")),
     "pipeline": (None, "encode, screen, train, eval",
-                 ("common", "data", "encode", "screen", "tree", "holdout",
-                  "roc")),
+                 ("common", "input", "schema", "encode", "screen", "tree",
+                  "holdout", "roc")),
 }
 
 

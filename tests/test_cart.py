@@ -1379,6 +1379,20 @@ SERIALIZED = {
         CartConfig(min_node_size=2, max_depth=4, min_gini_decrease=10 ** 17),
         ('"min_gini_decrease": 100000000000000000,',),
         "a0cabc77aaf0f4956e58f7bb23f366337328720f96dad6bd7e0d9030bc67ae84"),
+    # Recorded while grow still partitioned its lists by offsets.  The
+    # widest depth of the first holds 372 nodes; in the second, 273
+    # children of one depth may split, so that level's lists are sorted
+    # on a uint16 key.
+    "wide-levels": (
+        lambda: noisy_classification_dataset(n=5000),
+        CartConfig(min_node_size=1, max_depth=64),
+        ('"n_training_rows": 5000,',),
+        "30fa8335faa3a5a3e8a71d3d43732e23a70b6a3246dccef5412095e56fa28e01"),
+    "uint16-key": (
+        lambda: noisy_classification_dataset(n=7000),
+        CartConfig(min_node_size=1, max_depth=64),
+        ('"n_training_rows": 7000,',),
+        "68b9cb1e53d2cd5cfd2a2ece456e4f8c1b839b4641cce5dde9883441896d39a4"),
 }
 
 

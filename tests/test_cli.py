@@ -753,6 +753,18 @@ class TestEvalCommand:
 
 
 class TestPredictCommand:
+    @pytest.mark.parametrize("flag, value", [
+        ("--codebook", "no-such.csv"), ("--target", "TARGET")])
+    def test_schema_flags_are_usage_errors(self, workdir, flag, value):
+        """The model fixes the schema and the target and input cells
+        hold codes, so predict takes no --codebook or --target."""
+        source = TestEvalCommand().trained(workdir)
+        with pytest.raises(SystemExit) as err:
+            main(["predict", "--input", str(source), flag,
+                  str(workdir / value), "--out", str(workdir / "out")])
+        assert err.value.code == 2
+        assert not (workdir / "out").exists()
+
     def test_leaf_without_class_exits_3(self, workdir, capsys):
         source = TestEvalCommand().trained(workdir)
         model = workdir / "model.json"
@@ -887,9 +899,11 @@ class TestPredictCommand:
         fresh = workdir / "fresh.csv"
         fresh.write_text("color,flag,amount,y\n4,1,12.0,1\n1,0,10.0,0\n"
                          "3,0,11.0,0\n4,1,13.0,0\n")
-        proc = run_module(command, "--input", str(fresh), "--codebook",
-                          str(book), "--target", "y", "--out", str(workdir),
-                          warnings="default")
+        # the model fixes predict's schema; eval reads it from the flags
+        schema = [] if command == "predict" else [
+            "--codebook", str(book), "--target", "y"]
+        proc = run_module(command, "--input", str(fresh), *schema,
+                          "--out", str(workdir), warnings="default")
         assert proc.returncode == 0
         assert proc.stderr == "".join(
             f"solvency {command}: warning: code {code} of 'color' is absent "
@@ -1078,6 +1092,32 @@ def test_deeply_nested_json_refused(workdir, capsys, command, flag, code,
     assert main(args) == code
     assert capsys.readouterr().err == \
         f"solvency {command}: {found.format(deep)}\n"
+
+
+@pytest.mark.parametrize("command, flag, text, key", [
+    ("synth", "--config", '{"alpha": 0.01, "alpha": 0.5}', "alpha"),
+    ("synth", "--config", '{"synth": {"n_rows": 10, "n_rows": 20}}',
+     "n_rows"),
+    ("train", "--screening", '{"kept": ["x0"], "kept": ["x1"]}', "kept"),
+], ids=["config", "config-synth", "screening"])
+def test_key_named_twice_refused(workdir, capsys, command, flag, text, key):
+    """A JSON object that names a key twice is refused naming the file
+    and the key, not read as its later value; a config file is refused
+    before the out directory is made."""
+    twice = workdir / "twice.json"
+    twice.write_text(text)
+    out = workdir / "out"
+    args = [command, flag, str(twice), "--out", str(out)]
+    if command != "synth":
+        args += ["--input", str(make_synthetic(workdir))]
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        f"solvency {command}: {flag[2:]} file {twice} names the key "
+        f"{key!r} twice\n")
+    if flag == "--config":
+        assert not out.exists()
+    else:
+        assert os.listdir(out) == []
 
 
 def run_python(*args, warnings="error"):
@@ -1470,9 +1510,10 @@ def assert_pipeline_matches_manual(workdir, capsys, source, encode_flags,
 
 #: Option strings of every subcommand; pipeline takes the encode,
 #: screen, tree and eval settings but never --variables, --screening
-#: or --model.
+#: or --model, and predict never --codebook or --target.
 COMMON = {"-h", "--help", "--config", "--out", "--seed"}
-DATA = {"--input", "--codebook", "--target", "--missing-token"}
+INPUT = {"--input", "--missing-token"}
+DATA = INPUT | {"--codebook", "--target"}
 ENCODE = {"--skip-codebook", "--outlier-method", "--iqr-multiplier",
           "--z-threshold"}
 SCREEN = {"--alpha", "--r-threshold", "--max-iter", "--tol",
@@ -1484,7 +1525,7 @@ OPTIONS = {
     "train": COMMON | DATA | TREE | {"--screening", "--variables",
                                      "--holdout"},
     "eval": COMMON | DATA | {"--model", "--holdout", "--roc-scores"},
-    "predict": COMMON | DATA | {"--model"},
+    "predict": COMMON | INPUT | {"--model"},
     "synth": COMMON | {"--rows", "--noise"},
     "pipeline": COMMON | DATA | ENCODE | SCREEN | TREE | {"--holdout",
                                                           "--roc-scores"},
