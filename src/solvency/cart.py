@@ -25,7 +25,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import zip_longest
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -600,11 +599,9 @@ def _leaf_index(tree: CartTree, data: Dataset) -> np.ndarray:
 
 
 def _json(value) -> str:
-    """JSON text of a header value: a string escaped to ASCII, a float
-    at 17 significant digits, and an int, also one a config file gave a
-    float field, as an int."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
+    """JSON text of a header value: a float at 17 significant digits,
+    anything else as json.dumps writes it (a string escaped to ASCII,
+    and an int, also one a config file gave a float field, as an int)."""
     if isinstance(value, float):
         return format(value, ".17g")
     return json.dumps(value)

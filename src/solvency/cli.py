@@ -413,8 +413,9 @@ FLAG_GROUPS = {
     "common": [
         ("--config", dict(help="JSON config file")),
         ("--out", dict(help="output directory (default .)")),
-        ("--seed", dict(type=int, help="64-bit RNG seed")),
     ],
+    # encode and predict take no seed: neither splits rows nor draws
+    "seed": [("--seed", dict(type=int, help="64-bit RNG seed"))],
     "input": [
         ("--input", dict(help="input CSV path")),
         ("--missing-token", dict(dest="missing_tokens", action="append",
@@ -468,18 +469,19 @@ COMMANDS = {
     "encode": (stage_encode, "encode labels and clean rows",
                ("common", "input", "schema", "encode")),
     "screen": (stage_screen, "significance and correlation screen",
-               ("common", "input", "schema", "screen", "holdout")),
+               ("common", "seed", "input", "schema", "screen", "holdout")),
     "train": (stage_train, "grow the decision tree",
-              ("common", "input", "schema", "variables", "tree", "holdout")),
+              ("common", "seed", "input", "schema", "variables", "tree",
+               "holdout")),
     "eval": (stage_eval, "confusion, rates, and ROC report",
-             ("common", "input", "schema", "model", "holdout", "roc")),
+             ("common", "seed", "input", "schema", "model", "holdout", "roc")),
     "predict": (stage_predict, "append predictions to feature rows",
                 ("common", "input", "model")),
     "synth": (stage_synth, "generate seeded synthetic data",
-              ("common", "synth")),
+              ("common", "seed", "synth")),
     "pipeline": (None, "encode, screen, train, eval",
-                 ("common", "input", "schema", "encode", "screen", "tree",
-                  "holdout", "roc")),
+                 ("common", "seed", "input", "schema", "encode", "screen",
+                  "tree", "holdout", "roc")),
 }
 
 

@@ -66,18 +66,22 @@ class FeatureSpec:
                     f"categorical feature {self.name!r} needs >= 2 levels")
 
 
+@dataclass
 class Schema:
     """Ordered feature specs plus the target column name."""
 
-    def __init__(self, features: Sequence[FeatureSpec], target: str):
-        names = [f.name for f in features]
+    features: Sequence[FeatureSpec]
+    target: str
+
+    def __post_init__(self):
+        names = [f.name for f in self.features]
         if len(set(names)) != len(names):
             raise ConfigError("duplicate feature names in schema")
-        if target in names:
-            raise ConfigError(f"target {target!r} collides with a feature")
+        if self.target in names:
+            raise ConfigError(
+                f"target {self.target!r} collides with a feature")
         self.features = tuple(
-            replace(f, index=i) for i, f in enumerate(features))
-        self.target = target
+            replace(f, index=i) for i, f in enumerate(self.features))
 
     @property
     def names(self) -> list[str]:
@@ -86,20 +90,11 @@ class Schema:
     def __len__(self):
         return len(self.features)
 
-    def __eq__(self, other):
-        return (isinstance(other, Schema)
-                and self.features == other.features
-                and self.target == other.target)
-
     def __getitem__(self, name: str) -> FeatureSpec:
         for f in self.features:
             if f.name == name:
                 return f
         raise KeyError(name)
-
-    def __repr__(self):
-        kinds = ", ".join(f"{f.name}:{f.kind[0]}" for f in self.features)
-        return f"Schema({kinds} -> {self.target})"
 
 
 def load_codebook(path: str) -> dict[str, dict[str, int]]:

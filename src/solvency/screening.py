@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
 
 import numpy as np
 
@@ -106,33 +106,26 @@ def fit_logistic_xy(
     beta = np.zeros(k + 1)
     converged = False
     separated = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
+    for iterations in count():
         p = _expit(design @ beta)
         w = p * (1.0 - p)
         info = design.T @ (design * w[:, None])
         _check_invertible(info)
+        if converged or separated or iterations >= max_iter:
+            break
         step = np.linalg.solve(info, design.T @ (y - p))
         beta = beta + step
         if np.any(np.abs(beta) > SEPARATION_GUARD):
             separated = True
             warnings.warn(f"coefficient magnitude exceeded {SEPARATION_GUARD};"
                           " data look quasi-separated", SolvencyWarning)
-            break
-        if float(np.max(np.abs(step))) < tol:
+        elif float(np.max(np.abs(step))) < tol:
             converged = True
-            break
     if not converged and not separated:
         warnings.warn(
             f"IRLS did not converge in {iterations} iterations; the "
             "coefficients are not final", SolvencyWarning)
-
-    p = _expit(design @ beta)
-    w = p * (1.0 - p)
-    info = design.T @ (design * w[:, None])
-    _check_invertible(info)
-    covariance = np.linalg.inv(info)
-    se = np.sqrt(np.diag(covariance))
+    se = np.sqrt(np.diag(np.linalg.inv(info)))
     return LogisticFit(
         variables=list(variables),
         coefficients=beta,

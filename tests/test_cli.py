@@ -462,6 +462,21 @@ class TestScreenCommand:
                                "converge in 2 iterations; the coefficients "
                                "are not final\n")
 
+    @pytest.mark.parametrize("extra, digest", [
+        ([], "b6c037cade40a8a3851b535413c50f677765782f917f4db27341435aa461f50c"),
+        (["--per-variable"],
+         "449d82f7d34904aec1f02d6de69ffbe82631c7b81f63027658bcaff2c77cbc59"),
+    ], ids=["joint", "per-variable"])
+    def test_unconverged_wald_bytes(self, workdir, extra, digest):
+        """wald.csv of fits stopped by --max-iter 2: the coefficients
+        after two steps and the standard errors at them."""
+        source = make_synthetic(workdir, rows=4000, seed=3, noise=0.2)
+        with pytest.warns(SolvencyWarning, match="did not converge"):
+            assert main(["screen", "--input", str(source), "--max-iter", "2",
+                         *extra, "--out", str(workdir)]) == 0
+        assert hashlib.sha256(
+            (workdir / "wald.csv").read_bytes()).hexdigest() == digest
+
     def test_tiny_input_exits_3(self, workdir):
         bad = workdir / "tiny.csv"
         bad.write_text("x,y\n1.0,0\n2.0,1\n")
@@ -764,6 +779,23 @@ class TestPredictCommand:
                   str(workdir / value), "--out", str(workdir / "out")])
         assert err.value.code == 2
         assert not (workdir / "out").exists()
+
+    def test_config_settings_it_does_not_read_are_ignored(self, workdir):
+        """One config file serves every command, and each reads only its
+        own settings: a codebook, target and alpha change nothing that
+        predict writes, even a codebook that does not exist."""
+        source = TestEvalCommand().trained(workdir)
+        config = workdir / "config.json"
+        config.write_text(json.dumps({
+            "codebook": str(workdir / "no-such.csv"), "target": "nope",
+            "alpha": 0.5}))
+        for out, extra in (("plain", []), ("configured",
+                                           ["--config", str(config)])):
+            assert main(["predict", "--input", str(source),
+                         "--model", str(workdir / "model.json"),
+                         "--out", str(workdir / out), *extra]) == 0
+        assert (workdir / "configured" / "predictions.csv").read_bytes() == \
+            (workdir / "plain" / "predictions.csv").read_bytes()
 
     def test_leaf_without_class_exits_3(self, workdir, capsys):
         source = TestEvalCommand().trained(workdir)
@@ -1510,8 +1542,10 @@ def assert_pipeline_matches_manual(workdir, capsys, source, encode_flags,
 
 #: Option strings of every subcommand; pipeline takes the encode,
 #: screen, tree and eval settings but never --variables, --screening
-#: or --model, and predict never --codebook or --target.
-COMMON = {"-h", "--help", "--config", "--out", "--seed"}
+#: or --model, predict never --codebook or --target, and neither
+#: encode nor predict, which split no rows and draw nothing, --seed.
+COMMON = {"-h", "--help", "--config", "--out"}
+SEED = {"--seed"}
 INPUT = {"--input", "--missing-token"}
 DATA = INPUT | {"--codebook", "--target"}
 ENCODE = {"--skip-codebook", "--outlier-method", "--iqr-multiplier",
@@ -1521,14 +1555,14 @@ SCREEN = {"--alpha", "--r-threshold", "--max-iter", "--tol",
 TREE = {"--min-node-size", "--max-depth", "--min-gini-decrease"}
 OPTIONS = {
     "encode": COMMON | DATA | ENCODE,
-    "screen": COMMON | DATA | SCREEN | {"--holdout"},
-    "train": COMMON | DATA | TREE | {"--screening", "--variables",
-                                     "--holdout"},
-    "eval": COMMON | DATA | {"--model", "--holdout", "--roc-scores"},
+    "screen": COMMON | SEED | DATA | SCREEN | {"--holdout"},
+    "train": COMMON | SEED | DATA | TREE | {"--screening", "--variables",
+                                            "--holdout"},
+    "eval": COMMON | SEED | DATA | {"--model", "--holdout", "--roc-scores"},
     "predict": COMMON | INPUT | {"--model"},
-    "synth": COMMON | {"--rows", "--noise"},
-    "pipeline": COMMON | DATA | ENCODE | SCREEN | TREE | {"--holdout",
-                                                          "--roc-scores"},
+    "synth": COMMON | SEED | {"--rows", "--noise"},
+    "pipeline": COMMON | SEED | DATA | ENCODE | SCREEN | TREE | {
+        "--holdout", "--roc-scores"},
 }
 
 
@@ -1540,6 +1574,17 @@ class TestParser:
                         for opt in action.option_strings}
                  for name, parser in sub.choices.items()}
         assert found == OPTIONS
+
+    @pytest.mark.parametrize("command", ["encode", "predict"])
+    def test_seed_is_a_usage_error(self, workdir, command):
+        """Neither encode nor predict splits rows or draws a random
+        number, so neither takes --seed."""
+        source = TestEvalCommand().trained(workdir)
+        with pytest.raises(SystemExit) as err:
+            main([command, "--input", str(source), "--seed", "1",
+                  "--out", str(workdir / "out")])
+        assert err.value.code == 2
+        assert not (workdir / "out").exists()
 
     def test_pipeline_flags_parse_as_the_stage_flags_do(self):
         sub = next(a for a in build_parser()._actions

@@ -3,6 +3,7 @@ two-pass variable screen."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -127,6 +128,41 @@ class TestIrls:
                 "quasi-separated")):
             fit = fit_logistic_xy(x[:, None], y, ["x"])
         assert fit.separation
+
+    @pytest.mark.parametrize("data, max_iter, flags, messages", [
+        (seeded_logistic_data(3)[:2], 2, (False, False),
+         ["IRLS did not converge in 2 iterations; the coefficients are "
+          "not final"]),
+        ((np.linspace(-2, 2, 80)[:, None], np.repeat([0.0, 1.0], 40)), 50,
+         (False, True),
+         ["coefficient magnitude exceeded 15.0; data look quasi-separated"]),
+        (seeded_logistic_data(3)[:2], 0, (False, False),
+         ["IRLS did not converge in 0 iterations; the coefficients are "
+          "not final"]),
+    ], ids=["max-iter-2", "separated", "max-iter-0"])
+    def test_unconverged_fit_steps_and_standard_errors(
+            self, monkeypatch, data, max_iter, flags, messages):
+        """A fit that stops short counts the Newton steps it took,
+        warns once, and takes its standard errors from the information
+        matrix at the coefficients it returns."""
+        X, y = data
+        solves = []
+        solve = np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve",
+                            lambda *a: solves.append(1) or solve(*a))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fit = fit_logistic_xy(X, y, [f"x{j}" for j in range(X.shape[1])],
+                                  max_iter=max_iter)
+        assert [str(w.message) for w in caught] == messages
+        assert all(w.category is SolvencyWarning for w in caught)
+        assert fit.iterations == len(solves)
+        assert (fit.converged, fit.separation) == flags
+        design = np.column_stack([X, np.ones(X.shape[0])])
+        p = 1.0 / (1.0 + np.exp(-(design @ fit.coefficients)))
+        info = design.T @ (design * (p * (1.0 - p))[:, None])
+        expected = np.sqrt(np.diag(np.linalg.inv(info)))
+        np.testing.assert_allclose(fit.standard_errors, expected, rtol=1e-12)
 
     def test_too_few_rows_rejected(self):
         with pytest.raises(DataError):
