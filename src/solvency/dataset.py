@@ -205,6 +205,18 @@ def whole_codes(values: np.ndarray, feature: str, rows) -> np.ndarray:
     return values.astype(np.int64)
 
 
+def binary_codes(values: np.ndarray, target: str, rows) -> np.ndarray:
+    """Target values as an int array; the first that is not 0 or 1, or
+    none, raises DataError naming it by rows."""
+    bad = np.flatnonzero((values != 0.0) & (values != 1.0))
+    if bad.size:
+        i = bad[0]
+        value = "missing" if np.isnan(values[i]) else repr(float(values[i]))
+        raise DataError(f"target {target!r} of row {rows[i]} is {value}, "
+                        "not 0 or 1")
+    return values.astype(int)
+
+
 @dataclass(eq=False)
 class Dataset:
     """Feature columns plus a target column.
@@ -245,16 +257,8 @@ class Dataset:
         return self.X.take([spec.index for spec in specs], axis=1)
 
     def binary_target(self) -> np.ndarray:
-        """Target as an int array, insisting every value is 0 or 1; the
-        first row that holds another value, or none, raises DataError."""
-        y = self.y
-        bad = np.flatnonzero((y != 0.0) & (y != 1.0))
-        if bad.size:
-            i = bad[0]
-            value = "missing" if np.isnan(y[i]) else repr(float(y[i]))
-            raise DataError(f"target {self.schema.target!r} of row {i} is "
-                            f"{value}, not 0 or 1")
-        return y.astype(int)
+        """Target as an int array, insisting every value is 0 or 1."""
+        return binary_codes(self.y, self.schema.target, range(self.n))
 
     def codes(self, name: str) -> np.ndarray:
         """A categorical column as an int array, insisting every cell is
@@ -360,7 +364,7 @@ def load_csv(
     # a token that is a finite number as a value, so such a token turns
     # the fast paths off
     missing = dict.fromkeys((tok.strip() for tok in missing_tokens), "nan")
-    fast = not any(map(_finite_number, missing))
+    fast = not any(map(np.isfinite, map(_number, missing)))
     labelled = [] if codebook is None else [
         f.name for f in schema.features if f.kind == CATEGORICAL]
     unknown = None
@@ -542,55 +546,38 @@ def _check_widths(widths: np.ndarray, width: int, start: int) -> None:
             f"row {start + i} has {widths[i]} cells, expected {width}")
 
 
-def _finite_number(text: str) -> bool:
-    try:
-        return bool(np.isfinite(float(text)))
-    except ValueError:
-        return False
-
-
 def _parse_cells(cells: Sequence[str], missing: dict[str, str],
                  fast: bool) -> np.ndarray:
-    """One numeric column of a block: float() of each stripped cell,
-    NaN where a cell is missing, not a number, or not finite.
+    """One numeric column of a block: _number of each stripped cell,
+    NaN where a cell is missing or not finite.
 
     fast, which needs that no missing token is a finite number, first
     tries one float() per cell, each cell that is exactly a token read
     as "nan" (a token float() reads is not finite, so the cell reads
     NaN either way).  A cell float() accepts reads as its stripped text
     would.  If float() refuses one (a padded token, text), the exact
-    path reads the column.
+    path strips every cell and reads it on its own.
     """
     if fast:
         try:
             values = np.fromiter(map(float, map(missing.get, cells, cells)),
                                  float, len(cells))
-            values[~np.isfinite(values)] = np.nan
-            return values
         except ValueError:
-            pass
-    stripped = np.array(list(map(str.strip, cells)), dtype=object)
-    absent = np.fromiter(map(missing.__contains__, stripped), bool,
-                         len(stripped))
-    values = np.full(len(stripped), np.nan)
-    values[~absent] = _to_float(stripped[~absent])
+            fast = False
+    if not fast:
+        cells = list(map(str.strip, cells))
+        values = np.fromiter(map(_number, map(missing.get, cells, cells)),
+                             float, len(cells))
     values[~np.isfinite(values)] = np.nan
     return values
 
 
-def _to_float(cells: np.ndarray) -> np.ndarray:
-    """float() of every cell, NaN where float() refuses one."""
+def _number(text: str) -> float:
+    """float() of text, or NaN where float() refuses it."""
     try:
-        return np.fromiter(map(float, cells), float, len(cells))
+        return float(text)
     except ValueError:
-        # halve the distinct cells until the ones float() refuses stand
-        # alone; a column of text has few distinct cells
-        distinct, inverse = np.unique(cells, return_inverse=True)
-        if len(distinct) == 1:
-            return np.full(len(cells), np.nan)
-        half = len(distinct) // 2
-        return np.concatenate([_to_float(distinct[:half]),
-                               _to_float(distinct[half:])])[inverse]
+        return np.nan
 
 
 def write_csv(data: Dataset, path: str) -> None:
@@ -623,10 +610,7 @@ def read_back(data: Dataset,
     does a non-finite one."""
     written_as_token = []
     for token in {tok.strip() for tok in missing_tokens}:
-        try:
-            value = float(token)
-        except ValueError:
-            continue
+        value = _number(token)
         if np.isfinite(value) and _format_cells(np.array([value])) == [token]:
             written_as_token.append(value)
     X, y = np.add(data.X, 0.0, order="C"), data.y + 0.0

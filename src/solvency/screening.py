@@ -21,7 +21,7 @@ from itertools import combinations, count
 
 import numpy as np
 
-from .dataset import Dataset, _quoted
+from .dataset import Dataset, csv_text
 from .errors import DataError, NumericError, SolvencyWarning
 
 #: |coefficient| above which the fit is treated as quasi-separated.
@@ -87,7 +87,8 @@ def fit_logistic_xy(
     Newton steps solve (X'WX) d = X'(y - p) with W = diag(p(1-p));
     convergence means the largest coefficient change fell below tol.
     Standard errors are the square roots of the diagonal of the inverse
-    information matrix at the final coefficients.
+    information matrix at the final coefficients.  A constant column
+    raises NumericError naming it.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -101,6 +102,9 @@ def fit_logistic_xy(
     if n <= k + 1:
         # reachable from the CLI with a too-small CSV, so a data error
         raise DataError(f"{n} rows cannot support {k + 1} coefficients")
+    for name, constant in zip(variables, np.all(X == X[0], axis=0)):
+        if constant:
+            raise NumericError(f"variable {name!r} has zero variance")
 
     design = np.column_stack([X, np.ones(n)])
     beta = np.zeros(k + 1)
@@ -218,12 +222,15 @@ def per_variable_wald(
 
 def wald_rows_to_text(rows: list[dict]) -> str:
     """Delimited table: variable,B,SE,wald,ddl,sig."""
-    lines = ["variable,B,SE,wald,ddl,sig"]
-    names = _quoted([r["variable"] for r in rows])
-    for name, r in zip(names, rows):
-        lines.append(f"{name},{r['B']!r},{r['SE']!r},{r['wald']!r},"
-                     f"{r['ddl']},{r['sig']!r}")
-    return "\n".join(lines) + "\n"
+    header = ["variable", "B", "SE", "wald", "ddl", "sig"]
+    return _text_csv(header, [[r["variable"] for r in rows]] + [
+        [repr(r[key]) for r in rows] for key in header[1:]])
+
+
+def _text_csv(header: list[str], columns: list[list[str]]) -> str:
+    """csv_text of columns of cell text, each line ending in LF."""
+    return "".join(csv_text(header, [np.array(column, dtype=object)
+                                     for column in columns], "\n"))
 
 
 def pearson_matrix(data: Dataset, variables: list[str] | None = None,
@@ -262,11 +269,8 @@ def pearson_matrix(data: Dataset, variables: list[str] | None = None,
 
 def correlation_text(names: list[str], values: np.ndarray) -> str:
     """correlation.csv: a header of the names, then one row per name."""
-    names = _quoted(names)
-    lines = ["," + ",".join(names)]
-    for name, row in zip(names, values.tolist()):
-        lines.append(f"{name}," + ",".join(map(repr, row)))
-    return "\n".join(lines) + "\n"
+    return _text_csv(["", *names], [names] + [
+        list(map(repr, column)) for column in values.T.tolist()])
 
 
 REASON_NOT_SIGNIFICANT = "not_significant"

@@ -306,3 +306,18 @@ def chi_square_density_1df(t: float) -> float:
     """Density of the chi-square distribution with one degree of
     freedom, used as a quadrature integrand."""
     return np.exp(-t / 2.0) / np.sqrt(2.0 * np.pi * t)
+
+
+def numeric_cell(text: str, tokens) -> float:
+    """The value of a numeric CSV cell as load_csv documents it: the
+    cell is stripped, a missing token (also stripped) reads as NaN,
+    and anything else is float() of the text, NaN where float()
+    refuses it or reads a value that is not finite."""
+    text = text.strip()
+    if text in [token.strip() for token in tokens]:
+        return math.nan
+    try:
+        value = float(text)
+    except ValueError:
+        return math.nan
+    return value if math.isfinite(value) else math.nan

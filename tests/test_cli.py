@@ -377,6 +377,27 @@ class TestEncodeCommand:
                    "--out", str(workdir)])
         assert rc == 2
 
+    def test_target_outside_0_1_names_its_input_row(self, workdir, capsys):
+        """Data row 0 is dropped for its NA cell; the 2 in data row 2 is
+        named by that row before any artifact is written."""
+        source = workdir / "raw.csv"
+        source.write_text("x,TARGET\nNA,1\n2,0\n3,2\n4,0\n5,1\n")
+        out = workdir / "enc"
+        assert main(["encode", "--input", str(source), "--out",
+                     str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "solvency encode: target 'TARGET' of row 2 is 2.0, not 0 or 1\n")
+        assert list(out.iterdir()) == []
+
+    def test_target_outside_0_1_in_a_dropped_row_is_not_checked(
+            self, workdir, capsys):
+        source = workdir / "raw.csv"
+        source.write_text("x,TARGET\nNA,2\n2,0\n3,1\n4,0\n5,1\n")
+        assert main(["encode", "--input", str(source), "--out",
+                     str(workdir)]) == 0
+        assert "class counts (2, 2)" in capsys.readouterr().out
+        assert (workdir / "cleaning.log").read_text() == "0\tmissing:x\n"
+
 
 @pytest.mark.parametrize("command", ["encode", "predict"])
 def test_command_without_input_exits_2(workdir, capsys, command):
@@ -448,6 +469,18 @@ class TestScreenCommand:
                    "--out", str(workdir)])
         assert rc == 4
         assert "singular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra", [[], ["--per-variable"]],
+                             ids=["joint", "per-variable"])
+    def test_constant_column_exits_4_naming_it(self, workdir, capsys, extra):
+        bad = workdir / "const.csv"
+        bad.write_text("x1,x2,y\n" + "".join(
+            f"{i},7.5,{i % 2}\n" for i in range(24)))
+        rc = main(["screen", "--input", str(bad), "--target", "y", *extra,
+                   "--out", str(workdir)])
+        assert rc == 4
+        assert capsys.readouterr().err == (
+            "solvency screen: variable 'x2' has zero variance\n")
 
     def test_unconverged_fit_warns_and_exits_0(self, workdir):
         source = make_synthetic(workdir, rows=4000, seed=3, noise=0.2)

@@ -1,6 +1,8 @@
 """Logistic fitting, significance statistics, correlations, and the
 two-pass variable screen."""
 
+import csv
+import io
 import math
 import re
 import warnings
@@ -113,12 +115,14 @@ class TestIrls:
         with pytest.raises(NumericError, match=r"\(constant or duplicated"):
             fit_logistic_xy(X, y, ["a", "a_copy"])
 
-    def test_constant_column_is_singular(self):
+    @pytest.mark.parametrize("value", [2.5, 0.0])
+    def test_constant_column_is_named(self, value):
         rng = np.random.default_rng(10)
-        X = np.column_stack([rng.normal(size=200), np.full(200, 2.5)])
+        X = np.column_stack([rng.normal(size=200), np.full(200, value)])
         y = (rng.random(200) < 0.5).astype(float)
-        with pytest.raises(NumericError, match=r"\(constant or duplicated"):
+        with pytest.raises(NumericError) as err:
             fit_logistic_xy(X, y, ["a", "const_col"])
+        assert str(err.value) == "variable 'const_col' has zero variance"
 
     def test_separation_warns_and_flags(self):
         x = np.linspace(-2, 2, 80)
@@ -244,6 +248,18 @@ class TestWaldTable:
         assert lines[0] == "variable,B,SE,wald,ddl,sig"
         assert lines[1].startswith("v,0.5,0.25,4.0,1,")
 
+    def test_text_matches_csv_writer(self):
+        rows = wald_table(_fixed_fit(["v", 'a "b"', "c,d", ""],
+                                     [0.5, -0.0, 1e-300, math.nan],
+                                     [0.25, 1.0, 3.0, math.nan]))
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["variable", "B", "SE", "wald", "ddl", "sig"])
+        for r in rows:
+            writer.writerow([r["variable"], repr(r["B"]), repr(r["SE"]),
+                             repr(r["wald"]), r["ddl"], repr(r["sig"])])
+        assert wald_rows_to_text(rows) == out.getvalue()
+
     def test_per_variable_rows(self):
         X, y, _ = seeded_logistic_data(12, n=300, k=2)
         data = make_dataset({"a": X[:, 0].tolist(), "b": X[:, 1].tolist()},
@@ -316,6 +332,26 @@ class TestPearson:
         assert lines[1].startswith("a,") and lines[2].startswith('"b, c",')
         assert lines[3:] == [""]
         assert float(lines[1].split(",")[-1]) == 0.1 + 0.2
+
+    def test_text_of_no_variables_is_one_empty_cell(self):
+        """The header holds one empty cell, which csv.writer writes as
+        a pair of quotes and csv reads back as one cell."""
+        text = correlation_text([], np.eye(0))
+        assert text == '""\n'
+        assert list(csv.reader(io.StringIO(text))) == [[""]]
+
+    def test_text_matches_csv_writer(self):
+        names = ["a", 'b "c"', "d,e", ""]
+        values = np.array([[1.0, -0.0, 1e-300, 0.1 + 0.2],
+                           [-0.0, 1.0, -1.0, 0.5],
+                           [1e-300, -1.0, 1.0, math.nan],
+                           [0.1 + 0.2, 0.5, math.nan, 1.0]])
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(["", *names])
+        for name, row in zip(names, values.tolist()):
+            writer.writerow([name, *map(repr, row)])
+        assert correlation_text(names, values) == out.getvalue()
 
     def test_pairs_iterate_upper_triangle_in_order(self):
         # (a, d) comes before (b, c) row by row, after it column by column
