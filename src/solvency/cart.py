@@ -36,7 +36,6 @@ from .dataset import (
     Schema,
     json_number,
     not_whole,
-    whole_codes,
 )
 from .errors import ConfigError, DataError, SolvencyWarning
 
@@ -530,10 +529,11 @@ def _leaf_index(tree: CartTree, data: Dataset) -> np.ndarray:
     categorical value's slot in tree.codes by searchsorted.  A row stops
     at its first node testing a feature it has no value for, or a
     categorical value that is not a whole number within 2**53.  DataError
-    then names the lowest such node and there the lowest row, a missing
-    value first: what a preorder walk would meet first.  A code that no
-    training row of its node held routes right, with one
-    SolvencyWarning per feature and code, at the first (row, node).
+    then names the lowest such node and there the first row, a missing
+    value first, by its number in data.rows (in the file read): what a
+    preorder walk would meet first.  A code that no training row of its
+    node held routes right, with one SolvencyWarning per feature and
+    code, at the first (row, node).
     """
     if data.schema != tree.schema:
         raise DataError(
@@ -579,9 +579,9 @@ def _leaf_index(tree: CartTree, data: Dataset) -> np.ndarray:
         first = np.lexsort((row, kind, at))[0]
         j, row = tree.feature[at[first]], row[first]
         if kind[first] == 0:
-            raise DataError(f"row {row} has no value for feature "
+            raise DataError(f"row {data.rows[row]} has no value for feature "
                             f"{names[j]!r}, which the tree routes on")
-        whole_codes(data.X[[row], j], names[j], [row])
+        data.select([row]).codes(names[j])
     row, node, code = (np.concatenate(a) for a in zip(*unseen))
     order = np.lexsort((node, row))  # the order a row-by-row walk meets
     # one whole number per (feature, code), and its first meeting

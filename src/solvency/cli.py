@@ -27,7 +27,6 @@ from .dataset import (
     DEFAULT_MISSING_TOKENS,
     Dataset,
     OutlierRule,
-    binary_codes,
     class_distribution,
     clean,
     csv_text,
@@ -237,14 +236,12 @@ def stage_encode(cfg: dict, handed: dict) -> list[str]:
         raise ConfigError("encode needs an input CSV (--input)")
     data = _load(cfg, cfg["input"], encoded=cfg["skip-codebook"])
     cleaned, log = clean(data, outlier_rule(cfg))
-    # a kept row whose target is not 0 or 1 is named by its input row
-    binary_codes(cleaned.y, cleaned.schema.target,
-                 np.delete(np.arange(data.n), [row for row, _ in log]))
+    classes = class_distribution(cleaned)
     write_csv(cleaned, out_path(cfg, ENCODED_CSV))
     _write(out_path(cfg, CLEANING_LOG),
            "".join(f"{row}\t{reason}\n" for row, reason in log))
     print(f"encode: kept {cleaned.n} of {data.n} rows, "
-          f"class counts {class_distribution(cleaned)}")
+          f"class counts {classes}")
     handed["data"] = read_back(cleaned, cfg["missing-tokens"])
     return [ENCODED_CSV, CLEANING_LOG]
 

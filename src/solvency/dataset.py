@@ -193,42 +193,20 @@ def not_whole(values: np.ndarray) -> np.ndarray:
     return (values != np.trunc(values)) | ~(np.abs(values) <= 2.0 ** 53)
 
 
-def whole_codes(values: np.ndarray, feature: str, rows) -> np.ndarray:
-    """Cells of a categorical feature as an int array; one that is not a
-    whole number within 2**53 raises DataError naming it by rows."""
-    bad = np.flatnonzero(not_whole(values))
-    if bad.size:
-        raise DataError(
-            f"row {rows[bad[0]]} holds {float(values[bad[0]])!r} in "
-            f"categorical feature {feature!r}, which is not a whole number "
-            "within 2**53")
-    return values.astype(np.int64)
-
-
-def binary_codes(values: np.ndarray, target: str, rows) -> np.ndarray:
-    """Target values as an int array; the first that is not 0 or 1, or
-    none, raises DataError naming it by rows."""
-    bad = np.flatnonzero((values != 0.0) & (values != 1.0))
-    if bad.size:
-        i = bad[0]
-        value = "missing" if np.isnan(values[i]) else repr(float(values[i]))
-        raise DataError(f"target {target!r} of row {rows[i]} is {value}, "
-                        "not 0 or 1")
-    return values.astype(int)
-
-
 @dataclass(eq=False)
 class Dataset:
     """Feature columns plus a target column.
 
     X holds one float64 column per schema feature, in schema order, and
     y the target; NaN marks a missing value in both.  A categorical
-    column holds integer codes.
+    column holds integer codes.  rows holds each row's number in the
+    file read, 0, 1, 2, ... unless given; refusals name rows by it.
     """
 
     schema: Schema
     X: np.ndarray
     y: np.ndarray
+    rows: np.ndarray | None = None
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=float)
@@ -238,6 +216,11 @@ class Dataset:
             raise DataError(
                 f"columns do not form {shape[0]} rows of {shape[1]} "
                 "features plus a target")
+        self.rows = (np.arange(shape[0]) if self.rows is None
+                     else np.asarray(self.rows, dtype=np.intp))
+        if self.rows.shape != shape[:1]:
+            raise DataError(f"row numbers of shape {self.rows.shape} do "
+                            f"not number {shape[0]} rows")
 
     @property
     def n(self) -> int:
@@ -257,23 +240,39 @@ class Dataset:
         return self.X.take([spec.index for spec in specs], axis=1)
 
     def binary_target(self) -> np.ndarray:
-        """Target as an int array, insisting every value is 0 or 1."""
-        return binary_codes(self.y, self.schema.target, range(self.n))
+        """Target as an int array; the first value that is not 0 or 1,
+        or none, raises DataError naming its row."""
+        bad = np.flatnonzero((self.y != 0.0) & (self.y != 1.0))
+        if bad.size:
+            value = float(self.y[bad[0]])
+            text = "missing" if np.isnan(value) else repr(value)
+            raise DataError(f"target {self.schema.target!r} of row "
+                            f"{self.rows[bad[0]]} is {text}, not 0 or 1")
+        return self.y.astype(int)
 
     def codes(self, name: str) -> np.ndarray:
-        """A categorical column as an int array, insisting every cell is
-        a whole number within 2**53."""
-        return whole_codes(self.X[:, self.schema[name].index], name,
-                           range(self.n))
+        """A categorical column as an int array; the first cell that is
+        not a whole number within 2**53 raises DataError naming its
+        row."""
+        values = self.X[:, self.schema[name].index]
+        bad = np.flatnonzero(not_whole(values))
+        if bad.size:
+            raise DataError(
+                f"row {self.rows[bad[0]]} holds {float(values[bad[0]])!r} "
+                f"in categorical feature {name!r}, which is not a whole "
+                "number within 2**53")
+        return values.astype(np.int64)
 
     def select(self, indices: Iterable[int]) -> "Dataset":
+        """The rows at the given positions, each keeping its number."""
         idx = np.asarray(indices, dtype=np.intp)
-        return Dataset(self.schema, self.X[idx], self.y[idx])
+        return Dataset(self.schema, self.X[idx], self.y[idx], self.rows[idx])
 
     def split(self, fraction: float, seed: int) -> tuple["Dataset", "Dataset"]:
-        """Seeded (train, holdout) partition; both keep original row order.
-        A fraction outside (0, 1) raises ConfigError, and one that leaves
-        either part without rows raises DataError."""
+        """Seeded (train, holdout) partition; both keep the original row
+        order and each row's number, so a refusal names the row in the
+        file read.  A fraction outside (0, 1) raises ConfigError, and one
+        that leaves either part without rows raises DataError."""
         if not 0.0 < fraction < 1.0:
             raise ConfigError("holdout fraction must lie inside (0, 1)")
         k = int(round(fraction * self.n))
@@ -604,10 +603,10 @@ def read_back(data: Dataset,
               missing_tokens: Sequence[str] = DEFAULT_MISSING_TOKENS
               ) -> Dataset:
     """The dataset load_csv reads, without a codebook, from the file
-    write_csv makes of data, without the file.  Rendering and float()
-    round-trip every finite value except -0.0, which is written as 0,
-    and a cell whose text equals a missing token reads back missing, as
-    does a non-finite one."""
+    write_csv makes of data, without the file, its rows numbered from 0
+    as the file's.  Rendering and float() round-trip every finite value
+    except -0.0, which is written as 0, and a cell whose text equals a
+    missing token reads back missing, as does a non-finite one."""
     written_as_token = []
     for token in {tok.strip() for tok in missing_tokens}:
         value = _number(token)
@@ -688,8 +687,9 @@ def clean(
     dropped, which makes cleaning idempotent: running clean on its own
     output removes nothing.  Each round's fences come from the kept
     rows in their original order.  The log records each dropped row's
-    original position and the first offending column in schema order
-    (the target comes last).  Surviving rows keep their relative order.
+    number (data.rows), lowest first, and the first offending column in
+    schema order (the target comes last).  Surviving rows keep their
+    relative order.
     If no row is kept, DataError names the first column, if any, that
     has no value in any row.
     """
@@ -716,8 +716,8 @@ def clean(
         reasons.append(outlier[outside[bad].argmax(axis=1)])
         kept = kept[~bad]
 
-    rows, reasons = np.concatenate(rows), np.concatenate(reasons)
-    order = np.argsort(rows)
+    rows, reasons = data.rows[np.concatenate(rows)], np.concatenate(reasons)
+    order = np.argsort(rows, kind="stable")
     log = list(zip(rows[order].tolist(), reasons[order].tolist()))
     if not kept.size:
         empty = np.flatnonzero(holes.all(axis=0)) if data.n else []

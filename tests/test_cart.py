@@ -379,6 +379,10 @@ class TestGrow:
         classes, _ = predict_dataset(tree, data)
         assert classes.tolist() == [0, 0, 0, 1, 1, 1]
 
+    def test_zero_rows_refused(self):
+        with pytest.raises(DataError, match="^cannot grow a tree on 0 rows$"):
+            grow(make_dataset({"x": []}, []))
+
     def test_homogeneous_root_stays_leaf(self):
         data = make_dataset({"x": [1.0, 2.0, 3.0]}, [1, 1, 1])
         tree = grow(data)
@@ -891,6 +895,21 @@ class TestPredict:
             predicted, _ = predict_dataset(tree, fresh)
         right = assign_leaf(tree.counts[tree.right[0]])[0]
         assert predicted.tolist() == [right]
+
+    def test_refusal_names_the_row_number(self):
+        tree = grow(make_dataset({"c": [1, 1, 2, 2]}, [1, 1, 0, 0],
+                                 kinds={"c": CATEGORICAL}, levels={"c": 2}),
+                    config=CartConfig(min_node_size=1))
+        fresh = make_dataset({"c": [1, 2, None, 1.5]}, [0, 0, 0, 0],
+                             kinds={"c": CATEGORICAL}, levels={"c": 2})
+        with pytest.raises(DataError, match="^row 2 has no value for "
+                                            "feature 'c', which the tree "
+                                            "routes on$"):
+            predict_dataset(tree, fresh.select([3, 2]))
+        with pytest.raises(DataError, match=re.escape(
+                "row 3 holds 1.5 in categorical feature 'c', which is not "
+                "a whole number within 2**53")):
+            predict_dataset(tree, fresh.select([0, 3]))
 
     def test_scores_are_leaf_proportions(self):
         data = make_dataset(

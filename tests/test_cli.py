@@ -12,6 +12,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -798,6 +799,102 @@ class TestEvalCommand:
                    "--out", str(workdir)])
         assert rc == 3
         assert f"model {model}: {message}" in capsys.readouterr().err
+
+
+def test_other_warnings_keep_the_python_format():
+    with cli._warning_lines("screen"):
+        ours = warnings.formatwarning("careful", SolvencyWarning, "w.py", 3,
+                                      "")
+        other = warnings.formatwarning("careful", UserWarning, "w.py", 3, "")
+    assert ours == "solvency screen: warning: careful\n"
+    assert other == "w.py:3: UserWarning: careful\n"
+    assert warnings.formatwarning("careful", UserWarning, "w.py", 3,
+                                  "") == other
+
+
+def coded_rows(path, color=None, target=None, missing=None):
+    """A 60-row coded CSV of color (1, 2, 3 in turn), x and y, whose y
+    is 1 where color is 1, flipped in every seventh row; color and
+    target map a data row to the cell it holds instead, and missing
+    names a data row whose x is NA."""
+    lines = ["color,x,y"]
+    for i in range(60):
+        code = i % 3 + 1
+        cells = [(color or {}).get(i, code),
+                 "NA" if i == missing else f"{i}.5",
+                 (target or {}).get(i, int((code == 1) != (i % 7 == 0)))]
+        lines.append(",".join(map(str, cells)))
+    path.write_text("\n".join(lines) + "\n")
+    return path
+
+
+class TestHoldoutNamesInputRows:
+    """Under --holdout a refusal names the row's number in the file the
+    command read, not its position in the part the stage reads.  Each
+    seed puts the bad row in that part, away from its own number."""
+
+    def run(self, workdir, command, source, seed, *extra):
+        (workdir / "book.csv").write_text(CODEBOOK_CSV)
+        return main([command, "--input", str(source), "--codebook",
+                     str(workdir / "book.csv"), "--target", "y",
+                     "--holdout", "0.5", "--seed", str(seed),
+                     "--out", str(workdir / "out"), *extra])
+
+    @pytest.mark.parametrize("seed", [2, 4])
+    def test_train_names_a_code_that_is_not_whole(self, workdir, capsys,
+                                                   seed):
+        source = coded_rows(workdir / "coded.csv", color={30: 1.5})
+        assert self.run(workdir, "train", source, seed) == 3
+        assert capsys.readouterr().err == (
+            "solvency train: row 30 holds 1.5 in categorical feature "
+            "'color', which is not a whole number within 2**53\n")
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_eval_names_a_code_that_is_not_whole(self, workdir, capsys,
+                                                  seed):
+        clean = coded_rows(workdir / "clean.csv")
+        assert self.run(workdir, "train", clean, seed) == 0
+        model = workdir / "out" / "model.json"
+        assert deserialize(model.read_text()).feature[0] == 0  # color
+        source = coded_rows(workdir / "coded.csv", color={30: 1.5})
+        capsys.readouterr()
+        assert self.run(workdir, "eval", source, seed,
+                        "--model", str(model)) == 3
+        assert capsys.readouterr().err == (
+            "solvency eval: row 30 holds 1.5 in categorical feature "
+            "'color', which is not a whole number within 2**53\n")
+
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_screen_names_a_target_outside_0_1(self, workdir, capsys, seed):
+        source = coded_rows(workdir / "coded.csv", target={40: 2})
+        assert self.run(workdir, "screen", source, seed) == 3
+        assert capsys.readouterr().err == (
+            "solvency screen: target 'y' of row 40 is 2.0, not 0 or 1\n")
+
+    def test_eval_names_a_missing_cell(self, workdir, capsys):
+        clean = coded_rows(workdir / "clean.csv")
+        assert self.run(workdir, "train", clean, 1) == 0
+        model = str(workdir / "out" / "model.json")
+        source = coded_rows(workdir / "coded.csv", color={30: "NA"})
+        capsys.readouterr()
+        assert self.run(workdir, "eval", source, 1, "--model", model) == 3
+        assert capsys.readouterr().err == (
+            "solvency eval: row 30 has no value for feature 'color', "
+            "which the tree routes on\n")
+
+    def test_pipeline_names_the_encoded_row(self, workdir, capsys):
+        """encode drops data row 5, so input row 30 is encoded.csv's row
+        29, which train refuses in pipeline as in the manual chain."""
+        (workdir / "book.csv").write_text(CODEBOOK_CSV)
+        source = coded_rows(workdir / "coded.csv", color={30: 1.5},
+                            missing=5)
+        assert_pipeline_matches_manual(
+            workdir, capsys, source, ["--skip-codebook"],
+            ["--codebook", str(workdir / "book.csv"), "--target", "y"],
+            ["--holdout", "0.5", "--seed", "1"])
+        assert read_manifest(workdir / "auto")["stages"][2]["error"] == (
+            "row 29 holds 1.5 in categorical feature 'color', which is not "
+            "a whole number within 2**53")
 
 
 class TestPredictCommand:

@@ -70,6 +70,12 @@ class TestSchema:
         b = Schema([FeatureSpec("a", CATEGORICAL, levels=2)], "y")
         assert a != b
 
+    def test_unknown_name_is_a_key_error(self):
+        s = Schema([FeatureSpec("a", NUMERIC)], "y")
+        with pytest.raises(KeyError) as exc:
+            s["b"]
+        assert exc.value.args == ("b",)
+
     def test_categorical_needs_two_levels(self):
         with pytest.raises(ConfigError,
                            match="^categorical feature 'a' needs >= 2 levels$"):
@@ -488,6 +494,76 @@ class TestSplitAndDistribution:
                             kinds={"c": CATEGORICAL}, levels={"c": 2})
         with pytest.raises(DataError, match="row 2 .*'c'"):
             data.codes("c")
+
+
+class TestRowNumbers:
+    """A Dataset numbers each row as the file it was read from does, and
+    a refusal names a row by that number, not by its position."""
+
+    def numbered(self, n=10):
+        return make_dataset({"a": [float(i) for i in range(n)]},
+                            [i % 2 for i in range(n)])
+
+    def test_rows_count_from_0_by_default(self):
+        assert self.numbered().rows.tolist() == list(range(10))
+
+    def test_select_carries_rows(self):
+        part = self.numbered().select([7, 2, 5])
+        assert part.rows.tolist() == [7, 2, 5]
+        assert part.select([2, 0]).rows.tolist() == [5, 7]
+
+    def test_split_carries_rows(self):
+        train, hold = self.numbered(20).split(0.3, seed=4)
+        for part in (train, hold):
+            assert part.rows.tolist() == part.X[:, 0].astype(int).tolist()
+        assert sorted(train.rows.tolist() + hold.rows.tolist()) == \
+            list(range(20))
+
+    def test_read_back_numbers_rows_from_0(self):
+        back = read_back(self.numbered().select([8, 3, 6]))
+        assert back.rows.tolist() == [0, 1, 2]
+        assert cells(back.X[:, 0]) == [8.0, 3.0, 6.0]
+
+    @pytest.mark.parametrize("numbers", [[0, 1], [[0, 1, 2]], 5],
+                             ids=["short", "two-dimensional", "scalar"])
+    def test_rows_of_another_shape_refused(self, numbers):
+        data = self.numbered(3)
+        with pytest.raises(DataError) as exc:
+            Dataset(data.schema, data.X, data.y, numbers)
+        assert str(exc.value) == (f"row numbers of shape {np.shape(numbers)} "
+                                  "do not number 3 rows")
+
+    def test_refusals_name_the_row_number(self):
+        data = make_dataset({"c": [1, 2, 1.5, 1, 2, 1]}, [0, 1, 0, 2, 1, 0],
+                            kinds={"c": CATEGORICAL}, levels={"c": 2})
+        part = data.select([5, 2, 3])
+        with pytest.raises(DataError, match=re.escape(
+                "row 2 holds 1.5 in categorical feature 'c', which is not "
+                "a whole number within 2**53")):
+            part.codes("c")
+        with pytest.raises(DataError, match="^target 'TARGET' of row 3 is "
+                                            "2.0, not 0 or 1$"):
+            part.binary_target()
+
+    def test_clean_logs_row_numbers(self):
+        data = make_dataset({"a": [1.0, 2.0, None, 4.0, None, 6.0]},
+                            [0, 1, 0, 1, 0, 1])
+        kept, log = clean(data.select([5, 4, 1, 2]), OutlierRule("off"))
+        assert log == [(2, "missing:a"), (4, "missing:a")]
+        assert kept.rows.tolist() == [5, 1]
+
+
+class TestDatasetShape:
+    @pytest.mark.parametrize("X, y", [
+        (np.zeros((3, 2)), np.zeros(3)), (np.zeros((3, 1)), np.zeros((3, 1))),
+        (np.zeros((2, 1)), np.zeros(3))],
+        ids=["two-columns", "two-dimensional-target", "short-columns"])
+    def test_columns_that_do_not_form_the_rows_refused(self, X, y):
+        schema = Schema([FeatureSpec("a", NUMERIC)], "y")
+        with pytest.raises(DataError) as exc:
+            Dataset(schema, X, y)
+        assert str(exc.value) == ("columns do not form 3 rows of 1 features "
+                                  "plus a target")
 
 
 class TestSchemaFromHeader:

@@ -167,6 +167,11 @@ class TestRocSweep:
             roc([0, 1], [0.5])
 
 
+    def test_actual_class_outside_0_1_refused(self):
+        with pytest.raises(ValueError) as err:
+            roc([0, 2], [0.5, 0.5])
+        assert str(err.value) == "actual values must all be 0 or 1"
+
 class TestAucUncertainty:
     def hanley_mcneil(self, auc, n1, n0):
         # same published formula, spelled independently

@@ -46,6 +46,21 @@ def seeded_logistic_data(seed, n=400, k=3, scale=1.0):
 
 
 class TestIrls:
+    @pytest.mark.parametrize("X, y, names, message", [
+        (np.zeros((3, 1)), np.zeros(2), ["a"],
+         "design matrix and target lengths disagree"),
+        (np.zeros(3), np.zeros(3), ["a"],
+         "design matrix and target lengths disagree"),
+        (np.zeros((3, 2)), np.zeros(3), ["a"],
+         "one name per design column is required"),
+        (np.zeros((3, 1)), np.array([0.0, 1.0, 2.0]), ["a"],
+         "logistic target must be 0/1"),
+    ], ids=["lengths", "one-dimensional", "names", "target"])
+    def test_malformed_input_is_a_value_error(self, X, y, names, message):
+        with pytest.raises(ValueError) as err:
+            fit_logistic_xy(X, y, names)
+        assert str(err.value) == message
+
     def test_matches_quasi_newton_optimum(self):
         X, y, _ = seeded_logistic_data(0)
         names = ["x1", "x2", "x3"]
@@ -323,6 +338,15 @@ class TestPearson:
         with pytest.raises(NumericError) as err:
             pearson_matrix(data)
         assert str(err.value) == "variable 'a' has zero variance"
+
+    @pytest.mark.parametrize("columns, name", [
+        ({"a": [1.0], "b": [2.0]}, "a"), ({}, "<none>")],
+        ids=["named", "no-variables"])
+    def test_fewer_than_two_rows_refused(self, columns, name):
+        data = make_dataset(columns, [0])
+        with pytest.raises(NumericError) as err:
+            pearson_matrix(data)
+        assert str(err.value) == f"variable {name!r} has zero variance"
 
     def test_text_quotes_names_and_round_trips_values(self):
         names = ["a", "b, c"]
